@@ -2,11 +2,22 @@
 
 GO ?= go
 
-.PHONY: check build test vet lint-spans lint-alloc race cover fuzz bench bench-json loadtest profile experiments experiments-full corpora clean
+.PHONY: check build fmt test vet perfbench lint-spans lint-alloc race cover fuzz bench bench-json loadtest profile experiments experiments-full corpora clean
 
-# The default pre-merge gate: compile, lint, unit tests, the race pass over
-# the concurrent serving path (chaos suite included), and the coverage floor.
-check: build vet lint-spans lint-alloc test race cover
+# The default pre-merge gate: compile, formatting, lint, unit tests, the
+# benchmark harness, the race pass over the concurrent serving path (chaos
+# suite included), and the coverage floor.
+check: build fmt vet lint-spans lint-alloc test perfbench race cover
+
+# Formatting gate: fails listing every file gofmt would rewrite.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# perfbench/ is a nested module, so the root build and tests never compile
+# it; vet and test it here so a change to an internal API it imports fails
+# the gate rather than the benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Span hygiene: every obs.StartSpan must have a matching End in the same
 # function — a leaked span never reaches the trace recorder.

@@ -239,6 +239,15 @@ func (e *Encoder) TokenEmbedding(token string) []float32 {
 // every token as a len(tokens)×Dim float32 matrix. Sequences longer than
 // MaxLen are truncated — the same hard limit the paper discusses for Doduo.
 func (e *Encoder) EncodeTokens(tokens []string) *tensor.F32 {
+	return e.encodeTokens(tokens, len(tokens))
+}
+
+// encodeTokens is EncodeTokens computing the final layer for only the first
+// outRows tokens. Every layer still reads all tokens: the final layer
+// projects K and V for each of them, and the rest of that layer (Q,
+// attention, Wo, residuals, layer norms, FFN) is row-wise, so the rows it
+// returns carry the same bits as the full pass.
+func (e *Encoder) encodeTokens(tokens []string, outRows int) *tensor.F32 {
 	if len(tokens) > e.cfg.MaxLen {
 		tokens = tokens[:e.cfg.MaxLen]
 	}
@@ -256,8 +265,12 @@ func (e *Encoder) EncodeTokens(tokens []string) *tensor.F32 {
 			row[j] += 0.1 * prow[j]
 		}
 	}
-	for _, lw := range e.layers {
-		h = e.encoderLayer(h, lw)
+	for l, lw := range e.layers {
+		rows := n
+		if l == len(e.layers)-1 {
+			rows = min(outRows, n)
+		}
+		h = e.encoderLayer(h, lw, rows)
 	}
 	return h
 }
@@ -268,25 +281,27 @@ func matMulF32(a, b *tensor.F32) *tensor.F32 {
 	return out
 }
 
-// encoderLayer applies one frozen transformer block: multi-head
-// self-attention with residual + layernorm, then a GELU FFN with residual +
-// layernorm. All storage is float32; softmax and layernorm use float64
-// scalar math (exp/sqrt) on float32 inputs — still fully deterministic.
-func (e *Encoder) encoderLayer(h *tensor.F32, lw layerWeights) *tensor.F32 {
+// encoderLayer applies one frozen transformer block to the first rows
+// tokens of h, attending over all of them: multi-head self-attention with
+// residual + layernorm, then a GELU FFN with residual + layernorm. All
+// storage is float32; softmax and layernorm use float64 scalar math
+// (exp/sqrt) on float32 inputs — still fully deterministic.
+func (e *Encoder) encoderLayer(h *tensor.F32, lw layerWeights, rows int) *tensor.F32 {
 	n, dim := h.Rows, e.cfg.Dim
 	heads := e.cfg.Heads
 	hd := dim / heads
+	top := &tensor.F32{Rows: rows, Cols: dim, Data: h.Data[:rows*dim]}
 
-	q := matMulF32(h, lw.wq)
+	q := matMulF32(top, lw.wq)
 	k := matMulF32(h, lw.wk)
 	v := matMulF32(h, lw.wv)
 
-	ctx := tensor.NewF32(n, dim)
+	ctx := tensor.NewF32(rows, dim)
 	scale := 1 / math.Sqrt(float64(hd))
 	scores := make([]float64, n)
 	for hd0 := 0; hd0 < heads; hd0++ {
 		off := hd0 * hd
-		for i := 0; i < n; i++ {
+		for i := 0; i < rows; i++ {
 			qi := q.Row(i)[off : off+hd]
 			mx := math.Inf(-1)
 			for j := 0; j < n; j++ {
@@ -317,22 +332,22 @@ func (e *Encoder) encoderLayer(h *tensor.F32, lw layerWeights) *tensor.F32 {
 		}
 	}
 	attnOut := matMulF32(ctx, lw.wo)
-	h1 := tensor.NewF32(n, dim)
-	for i, hv := range h.Data {
+	h1 := tensor.NewF32(rows, dim)
+	for i, hv := range top.Data {
 		h1.Data[i] = hv + attnOut.Data[i]
 	}
 	layerNormInPlaceF32(h1)
 
 	ffn := matMulF32(h1, lw.ffn1)
-	for i := 0; i < n; i++ {
+	for i := 0; i < rows; i++ {
 		row := ffn.Row(i)
 		for j, bv := range lw.ffn1b.Data {
 			row[j] = geluF32(row[j] + bv)
 		}
 	}
 	ffnOut := matMulF32(ffn, lw.ffn2)
-	h2 := tensor.NewF32(n, dim)
-	for i := 0; i < n; i++ {
+	h2 := tensor.NewF32(rows, dim)
+	for i := 0; i < rows; i++ {
 		row := ffnOut.Row(i)
 		h1row := h1.Row(i)
 		orow := h2.Row(i)
@@ -377,6 +392,10 @@ func layerNormInPlaceF32(m *tensor.F32) {
 // node representation, in the encoder's native float32. Results are cached
 // per distinct text; the returned slice is shared and must not be mutated.
 // Callers feeding a float64 tape widen at the copy (the tape boundary).
+// Node texts from table.SerializeColumn already carry [CLS] … [SEP], so
+// their sequences read [CLS] [CLS] … [SEP] [SEP]; the double wrap is kept
+// on purpose, since dropping it moves every embedding (DESIGN.md §12).
+// Only the CLS row of the final layer is computed.
 func (e *Encoder) Encode(text string) []float32 {
 	if v, ok := e.textVecs.get(text); ok {
 		return v
@@ -384,7 +403,7 @@ func (e *Encoder) Encode(text string) []float32 {
 
 	tokens := append([]string{TokenCLS}, e.tok.Tokenize(text)...)
 	tokens = append(tokens, TokenSEP)
-	states := e.EncodeTokens(tokens)
+	states := e.encodeTokens(tokens, 1)
 	v := append([]float32(nil), states.Row(0)...)
 
 	return e.textVecs.put(text, v)

@@ -136,8 +136,10 @@ func (s *Server) addWatchRules() {
 	// and throttles the background re-score so recovery capacity goes to
 	// live traffic. The clear restores the budget to its base.
 	s.watchdog.Add(watch.Rule{
-		Name:      "slo-fast-burn",
-		Signal:    func() (float64, bool) { return s.burnSignal(func(a slo.BurnAlert) float64 { return math.Min(a.Rate5m, a.Rate1h) }) },
+		Name: "slo-fast-burn",
+		Signal: func() (float64, bool) {
+			return s.burnSignal(func(a slo.BurnAlert) float64 { return math.Min(a.Rate5m, a.Rate1h) })
+		},
 		Threshold: slo.FastBurnThreshold,
 		CoolDown:  interval,
 		Capture:   true,
@@ -155,8 +157,10 @@ func (s *Server) addWatchRules() {
 		},
 	})
 	s.watchdog.Add(watch.Rule{
-		Name:      "slo-slow-burn",
-		Signal:    func() (float64, bool) { return s.burnSignal(func(a slo.BurnAlert) float64 { return math.Min(a.Rate30m, a.Rate6h) }) },
+		Name: "slo-slow-burn",
+		Signal: func() (float64, bool) {
+			return s.burnSignal(func(a slo.BurnAlert) float64 { return math.Min(a.Rate30m, a.Rate6h) })
+		},
 		Threshold: slo.SlowBurnThreshold,
 		CoolDown:  interval,
 		Capture:   true,

@@ -36,10 +36,12 @@ func (m *F32) String() string {
 	return fmt.Sprintf("F32(%dx%d)", m.Rows, m.Cols)
 }
 
-// MatMulF32Into computes out = a×b over float32 storage with the same j/k
-// blocking and fixed ascending-k accumulation order as the float64 kernel.
-// Serial on purpose: the encoder parallelizes across texts (one goroutine
-// per column), not inside one product.
+// MatMulF32Into computes out = a×b over float32 storage. It walks b in
+// 8-column strips, then any leftover columns one at a time; for each row of
+// a, the strip's outputs accumulate in registers, from zero, over ascending
+// k, and are stored once. Every element thus adds its terms in the naive
+// triple loop's order and keeps its bits. Serial on purpose: the inference
+// engine parallelizes across tables, not inside one product.
 func MatMulF32Into(out, a, b *F32) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulF32 %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -47,41 +49,33 @@ func MatMulF32Into(out, a, b *F32) {
 	if out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulF32Into out %dx%d want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
 	}
-	for i := range out.Data {
-		out.Data[i] = 0
-	}
 	ac, bc := a.Cols, b.Cols
-	for jb := 0; jb < bc; jb += blockJ {
-		je := jb + blockJ
-		if je > bc {
-			je = bc
+	j := 0
+	for ; j+8 <= bc; j += 8 {
+		for i := 0; i < a.Rows; i++ {
+			var c0, c1, c2, c3, c4, c5, c6, c7 float32
+			for k, av := range a.Data[i*ac : (i+1)*ac] {
+				bs := (*[8]float32)(b.Data[k*bc+j:])
+				c0 += av * bs[0]
+				c1 += av * bs[1]
+				c2 += av * bs[2]
+				c3 += av * bs[3]
+				c4 += av * bs[4]
+				c5 += av * bs[5]
+				c6 += av * bs[6]
+				c7 += av * bs[7]
+			}
+			o := (*[8]float32)(out.Data[i*bc+j:])
+			o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c0, c1, c2, c3, c4, c5, c6, c7
 		}
-		for kb := 0; kb < ac; kb += blockK {
-			ke := kb + blockK
-			if ke > ac {
-				ke = ac
+	}
+	for ; j < bc; j++ {
+		for i := 0; i < a.Rows; i++ {
+			var c float32
+			for k, av := range a.Data[i*ac : (i+1)*ac] {
+				c += av * b.Data[k*bc+j]
 			}
-			for i := 0; i < a.Rows; i++ {
-				arow := a.Data[i*ac+kb : i*ac+ke]
-				orow := out.Data[i*bc+jb : i*bc+je]
-				for kk, av := range arow {
-					if av == 0 {
-						continue
-					}
-					brow := b.Data[(kb+kk)*bc+jb : (kb+kk)*bc+je]
-					brow = brow[:len(orow)]
-					j := 0
-					for ; j+4 <= len(orow); j += 4 {
-						orow[j] += av * brow[j]
-						orow[j+1] += av * brow[j+1]
-						orow[j+2] += av * brow[j+2]
-						orow[j+3] += av * brow[j+3]
-					}
-					for ; j < len(orow); j++ {
-						orow[j] += av * brow[j]
-					}
-				}
-			}
+			out.Data[i*bc+j] = c
 		}
 	}
 }

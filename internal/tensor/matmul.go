@@ -292,7 +292,7 @@ func matMulTARange(out, a, b *Matrix, lo, hi int) {
 
 // --- naive references (tests only) ---
 //
-// The straight triple loops the blocked kernels must match bit-for-bit.
+// The straight triple loops the product kernels must match bit-for-bit.
 // They stay package-level so the kernel edge-case tests always have an
 // independent oracle; production code never calls them.
 
@@ -326,6 +326,18 @@ func naiveMatMulTransposeB(a, b *Matrix) *Matrix {
 		for j := 0; j < b.Rows; j++ {
 			for k := 0; k < a.Cols; k++ {
 				out.Data[i*b.Rows+j] += a.Data[i*a.Cols+k] * b.Data[j*b.Cols+k]
+			}
+		}
+	}
+	return out
+}
+
+func naiveMatMulF32(a, b *F32) *F32 {
+	out := NewF32(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			for k := 0; k < a.Cols; k++ {
+				out.Data[i*b.Cols+j] += a.Data[i*a.Cols+k] * b.Data[k*b.Cols+j]
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -12,6 +13,13 @@ func randMat(rng *rand.Rand, r, c int) *Matrix {
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
+	return m
+}
+
+// randF32 is randMat narrowed to float32 storage.
+func randF32(rng *rand.Rand, r, c int) *F32 {
+	m := NewF32(r, c)
+	NarrowInto(m, randMat(rng, r, c))
 	return m
 }
 
@@ -28,10 +36,26 @@ func bitEqual(t *testing.T, name string, got, want *Matrix) {
 	}
 }
 
+// checkF32Kernel requires MatMulF32Into(a, b) to equal the naive float32
+// triple loop bit for bit (Float32bits, so a signed zero counts too).
+func checkF32Kernel(t *testing.T, a, b *F32) {
+	t.Helper()
+	got := NewF32(a.Rows, b.Cols)
+	MatMulF32Into(got, a, b)
+	want := naiveMatMulF32(a, b)
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("MatMulF32Into %dx%d·%dx%d: element %d = %v, want %v (bit-identity violated)",
+				a.Rows, a.Cols, b.Rows, b.Cols, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
 // kernelShapes covers the geometry corners of the blocked kernels: 1×1,
 // prime dimensions (never a multiple of blockJ/blockK), tall/skinny and
 // short/wide extremes, exact block multiples, and off-by-one straddles of
-// the blockK=128 and blockJ=256 boundaries.
+// the blockK=128 and blockJ=256 boundaries. Its column counts also land
+// below, on and beside the float32 kernel's 8-column strips.
 var kernelShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{2, 3, 4},
@@ -67,6 +91,8 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 		ab := randMat(rng, s.m, s.k) // a×bᵀ: a is m×k, b is n×k, out m×n
 		bb := randMat(rng, s.n, s.k)
 		bitEqual(t, "MatMulTransposeB", MatMulTransposeB(ab, bb), naiveMatMulTransposeB(ab, bb))
+
+		checkF32Kernel(t, randF32(rng, s.m, s.k), randF32(rng, s.k, s.n))
 	}
 }
 
@@ -92,7 +118,26 @@ func TestKernelsZeroExtents(t *testing.T) {
 		ab := randMat(rng, s.m, s.k)
 		bb := randMat(rng, s.n, s.k)
 		bitEqual(t, "MatMulTransposeB", MatMulTransposeB(ab, bb), naiveMatMulTransposeB(ab, bb))
+
+		checkF32Kernel(t, randF32(rng, s.m, s.k), randF32(rng, s.k, s.n))
 	}
+}
+
+// TestF32KernelZeroEntries: exact +0 and -0 entries in a (and one all-zero
+// row) must leave every output element with the naive loop's bits, whether
+// or not the kernel skips their zero products.
+func TestF32KernelZeroEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	a, b := randF32(rng, 9, 21), randF32(rng, 21, 19)
+	for i := range a.Data {
+		switch {
+		case i/a.Cols == 4 || i%3 == 0:
+			a.Data[i] = 0
+		case i%5 == 0:
+			a.Data[i] = float32(math.Copysign(0, -1))
+		}
+	}
+	checkF32Kernel(t, a, b)
 }
 
 // TestParallelDispatchBitIdentical forces the parallel row-split path (by
