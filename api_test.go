@@ -1,6 +1,7 @@
 package pythagoras_test
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -26,16 +27,23 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	cfg := pythagoras.DefaultConfig(enc)
 	cfg.Epochs = 10
 	cfg.Patience = 10
-	model, err := pythagoras.Train(corpus, train, val, cfg)
+	model, err := pythagoras.Train(context.Background(), corpus, train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Predict and score through the public API only.
+	tables := make([]*pythagoras.Table, len(test))
+	for i, ti := range test {
+		tables[i] = corpus.Tables[ti]
+	}
+	batch, err := pythagoras.NewEngine(model).PredictBatchCtx(context.Background(), tables)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var preds []pythagoras.Prediction
-	for _, ti := range test {
-		tb := corpus.Tables[ti]
-		for _, p := range model.PredictTable(tb) {
+	for i, tb := range tables {
+		for _, p := range batch[i] {
 			gold, ok := corpus.LabelIndex[tb.Columns[p.ColIndex].SemanticType]
 			if !ok {
 				continue
@@ -63,7 +71,7 @@ func TestPublicAPIPersistence(t *testing.T) {
 	cfg := pythagoras.DefaultConfig(enc)
 	cfg.Epochs = 2
 	cfg.Patience = 2
-	model, err := pythagoras.Train(corpus, []int{0, 1, 2, 3}, []int{4, 5}, cfg)
+	model, err := pythagoras.Train(context.Background(), corpus, []int{0, 1, 2, 3}, []int{4, 5}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +83,14 @@ func TestPublicAPIPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := model.PredictTable(corpus.Tables[6])
-	b := loaded.PredictTable(corpus.Tables[6])
+	predict := func(m *pythagoras.Model) []pythagoras.ColumnPrediction {
+		batch, err := pythagoras.NewEngine(m).PredictBatchCtx(context.Background(), corpus.Tables[6:7])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return batch[0]
+	}
+	a, b := predict(model), predict(loaded)
 	if len(a) != len(b) {
 		t.Fatal("prediction counts differ after reload")
 	}

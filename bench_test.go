@@ -130,7 +130,7 @@ func BenchmarkAblationGNNLayers(b *testing.B) {
 				cfg.GNNLayers = layers
 				cfg.Epochs = 5
 				cfg.Patience = 5
-				if _, err := core.Train(c, train, val, cfg); err != nil {
+				if _, err := core.TrainCtx(context.Background(), c, train, val, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -154,7 +154,7 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 				cfg.BatchSize = bs
 				cfg.Epochs = 5
 				cfg.Patience = 5
-				if _, err := core.Train(c, train, val, cfg); err != nil {
+				if _, err := core.TrainCtx(context.Background(), c, train, val, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -213,27 +213,17 @@ func benchModel(b *testing.B) (*core.Model, *data.Corpus) {
 	cfg := core.DefaultConfig(enc)
 	cfg.Epochs = 5
 	cfg.Patience = 5
-	m, err := core.Train(c, []int{0, 1, 2, 3, 4, 5, 6, 7}, []int{8, 9}, cfg)
+	m, err := core.TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4, 5, 6, 7}, []int{8, 9}, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return m, c
 }
 
-// BenchmarkPredictTable measures end-to-end single-table inference with a
-// trained model — the legacy (pre-engine) serving path.
-func BenchmarkPredictTable(b *testing.B) {
-	m, c := benchModel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictTable(c.Tables[i%len(c.Tables)])
-	}
-}
-
-// BenchmarkPredictBatch measures the staged inference engine's batched
-// path at 1, 4 and 16 tables per call. Throughput (tables/sec) at
-// batch 16 versus 16 sequential BenchmarkPredictTable iterations is the
-// bench-trajectory number for the engine's batching + parallelism win.
+// BenchmarkPredictBatch measures the staged inference engine at 1, 4 and 16
+// tables per call. tables1 is a single table — a batch of one, the
+// /v1/predict path; throughput (tables/sec) at batch 16 versus tables1 is
+// the bench-trajectory number for the engine's batching + parallelism win.
 func BenchmarkPredictBatch(b *testing.B) {
 	m, c := benchModel(b)
 	eng := infer.New(m)
@@ -245,7 +235,9 @@ func BenchmarkPredictBatch(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.PredictBatch(tables)
+				if _, err := eng.PredictBatchCtx(context.Background(), tables); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "tables/sec")
 		})
@@ -266,7 +258,9 @@ func BenchmarkPredictBatchInstrumented(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.PredictBatch(tables)
+				if _, err := eng.PredictBatchCtx(context.Background(), tables); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "tables/sec")
 		})
@@ -290,14 +284,16 @@ func BenchmarkObsOverhead(b *testing.B) {
 		eng := infer.New(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eng.PredictBatch(tables)
+			if _, err := eng.PredictBatchCtx(context.Background(), tables); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 
 	b.Run("obs_on", func(b *testing.B) {
 		reg := obs.NewRegistry()
-		eng := infer.New(m, infer.WithMetrics(reg),
-			infer.WithDrift(obs.NewDriftMonitor(m.ComputeDriftBaseline(c.Tables[:4]))))
+		eng := infer.New(m, infer.WithMetrics(reg))
+		eng.EnableDrift(obs.NewDriftMonitor(m.ComputeDriftBaseline(c.Tables[:4])))
 		rec := obs.NewTraceRecorder(obs.TraceConfig{SampleRate: 0.01})
 		root := obs.WithRecorder(obs.WithRegistry(context.Background(), reg), rec)
 		b.ResetTimer()
@@ -334,7 +330,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 				cfg := core.DefaultConfig(enc)
 				cfg.Epochs = 1
 				cfg.TrainWorkers = workers
-				if _, err := core.Train(c, train, []int{40, 41}, cfg); err != nil {
+				if _, err := core.TrainCtx(context.Background(), c, train, []int{40, 41}, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

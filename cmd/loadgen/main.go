@@ -204,7 +204,7 @@ func selfContained(maxInflight int, serviceTime time.Duration) (*httptest.Server
 	cfg := core.DefaultConfig(enc)
 	cfg.Epochs = 3
 	cfg.Patience = 3
-	m, err := core.Train(c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
+	m, err := core.TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

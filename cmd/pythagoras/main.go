@@ -159,7 +159,7 @@ func cmdTrain(args []string) {
 		}
 	}
 
-	m, err := core.Train(c, train, val, cfg)
+	m, err := core.TrainCtx(context.Background(), c, train, val, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func cmdEval(args []string) {
 	for i, st := range c.Types {
 		c.LabelIndex[st] = i
 	}
-	split, preds := infer.New(m).Evaluate(c, idx)
+	split, preds := m.Evaluate(c, idx)
 	fmt.Printf("columns scored: %d\n", len(preds))
 	fmt.Printf("weighted F1: numeric=%.3f non-numeric=%.3f overall=%.3f\n",
 		split.Numeric.WeightedF1, split.NonNumeric.WeightedF1, split.Overall.WeightedF1)
@@ -260,7 +260,10 @@ func cmdPredict(args []string) {
 		}
 	}
 	// One batched forward pass over the whole directory.
-	batch := infer.New(m).PredictBatch(tables)
+	batch, err := infer.New(m).PredictBatchCtx(context.Background(), tables)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, t := range tables {
 		fmt.Printf("table %s (%q):\n", t.ID, t.Name)
 		for _, p := range batch[i] {
@@ -296,14 +299,25 @@ func cmdServe(args []string) {
 	agreeWindow := fs.Duration("shadow-agreement-window", server.DefaultShadowAgreementWindow, "how long shadow agreement must stay below -shadow-agreement-min before auto-rollback")
 	dim, layers := encoderFlags(fs)
 	fs.Parse(args)
+	// Exactly one log sink per format: the server's access log and events,
+	// and this command's own startup and drain lines, all land in it.
 	slog := structuredLogger(*logFormat)
+	logf, sink := log.Printf, server.WithLogger(log.Default())
+	if slog != nil {
+		logf = slog.With("component", "serve").Printf()
+		sink = server.WithLogz(slog.With("component", "server"))
+	}
+	fatalf := func(format string, args ...any) {
+		logf(format, args...)
+		os.Exit(1)
+	}
 
 	// LoadServing resolves the checkpoint and its optional drift sidecar in
 	// one step — the same path POST /v1/models uses for candidates, so boot
 	// and hot-load cannot disagree about what a serving model is.
 	bundle, err := core.LoadServing(*modelPath, core.Config{Encoder: buildEncoder(*dim, *layers)})
 	if err != nil {
-		log.Fatal(err)
+		fatalf("pythagoras: %v", err)
 	}
 	m := bundle.Model
 	eng := infer.New(m, infer.WithWorkers(*workers), infer.WithMetrics(obs.NewRegistry()))
@@ -311,16 +325,16 @@ func cmdServe(args []string) {
 	// existed still serves, just without drift gauges.
 	if bundle.Drift != nil {
 		eng.EnableDrift(bundle.Drift)
-		log.Printf("pythagoras: drift baseline loaded from %s", core.DriftSidecarPath(*modelPath))
+		logf("pythagoras: drift baseline loaded from %s", core.DriftSidecarPath(*modelPath))
 	} else if bundle.DriftErr != nil {
-		log.Printf("pythagoras: drift baseline unusable, serving without drift telemetry: %v", bundle.DriftErr)
+		logf("pythagoras: drift baseline unusable, serving without drift telemetry: %v", bundle.DriftErr)
 	}
 	recorder := obs.NewTraceRecorder(obs.TraceConfig{
 		SampleRate: *traceSample, SlowThreshold: *traceSlow, Buffer: *traceBuffer,
 	})
 	sloEng := slo.New(slo.DefaultObjectives(*sloTarget, time.Duration(*sloLatencyMs)*time.Millisecond))
 	opts := []server.Option{
-		server.WithLogger(log.Default()), server.WithDebug(*debug),
+		sink, server.WithDebug(*debug),
 		server.WithRequestTimeout(*requestTimeout), server.WithMaxInflight(*maxInflight),
 		server.WithTraceRecorder(recorder), server.WithSLO(sloEng),
 		server.WithShadowSample(*shadowSample),
@@ -337,11 +351,8 @@ func cmdServe(args []string) {
 	if *rescoreCkpt != "" {
 		opts = append(opts, server.WithRescoreCheckpoint(*rescoreCkpt))
 	}
-	if slog != nil {
-		opts = append(opts, server.WithLogz(slog.With("component", "server")))
-	}
 	srv := server.NewWithEngine(eng, *minConf, opts...)
-	log.Printf("pythagoras serving on %s (vocabulary: %d types, debug=%v, request-timeout=%s, max-inflight=%d, slo-target=%g, slo-latency=%dms)",
+	logf("pythagoras serving on %s (vocabulary: %d types, debug=%v, request-timeout=%s, max-inflight=%d, slo-target=%g, slo-latency=%dms)",
 		*addr, len(m.Types()), *debug, *requestTimeout, *maxInflight, *sloTarget, *sloLatencyMs)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
@@ -354,7 +365,7 @@ func cmdServe(args []string) {
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	select {
 	case err := <-errCh:
-		log.Fatal(err)
+		fatalf("pythagoras: %v", err)
 	case <-ctx.Done():
 	}
 	stop() // a second signal kills the process the default way
@@ -363,14 +374,14 @@ func cmdServe(args []string) {
 	// waits for in-flight inference (healthz flips to draining so the load
 	// balancer pulls the instance), then the HTTP server closes listeners
 	// and waits for connections to go idle.
-	log.Printf("pythagoras: signal received, draining (budget %s)", *drainTimeout)
+	logf("pythagoras: signal received, draining (budget %s)", *drainTimeout)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Printf("pythagoras: drain incomplete: %v", err)
+		logf("pythagoras: drain incomplete: %v", err)
 	}
 	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("pythagoras: http shutdown: %v", err)
+		logf("pythagoras: http shutdown: %v", err)
 	}
-	log.Printf("pythagoras: shutdown complete")
+	logf("pythagoras: shutdown complete")
 }

@@ -1,15 +1,20 @@
 package pythagoras_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCLIPipeline exercises the real binaries end to end:
-// datagen → pythagoras train → pythagoras predict.
+// datagen → pythagoras train → eval → predict → serve.
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary integration test")
@@ -69,5 +74,80 @@ func TestCLIPipeline(t *testing.T) {
 		"-table", "sports_00000", "-dim", "16", "-lm-layers", "1")
 	if !strings.Contains(out, "sports_00000") || !strings.Contains(out, "→") {
 		t.Fatalf("predict output: %s", out)
+	}
+
+	// 5. Serve the model with JSON logs, send one prediction, stop with
+	// SIGINT: every stderr line must be one JSON object, and the request
+	// must be logged exactly once.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	var stderr bytes.Buffer
+	serve := exec.Command(pyth, "serve", "-model", model, "-addr", addr,
+		"-log-format", "json", "-dim", "16", "-lm-layers", "1")
+	serve.Dir = work
+	serve.Stderr = &stderr
+	if err := serve.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- serve.Wait() }()
+	exited := false
+	defer func() {
+		if !exited {
+			serve.Process.Kill()
+			<-done
+		}
+	}()
+	base := "http://" + addr
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		if resp, err := http.Get(base + "/v1/readyz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("serve never became ready; stderr:\n%s", stderr.String())
+		}
+	}
+	body := `{"name":"NBA Stats","columns":[{"header":"PPG","values":["28.1","15.2"]}]}`
+	resp, err := http.Post(base+"/v1/predict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/predict = %d", resp.StatusCode)
+	}
+	if err := serve.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		exited = true
+		if err != nil {
+			t.Fatalf("serve exited with %v; stderr:\n%s", err, stderr.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve did not exit after SIGINT")
+	}
+	predictLines := 0
+	for _, line := range strings.Split(strings.TrimSpace(stderr.String()), "\n") {
+		var entry struct {
+			Path string `json:"path"`
+		}
+		if err := json.Unmarshal([]byte(line), &entry); err != nil {
+			t.Fatalf("non-JSON stderr line under -log-format json: %q", line)
+		}
+		if entry.Path == "/v1/predict" {
+			predictLines++
+		}
+	}
+	if predictLines != 1 {
+		t.Fatalf("/v1/predict logged %d times, want once; stderr:\n%s", predictLines, stderr.String())
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"github.com/sematype/pythagoras/internal/core"
 	"github.com/sematype/pythagoras/internal/data"
+	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/table"
 )
@@ -54,7 +56,7 @@ func main() {
 	for i := 0; i < len(corpus.Tables)-4; i++ {
 		train = append(train, i)
 	}
-	model, err := core.Train(corpus, train, val, cfg)
+	model, err := core.TrainCtx(context.Background(), corpus, train, val, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,11 +73,16 @@ func main() {
 	fmt.Printf("model round-tripped through %s (%d parameters)\n\n",
 		modelPath, reloaded.Params().Count())
 
-	// 5. Type an incoming table.
+	// 5. Type incoming tables.
+	eng := infer.New(reloaded)
 	for _, ti := range test {
 		t := corpus.Tables[ti]
+		batch, err := eng.PredictBatchCtx(context.Background(), []*table.Table{t})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("predictions for %q:\n", t.Name)
-		for _, p := range reloaded.PredictTable(t) {
+		for _, p := range batch[0] {
 			fmt.Printf("  %-14s → %-22s (conf %.2f, gold %s)\n",
 				p.Header, p.Type, p.Confidence, t.Columns[p.ColIndex].SemanticType)
 		}

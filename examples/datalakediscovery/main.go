@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -17,7 +18,9 @@ import (
 	"github.com/sematype/pythagoras/internal/core"
 	"github.com/sematype/pythagoras/internal/data"
 	"github.com/sematype/pythagoras/internal/eval"
+	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/lm"
+	"github.com/sematype/pythagoras/internal/table"
 )
 
 func main() {
@@ -36,17 +39,25 @@ func main() {
 	cfg := core.DefaultConfig(enc)
 	cfg.Epochs = 80
 	cfg.Logf = log.Printf
-	model, err := core.Train(lake, train, val, cfg)
+	model, err := core.TrainCtx(context.Background(), lake, train, val, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Type the untyped part of the lake and build the discovery index:
-	// semantic type → tables containing a column of that type.
+	// Type the untyped part of the lake in one batch and build the
+	// discovery index: semantic type → tables containing a column of that
+	// type.
+	untyped := make([]*table.Table, len(rest))
+	for i, ti := range rest {
+		untyped[i] = lake.Tables[ti]
+	}
+	batch, err := infer.New(model).PredictBatchCtx(context.Background(), untyped)
+	if err != nil {
+		log.Fatal(err)
+	}
 	index := map[string][]string{}
-	for _, ti := range rest {
-		t := lake.Tables[ti]
-		for _, p := range model.PredictTable(t) {
+	for i, t := range untyped {
+		for _, p := range batch[i] {
 			if p.Confidence < 0.3 {
 				continue // low-confidence labels pollute discovery indexes
 			}

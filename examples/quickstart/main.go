@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"github.com/sematype/pythagoras/internal/core"
 	"github.com/sematype/pythagoras/internal/data"
 	"github.com/sematype/pythagoras/internal/eval"
+	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/lm"
 )
 
@@ -33,7 +35,7 @@ func main() {
 	cfg := core.DefaultConfig(enc)
 	cfg.Epochs = 60
 	cfg.Logf = log.Printf
-	model, err := core.Train(corpus, train, val, cfg)
+	model, err := core.TrainCtx(context.Background(), corpus, train, val, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,10 +45,14 @@ func main() {
 	fmt.Printf("\ntest weighted F1: numeric=%.3f  non-numeric=%.3f  overall=%.3f\n\n",
 		split.Numeric.WeightedF1, split.NonNumeric.WeightedF1, split.Overall.WeightedF1)
 
-	// 5. Predict a single unseen table column by column.
+	// 5. Predict a single unseen table column by column — a batch of one.
 	unseen := corpus.Tables[test[0]]
+	batch, err := infer.New(model).PredictBatchCtx(context.Background(), corpus.Tables[test[0]:test[0]+1])
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("predictions for table %q:\n", unseen.Name)
-	for _, p := range model.PredictTable(unseen) {
+	for _, p := range batch[0] {
 		gold := unseen.Columns[p.ColIndex].SemanticType
 		marker := " "
 		if p.Type == gold {

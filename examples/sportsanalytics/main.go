@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"github.com/sematype/pythagoras/internal/core"
 	"github.com/sematype/pythagoras/internal/data"
 	"github.com/sematype/pythagoras/internal/eval"
+	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/table"
 )
@@ -32,10 +34,11 @@ func main() {
 	cfg := core.DefaultConfig(enc)
 	cfg.Epochs = 100
 	cfg.Logf = log.Printf
-	model, err := core.Train(corpus, train, val, cfg)
+	model, err := core.TrainCtx(context.Background(), corpus, train, val, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	eng := infer.New(model)
 
 	// The ambiguous numeric column from Figure 1: per-game values around
 	// 2–8 could be basketball assists, hockey stats, …
@@ -51,7 +54,7 @@ func main() {
 			{Header: "AssPG", Kind: table.KindNumeric, NumValues: assists},
 		},
 	}
-	probe(model, basketball, "same values, basketball context")
+	probe(eng, basketball, "same values, basketball context")
 
 	soccer := &table.Table{
 		Name: "EPL Player Statistics", ID: "fig1b",
@@ -63,7 +66,7 @@ func main() {
 			{Header: "AssPG", Kind: table.KindNumeric, NumValues: assists},
 		},
 	}
-	probe(model, soccer, "identical values, soccer context")
+	probe(eng, soccer, "identical values, soccer context")
 
 	bare := &table.Table{
 		Name: "Stats", ID: "fig1c",
@@ -71,12 +74,16 @@ func main() {
 			{Header: "AssPG", Kind: table.KindNumeric, NumValues: assists},
 		},
 	}
-	probe(model, bare, "identical values, no context at all")
+	probe(eng, bare, "identical values, no context at all")
 }
 
-func probe(model *core.Model, t *table.Table, caption string) {
+func probe(eng *infer.Engine, t *table.Table, caption string) {
 	fmt.Printf("\n%s — table %q\n", caption, t.Name)
-	for _, p := range model.PredictTable(t) {
+	batch, err := eng.PredictBatchCtx(context.Background(), []*table.Table{t})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, p := range batch[0] {
 		if p.Kind != table.KindNumeric {
 			continue
 		}

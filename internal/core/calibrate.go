@@ -10,7 +10,7 @@ import (
 // CalibrateTemperature fits a softmax temperature on held-out tables by
 // minimizing the negative log-likelihood of the gold labels — standard
 // temperature scaling. The temperature is stored in the model (persisted by
-// Save) and applied by PredictTable, so reported confidences track actual
+// Save) and applied by InferProbs, so reported confidences track actual
 // accuracy instead of the over-confident raw softmax.
 //
 // It returns the fitted temperature (1 = unchanged).

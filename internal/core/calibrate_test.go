@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestCalibrateTemperature(t *testing.T) {
 	train, val, test := eval.TrainValTestSplit(len(c.Tables), rng)
 	cfg := tinyConfig(enc)
 	cfg.Epochs = 10
-	m, err := Train(c, train, val, cfg)
+	m, err := TrainCtx(context.Background(), c, train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +37,9 @@ func TestCalibrateTemperature(t *testing.T) {
 
 	// Calibration must not change argmax predictions.
 	before, _ := m.Evaluate(c, test)
-	preds := m.PredictTable(c.Tables[test[0]])
+	preds := predictOne(m, c.Tables[test[0]])
 	m.temperature = 1
-	plain := m.PredictTable(c.Tables[test[0]])
+	plain := predictOne(m, c.Tables[test[0]])
 	m.temperature = temp
 	for i := range preds {
 		if preds[i].Type != plain[i].Type {
@@ -57,7 +58,7 @@ func TestCalibrateTemperaturePersisted(t *testing.T) {
 	enc := tinyEncoder()
 	cfg := tinyConfig(enc)
 	cfg.Epochs = 2
-	m, err := Train(c, []int{0, 1, 2, 3}, []int{4, 5}, cfg)
+	m, err := TrainCtx(context.Background(), c, []int{0, 1, 2, 3}, []int{4, 5}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestCalibrateTemperatureNoValData(t *testing.T) {
 	enc := tinyEncoder()
 	cfg := tinyConfig(enc)
 	cfg.Epochs = 1
-	m, err := Train(c, []int{0, 1}, nil, cfg)
+	m, err := TrainCtx(context.Background(), c, []int{0, 1}, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 
+	"github.com/sematype/pythagoras/internal/atomicfile"
 	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/table"
 )
@@ -100,7 +101,9 @@ func (m *Model) ComputeDriftBaseline(tables []*table.Table) obs.DriftBaseline {
 		ConfCounts: make([]uint64, len(obs.ConfidenceBuckets)+1),
 	}
 	for _, t := range tables {
-		for _, p := range m.PredictTable(t) {
+		prep := m.Prepare(t)
+		probs, targets := m.InferProbs(prep)
+		for _, p := range m.DecodePredictions(prep, probs, targets, 0, len(targets), t) {
 			b.TypeCounts[p.Type]++
 			i := 0
 			for i < len(b.ConfBounds) && p.Confidence > b.ConfBounds[i] {
@@ -112,22 +115,19 @@ func (m *Model) ComputeDriftBaseline(tables []*table.Table) obs.DriftBaseline {
 	return b
 }
 
-// SaveDriftBaseline writes a drift baseline sidecar: the shared versioned
-// header followed by the baseline as JSON.
+// SaveDriftBaseline writes a drift baseline sidecar — the shared versioned
+// header followed by the baseline as JSON — through atomicfile.Write, so a
+// crash mid-save leaves any previous sidecar intact.
 func SaveDriftBaseline(path string, b obs.DriftBaseline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := writeHeader(f, DriftBaselineVersion); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(b); err != nil {
-		return fmt.Errorf("core: encode drift baseline: %w", err)
-	}
-	return f.Close()
+	return atomicfile.Write(path, 0o644, func(w io.Writer) error {
+		if err := writeHeader(w, DriftBaselineVersion); err != nil {
+			return err
+		}
+		if err := json.NewEncoder(w).Encode(b); err != nil {
+			return fmt.Errorf("core: encode drift baseline: %w", err)
+		}
+		return nil
+	})
 }
 
 // ServingBundle is everything a serving process loads for one model

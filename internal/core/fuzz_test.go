@@ -96,7 +96,7 @@ func FuzzModelLoad(f *testing.F) {
 		if len(m.Types()) == 0 {
 			t.Fatal("loaded model has no types")
 		}
-		if got := m.PredictTable(probe); len(got) != len(probe.Columns) {
+		if got := predictOne(m, probe); len(got) != len(probe.Columns) {
 			t.Fatalf("loaded model predicted %d of %d columns", len(got), len(probe.Columns))
 		}
 	})

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/sematype/pythagoras/internal/atomicfile"
 	"github.com/sematype/pythagoras/internal/autodiff"
 	"github.com/sematype/pythagoras/internal/colfeat"
 	"github.com/sematype/pythagoras/internal/data"
@@ -278,21 +279,6 @@ func (m *Model) Prepare(t *table.Table) *Prepared {
 	return m.Encode(t, m.BuildGraph(t))
 }
 
-// PrepareForPrediction prepares an unlabeled table: gold semantic types are
-// not required (missing ones get placeholders before graph construction).
-// The input table is not modified.
-func (m *Model) PrepareForPrediction(t *table.Table) *Prepared {
-	work := &table.Table{Name: t.Name, ID: t.ID}
-	for _, c := range t.Columns {
-		cc := *c
-		if cc.SemanticType == "" {
-			cc.SemanticType = "?"
-		}
-		work.Columns = append(work.Columns, &cc)
-	}
-	return m.Prepare(work)
-}
-
 // whitenStates applies the fitted node-state standardization in place
 // (no-op before fitStateScaling runs). V_ncf rows stay zero — they are
 // filled by the subnetwork inside the tape.
@@ -536,12 +522,6 @@ func (m *Model) InferProbs(p *Prepared) (*tensor.Matrix, []int) {
 	return out, targets
 }
 
-// Train fits Pythagoras on the corpus using the given table index splits.
-// It is TrainCtx under a background context (not cancellable).
-func Train(c *data.Corpus, trainIdx, valIdx []int, cfg Config) (*Model, error) {
-	return TrainCtx(context.Background(), c, trainIdx, valIdx, cfg)
-}
-
 // defaultPatience is applied when Config.Patience is unset: without it a
 // zero-value Config handed NewEarlyStopper a patience of 0, which aborts at
 // the first non-improving epoch.
@@ -672,7 +652,7 @@ func TrainCtx(ctx context.Context, c *data.Corpus, trainIdx, valIdx []int, cfg C
 				return nil, err
 			}
 			t0 := time.Now()
-			split, err := m.scorePreparedCtx(ctx, valPrep, workers)
+			split, _, err := m.scorePreparedCtx(ctx, valPrep, workers)
 			if err != nil {
 				return nil, err
 			}
@@ -808,12 +788,6 @@ func subBatchSeed(seed int64, step, sub int) int64 {
 	return int64(h)
 }
 
-// scorePrepared evaluates prepared tables (no dropout, no grads) serially.
-func (m *Model) scorePrepared(ps []*Prepared) *eval.Split {
-	split, _ := m.scorePreparedCtx(context.Background(), ps, 1)
-	return split
-}
-
 // scorePreparedCtx evaluates prepared tables in parallel: the tables are
 // chunked (never more than valChunk per union), each chunk scored with one
 // gradient-free union forward, and the per-chunk predictions concatenated
@@ -822,7 +796,7 @@ func (m *Model) scorePrepared(ps []*Prepared) *eval.Split {
 // forwards it replaces, so the resulting metrics are worker-count
 // independent — which matters, because the validation F1 feeds the early
 // stopper and thereby the final parameters.
-func (m *Model) scorePreparedCtx(ctx context.Context, ps []*Prepared, workers int) (*eval.Split, error) {
+func (m *Model) scorePreparedCtx(ctx context.Context, ps []*Prepared, workers int) (*eval.Split, []eval.Prediction, error) {
 	bounds := par.Bounds(len(ps), workers, valChunk)
 	chunkPreds := make([][]eval.Prediction, len(bounds))
 	err := par.For(ctx, workers, len(bounds), func(ci int) error {
@@ -835,19 +809,19 @@ func (m *Model) scorePreparedCtx(ctx context.Context, ps []*Prepared, workers in
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var preds []eval.Prediction
 	for _, cp := range chunkPreds {
 		preds = append(preds, cp...)
 	}
-	return eval.ComputeSplit(preds), nil
+	return eval.ComputeSplit(preds), preds, nil
 }
 
 // LabeledPredictions runs an inference forward pass over a prepared batch
 // and returns one eval.Prediction per labeled target node, in ascending
-// node order. It is the shared scoring primitive behind Evaluate and the
-// inference engine's batched evaluation.
+// node order. It is the scoring primitive behind Evaluate and training's
+// validation pass.
 func (m *Model) LabeledPredictions(p *Prepared) []eval.Prediction {
 	logits, targets := m.InferLogits(p)
 	var preds []eval.Prediction
@@ -865,13 +839,20 @@ func (m *Model) LabeledPredictions(p *Prepared) []eval.Prediction {
 }
 
 // Evaluate scores the model on the given tables of a corpus, returning the
-// paper's per-kind metrics and the raw predictions.
+// paper's per-kind metrics and the raw predictions in table order. The
+// tables are prepared in parallel and scored by the chunked union forwards
+// training validation uses, on one worker per CPU; neither the chunking nor
+// the worker count changes a bit of the result.
 func (m *Model) Evaluate(c *data.Corpus, idx []int) (*eval.Split, []eval.Prediction) {
-	var preds []eval.Prediction
-	for _, ti := range idx {
-		preds = append(preds, m.LabeledPredictions(m.Prepare(c.Tables[ti]))...)
-	}
-	return eval.ComputeSplit(preds), preds
+	ctx := context.Background()
+	workers := runtime.NumCPU()
+	ps := make([]*Prepared, len(idx))
+	_ = par.For(ctx, workers, len(idx), func(i int) error {
+		ps[i] = m.Prepare(c.Tables[idx[i]])
+		return nil
+	})
+	split, preds, _ := m.scorePreparedCtx(ctx, ps, workers)
+	return split, preds
 }
 
 // ColumnPrediction is the user-facing prediction for one column.
@@ -881,15 +862,6 @@ type ColumnPrediction struct {
 	Kind       table.Kind
 	Type       string
 	Confidence float64
-}
-
-// PredictTable predicts the semantic type of every column of an unlabeled
-// table. It runs the same staged pipeline as the batched inference engine
-// (internal/infer) on a single table.
-func (m *Model) PredictTable(t *table.Table) []ColumnPrediction {
-	p := m.PrepareForPrediction(t)
-	probs, targets := m.InferProbs(p)
-	return m.DecodePredictions(p, probs, targets, 0, len(targets), t)
 }
 
 // DecodePredictions converts inference probabilities back into per-column
@@ -951,14 +923,10 @@ func (m *Model) Save(w io.Writer) error {
 	return m.params.EncodeGob(enc)
 }
 
-// SaveFile saves the model to a file path.
+// SaveFile saves the model to a file path through atomicfile.Write: a crash
+// or failure mid-save leaves any previous checkpoint there intact.
 func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return m.Save(f)
+	return atomicfile.Write(path, 0o644, m.Save)
 }
 
 // Geometry ceilings for checkpoint metadata. A checkpoint declaring wider

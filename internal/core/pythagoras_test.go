@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,6 +25,15 @@ func tinyCorpus(n int) *data.Corpus {
 	})
 }
 
+// predictOne types one table through the stage functions the inference
+// engine composes — Prepare, InferProbs, DecodePredictions — as a batch of
+// one.
+func predictOne(m *Model, t *table.Table) []ColumnPrediction {
+	p := m.Prepare(t)
+	probs, targets := m.InferProbs(p)
+	return m.DecodePredictions(p, probs, targets, 0, len(targets), t)
+}
+
 func tinyConfig(enc *lm.Encoder) Config {
 	cfg := DefaultConfig(enc)
 	cfg.Epochs = 30
@@ -38,7 +48,7 @@ func TestTrainImprovesOverChance(t *testing.T) {
 	enc := tinyEncoder()
 	rng := rand.New(rand.NewSource(1))
 	train, val, test := eval.TrainValTestSplit(len(c.Tables), rng)
-	m, err := Train(c, train, val, tinyConfig(enc))
+	m, err := TrainCtx(context.Background(), c, train, val, tinyConfig(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +70,7 @@ func TestTrainImprovesOverChance(t *testing.T) {
 
 func TestTrainEmptySplitErrors(t *testing.T) {
 	c := tinyCorpus(5)
-	if _, err := Train(c, nil, nil, tinyConfig(tinyEncoder())); err == nil {
+	if _, err := TrainCtx(context.Background(), c, nil, nil, tinyConfig(tinyEncoder())); err == nil {
 		t.Fatal("empty training split must error")
 	}
 }
@@ -78,7 +88,7 @@ func TestContextAblationDegradesNumericF1(t *testing.T) {
 	train, val, test := eval.TrainValTestSplit(len(c.Tables), rng)
 
 	full := tinyConfig(enc)
-	mFull, err := Train(c, train, val, full)
+	mFull, err := TrainCtx(context.Background(), c, train, val, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +96,7 @@ func TestContextAblationDegradesNumericF1(t *testing.T) {
 
 	ablated := tinyConfig(enc)
 	ablated.Graph = graph.BuildOptions{DropTableName: true, DropTextColumns: true}
-	mAbl, err := Train(c, train, val, ablated)
+	mAbl, err := TrainCtx(context.Background(), c, train, val, ablated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,20 +108,20 @@ func TestContextAblationDegradesNumericF1(t *testing.T) {
 	}
 }
 
-func TestPredictTableOutputs(t *testing.T) {
+func TestPredictOutputs(t *testing.T) {
 	c := tinyCorpus(33)
 	enc := tinyEncoder()
 	rng := rand.New(rand.NewSource(3))
 	train, val, _ := eval.TrainValTestSplit(len(c.Tables), rng)
 	cfg := tinyConfig(enc)
 	cfg.Epochs = 4
-	m, err := Train(c, train, val, cfg)
+	m, err := TrainCtx(context.Background(), c, train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	tb := c.Tables[0]
-	preds := m.PredictTable(tb)
+	preds := predictOne(m, tb)
 	targetCount := len(tb.Columns)
 	if len(preds) != targetCount {
 		t.Fatalf("predictions = %d, want %d", len(preds), targetCount)
@@ -134,13 +144,13 @@ func TestPredictTableOutputs(t *testing.T) {
 	}
 }
 
-func TestPredictTableUnlabeledColumns(t *testing.T) {
+func TestPredictUnlabeledColumns(t *testing.T) {
 	// Prediction must work on tables with no gold labels at all.
 	c := tinyCorpus(22)
 	enc := tinyEncoder()
 	cfg := tinyConfig(enc)
 	cfg.Epochs = 2
-	m, err := Train(c, []int{0, 1, 2, 3}, nil, cfg)
+	m, err := TrainCtx(context.Background(), c, []int{0, 1, 2, 3}, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +158,7 @@ func TestPredictTableUnlabeledColumns(t *testing.T) {
 		{Header: "Who", Kind: table.KindText, TextValues: []string{"Lebron James", "Myles Turner"}},
 		{Header: "X", Kind: table.KindNumeric, NumValues: []float64{7.5, 2.1}},
 	}}
-	preds := m.PredictTable(tb)
+	preds := predictOne(m, tb)
 	if len(preds) != 2 {
 		t.Fatalf("predictions = %d", len(preds))
 	}
@@ -161,7 +171,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	cfg.Epochs = 3
 	rng := rand.New(rand.NewSource(4))
 	train, val, test := eval.TrainValTestSplit(len(c.Tables), rng)
-	m, err := Train(c, train, val, cfg)
+	m, err := TrainCtx(context.Background(), c, train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +203,7 @@ func TestLoadRejectsWrongEncoder(t *testing.T) {
 	enc := tinyEncoder()
 	cfg := tinyConfig(enc)
 	cfg.Epochs = 1
-	m, err := Train(c, []int{0, 1}, nil, cfg)
+	m, err := TrainCtx(context.Background(), c, []int{0, 1}, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +226,7 @@ func TestTrainDeterministicPerSeed(t *testing.T) {
 	cfg := tinyConfig(enc)
 	cfg.Epochs = 3
 	run := func() []eval.Prediction {
-		m, err := Train(c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
+		m, err := TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +246,7 @@ func TestEvaluateSkipsUnknownTypes(t *testing.T) {
 	enc := tinyEncoder()
 	cfg := tinyConfig(enc)
 	cfg.Epochs = 1
-	m, err := Train(c, []int{0, 1, 2}, nil, cfg)
+	m, err := TrainCtx(context.Background(), c, []int{0, 1, 2}, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,5 +258,38 @@ func TestEvaluateSkipsUnknownTypes(t *testing.T) {
 	_, preds := m.Evaluate(c, []int{len(c.Tables) - 1})
 	if len(preds) != 0 {
 		t.Fatal("unknown-type columns must be excluded from scoring")
+	}
+}
+
+// TestEvaluateMatchesPerTableScoring pins the evaluator to its reference:
+// scoring each table alone with LabeledPredictions(Prepare(t)) and
+// concatenating in table order. Eleven tables do not fill one 16-table
+// union chunk and split unevenly across workers, so the chunked union
+// forwards Evaluate runs must be unobservable down to the last prediction.
+func TestEvaluateMatchesPerTableScoring(t *testing.T) {
+	c := tinyCorpus(20)
+	cfg := tinyConfig(tinyEncoder())
+	cfg.Epochs = 2
+	m, err := TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := []int{8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}
+	var want []eval.Prediction
+	for _, ti := range idx {
+		want = append(want, m.LabeledPredictions(m.Prepare(c.Tables[ti]))...)
+	}
+	split, got := m.Evaluate(c, idx)
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("Evaluate returned %d predictions, per-table scoring %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("prediction %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if ws := eval.ComputeSplit(want); split.Overall.WeightedF1 != ws.Overall.WeightedF1 ||
+		split.Numeric.MacroF1 != ws.Numeric.MacroF1 {
+		t.Fatalf("Evaluate split %+v differs from per-table split %+v", split.Overall, ws.Overall)
 	}
 }

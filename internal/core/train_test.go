@@ -22,7 +22,7 @@ func trainSnapshot(t *testing.T, workers int) []byte {
 	cfg := tinyConfig(tinyEncoder())
 	cfg.Epochs = 3
 	cfg.TrainWorkers = workers
-	m, err := Train(c, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, []int{9, 10, 11}, cfg)
+	m, err := TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, []int{9, 10, 11}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestTrainDefaultsPatience(t *testing.T) {
 			t.Errorf("early stop fired with unset patience: "+format, args...)
 		}
 	}
-	if _, err := Train(c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg); err != nil {
+	if _, err := TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if epochs != cfg.Epochs {
@@ -147,7 +147,7 @@ func TestTrainMetricsHistograms(t *testing.T) {
 	cfg.TrainWorkers = 2
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
-	if _, err := Train(c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg); err != nil {
+	if _, err := TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"train.prepare.seconds", "train.fb.seconds", "train.merge.seconds", "train.val.seconds", "train.epoch.seconds"} {
@@ -174,7 +174,7 @@ func TestTrainParallelMatchesQuality(t *testing.T) {
 	for i := 0; i < 36; i++ {
 		train = append(train, i)
 	}
-	m, err := Train(c, train, []int{36, 37, 38, 39}, cfg)
+	m, err := TrainCtx(context.Background(), c, train, []int{36, 37, 38, 39}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestScorePreparedCtxWorkerCountInvariant(t *testing.T) {
 	c := tinyCorpus(20)
 	cfg := tinyConfig(tinyEncoder())
 	cfg.Epochs = 2
-	m, err := Train(c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
+	m, err := TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +208,12 @@ func TestScorePreparedCtxWorkerCountInvariant(t *testing.T) {
 			s.Overall.WeightedF1, s.Overall.MacroF1, s.Overall.Accuracy,
 			s.Numeric.WeightedF1, s.NonNumeric.WeightedF1, s.Overall.N, len(s.Overall.PerClass))
 	}
-	base, err := m.scorePreparedCtx(context.Background(), ps, 1)
+	base, _, err := m.scorePreparedCtx(context.Background(), ps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3, 8} {
-		got, err := m.scorePreparedCtx(context.Background(), ps, workers)
+		got, _, err := m.scorePreparedCtx(context.Background(), ps, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"testing"
@@ -35,7 +36,7 @@ func TestTuneReducedScale(t *testing.T) {
 		cfg.Patience = tc.epochs
 		cfg.LearningRate = tc.lr
 		cfg.Dropout = tc.dropout
-		m, err := Train(c, train, val, cfg)
+		m, err := TrainCtx(context.Background(), c, train, val, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,9 +64,6 @@ func NewSwapIndex(minConfidence float64) *SwapIndex {
 // Current() result and run them all against it — that is the snapshot.
 func (s *SwapIndex) Current() *TypeIndex { return s.cur.Load() }
 
-// MinConfidence reports the threshold every index this holder creates uses.
-func (s *SwapIndex) MinConfidence() float64 { return s.minConfidence }
-
 // AddPredictions indexes predictions for t in the current index and, when a
 // shadow build is active, in the shadow — a table indexed mid-rescore
 // survives the flip. The ID is marked superseded: these refs are newer than

@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -20,7 +21,6 @@ import (
 	"github.com/sematype/pythagoras/internal/data"
 	"github.com/sematype/pythagoras/internal/eval"
 	"github.com/sematype/pythagoras/internal/graph"
-	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/table"
 )
@@ -196,13 +196,11 @@ func RunComparison(c *data.Corpus, s Scale) *ComparisonResult {
 			pcfg := s.Pythagoras
 			pcfg.Encoder = enc
 			pcfg.Seed = seed
-			m, err := core.Train(c, train, val, pcfg)
+			m, err := core.TrainCtx(context.Background(), c, train, val, pcfg)
 			if err != nil {
 				panic(err)
 			}
-			// Score through the staged inference engine — the serving
-			// path, equivalence-tested against Model.Evaluate.
-			return infer.New(m).Evaluate(c, test)
+			return m.Evaluate(c, test)
 		})
 	}
 
@@ -317,11 +315,11 @@ func Table4(s Scale) []AblationRow {
 		pcfg.Seed = s.Seeds[0]
 		pcfg.Graph = v.Graph
 		start := time.Now()
-		m, err := core.Train(c, train, val, pcfg)
+		m, err := core.TrainCtx(context.Background(), c, train, val, pcfg)
 		if err != nil {
 			panic(err)
 		}
-		split, _ := infer.New(m).Evaluate(c, test)
+		split, _ := m.Evaluate(c, test)
 		rows = append(rows, AblationRow{
 			Variant:    v.Name,
 			WeightedF1: split.Numeric.WeightedF1,

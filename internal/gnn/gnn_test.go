@@ -273,9 +273,8 @@ func TestLearnsContextDependentLabels(t *testing.T) {
 		}}
 	}
 	labels := map[string]int{"ctx.basket": 0, "ctx.foot": 1, "ppg": 2, "ypg": 3}
-	g := graph.BuildBatch([]*table.Table{
-		mk("a", "basket", "ppg"), mk("b", "foot", "ypg"),
-	}, labels, graph.BuildOptions{DropTableName: true, DropNumericFeatures: true})
+	opts := graph.BuildOptions{DropTableName: true, DropNumericFeatures: true}
+	g := graph.Union(graph.Build(mk("a", "basket", "ppg"), labels, opts), graph.Build(mk("b", "foot", "ypg"), labels, opts))
 
 	// Initial states: text columns get distinct one-hot-ish states; numeric
 	// columns identical states (values identical).

@@ -310,25 +310,6 @@ func Union(graphs ...*Graph) *Graph {
 	return out
 }
 
-// BuildBatch builds and unions the graphs of several tables.
-func BuildBatch(tables []*table.Table, labelIndex map[string]int, opts BuildOptions) *Graph {
-	graphs := make([]*Graph, len(tables))
-	for i, t := range tables {
-		graphs[i] = Build(t, labelIndex, opts)
-	}
-	return Union(graphs...)
-}
-
-// InDegrees returns, per node, the number of incoming edges of the given
-// type (used for mean-normalized aggregation).
-func (g *Graph) InDegrees(et EdgeType) []int {
-	deg := make([]int, g.NumNodes())
-	for _, d := range g.Edges[et].Dst {
-		deg[d]++
-	}
-	return deg
-}
-
 // InvDegrees returns, per node, 1/in-degree for the given edge type (0 for
 // nodes with no incoming edges) — the mean-aggregation normalization the
 // GNN applies every layer. The slice is computed once per graph and cached;

@@ -236,30 +236,46 @@ func TestUnionOffsetsEdges(t *testing.T) {
 func TestBuildBatchEqualsUnionOfBuilds(t *testing.T) {
 	t1, t2 := fig1Table(), fig1Table()
 	t2.ID = "nba2"
-	batch := BuildBatch([]*table.Table{t1, t2}, labelIdx(), BuildOptions{})
-	manual := Union(Build(t1, labelIdx(), BuildOptions{}), Build(t2, labelIdx(), BuildOptions{}))
-	if batch.NumNodes() != manual.NumNodes() {
-		t.Fatal("BuildBatch differs from manual union")
+	g1 := Build(t1, labelIdx(), BuildOptions{})
+	g2 := Build(t2, labelIdx(), BuildOptions{})
+	batch := Union(g1, g2)
+	if batch.NumNodes() != g1.NumNodes()+g2.NumNodes() {
+		t.Fatalf("batch has %d nodes, want %d", batch.NumNodes(), g1.NumNodes()+g2.NumNodes())
 	}
+	// The second table's edges are its own, shifted past the first table's
+	// nodes; the first table's are untouched.
+	off := g1.NumNodes()
 	for et := EdgeType(0); et < NumEdgeTypes; et++ {
-		if batch.Edges[et].Len() != manual.Edges[et].Len() {
-			t.Fatalf("edge type %v differs", et)
+		a, b, u := g1.Edges[et], g2.Edges[et], batch.Edges[et]
+		if u.Len() != a.Len()+b.Len() {
+			t.Fatalf("edge type %v: %d edges, want %d", et, u.Len(), a.Len()+b.Len())
 		}
+		for i := range b.Src {
+			if u.Src[a.Len()+i] != b.Src[i]+off || u.Dst[a.Len()+i] != b.Dst[i]+off {
+				t.Fatalf("edge type %v edge %d not offset by %d", et, i, off)
+			}
+		}
+	}
+	if err := batch.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestInDegrees(t *testing.T) {
 	g := Build(fig1Table(), labelIdx(), BuildOptions{})
-	deg := g.InDegrees(EdgeTextToNum)
+	inv := g.InvDegrees(EdgeTextToNum)
 	for _, n := range g.NodesOfType(NodeNumericColumn) {
-		if deg[n] != 2 {
-			t.Fatalf("numeric node in-degree = %d, want 2", deg[n])
+		if inv[n] != 0.5 {
+			t.Fatalf("numeric node inverse in-degree = %v, want 1/2", inv[n])
 		}
 	}
 	for _, n := range g.NodesOfType(NodeTextColumn) {
-		if deg[n] != 0 {
+		if inv[n] != 0 {
 			t.Fatal("text node should have no yellow in-edges")
 		}
+	}
+	if &g.InvDegrees(EdgeTextToNum)[0] != &inv[0] {
+		t.Fatal("InvDegrees must cache its slice per edge type")
 	}
 }
 

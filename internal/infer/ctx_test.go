@@ -51,7 +51,7 @@ func TestPredictBatchCtxCompletedIsBitIdentical(t *testing.T) {
 	if New(m).Model() != m {
 		t.Fatal("Model must expose the engine's model")
 	}
-	want := New(m, WithWorkers(4)).PredictBatch(tables)
+	want := predict(t, New(m, WithWorkers(4)), tables)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	got, err := New(m, WithWorkers(4)).PredictBatchCtx(ctx, tables)
@@ -86,8 +86,11 @@ func TestPredictBatchCtxPreCancelled(t *testing.T) {
 		t.Fatal("prepare ran under a pre-cancelled context")
 	}
 
-	if _, err := eng.PredictCtx(ctx, c.Tables[0]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PredictCtx err = %v", err)
+	if _, err := eng.PredictBatchCtx(ctx, c.Tables[:1]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("one-table batch err = %v", err)
+	}
+	if fs.Fired(faultinject.InferPrepare) != 0 {
+		t.Fatal("one-table prepare ran under a pre-cancelled context")
 	}
 }
 
@@ -161,20 +164,35 @@ func TestInjectedPrepareErrorAborts(t *testing.T) {
 	}
 }
 
-// TestPredictCtxStageGates: the single-table path observes cancellation at
-// each of its three stage gates.
-func TestPredictCtxStageGates(t *testing.T) {
+// TestOneTableBatchStageGates: a batch of one passes every stage gate the
+// union path has, so cancellation or an injected error at any of the four —
+// prepare, union, forward, decode — aborts it with that error and no
+// partial result.
+func TestOneTableBatchStageGates(t *testing.T) {
 	m, c := trainedModel(t)
+	boom := errors.New("stage exploded")
 	for _, point := range []faultinject.Point{
-		faultinject.InferPrepare, faultinject.InferForward, faultinject.InferDecode,
+		faultinject.InferPrepare, faultinject.InferUnion, faultinject.InferForward, faultinject.InferDecode,
 	} {
-		ctx, cancel := context.WithCancel(context.Background())
-		fs := faultinject.New().On(point, faultinject.Cancel(cancel))
-		eng := New(m, WithFaults(fs))
-		if _, err := eng.PredictCtx(ctx, c.Tables[0]); !errors.Is(err, context.Canceled) {
-			t.Fatalf("point %s: err = %v", point, err)
+		for _, cancels := range []bool{true, false} {
+			ctx, cancel := context.WithCancel(context.Background())
+			act, want := faultinject.Err(boom), boom
+			if cancels {
+				act, want = faultinject.Cancel(cancel), context.Canceled
+			}
+			fs := faultinject.New().On(point, act)
+			out, err := New(m, WithFaults(fs)).PredictBatchCtx(ctx, c.Tables[:1])
+			cancel()
+			if !errors.Is(err, want) {
+				t.Fatalf("point %s: err = %v, want %v", point, err, want)
+			}
+			if out != nil {
+				t.Fatalf("point %s: aborted batch returned results", point)
+			}
+			if fs.Fired(point) != 1 {
+				t.Fatalf("point %s fired %d times, want 1", point, fs.Fired(point))
+			}
 		}
-		cancel()
 	}
 }
 

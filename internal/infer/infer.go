@@ -21,19 +21,19 @@
 // the per-table forwards it replaces (row-wise ops, per-destination scatter
 // accumulation), the chunking is unobservable in the output.
 //
-// The context-threaded entry points (PredictCtx, PredictBatchCtx) make the
-// whole pipeline interruptible (DESIGN.md §9): cancellation is checked
-// before every stage, between chunks, and before each work item the pool
-// claims, so a vanished client or an expired deadline aborts the batch at
-// the next stage boundary with a partial-work drain — workers finish the
-// item they are on, nothing new is started, and the first error comes back.
-// The context-free Predict/PredictBatch remain as thin non-cancellable
-// wrappers. Cancellation never changes bits: a batch that completes under a
-// cancellable context is byte-identical to the same batch without one.
+// PredictBatchCtx is the engine's one entry point; a single table is a
+// batch of one, so PredictBatchCtx(ts)[i] equals PredictBatchCtx(ts[i:i+1])[0]
+// bit for bit. The whole pipeline is interruptible (DESIGN.md §9):
+// cancellation is checked before every stage, between chunks, and before
+// each work item the pool claims, so a vanished client or an expired
+// deadline aborts the batch at the next stage boundary with a partial-work
+// drain — workers finish the item they are on, nothing new is started, and
+// the first error comes back. Cancellation never changes bits: a batch that
+// completes under a cancellable context is byte-identical to the same batch
+// without one.
 //
 // The engine holds no mutable state: a single Engine is safe for concurrent
-// use from any number of goroutines, and its batch output is bit-identical
-// to looping core.Model.PredictTable over the same tables.
+// use from any number of goroutines.
 package infer
 
 import (
@@ -43,8 +43,6 @@ import (
 	"time"
 
 	"github.com/sematype/pythagoras/internal/core"
-	"github.com/sematype/pythagoras/internal/data"
-	"github.com/sematype/pythagoras/internal/eval"
 	"github.com/sematype/pythagoras/internal/faultinject"
 	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/par"
@@ -67,7 +65,7 @@ type Engine struct {
 	// costs one branch per stage — the no-sink-attached fast path.
 	metrics *engineMetrics
 	// drift, when non-nil, accumulates the served prediction distribution
-	// against a training-time baseline (see WithDrift). Nil-safe throughout.
+	// against a training-time baseline (see EnableDrift). Nil-safe throughout.
 	drift *obs.DriftMonitor
 	// faults, when non-nil, fires the chaos suite's injection points at
 	// each stage boundary (DESIGN.md §9). Nil — always, outside tests —
@@ -89,7 +87,7 @@ type Option func(*Engine)
 // default).
 func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
-// WithMaxBatch sets how many tables Evaluate unions per forward pass.
+// WithMaxBatch sets how many tables PredictBatchCtx unions per forward pass.
 func WithMaxBatch(n int) Option { return func(e *Engine) { e.maxBatch = n } }
 
 // WithFaults arms fault-injection points at the engine's stage boundaries —
@@ -115,54 +113,6 @@ func New(m *core.Model, opts ...Option) *Engine {
 
 // Model returns the engine's underlying model.
 func (e *Engine) Model() *core.Model { return e.model }
-
-// Predict runs the staged pipeline on a single table. It is equivalent to
-// (and, uninstrumented, implemented as) core.Model.PredictTable; with
-// metrics attached it runs the same three stage calls PredictTable is made
-// of, timing each — the output is bit-identical either way. It cannot be
-// cancelled; serving paths use PredictCtx.
-func (e *Engine) Predict(t *table.Table) []core.ColumnPrediction {
-	if e.metrics == nil && e.faults == nil && e.drift == nil {
-		return e.model.PredictTable(t)
-	}
-	out, _ := e.PredictCtx(context.Background(), t)
-	return out
-}
-
-// PredictCtx runs the staged pipeline on a single table under a context:
-// cancellation (or an injected fault) is observed between the prepare,
-// forward and decode stages, returning the context's error with no partial
-// result. A completed call is bit-identical to Predict.
-func (e *Engine) PredictCtx(ctx context.Context, t *table.Table) ([]core.ColumnPrediction, error) {
-	m := e.metrics
-	if err := stageGate(ctx, e.faults, faultinject.InferPrepare); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	p := e.model.PrepareForPrediction(t)
-	if m != nil {
-		m.prepare.Since(t0)
-	}
-	if err := stageGate(ctx, e.faults, faultinject.InferForward); err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	probs, targets := e.model.InferProbs(p)
-	if m != nil {
-		m.forward.Since(t0)
-	}
-	if err := stageGate(ctx, e.faults, faultinject.InferDecode); err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	out := e.model.DecodePredictions(p, probs, targets, 0, len(targets), t)
-	if m != nil {
-		m.decode.Since(t0)
-		m.tables.Inc()
-	}
-	e.recordPredictions(out)
-	return out, nil
-}
 
 // stageGate is the per-stage interruption check: context first, then any
 // armed fault. Both are one branch each when unset.
@@ -239,40 +189,24 @@ func (e *Engine) forwardChunk(ctx context.Context, ps []*core.Prepared, lo, hi i
 	return p, probs, targets, nil
 }
 
-// PredictBatch predicts the semantic types of every column of every input
-// table through the staged pipeline: tables are prepared in parallel, their
-// graphs unioned (the training loop's minibatch mechanism) into per-worker
-// chunks of at most maxBatch tables, and the GNN + softmax run once per
-// chunk, chunks in parallel. Output i corresponds to input i and is
-// bit-identical to Predict(ts[i]). It cannot be cancelled; serving paths
-// use PredictBatchCtx.
-func (e *Engine) PredictBatch(ts []*table.Table) [][]core.ColumnPrediction {
-	out, _ := e.PredictBatchCtx(context.Background(), ts)
-	return out
-}
-
-// PredictBatchCtx is PredictBatch under a context: cancellation (or an
-// injected fault) is observed before each table the prepare pool claims,
-// between chunks, and inside each chunk before its union and forward. On
-// abort it returns nil results and the first error after draining — every
-// in-flight stage call runs to completion, nothing new starts. A completed
-// call is bit-identical to PredictBatch.
+// PredictBatchCtx predicts the semantic types of every column of every
+// input table through the staged pipeline: tables are prepared in parallel,
+// their graphs unioned (the training loop's minibatch mechanism) into
+// per-worker chunks of at most maxBatch tables, and the GNN + softmax run
+// once per chunk, chunks in parallel. Output i corresponds to input i and is
+// bit-identical to PredictBatchCtx(ctx, ts[i:i+1])[0] — one table is a batch
+// of one, which runs on the caller's goroutine and skips the union.
+//
+// Cancellation (or an injected fault) is observed before each table the
+// prepare pool claims, between chunks, and inside each chunk before its
+// union, forward and decode. On abort it returns nil results and the first
+// error after draining — every in-flight stage call runs to completion,
+// nothing new starts.
 func (e *Engine) PredictBatchCtx(ctx context.Context, ts []*table.Table) ([][]core.ColumnPrediction, error) {
-	m := e.metrics
-	switch len(ts) {
-	case 0:
+	if len(ts) == 0 {
 		return nil, ctx.Err()
-	case 1:
-		if m != nil {
-			m.batches.Inc()
-			m.batch.Observe(1)
-		}
-		out, err := e.PredictCtx(ctx, ts[0]) // PredictCtx counts the table
-		if err != nil {
-			return nil, err
-		}
-		return [][]core.ColumnPrediction{out}, nil
 	}
+	m := e.metrics
 	if m != nil {
 		m.batches.Inc()
 		m.tables.Add(uint64(len(ts)))
@@ -288,7 +222,7 @@ func (e *Engine) PredictBatchCtx(ctx context.Context, ts []*table.Table) ([][]co
 		if m != nil {
 			t0 = time.Now()
 		}
-		ps[i] = e.model.PrepareForPrediction(ts[i])
+		ps[i] = e.model.Prepare(ts[i])
 		if m != nil {
 			m.prepare.Since(t0)
 		}
@@ -306,7 +240,7 @@ func (e *Engine) PredictBatchCtx(ctx context.Context, ts []*table.Table) ([][]co
 		if err != nil {
 			return err
 		}
-		if err := e.faults.Fire(ctx, faultinject.InferDecode); err != nil {
+		if err := stageGate(ctx, e.faults, faultinject.InferDecode); err != nil {
 			return err
 		}
 		var t0 time.Time
@@ -329,54 +263,4 @@ func (e *Engine) PredictBatchCtx(ctx context.Context, ts []*table.Table) ([][]co
 		return nil, err
 	}
 	return out, nil
-}
-
-// Evaluate scores the model over labeled corpus tables through the staged
-// pipeline: parallel prepare, then parallel union forward passes of up to
-// maxBatch tables each. The returned metrics and prediction list are
-// identical to core.Model.Evaluate on the same indices.
-func (e *Engine) Evaluate(c *data.Corpus, idx []int) (*eval.Split, []eval.Prediction) {
-	m := e.metrics
-	ctx := context.Background()
-	ps := make([]*core.Prepared, len(idx))
-	_ = e.parallelFor(ctx, len(idx), func(i int) error {
-		var t0 time.Time
-		if m != nil {
-			t0 = time.Now()
-		}
-		ps[i] = e.model.Prepare(c.Tables[idx[i]])
-		if m != nil {
-			m.prepare.Since(t0)
-		}
-		return nil
-	})
-
-	bounds := e.chunkBounds(len(ps))
-	chunkPreds := make([][]eval.Prediction, len(bounds))
-	_ = e.parallelFor(ctx, len(bounds), func(ci int) error {
-		lo, hi := bounds[ci][0], bounds[ci][1]
-		var t0 time.Time
-		if m != nil {
-			t0 = time.Now()
-		}
-		p := ps[lo]
-		if hi-lo > 1 {
-			p = core.UnionPrepared(ps[lo:hi])
-		}
-		if m != nil {
-			m.union.Since(t0)
-			m.chunks.Observe(float64(hi - lo))
-			t0 = time.Now()
-		}
-		chunkPreds[ci] = e.model.LabeledPredictions(p)
-		if m != nil {
-			m.forward.Since(t0)
-		}
-		return nil
-	})
-	var preds []eval.Prediction
-	for _, cp := range chunkPreds {
-		preds = append(preds, cp...)
-	}
-	return eval.ComputeSplit(preds), preds
 }

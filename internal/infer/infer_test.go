@@ -1,12 +1,15 @@
 package infer
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"github.com/sematype/pythagoras/internal/core"
 	"github.com/sematype/pythagoras/internal/data"
+	"github.com/sematype/pythagoras/internal/eval"
 	"github.com/sematype/pythagoras/internal/lm"
+	"github.com/sematype/pythagoras/internal/table"
 )
 
 // trainedModel trains a small model once for the whole test package.
@@ -26,7 +29,7 @@ func trainedModel(t *testing.T) (*core.Model, *data.Corpus) {
 		cfg := core.DefaultConfig(enc)
 		cfg.Epochs = 4
 		cfg.Patience = 4
-		m, err := core.Train(c, []int{0, 1, 2, 3, 4, 5, 6, 7}, []int{8, 9}, cfg)
+		m, err := core.TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4, 5, 6, 7}, []int{8, 9}, cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -38,20 +41,30 @@ func trainedModel(t *testing.T) (*core.Model, *data.Corpus) {
 	return testModel, testCorp
 }
 
-// TestPredictBatchMatchesPredictTable is the engine's core contract: the
-// batched union forward pass must be bit-identical to the legacy per-table
-// path — same types, same confidences, down to the last float.
-func TestPredictBatchMatchesPredictTable(t *testing.T) {
+// predict runs a batch that must complete (no context, no faults).
+func predict(t *testing.T, eng *Engine, ts []*table.Table) [][]core.ColumnPrediction {
+	t.Helper()
+	out, err := eng.PredictBatchCtx(context.Background(), ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestPredictBatchMatchesBatchesOfOne is the engine's core contract: the
+// batched union forward pass must be bit-identical to predicting each table
+// as a batch of one — same types, same confidences, down to the last float.
+func TestPredictBatchMatchesBatchesOfOne(t *testing.T) {
 	m, c := trainedModel(t)
 	tables := c.Tables[10:22]
 
 	eng := New(m, WithWorkers(4))
-	batch := eng.PredictBatch(tables)
+	batch := predict(t, eng, tables)
 	if len(batch) != len(tables) {
-		t.Fatalf("PredictBatch returned %d results for %d tables", len(batch), len(tables))
+		t.Fatalf("PredictBatchCtx returned %d results for %d tables", len(batch), len(tables))
 	}
-	for ti, tab := range tables {
-		want := m.PredictTable(tab)
+	for ti := range tables {
+		want := predict(t, eng, tables[ti:ti+1])[0]
 		got := batch[ti]
 		if len(got) != len(want) {
 			t.Fatalf("table %d: %d predictions, want %d", ti, len(got), len(want))
@@ -64,14 +77,18 @@ func TestPredictBatchMatchesPredictTable(t *testing.T) {
 	}
 }
 
+// TestPredictBatchEmptyAndSingle: an empty batch returns nil, and a batch
+// of one is exactly the model's stage functions composed by hand.
 func TestPredictBatchEmptyAndSingle(t *testing.T) {
 	m, c := trainedModel(t)
 	eng := New(m)
-	if got := eng.PredictBatch(nil); got != nil {
+	if got := predict(t, eng, nil); got != nil {
 		t.Fatalf("empty batch should return nil, got %v", got)
 	}
-	single := eng.PredictBatch(c.Tables[:1])
-	want := m.PredictTable(c.Tables[0])
+	single := predict(t, eng, c.Tables[:1])
+	p := m.Prepare(c.Tables[0])
+	probs, targets := m.InferProbs(p)
+	want := m.DecodePredictions(p, probs, targets, 0, len(targets), c.Tables[0])
 	if len(single) != 1 || len(single[0]) != len(want) {
 		t.Fatalf("single-table batch shape mismatch")
 	}
@@ -82,40 +99,56 @@ func TestPredictBatchEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestEvaluateMatchesModelEvaluate asserts the engine's batched evaluation
-// reproduces core.Model.Evaluate exactly (same prediction list, same
-// metrics), across batch sizes that do and don't divide the table count.
+// TestEvaluateMatchesModelEvaluate asserts the offline evaluator scores
+// exactly what the engine serves: core.Model.Evaluate's prediction list
+// equals the engine's predictions over the same labeled tables, at batch
+// bounds that do and don't divide the table count.
 func TestEvaluateMatchesModelEvaluate(t *testing.T) {
 	m, c := trainedModel(t)
 	idx := []int{10, 11, 12, 13, 14, 15, 16}
-	wantSplit, wantPreds := m.Evaluate(c, idx)
+	_, want := m.Evaluate(c, idx)
+	tables := make([]*table.Table, len(idx))
+	for i, ti := range idx {
+		tables[i] = c.Tables[ti]
+	}
 	for _, mb := range []int{1, 3, 16} {
-		eng := New(m, WithWorkers(4), WithMaxBatch(mb))
-		gotSplit, gotPreds := eng.Evaluate(c, idx)
-		if len(gotPreds) != len(wantPreds) {
-			t.Fatalf("maxBatch=%d: %d preds, want %d", mb, len(gotPreds), len(wantPreds))
-		}
-		for i := range wantPreds {
-			if gotPreds[i] != wantPreds[i] {
-				t.Fatalf("maxBatch=%d: pred %d = %+v, want %+v", mb, i, gotPreds[i], wantPreds[i])
+		var got []eval.Prediction
+		for i, preds := range predict(t, New(m, WithWorkers(4), WithMaxBatch(mb)), tables) {
+			for _, p := range preds {
+				gold, ok := c.LabelIndex[tables[i].Columns[p.ColIndex].SemanticType]
+				if !ok {
+					continue
+				}
+				got = append(got, eval.Prediction{
+					True: gold, Pred: c.LabelIndex[p.Type], Numeric: p.Kind == table.KindNumeric,
+				})
 			}
 		}
-		if gotSplit.Overall.WeightedF1 != wantSplit.Overall.WeightedF1 {
-			t.Fatalf("maxBatch=%d: weighted F1 %v != %v", mb, gotSplit.Overall.WeightedF1, wantSplit.Overall.WeightedF1)
+		if len(got) != len(want) {
+			t.Fatalf("maxBatch=%d: %d preds, want %d", mb, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("maxBatch=%d: pred %d = %+v, want %+v", mb, i, got[i], want[i])
+			}
 		}
 	}
 }
 
-// TestChunkingInvariance asserts PredictBatch output does not depend on how
-// the batch is split into union forward passes: any worker count and
-// maxBatch must produce the same bits.
+// TestChunkingInvariance asserts PredictBatchCtx output does not depend on
+// how the batch is split into union forward passes: any worker count and
+// maxBatch must produce the bits of the batches of one.
 func TestChunkingInvariance(t *testing.T) {
 	m, c := trainedModel(t)
 	tables := c.Tables[:11]
-	want := New(m, WithWorkers(1), WithMaxBatch(11)).PredictBatch(tables)
+	one := New(m, WithWorkers(1))
+	want := make([][]core.ColumnPrediction, len(tables))
+	for i := range tables {
+		want[i] = predict(t, one, tables[i:i+1])[0]
+	}
 	for _, w := range []int{1, 2, 3, 5} {
 		for _, mb := range []int{2, 5, 16} {
-			got := New(m, WithWorkers(w), WithMaxBatch(mb)).PredictBatch(tables)
+			got := predict(t, New(m, WithWorkers(w), WithMaxBatch(mb)), tables)
 			for ti := range want {
 				for i := range want[ti] {
 					if got[ti][i] != want[ti][i] {
@@ -156,15 +189,16 @@ func TestChunkBounds(t *testing.T) {
 	}
 }
 
-// TestPredictTableDeterministic guards the bit-identity contract's
+// TestSingleTableDeterministic guards the bit-identity contract's
 // foundation: repeated single-table predictions must produce identical
 // floats (this once failed at ulp level due to map-iteration order in the
 // entropy features).
-func TestPredictTableDeterministic(t *testing.T) {
+func TestSingleTableDeterministic(t *testing.T) {
 	m, c := trainedModel(t)
-	for i, tab := range c.Tables[:8] {
-		a := m.PredictTable(tab)
-		b := m.PredictTable(tab)
+	eng := New(m)
+	for i := range c.Tables[:8] {
+		a := predict(t, eng, c.Tables[i:i+1])[0]
+		b := predict(t, eng, c.Tables[i:i+1])[0]
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("table %d col %d: %+v != %+v", i, j, a[j], b[j])
@@ -180,8 +214,8 @@ func TestConcurrentPredictions(t *testing.T) {
 	m, c := trainedModel(t)
 	eng := New(m, WithWorkers(2))
 	want := make([][]core.ColumnPrediction, len(c.Tables))
-	for i, tab := range c.Tables {
-		want[i] = m.PredictTable(tab)
+	for i := range c.Tables {
+		want[i] = predict(t, eng, c.Tables[i:i+1])[0]
 	}
 
 	var wg sync.WaitGroup
@@ -192,7 +226,11 @@ func TestConcurrentPredictions(t *testing.T) {
 			for rep := 0; rep < 3; rep++ {
 				if w%2 == 0 {
 					// batched path
-					got := eng.PredictBatch(c.Tables)
+					got, err := eng.PredictBatchCtx(context.Background(), c.Tables)
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					for i := range want {
 						if len(got[i]) != len(want[i]) || got[i][0] != want[i][0] {
 							t.Errorf("worker %d: batch result diverged on table %d", w, i)
@@ -200,11 +238,15 @@ func TestConcurrentPredictions(t *testing.T) {
 						}
 					}
 				} else {
-					// single-table path
+					// batches of one
 					i := (w + rep) % len(c.Tables)
-					got := eng.Predict(c.Tables[i])
+					got, err := eng.PredictBatchCtx(context.Background(), c.Tables[i:i+1])
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					for j := range want[i] {
-						if got[j] != want[i][j] {
+						if got[0][j] != want[i][j] {
 							t.Errorf("worker %d: predict diverged on table %d col %d", w, i, j)
 							return
 						}

@@ -20,7 +20,7 @@ var chunkBuckets = obs.ExpBuckets(1, 2, 13)
 //	infer.stage.forward.seconds   histogram, one observation per chunk
 //	infer.stage.decode.seconds    histogram, one observation per chunk
 //	infer.chunk.tables            histogram of union-chunk sizes
-//	infer.batch.tables            histogram of PredictBatch input sizes
+//	infer.batch.tables            histogram of PredictBatchCtx input sizes
 //	infer.workers.busy            gauge, currently running pool workers
 //	infer.batches / infer.tables  cumulative request counters
 //
@@ -90,7 +90,7 @@ func WithMetrics(reg *obs.Registry) Option {
 // latency histograms, worker-pool utilization and chunk-size distributions,
 // plus the underlying encoder's cache gauges. It must be called before the
 // engine serves traffic (it is not synchronized against concurrent
-// Predict/PredictBatch calls); once a registry is attached, later calls are
+// PredictBatchCtx calls); once a registry is attached, later calls are
 // no-ops.
 func (e *Engine) EnableMetrics(reg *obs.Registry) {
 	if reg == nil || e.metrics != nil {
@@ -102,17 +102,11 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 	}
 }
 
-// WithDrift attaches a drift monitor built from a training-time baseline:
+// EnableDrift attaches a drift monitor built from a training-time baseline:
 // every served prediction feeds the monitor, whose distribution-distance
-// scores surface as drift.* gauges on the engine's registry once
-// EnableDrift (or this option plus WithMetrics) has run. A nil monitor
-// disables drift telemetry, the default.
-func WithDrift(m *obs.DriftMonitor) Option {
-	return func(e *Engine) { e.drift = m }
-}
-
-// EnableDrift attaches a drift monitor after construction and, when a
-// metrics registry is already attached, registers its gauges there.
+// scores surface as drift.* gauges. When a metrics registry is already
+// attached the gauges are registered there; a nil monitor is a no-op and
+// leaves drift telemetry off, the default.
 func (e *Engine) EnableDrift(m *obs.DriftMonitor) {
 	if m == nil {
 		return
@@ -130,8 +124,8 @@ func (e *Engine) Drift() *obs.DriftMonitor { return e.drift }
 // recordPredictions feeds one table's served predictions into the
 // model-quality telemetry: the confidence histogram, per-type labeled
 // counters, the low-confidence counter, and the drift monitor. Called once
-// per decoded table on the serving paths (never by Evaluate — offline
-// scoring must not pollute serving telemetry).
+// per decoded table by PredictBatchCtx; offline scoring (core.Model.Evaluate)
+// never reaches it, so it cannot pollute serving telemetry.
 func (e *Engine) recordPredictions(preds []core.ColumnPrediction) {
 	m := e.metrics
 	if m == nil && e.drift == nil {

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -22,7 +23,7 @@ func TestMetricsPopulatedByPredictBatch(t *testing.T) {
 	}
 
 	tables := c.Tables[:8]
-	eng.PredictBatch(tables)
+	predict(t, eng, tables)
 
 	s := reg.Snapshot()
 	wantChunks := uint64(len(eng.chunkBounds(len(tables))))
@@ -54,28 +55,31 @@ func TestMetricsPopulatedByPredictBatch(t *testing.T) {
 	}
 }
 
-// TestMetricsSingleTablePaths: Predict and the 1-table PredictBatch
-// shortcut must count tables exactly once.
+// TestMetricsSingleTablePaths: a one-table call is a batch of one — it
+// counts as a batch, observes its batch and chunk size, and times its
+// (empty) union like any other chunk, so every table is counted once.
 func TestMetricsSingleTablePaths(t *testing.T) {
 	m, c := trainedModel(t)
 	reg := obs.NewRegistry()
 	eng := New(m, WithMetrics(reg))
 
-	eng.Predict(c.Tables[0])
-	eng.PredictBatch(c.Tables[:1])
+	predict(t, eng, c.Tables[:1])
+	predict(t, eng, c.Tables[1:2])
 
 	s := reg.Snapshot()
-	if got := s.Counters["infer.tables"]; got != 2 {
-		t.Fatalf("infer.tables = %d, want 2", got)
-	}
-	if got := s.Counters["infer.batches"]; got != 1 {
-		t.Fatalf("infer.batches = %d, want 1", got)
-	}
-	if got := s.Histograms["infer.stage.prepare.seconds"].Count; got != 2 {
-		t.Fatalf("prepare count = %d, want 2", got)
-	}
-	if got := s.Histograms["infer.stage.decode.seconds"].Count; got != 2 {
-		t.Fatalf("decode count = %d, want 2", got)
+	for name, got := range map[string]uint64{
+		"infer.tables":                s.Counters["infer.tables"],
+		"infer.batches":               s.Counters["infer.batches"],
+		"infer.batch.tables":          s.Histograms["infer.batch.tables"].Count,
+		"infer.chunk.tables":          s.Histograms["infer.chunk.tables"].Count,
+		"infer.stage.prepare.seconds": s.Histograms["infer.stage.prepare.seconds"].Count,
+		"infer.stage.union.seconds":   s.Histograms["infer.stage.union.seconds"].Count,
+		"infer.stage.forward.seconds": s.Histograms["infer.stage.forward.seconds"].Count,
+		"infer.stage.decode.seconds":  s.Histograms["infer.stage.decode.seconds"].Count,
+	} {
+		if got != 2 {
+			t.Errorf("%s = %d, want 2", name, got)
+		}
 	}
 }
 
@@ -87,13 +91,11 @@ func TestInstrumentationPreservesOutput(t *testing.T) {
 	inst := New(m, WithWorkers(3), WithMaxBatch(3), WithMetrics(obs.NewRegistry()))
 
 	tables := c.Tables[:7]
-	want := plain.PredictBatch(tables)
-	got := inst.PredictBatch(tables)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("instrumented PredictBatch diverged from uninstrumented")
+	if !reflect.DeepEqual(predict(t, plain, tables), predict(t, inst, tables)) {
+		t.Fatal("instrumented batch diverged from uninstrumented")
 	}
-	if !reflect.DeepEqual(plain.Predict(tables[0]), inst.Predict(tables[0])) {
-		t.Fatal("instrumented Predict diverged from uninstrumented")
+	if !reflect.DeepEqual(predict(t, plain, tables[:1]), predict(t, inst, tables[:1])) {
+		t.Fatal("instrumented batch of one diverged from uninstrumented")
 	}
 }
 
@@ -104,7 +106,7 @@ func TestMetricsDefaultOff(t *testing.T) {
 	if eng.Metrics() != nil {
 		t.Fatal("default engine should be uninstrumented")
 	}
-	eng.PredictBatch(c.Tables[:3]) // must not panic on nil metric handles
+	predict(t, eng, c.Tables[:3]) // must not panic on nil metric handles
 }
 
 // TestMetricsConcurrentPredictBatch hammers a shared instrumented engine
@@ -128,7 +130,10 @@ func TestMetricsConcurrentPredictBatch(t *testing.T) {
 				c.Tables[(g+3)%len(c.Tables)],
 			}
 			for rep := 0; rep < 3; rep++ {
-				eng.PredictBatch(tables)
+				if _, err := eng.PredictBatchCtx(context.Background(), tables); err != nil {
+					t.Error(err)
+					return
+				}
 				_ = reg.Snapshot()
 			}
 		}(g)
@@ -148,7 +153,7 @@ func TestPredictionTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := New(m, WithMetrics(reg))
 
-	preds := eng.PredictBatch(c.Tables[:4])
+	preds := predict(t, eng, c.Tables[:4])
 	var want uint64
 	for _, ps := range preds {
 		want += uint64(len(ps))
@@ -189,21 +194,21 @@ func TestDriftGaugesMove(t *testing.T) {
 
 	// Control: serve the very tables the baseline was computed from.
 	ctrlReg := obs.NewRegistry()
-	ctrl := New(m, WithMetrics(ctrlReg), WithDrift(obs.NewDriftMonitor(baseline)))
-	ctrl.Drift().Register(ctrlReg)
-	ctrl.PredictBatch(c.Tables)
+	ctrl := New(m, WithMetrics(ctrlReg))
+	ctrl.EnableDrift(obs.NewDriftMonitor(baseline))
+	predict(t, ctrl, c.Tables)
 
 	// Shifted: tables whose columns are all the same synthetic shape, far
 	// from the corpus mix.
 	shiftReg := obs.NewRegistry()
-	shift := New(m, WithMetrics(shiftReg), WithDrift(obs.NewDriftMonitor(baseline)))
-	shift.Drift().Register(shiftReg)
+	shift := New(m, WithMetrics(shiftReg))
+	shift.EnableDrift(obs.NewDriftMonitor(baseline))
 	odd := &table.Table{Name: "Odd", ID: "odd", Columns: []*table.Column{
 		{Header: "zz9", Kind: table.KindNumeric, NumValues: []float64{1e9, 2e9, 3e9}},
 		{Header: "qqq", Kind: table.KindNumeric, NumValues: []float64{-7e8, -8e8, -9e8}},
 	}}
 	for i := 0; i < 20; i++ {
-		shift.Predict(odd)
+		predict(t, shift, []*table.Table{odd})
 	}
 
 	ctrlScore := ctrlReg.Snapshot().Gauges["drift.type.score"]
@@ -222,7 +227,7 @@ func TestEnableDriftRegistersOnExistingRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := New(m, WithMetrics(reg))
 	eng.EnableDrift(obs.NewDriftMonitor(m.ComputeDriftBaseline(c.Tables[:2])))
-	eng.Predict(c.Tables[0])
+	predict(t, eng, c.Tables[:1])
 	if _, ok := reg.Snapshot().Gauges["drift.type.score"]; !ok {
 		t.Fatal("EnableDrift did not register gauges")
 	}

@@ -140,7 +140,7 @@ func trainedModel(t *testing.T) *core.Model {
 		cfg := core.DefaultConfig(enc)
 		cfg.Epochs = 3
 		cfg.Patience = 3
-		trained, trainErr = core.Train(c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
+		trained, trainErr = core.TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
 	})
 	if trainErr != nil {
 		t.Fatal(trainErr)

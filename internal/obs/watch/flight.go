@@ -2,16 +2,17 @@
 // evidence an operator needs to diagnose the incident after the fact —
 // metrics, the matching sampled traces, goroutine and heap profiles, and
 // the CPU spend of the window that tripped the rule — and writes it as one
-// JSON document into a size-bounded on-disk ring. Writes are atomic
-// (temp + fsync + rename, the same discipline as the re-score checkpoint):
+// JSON document into a size-bounded on-disk ring. Writes go through
+// atomicfile.Write (temp + fsync + rename, like every persisted artifact):
 // a crash mid-capture leaves a stray *.tmp file that the next process
-// ignores, never a torn record.
+// deletes, never a torn record.
 package watch
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -23,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/sematype/pythagoras/internal/atomicfile"
 	"github.com/sematype/pythagoras/internal/obs"
 )
 
@@ -226,26 +228,12 @@ func (f *FlightDir) Save(rec *FlightRecord) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("watch: encode flight record: %w", err)
 	}
-	path := filepath.Join(f.dir, id+flightSuffix)
-	tmp, err := os.CreateTemp(f.dir, ".flight-*.tmp")
+	err = atomicfile.Write(filepath.Join(f.dir, id+flightSuffix), 0o600, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
 		return "", fmt.Errorf("watch: write flight record: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("watch: write flight record: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("watch: sync flight record: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("watch: close flight record: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return "", fmt.Errorf("watch: publish flight record: %w", err)
 	}
 	f.seq++
 	f.evictLocked()

@@ -48,7 +48,7 @@ func chaosModel(t *testing.T) *core.Model {
 		cfg := core.DefaultConfig(enc)
 		cfg.Epochs = 3
 		cfg.Patience = 3
-		m, err := core.Train(c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
+		m, err := core.TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -247,6 +247,32 @@ func TestIndexEndpointMapsContextErrors(t *testing.T) {
 	rec = postJSON(t, s, "/v1/index", sampleRequest("t99"))
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("stalled index: %d, want 504", rec.Code)
+	}
+}
+
+// TestIndexEndpointMapsEngineErrors: an engine failure on /v1/index is the
+// server's fault — a 500, exactly as on /v1/predict, so it burns the
+// availability SLO — while a malformed table stays the client's 400.
+func TestIndexEndpointMapsEngineErrors(t *testing.T) {
+	engFaults := faultinject.New().
+		On(faultinject.InferForward, faultinject.Err(errors.New("forward exploded")))
+	s := chaosServer(t, engFaults, nil)
+
+	for _, path := range []string{"/v1/predict", "/v1/index"} {
+		if rec := postJSON(t, s, path, sampleRequest("t1")); rec.Code != http.StatusInternalServerError {
+			t.Fatalf("%s with a failing engine: %d, want 500 (body %s)", path, rec.Code, rec.Body)
+		}
+	}
+	if bad := s.SLO().Status().Objectives[0].Bad; bad != 2 {
+		t.Fatalf("availability SLO counted %d bad events, want 2", bad)
+	}
+	ragged := sampleRequest("t2")
+	ragged.Columns[1].Values = ragged.Columns[1].Values[:1]
+	if rec := postJSON(t, s, "/v1/index", ragged); rec.Code != http.StatusBadRequest {
+		t.Fatalf("ragged table on /v1/index: %d, want 400", rec.Code)
+	}
+	if s.Index().Stats().Tables != 0 {
+		t.Fatal("a failed index request must not index the table")
 	}
 }
 

@@ -201,7 +201,7 @@ func (s *Server) shadowSampled() bool {
 	case s.shadowSample >= 1:
 		return true
 	}
-	u := float64(splitmix64(s.shadowSeed+s.shadowSeq.Add(1))>>11) / float64(1<<53)
+	u := float64(splitmix64(shadowSeed+s.shadowSeq.Add(1))>>11) / float64(1<<53)
 	return u < s.shadowSample
 }
 
@@ -388,8 +388,12 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, "load model %q: %v", path, err)
 		return
 	}
-	if bundle.DriftErr != nil && s.logger != nil {
-		s.logger.Printf("models: candidate %q drift sidecar unusable, shadowing without drift telemetry: %v", id, bundle.DriftErr)
+	if bundle.DriftErr != nil {
+		if s.logger != nil {
+			s.logger.Printf("models: candidate %q drift sidecar unusable, shadowing without drift telemetry: %v", id, bundle.DriftErr)
+		}
+		s.slog.Log(logz.Warn, "model drift sidecar unusable",
+			"model", id, "err", bundle.DriftErr.Error())
 	}
 
 	slot := &modelSlot{

@@ -1,8 +1,9 @@
 // Package server exposes a trained Pythagoras model and a discovery index
 // over HTTP — the integration surface for data-catalog and lake-management
-// tools. All prediction traffic flows through the staged inference engine
-// (internal/infer): single requests take the per-table path, and the batch
-// endpoint amortizes one union forward pass over many tables. Endpoints:
+// tools. All prediction traffic flows through the staged inference engine's
+// one entry point (internal/infer): /v1/predict and /v1/index score their
+// table as a batch of one, and the batch endpoint amortizes one union
+// forward pass over many tables. Endpoints:
 //
 //	POST /v1/predict   {name, columns:[{header, values:[...]}]}
 //	                   → per-column semantic types with confidences
@@ -53,11 +54,11 @@
 // handlers use.
 //
 // The request context is threaded end-to-end: prediction handlers call the
-// engine's PredictCtx/PredictBatchCtx, so a client disconnect or deadline
-// expiry aborts inference at the next stage boundary (DESIGN.md §9).
+// engine's PredictBatchCtx, so a client disconnect or deadline expiry
+// aborts inference at the next stage boundary (DESIGN.md §9).
 // Shutdown(ctx) turns the server away from traffic (new requests get 503,
 // /v1/healthz reports draining), waits for in-flight requests to drain, and
-// flushes a final metrics snapshot through the logger.
+// flushes a final metrics snapshot through the configured log sink.
 package server
 
 import (
@@ -111,10 +112,13 @@ const (
 // per-route error counters.
 const statusClientClosedRequest = 499
 
-// defaultShadowSeed seeds the deterministic shadow sampler when
-// WithShadowSeed is not given. Any fixed value works — determinism, not
-// unpredictability, is the point.
-const defaultShadowSeed uint64 = 0x5DEECE66D
+// shadowSeed seeds the deterministic shadow sampler. Any fixed value works —
+// determinism, not unpredictability, is the point.
+const shadowSeed uint64 = 0x5DEECE66D
+
+// bootModelID names the boot-time model in lifecycle telemetry and
+// GET /v1/models.
+const bootModelID = "boot"
 
 // Server wires the inference engine and index into an http.Handler.
 type Server struct {
@@ -132,10 +136,8 @@ type Server struct {
 	// the leak-checking tests) can prove none outlive the server.
 	shadowWG     sync.WaitGroup
 	shadowSample float64
-	shadowSeed   uint64
 	shadowSeq    atomic.Uint64
 	modelsDir    string
-	primaryID    string
 
 	// engineWorkers/engineMaxBatch clone the boot engine's configuration
 	// onto every lifecycle-created engine.
@@ -178,8 +180,8 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in the middleware chain
 	metrics *obs.Registry
-	logger  *log.Logger  // legacy key=value access-log + panic sink; nil silences both
-	slog    *logz.Logger // structured JSON log (WithLogz); additive to logger
+	logger  *log.Logger  // key=value text log (WithLogger); nil silences it
+	slog    *logz.Logger // structured JSON log (WithLogz); nil silences it
 	debug   bool         // mounts /debug/pprof/* and /debug/vars
 
 	// recorder samples per-request span trees into a ring buffer served at
@@ -223,15 +225,17 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Server) { s.metrics = reg }
 }
 
-// WithLogger enables the legacy key=value access log and panic reporting.
+// WithLogger enables the key=value text log: one access-log line per
+// request, panics, and lifecycle events.
 func WithLogger(l *log.Logger) Option {
 	return func(s *Server) { s.logger = l }
 }
 
 // WithLogz enables structured JSON logging: one object per request with the
 // request ID and trace ID as first-class fields (joinable against
-// /v1/traces), plus panic and lifecycle events. Additive to WithLogger —
-// both sinks receive events when both are configured.
+// /v1/traces), plus panic and lifecycle events and the final metrics
+// snapshot. It receives every event WithLogger does; a server given both
+// writes each event to both, so callers pass the one sink they want.
 func WithLogz(l *logz.Logger) Option {
 	return func(s *Server) { s.slog = l }
 }
@@ -293,23 +297,11 @@ func WithShadowSample(f float64) Option {
 	return func(s *Server) { s.shadowSample = f }
 }
 
-// WithShadowSeed overrides the deterministic shadow sampler's seed —
-// test support for exercising different sampled subsets.
-func WithShadowSeed(seed uint64) Option {
-	return func(s *Server) { s.shadowSeed = seed }
-}
-
 // WithModelsDir confines POST /v1/models checkpoint paths to one directory:
 // requests must name a relative path inside it. Without this option (the
 // default) any path the process can read is accepted.
 func WithModelsDir(dir string) Option {
 	return func(s *Server) { s.modelsDir = dir }
-}
-
-// WithModelID names the boot-time model in lifecycle telemetry and
-// GET /v1/models. Default "boot".
-func WithModelID(id string) Option {
-	return func(s *Server) { s.primaryID = id }
 }
 
 // WithRescoreCheckpoint sets the durable cursor path for lake re-score runs
@@ -348,8 +340,6 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 		mux:          http.NewServeMux(),
 		idPrefix:     newIDPrefix(),
 		shadowSample: 1,
-		shadowSeed:   defaultShadowSeed,
-		primaryID:    "boot",
 		agreeMin:     DefaultShadowAgreementMin,
 		agreeWindow:  DefaultShadowAgreementWindow,
 	}
@@ -394,12 +384,12 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 	s.engineMaxBatch = eng.MaxBatch()
 	s.drained = s.metrics.Counter("models.engines.drained")
 	boot := &modelSlot{
-		id:       s.primaryID,
+		id:       bootModelID,
 		model:    eng.Model(),
 		engine:   eng,
 		drift:    eng.Drift(),
 		loadedAt: time.Now(),
-		mx:       s.newSlotMetrics(s.primaryID),
+		mx:       s.newSlotMetrics(bootModelID),
 	}
 	boot.drift.RegisterLabeled(s.metrics, "model", boot.id) // nil-safe
 	s.primary.Store(boot)
@@ -459,9 +449,10 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 // accepting work (new requests are rejected with 503 and /v1/healthz flips
 // to draining — load balancers pull the instance), waits for admitted
 // in-flight requests to drain, and flushes a final metrics snapshot through
-// the logger. It returns ctx's error if the drain does not finish in time,
-// with requests still running; callers pair it with http.Server.Shutdown,
-// which closes the listeners. Safe to call more than once.
+// the configured log sink. It returns ctx's error if the drain does not
+// finish in time, with requests still running; callers pair it with
+// http.Server.Shutdown, which closes the listeners. Safe to call more than
+// once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	// The watchdog stops first: a tick landing mid-teardown would act on
@@ -499,13 +490,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if err := s.awaitRescore(ctx); err != nil {
 		return fmt.Errorf("server: shutdown aborted with a lake re-score in flight: %w", err)
 	}
+	snap, err := json.Marshal(s.metrics.Snapshot())
+	if err != nil {
+		snap, _ = json.Marshal(err.Error())
+	}
 	if s.logger != nil {
-		if raw, err := json.Marshal(s.metrics.Snapshot()); err == nil {
-			s.logger.Printf("shutdown: drained, final metrics %s", raw)
-		}
+		s.logger.Printf("shutdown: drained, final metrics %s", snap)
 	}
 	s.slog.Log(logz.Info, "shutdown drained",
-		"traces_captured", s.recorder.Captured())
+		"traces_captured", s.recorder.Captured(), "metrics", json.RawMessage(snap))
 	return nil
 }
 
@@ -550,9 +543,6 @@ func (s *Server) Lake() *rescore.Lake { return s.lake }
 
 // Metrics exposes the server's metrics registry.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
-// Recorder exposes the server's trace recorder.
-func (s *Server) Recorder() *obs.TraceRecorder { return s.recorder }
 
 // SLO exposes the server's SLO engine.
 func (s *Server) SLO() *slo.Engine { return s.sloEng }
@@ -676,13 +666,15 @@ func toResponse(t *table.Table, preds []core.ColumnPrediction) *PredictResponse 
 	return resp
 }
 
-// writeInferErr maps an aborted inference call onto the wire: an expired
-// deadline is the server's fault (504, counted under http.timeouts), a
-// vanished client gets the conventional 499 (the connection is usually
-// already gone — the status feeds the access log and error counters), and
-// anything else (injected faults included) is a 500.
+// writeInferErr maps a failed prediction onto the wire: no loaded model is
+// a 503, an expired deadline is the server's fault (504, counted under
+// http.timeouts), a vanished client gets the conventional 499 (the
+// connection is usually already gone — the status feeds the access log and
+// error counters), and anything else (injected faults included) is a 500.
 func (s *Server) writeInferErr(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, errNoModel):
+		writeErr(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Inc()
 		writeErr(w, http.StatusGatewayTimeout, "request timed out after %s", s.requestTimeout)
@@ -693,21 +685,19 @@ func (s *Server) writeInferErr(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *Server) predict(ctx context.Context, tr *TableRequest) (*table.Table, []core.ColumnPrediction, error) {
-	t, err := tr.toTable()
-	if err != nil {
-		return nil, nil, err
-	}
+// predict scores tables on the primary model under an "infer" span: it
+// leases the primary engine, runs PredictBatchCtx and releases the lease.
+// Every prediction route goes through it — a single table is a batch of
+// one. Errors are for writeInferErr.
+func (s *Server) predict(ctx context.Context, ts []*table.Table) ([][]core.ColumnPrediction, error) {
+	_, sp := obs.StartSpan(ctx, "infer")
+	defer sp.End()
 	slot, ok := s.leasePrimary()
 	if !ok {
-		return nil, nil, errNoModel
+		return nil, errNoModel
 	}
 	defer slot.engine.Release()
-	preds, err := slot.engine.PredictCtx(ctx, t)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, preds, nil
+	return slot.engine.PredictBatchCtx(ctx, ts)
 }
 
 // decodeJSONBody decodes a size-capped JSON body into v, writing the JSON
@@ -760,25 +750,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	_, inferSp := obs.StartSpan(ctx, "infer")
-	slot, ok := s.leasePrimary()
-	if !ok {
-		inferSp.End()
-		writeErr(w, http.StatusServiceUnavailable, "%v", errNoModel)
-		return
-	}
-	preds, err := slot.engine.PredictCtx(ctx, t)
-	slot.engine.Release()
-	inferSp.End()
+	tables := []*table.Table{t}
+	preds, err := s.predict(ctx, tables)
 	if err != nil {
 		s.writeInferErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toResponse(t, preds))
+	writeJSON(w, http.StatusOK, toResponse(t, preds[0]))
 	// Strictly after the response is written: shadow-score the request on a
 	// shadowing candidate, off this goroutine. The primary response bytes
 	// are final — shadowing cannot perturb them (bit-identity test).
-	s.maybeShadow([]*table.Table{t}, [][]core.ColumnPrediction{preds})
+	s.maybeShadow(tables, preds)
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
@@ -806,16 +788,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	parse.End()
 
-	_, inferSp := obs.StartSpan(ctx, "infer")
-	slot, ok := s.leasePrimary()
-	if !ok {
-		inferSp.End()
-		writeErr(w, http.StatusServiceUnavailable, "%v", errNoModel)
-		return
-	}
-	batch, err := slot.engine.PredictBatchCtx(ctx, tables)
-	slot.engine.Release()
-	inferSp.End()
+	batch, err := s.predict(ctx, tables)
 	if err != nil {
 		s.writeInferErr(w, err)
 		return
@@ -893,17 +866,14 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "indexing requires a table id")
 		return
 	}
-	t, preds, err := s.predict(r.Context(), tr)
+	t, err := tr.toTable()
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.writeInferErr(w, err)
-			return
-		}
-		if errors.Is(err, errNoModel) {
-			writeErr(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
 		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	preds, err := s.predict(r.Context(), []*table.Table{t})
+	if err != nil {
+		s.writeInferErr(w, err)
 		return
 	}
 	// One inference pass serves both the response and the index update. The
@@ -911,8 +881,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	// (POST /v1/index/rescore); the SwapIndex dual-writes into any shadow
 	// build in progress so a concurrent re-score cannot lose this add.
 	s.lake.Put(t)
-	s.index.AddPredictions(t, preds)
-	resp := toResponse(t, preds)
+	s.index.AddPredictions(t, preds[0])
+	resp := toResponse(t, preds[0])
 	resp.Indexed = true
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -23,7 +24,7 @@ func trainedServer(t *testing.T, opts ...Option) *Server {
 	cfg := core.DefaultConfig(enc)
 	cfg.Epochs = 3
 	cfg.Patience = 3
-	m, err := core.Train(c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
+	m, err := core.TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4, 5}, []int{6, 7}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

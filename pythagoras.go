@@ -14,8 +14,12 @@
 //
 //	enc := pythagoras.NewEncoder(pythagoras.DefaultEncoderConfig())
 //	cfg := pythagoras.DefaultConfig(enc)
-//	model, err := pythagoras.Train(corpus, trainIdx, valIdx, cfg)
-//	preds := model.PredictTable(someTable)
+//	model, err := pythagoras.Train(ctx, corpus, trainIdx, valIdx, cfg)
+//	batch, err := pythagoras.NewEngine(model).PredictBatchCtx(ctx, tables)
+//
+// Prediction has one entry point, Engine.PredictBatchCtx: batch[i] holds
+// the column predictions for tables[i], and a single table is a batch of
+// one.
 //
 // The subpackages of internal/ hold the implementation: the frozen text
 // encoder (internal/lm), the 192-feature extractor (internal/features),
@@ -27,6 +31,8 @@
 package pythagoras
 
 import (
+	"context"
+
 	"github.com/sematype/pythagoras/internal/core"
 	"github.com/sematype/pythagoras/internal/data"
 	"github.com/sematype/pythagoras/internal/eval"
@@ -101,9 +107,10 @@ func PaperScaleEncoderConfig() EncoderConfig { return lm.PaperScaleConfig() }
 func DefaultConfig(enc *Encoder) Config { return core.DefaultConfig(enc) }
 
 // Engine is the staged inference engine (Encode → BuildGraph → Forward):
-// the production serving path. It prepares tables in parallel and unions
-// their graphs into one forward pass; Engine.PredictBatch output is
-// bit-identical to looping Model.PredictTable.
+// the production serving path. Engine.PredictBatchCtx prepares tables in
+// parallel and unions their graphs into chunked forward passes; its output
+// for each table is bit-identical to predicting that table as a batch of
+// one.
 type Engine = infer.Engine
 
 // NewEngine builds an inference engine around a trained model.
@@ -116,14 +123,14 @@ type EngineOption = infer.Option
 // WithWorkers sets the engine's prepare-stage worker count.
 var WithWorkers = infer.WithWorkers
 
-// WithMaxBatch sets how many tables the engine's Evaluate unions per
-// forward pass.
+// WithMaxBatch sets how many tables the engine unions per forward pass.
 var WithMaxBatch = infer.WithMaxBatch
 
 // Train fits a Pythagoras model on corpus using the given table index
-// splits (validation drives early stopping; pass nil to disable).
-func Train(c *Corpus, trainIdx, valIdx []int, cfg Config) (*Model, error) {
-	return core.Train(c, trainIdx, valIdx, cfg)
+// splits (validation drives early stopping; pass nil to disable). A
+// cancelled ctx aborts training with the context's error.
+func Train(ctx context.Context, c *Corpus, trainIdx, valIdx []int, cfg Config) (*Model, error) {
+	return core.TrainCtx(ctx, c, trainIdx, valIdx, cfg)
 }
 
 // LoadModel reads a model written by Model.SaveFile. cfg must supply an
