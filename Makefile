@@ -83,7 +83,7 @@ bench:
 #  - BENCH_train.json — ns/op for one training epoch at 1/4/8/16 workers
 #    (results are bit-identical at every count; only the time changes)
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictBatch/|BenchmarkObsOverhead/' -benchtime=10x . \
+	$(GO) test -run '^$$' -bench '^BenchmarkPredictBatch$$/|^BenchmarkObsOverhead$$/' -benchtime=10x . \
 		| awk 'BEGIN { printf "{" } \
 		       /^BenchmarkPredictBatch\// { \
 		           name=$$1; sub(/^BenchmarkPredictBatch\//, "", name); sub(/-[0-9]+$$/, "", name); \
@@ -93,7 +93,7 @@ bench-json:
 		           if (n++) printf ","; printf "\n  \"%s_ns_per_op\": %s", name, $$3 } \
 		       END { printf "\n}\n" }' \
 		| tee BENCH_infer.json
-	$(GO) test -run '^$$' -bench 'BenchmarkTrainEpoch/' -benchtime=3x . \
+	$(GO) test -run '^$$' -bench '^BenchmarkTrainEpoch$$/' -benchtime=3x . \
 		| awk 'BEGIN { printf "{" } \
 		       /^BenchmarkTrainEpoch\// { \
 		           name=$$1; sub(/^BenchmarkTrainEpoch\//, "", name); sub(/-[0-9]+$$/, "", name); \

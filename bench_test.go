@@ -244,29 +244,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictBatchInstrumented is BenchmarkPredictBatch with a metrics
-// registry attached — compare against the plain run to measure the
-// observability overhead (budget: <2% at batch 16).
-func BenchmarkPredictBatchInstrumented(b *testing.B) {
-	m, c := benchModel(b)
-	eng := infer.New(m, infer.WithMetrics(obs.NewRegistry()))
-	for _, size := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("tables%d", size), func(b *testing.B) {
-			tables := make([]*table.Table, size)
-			for i := range tables {
-				tables[i] = c.Tables[i%len(c.Tables)]
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.PredictBatchCtx(context.Background(), tables); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "tables/sec")
-		})
-	}
-}
-
 // BenchmarkObsOverhead measures the cost of the deep-observability layer on
 // the batch-16 serving path: "obs_off" is the bare engine, "obs_on" adds
 // everything a production `serve` runs per request — metrics registry,

@@ -15,11 +15,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"os"
 	"strings"
 
 	"github.com/sematype/pythagoras/internal/experiments"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 )
 
 func main() {
@@ -31,6 +31,23 @@ func main() {
 	logFormat := flag.String("log-format", "text", "progress log format: text or json")
 	trainWorkers := flag.Int("train-workers", 0, "worker goroutines per training run (0 = all CPUs; scores are identical at any count)")
 	flag.Parse()
+
+	// One log path: progress lines (via slog.NewLogLogger) and fatal errors
+	// both go through the handler -log-format picks.
+	var h slog.Handler
+	switch *logFormat {
+	case "text":
+		h = slog.NewTextHandler(os.Stderr, nil)
+	case "json":
+		h = slog.NewJSONHandler(os.Stderr, nil)
+	default:
+		log.Fatalf("invalid -log-format %q (want text or json)", *logFormat)
+	}
+	logger := slog.New(h)
+	fatal := func(step string, err error) {
+		logger.Error(step+" failed", "err", err)
+		os.Exit(1)
+	}
 
 	var scale experiments.Scale
 	switch *scaleName {
@@ -44,14 +61,7 @@ func main() {
 		log.Fatalf("unknown scale %q (want quick, reduced or full)", *scaleName)
 	}
 	if !*quiet {
-		scale.Logf = log.Printf
-		switch *logFormat {
-		case "json":
-			scale.Logf = logz.New(os.Stderr, logz.Info).With("component", "experiments").Printf()
-		case "text":
-		default:
-			log.Fatalf("invalid -log-format %q (want text or json)", *logFormat)
-		}
+		scale.Logf = slog.NewLogLogger(h, slog.LevelInfo).Printf
 	}
 	scale.Pythagoras.TrainWorkers = *trainWorkers
 
@@ -59,7 +69,7 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			fatal("create output", err)
 		}
 		defer f.Close()
 		w = io.MultiWriter(os.Stdout, f)
@@ -123,11 +133,11 @@ func main() {
 	if *md != "" {
 		f, err := os.Create(*md)
 		if err != nil {
-			log.Fatal(err)
+			fatal("create markdown report", err)
 		}
 		experiments.WriteMarkdown(f, scale, t2, t3, fig, t4rows)
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			fatal("write markdown report", err)
 		}
 	}
 }

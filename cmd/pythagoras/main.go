@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"os"
@@ -34,7 +35,6 @@ import (
 	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/obs"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 	"github.com/sematype/pythagoras/internal/obs/slo"
 	"github.com/sematype/pythagoras/internal/obs/watch"
 	"github.com/sematype/pythagoras/internal/par"
@@ -83,25 +83,31 @@ func buildEncoder(dim, layers int) *lm.Encoder {
 	})
 }
 
-// structuredLogger maps -log-format to a logz logger on stderr: "json"
-// returns one, "text" returns nil (keep the stdlib logger), anything else
-// is a flag error.
-func structuredLogger(format string) *logz.Logger {
+// newLogger maps -log-format to a slog logger on stderr, the one log path
+// of train and serve: the command's printf-style lines (via
+// slog.NewLogLogger), its fatal errors and the server's events all go
+// through its handler, so every stderr line has the chosen format.
+func newLogger(format string) *slog.Logger {
 	switch format {
-	case "json":
-		return logz.New(os.Stderr, logz.Info)
 	case "text":
-		return nil
-	default:
-		log.Fatalf("invalid -log-format %q (want text or json)", format)
-		return nil
+		return slog.New(slog.NewTextHandler(os.Stderr, nil))
+	case "json":
+		return slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
+	log.Fatalf("invalid -log-format %q (want text or json)", format)
+	return nil
 }
 
-func loadCorpus(dir string) *data.Corpus {
+// fatal logs a failed step at error level and exits 1.
+func fatal(logger *slog.Logger, step string, err error) {
+	logger.Error(step+" failed", "err", err)
+	os.Exit(1)
+}
+
+func loadCorpus(logger *slog.Logger, dir string) *data.Corpus {
 	tables, err := table.LoadDir(dir)
 	if err != nil {
-		log.Fatalf("load corpus: %v", err)
+		fatal(logger, "load corpus", err)
 	}
 	c := &data.Corpus{Name: dir, Tables: tables}
 	c.BuildVocabulary()
@@ -123,11 +129,11 @@ func cmdTrain(args []string) {
 	if *dataDir == "" {
 		log.Fatal("train: -data is required")
 	}
-	slog := structuredLogger(*logFormat)
+	logger := newLogger(*logFormat)
 
-	c := loadCorpus(*dataDir)
+	c := loadCorpus(logger, *dataDir)
 	if err := c.Validate(); err != nil {
-		log.Fatal(err)
+		fatal(logger, "validate corpus", err)
 	}
 	rng := rand.New(rand.NewSource(*seed))
 	train, val, test := eval.TrainValTestSplit(len(c.Tables), rng)
@@ -137,10 +143,7 @@ func cmdTrain(args []string) {
 	cfg.LearningRate = *lr
 	cfg.Seed = *seed
 	cfg.TrainWorkers = *workers
-	cfg.Logf = log.Printf
-	if slog != nil {
-		cfg.Logf = slog.With("component", "train").Printf()
-	}
+	cfg.Logf = slog.NewLogLogger(logger.Handler(), slog.LevelInfo).Printf
 	if *metrics {
 		reg := obs.NewRegistry()
 		cfg.Metrics = reg
@@ -161,7 +164,7 @@ func cmdTrain(args []string) {
 
 	m, err := core.TrainCtx(context.Background(), c, train, val, cfg)
 	if err != nil {
-		log.Fatal(err)
+		fatal(logger, "train", err)
 	}
 	split, _ := m.Evaluate(c, test)
 	fmt.Printf("test weighted F1: numeric=%.3f non-numeric=%.3f overall=%.3f\n",
@@ -169,7 +172,7 @@ func cmdTrain(args []string) {
 	fmt.Printf("test macro F1:    numeric=%.3f non-numeric=%.3f overall=%.3f\n",
 		split.Numeric.MacroF1, split.NonNumeric.MacroF1, split.Overall.MacroF1)
 	if err := m.SaveFile(*modelPath); err != nil {
-		log.Fatal(err)
+		fatal(logger, "save model", err)
 	}
 	fmt.Printf("model saved to %s (%d parameters)\n", *modelPath, m.Params().Count())
 
@@ -182,7 +185,7 @@ func cmdTrain(args []string) {
 	}
 	sidecar := core.DriftSidecarPath(*modelPath)
 	if err := core.SaveDriftBaseline(sidecar, m.ComputeDriftBaseline(trainTables)); err != nil {
-		log.Fatalf("write drift baseline: %v", err)
+		fatal(logger, "write drift baseline", err)
 	}
 	fmt.Printf("drift baseline saved to %s\n", sidecar)
 }
@@ -203,7 +206,7 @@ func cmdEval(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := loadCorpus(*dataDir)
+	c := loadCorpus(slog.Default(), *dataDir)
 	idx := make([]int, len(c.Tables))
 	for i := range idx {
 		idx[i] = i
@@ -299,25 +302,15 @@ func cmdServe(args []string) {
 	agreeWindow := fs.Duration("shadow-agreement-window", server.DefaultShadowAgreementWindow, "how long shadow agreement must stay below -shadow-agreement-min before auto-rollback")
 	dim, layers := encoderFlags(fs)
 	fs.Parse(args)
-	// Exactly one log sink per format: the server's access log and events,
-	// and this command's own startup and drain lines, all land in it.
-	slog := structuredLogger(*logFormat)
-	logf, sink := log.Printf, server.WithLogger(log.Default())
-	if slog != nil {
-		logf = slog.With("component", "serve").Printf()
-		sink = server.WithLogz(slog.With("component", "server"))
-	}
-	fatalf := func(format string, args ...any) {
-		logf(format, args...)
-		os.Exit(1)
-	}
+	logger := newLogger(*logFormat)
+	logf := slog.NewLogLogger(logger.Handler(), slog.LevelInfo).Printf
 
 	// LoadServing resolves the checkpoint and its optional drift sidecar in
 	// one step — the same path POST /v1/models uses for candidates, so boot
 	// and hot-load cannot disagree about what a serving model is.
 	bundle, err := core.LoadServing(*modelPath, core.Config{Encoder: buildEncoder(*dim, *layers)})
 	if err != nil {
-		fatalf("pythagoras: %v", err)
+		fatal(logger, "load model", err)
 	}
 	m := bundle.Model
 	eng := infer.New(m, infer.WithWorkers(*workers), infer.WithMetrics(obs.NewRegistry()))
@@ -334,7 +327,7 @@ func cmdServe(args []string) {
 	})
 	sloEng := slo.New(slo.DefaultObjectives(*sloTarget, time.Duration(*sloLatencyMs)*time.Millisecond))
 	opts := []server.Option{
-		sink, server.WithDebug(*debug),
+		server.WithSlog(logger), server.WithDebug(*debug),
 		server.WithRequestTimeout(*requestTimeout), server.WithMaxInflight(*maxInflight),
 		server.WithTraceRecorder(recorder), server.WithSLO(sloEng),
 		server.WithShadowSample(*shadowSample),
@@ -365,7 +358,7 @@ func cmdServe(args []string) {
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	select {
 	case err := <-errCh:
-		fatalf("pythagoras: %v", err)
+		fatal(logger, "listen", err)
 	case <-ctx.Done():
 	}
 	stop() // a second signal kills the process the default way

@@ -54,12 +54,27 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("corpus dir: %v, %d entries", err, len(entries))
 	}
 
-	// 2. Train briefly.
+	// 2. Train briefly with JSON logs: the progress lines reach stderr
+	// through the slog Printf adapter, so every stderr line must be one JSON
+	// object with a msg, while the results stay on stdout.
 	model := filepath.Join(work, "model.bin")
-	out = run(pyth, "train", "-data", corpusDir, "-model", model,
-		"-epochs", "3", "-dim", "16", "-lm-layers", "1")
-	if !strings.Contains(out, "model saved") {
-		t.Fatalf("train output: %s", out)
+	train := exec.Command(pyth, "train", "-data", corpusDir, "-model", model,
+		"-epochs", "3", "-dim", "16", "-lm-layers", "1", "-log-format", "json")
+	train.Dir = work
+	var trainErr bytes.Buffer
+	train.Stderr = &trainErr
+	stdout, err := train.Output()
+	if err != nil {
+		t.Fatalf("train: %v\n%s%s", err, stdout, trainErr.String())
+	}
+	if !strings.Contains(string(stdout), "model saved") {
+		t.Fatalf("train output: %s", stdout)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(trainErr.String()), "\n") {
+		var entry map[string]any
+		if err := json.Unmarshal([]byte(line), &entry); err != nil || entry["msg"] == nil {
+			t.Fatalf("train stderr line under -log-format json is not a JSON object with a msg: %q", line)
+		}
 	}
 
 	// 3. Evaluate the saved model.

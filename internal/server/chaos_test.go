@@ -263,7 +263,7 @@ func TestIndexEndpointMapsEngineErrors(t *testing.T) {
 			t.Fatalf("%s with a failing engine: %d, want 500 (body %s)", path, rec.Code, rec.Body)
 		}
 	}
-	if bad := s.SLO().Status().Objectives[0].Bad; bad != 2 {
+	if bad := s.sloEng.Status().Objectives[0].Bad; bad != 2 {
 		t.Fatalf("availability SLO counted %d bad events, want 2", bad)
 	}
 	ragged := sampleRequest("t2")
@@ -271,7 +271,7 @@ func TestIndexEndpointMapsEngineErrors(t *testing.T) {
 	if rec := postJSON(t, s, "/v1/index", ragged); rec.Code != http.StatusBadRequest {
 		t.Fatalf("ragged table on /v1/index: %d, want 400", rec.Code)
 	}
-	if s.Index().Stats().Tables != 0 {
+	if s.index.Current().Stats().Tables != 0 {
 		t.Fatal("a failed index request must not index the table")
 	}
 }
@@ -341,7 +341,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	if s.Draining() {
+	if s.draining.Load() {
 		t.Fatal("server draining before Shutdown")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -349,7 +349,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if !s.Draining() {
+	if !s.draining.Load() {
 		t.Fatal("server not draining after Shutdown")
 	}
 	wg.Wait()

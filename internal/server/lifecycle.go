@@ -45,7 +45,6 @@ import (
 	"github.com/sematype/pythagoras/internal/faultinject"
 	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/obs"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 	"github.com/sematype/pythagoras/internal/table"
 )
 
@@ -154,13 +153,12 @@ func (s *Server) retireSlot(slot *modelSlot, role string) {
 	}
 	id := slot.id
 	drained := s.drained
-	logger, slog := s.logger, s.slog
+	logger := s.log
 	slot.engine.Retire(func() {
 		drained.Inc()
 		if logger != nil {
-			logger.Printf("models: %s engine for %q drained and released", role, id)
+			logger.Info("model engine drained", "model", id, "role", role)
 		}
-		slog.Log(logz.Info, "model engine drained", "model", id, "role", role)
 	})
 }
 
@@ -169,10 +167,9 @@ func (s *Server) retireSlot(slot *modelSlot, role string) {
 func (s *Server) recordSwap(event, detail string) {
 	s.metrics.Counter(obs.Labels("models.swap", "event", event)).Inc()
 	s.sloEng.Annotate(event, detail)
-	if s.logger != nil {
-		s.logger.Printf("models: %s %s", event, detail)
+	if s.log != nil {
+		s.log.Info("model "+event, "detail", detail)
 	}
-	s.slog.Log(logz.Info, "model "+event, "detail", detail)
 }
 
 // --- deterministic shadow sampling ---
@@ -388,12 +385,9 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, "load model %q: %v", path, err)
 		return
 	}
-	if bundle.DriftErr != nil {
-		if s.logger != nil {
-			s.logger.Printf("models: candidate %q drift sidecar unusable, shadowing without drift telemetry: %v", id, bundle.DriftErr)
-		}
-		s.slog.Log(logz.Warn, "model drift sidecar unusable",
-			"model", id, "err", bundle.DriftErr.Error())
+	if bundle.DriftErr != nil && s.log != nil {
+		s.log.Warn("model drift sidecar unusable, shadowing without drift telemetry",
+			"model", id, "err", bundle.DriftErr)
 	}
 
 	slot := &modelSlot{
@@ -455,10 +449,10 @@ func (s *Server) handleModelsPromote(w http.ResponseWriter, r *http.Request) {
 
 	old := s.primary.Swap(promoted)
 	s.candidate.Store(nil)
-	if err := s.faults.Fire(r.Context(), faultinject.ServerSwap); err != nil {
-		// The swap is already visible; an injected fault here models a slow
-		// or crashing swap epilogue, not a failed swap.
-		s.slog.Log(logz.Warn, "swap fault injected", "err", err.Error())
+	// The swap is already visible; an injected fault here models a slow or
+	// crashing swap epilogue, not a failed swap.
+	if err := s.faults.Fire(r.Context(), faultinject.ServerSwap); err != nil && s.log != nil {
+		s.log.Warn("swap fault injected", "err", err)
 	}
 	s.retireSlot(cand, "shadow")
 	if prev := s.previous.Swap(old); prev != nil {
@@ -506,8 +500,8 @@ func (s *Server) handleModelsRollback(w http.ResponseWriter, r *http.Request) {
 	}
 	restored.drift.Register(s.metrics)
 	old := s.primary.Swap(restored)
-	if err := s.faults.Fire(r.Context(), faultinject.ServerSwap); err != nil {
-		s.slog.Log(logz.Warn, "swap fault injected", "err", err.Error())
+	if err := s.faults.Fire(r.Context(), faultinject.ServerSwap); err != nil && s.log != nil {
+		s.log.Warn("swap fault injected", "err", err)
 	}
 	s.retireSlot(old, "primary")
 	s.recordSwap("rollback", fmt.Sprintf("%q restored over %q", restored.id, old.id))

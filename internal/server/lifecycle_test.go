@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -156,12 +157,12 @@ func TestModelLifecycleLoadPromoteRollback(t *testing.T) {
 	}
 	// Lifecycle events annotate the SLO timeline.
 	events := map[string]bool{}
-	for _, a := range s.SLO().Status().Events {
+	for _, a := range s.sloEng.Status().Events {
 		events[a.Event] = true
 	}
 	for _, event := range []string{"load", "promote", "rollback"} {
 		if !events[event] {
-			t.Fatalf("SLO timeline missing %q annotation: %+v", event, s.SLO().Status().Events)
+			t.Fatalf("SLO timeline missing %q annotation: %+v", event, s.sloEng.Status().Events)
 		}
 	}
 }
@@ -258,6 +259,26 @@ func TestShadowSamplerDeterministic(t *testing.T) {
 	}
 	if off.shadowSeq.Load() != 0 || on.shadowSeq.Load() != 0 {
 		t.Fatal("edge fractions must not consume sequence numbers")
+	}
+}
+
+// TestSwapFaultLogged: a swap fault injected into promote and into rollback
+// is logged once each through the server's one logger, so the text format
+// WithLogger builds carries it as the JSON format does.
+func TestSwapFaultLogged(t *testing.T) {
+	var buf bytes.Buffer
+	srvFaults := faultinject.New().On(faultinject.ServerSwap, faultinject.Err(errInjected))
+	s := chaosServer(t, nil, srvFaults, WithLogger(log.New(&buf, "", 0)))
+	path := savedCheckpoint(t, t.TempDir(), "v2.bin", false)
+
+	modelsPost(t, s, "/v1/models", ModelsRequest{ID: "v2", Path: path}, http.StatusOK)
+	modelsPost(t, s, "/v1/models/promote", nil, http.StatusOK)
+	modelsPost(t, s, "/v1/models/rollback", nil, http.StatusOK)
+	drain(t, s)
+
+	want := `level=WARN msg="swap fault injected" err="injected handler fault"`
+	if got := strings.Count(buf.String(), want); got != 2 {
+		t.Fatalf("%d lines with %s, want 2 (promote, rollback); log:\n%s", got, want, buf.String())
 	}
 }
 

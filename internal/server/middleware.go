@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"runtime/debug"
@@ -12,7 +13,6 @@ import (
 
 	"github.com/sematype/pythagoras/internal/faultinject"
 	"github.com/sematype/pythagoras/internal/obs"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 )
 
 // respWriter wraps the ResponseWriter for the whole middleware chain: it
@@ -27,7 +27,7 @@ type respWriter struct {
 	bytes       int
 	wroteHeader bool
 	// traceID is set by the route middleware when the request opened a
-	// trace; the structured access log joins it to /v1/traces.
+	// trace; the access log joins it to /v1/traces.
 	traceID string
 	// intercept buffers a plain-text error body (detected at WriteHeader
 	// time by status ≥ 400 with a missing or text/plain content type) until
@@ -119,36 +119,33 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 	})
 }
 
-// withAccessLog wraps the response in the chain's respWriter, emits one
-// structured line per completed request (when a logger is configured), and
-// flushes any intercepted plain-text error as JSON. Line format (stable,
-// key=value, space-separated):
+// withAccessLog wraps the response in the chain's respWriter, logs one
+// "request" event per completed request (when a logger is configured), and
+// flushes any intercepted plain-text error as JSON. The event's attributes,
+// in order, are method, path, status, bytes, dur_ms, request_id and
+// trace_id; under the text handler a line reads
 //
-//	method=POST path=/v1/predict status=200 bytes=512 dur=1.234ms req_id=0a1b2c3d-000001
+//	time=… level=INFO msg=request method=POST path=/v1/predict status=200 bytes=512 dur_ms=1.234 request_id=0a1b2c3d-000001 trace_id=0000000000000001
 func (s *Server) withAccessLog(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rw := &respWriter{ResponseWriter: w}
 		t0 := time.Now()
 		next.ServeHTTP(rw, r)
 		rw.finish()
+		dur := time.Since(t0)
 		// SLO accounting happens here, at the outermost timing point, so shed
 		// 429s and drain 503s (written by the admission middleware, below the
 		// mux) are debited exactly like handler responses.
 		if !exemptFromLimits(r.URL.Path) {
-			s.recordSLO(rw.statusOrDefault(), time.Since(t0))
+			s.recordSLO(rw.statusOrDefault(), dur)
 		}
-		if s.logger != nil {
-			s.logger.Printf("method=%s path=%s status=%d bytes=%d dur=%s req_id=%s",
-				r.Method, r.URL.Path, rw.statusOrDefault(), rw.bytes,
-				time.Since(t0).Round(time.Microsecond), requestIDFrom(r.Context()))
-		}
-		if s.slog != nil {
-			s.slog.Log(logz.Info, "request",
-				"method", r.Method, "path", r.URL.Path,
-				"status", rw.statusOrDefault(), "bytes", rw.bytes,
-				"dur_ms", float64(time.Since(t0))/float64(time.Millisecond),
-				"request_id", requestIDFrom(r.Context()),
-				"trace_id", rw.traceID)
+		if s.log != nil {
+			s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+				slog.String("method", r.Method), slog.String("path", r.URL.Path),
+				slog.Int("status", rw.statusOrDefault()), slog.Int("bytes", rw.bytes),
+				slog.Float64("dur_ms", float64(dur)/float64(time.Millisecond)),
+				slog.String("request_id", requestIDFrom(r.Context())),
+				slog.String("trace_id", rw.traceID))
 		}
 	})
 }
@@ -169,15 +166,11 @@ func (s *Server) withRecover(next http.Handler) http.Handler {
 				panic(rec)
 			}
 			panics.Inc()
-			if s.logger != nil {
-				s.logger.Printf("panic serving %s %s (req_id=%s): %v\n%s",
-					r.Method, r.URL.Path, requestIDFrom(r.Context()), rec, debug.Stack())
-			}
-			if s.slog != nil {
-				s.slog.Log(logz.Error, "panic",
+			if s.log != nil {
+				s.log.Error("panic",
 					"method", r.Method, "path", r.URL.Path,
 					"request_id", requestIDFrom(r.Context()),
-					"panic", fmt.Sprint(rec))
+					"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
 			}
 			if rw, ok := w.(*respWriter); ok {
 				rw.abandonIntercept()
@@ -261,10 +254,7 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 // rejection, queue wait included, because the admission middleware calls
 // this after that wait elapsed with t0 already inside the request.
 func (s *Server) rejectTraced(w http.ResponseWriter, r *http.Request, write func()) {
-	ctx := obs.WithRegistry(r.Context(), s.metrics)
-	if s.recorder != nil {
-		ctx = obs.WithRecorder(ctx, s.recorder)
-	}
+	ctx := obs.WithRecorder(obs.WithRegistry(r.Context(), s.metrics), s.recorder)
 	_, span := obs.StartSpan(ctx, "reject")
 	span.SetAttr("route", r.URL.Path)
 	if id := requestIDFrom(r.Context()); id != "" {
@@ -307,13 +297,13 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 			select {
 			case s.sem <- struct{}{}: // free slot, admitted immediately
 			default:
-				if int(s.queued.Add(1)) > s.maxQueue {
+				if int(s.queued.Add(1)) > s.maxInflight {
 					s.queued.Add(-1)
 					s.shed.Inc()
 					s.rejectTraced(w, r, func() {
 						w.Header().Set("Retry-After", "1")
 						writeErr(w, http.StatusTooManyRequests,
-							"server at capacity (%d in flight, %d queued)", s.maxInflight, s.maxQueue)
+							"server at capacity (%d in flight, %d queued)", s.maxInflight, s.maxInflight)
 					})
 					return
 				}
@@ -360,10 +350,10 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 // names, so both methods of a path share one series. The root span is named
 // by the path minus its "/v1/" prefix ("predict", "predict-batch", ...) —
 // handler stage spans nest under it, keeping the established span.predict.*
-// metric names — and carries the route and request ID as attributes. When
-// the server has a trace recorder, the finished span tree is offered to it;
-// a ≥400 response or a handler panic marks the trace errored, which the
-// recorder always keeps.
+// metric names — and carries the route and request ID as attributes. The
+// finished span tree is offered to the server's trace recorder; a ≥400
+// response or a handler panic marks the trace errored, which the recorder
+// always keeps.
 func (s *Server) route(pattern string, h http.HandlerFunc) {
 	path := pattern
 	if i := strings.IndexByte(pattern, ' '); i >= 0 {
@@ -376,10 +366,7 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		reqs.Inc()
-		ctx := obs.WithRegistry(r.Context(), s.metrics)
-		if s.recorder != nil {
-			ctx = obs.WithRecorder(ctx, s.recorder)
-		}
+		ctx := obs.WithRecorder(obs.WithRegistry(r.Context(), s.metrics), s.recorder)
 		ctx, span := obs.StartSpan(ctx, spanName)
 		span.SetAttr("route", path)
 		if id := requestIDFrom(ctx); id != "" {

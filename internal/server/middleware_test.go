@@ -90,7 +90,8 @@ func TestPanicRecoveryReturnsJSON500(t *testing.T) {
 	}
 }
 
-// TestAccessLogFormat pins the stable key=value line format.
+// TestAccessLogFormat pins the access line WithLogger's slog text handler
+// writes: the same attributes, in the same order, as the JSON format.
 func TestAccessLogFormat(t *testing.T) {
 	var buf bytes.Buffer
 	s := trainedServer(t, WithLogger(log.New(&buf, "", 0)))
@@ -98,7 +99,8 @@ func TestAccessLogFormat(t *testing.T) {
 
 	line := buf.String()
 	want := regexp.MustCompile(
-		`^method=GET path=/v1/healthz status=200 bytes=[1-9][0-9]* dur=\S+ req_id=[0-9a-f]{8}-[0-9]{6}\n$`)
+		`^time=\S+ level=INFO msg=request method=GET path=/v1/healthz status=200 bytes=[1-9][0-9]* ` +
+			`dur_ms=[0-9.e+-]+ request_id=[0-9a-f]{8}-[0-9]{6} trace_id=[0-9a-f]{16}\n$`)
 	if !want.MatchString(line) {
 		t.Fatalf("access log line %q does not match %q", line, want)
 	}
@@ -108,7 +110,7 @@ func TestAccessLogFormat(t *testing.T) {
 // flow.
 func TestAccessLogDisabledByDefault(t *testing.T) {
 	s := trainedServer(t)
-	if s.logger != nil {
+	if s.log != nil {
 		t.Fatal("logger should default to nil")
 	}
 	if rec := getPath(t, s, "/v1/healthz"); rec.Code != http.StatusOK {

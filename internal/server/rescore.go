@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"github.com/sematype/pythagoras/internal/obs"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 	"github.com/sematype/pythagoras/internal/rescore"
 )
 
@@ -89,10 +88,9 @@ func (s *Server) awaitRescore(ctx context.Context) error {
 func (s *Server) recordRescore(event, detail string) {
 	s.metrics.Counter(obs.Labels("rescore.events", "event", event)).Inc()
 	s.sloEng.Annotate(event, detail)
-	if s.logger != nil {
-		s.logger.Printf("rescore: %s %s", event, detail)
+	if s.log != nil {
+		s.log.Info("lake "+event, "detail", detail)
 	}
-	s.slog.Log(logz.Info, "lake "+event, "detail", detail)
 }
 
 // RescoreResponse is the body of both re-score endpoints: the driver's

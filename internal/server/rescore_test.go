@@ -69,7 +69,7 @@ func TestRescoreEndToEnd(t *testing.T) {
 			t.Fatalf("index %s = %d: %s", id, rec.Code, rec.Body)
 		}
 	}
-	old := s.Index()
+	old := s.index.Current()
 	oldDump := old.CanonicalDump()
 
 	rec := postJSON(t, s, "/v1/index/rescore", nil)
@@ -88,7 +88,7 @@ func TestRescoreEndToEnd(t *testing.T) {
 	if done.Total != len(ids) || done.Done != len(ids) || done.Skipped != 0 {
 		t.Fatalf("final progress = %+v", done)
 	}
-	cur := s.Index()
+	cur := s.index.Current()
 	if cur == old {
 		t.Fatal("index pointer never flipped")
 	}
@@ -117,7 +117,7 @@ func TestRollbackCancelsRescore(t *testing.T) {
 			t.Fatalf("index %s = %d", id, rec.Code)
 		}
 	}
-	old := s.Index()
+	old := s.index.Current()
 	oldDump := old.CanonicalDump()
 
 	path := savedCheckpoint(t, t.TempDir(), "v2.bin", false)
@@ -146,7 +146,7 @@ func TestRollbackCancelsRescore(t *testing.T) {
 	}
 
 	// The old index serves untouched, no shadow left behind.
-	if s.Index() != old || !bytes.Equal(s.Index().CanonicalDump(), oldDump) {
+	if s.index.Current() != old || !bytes.Equal(s.index.Current().CanonicalDump(), oldDump) {
 		t.Fatal("cancelled re-score disturbed the serving index")
 	}
 	if rec := getPath(t, s, "/v1/types"); rec.Code != http.StatusOK {

@@ -58,7 +58,13 @@
 // aborts inference at the next stage boundary (DESIGN.md §9).
 // Shutdown(ctx) turns the server away from traffic (new requests get 503,
 // /v1/healthz reports draining), waits for in-flight requests to drain, and
-// flushes a final metrics snapshot through the configured log sink.
+// logs a final metrics snapshot.
+//
+// Logging is one log/slog path: every server event — the access line, a
+// recovered panic, model lifecycle and re-score events, the shutdown
+// snapshot — is one call with one attribute set on the *slog.Logger given
+// by WithSlog (or WithLogger's text adapter). The handler picks the format;
+// the attributes are the same in both.
 package server
 
 import (
@@ -69,6 +75,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -82,7 +89,6 @@ import (
 	"github.com/sematype/pythagoras/internal/faultinject"
 	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/obs"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 	"github.com/sematype/pythagoras/internal/obs/slo"
 	"github.com/sematype/pythagoras/internal/obs/watch"
 	"github.com/sematype/pythagoras/internal/par"
@@ -180,9 +186,11 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in the middleware chain
 	metrics *obs.Registry
-	logger  *log.Logger  // key=value text log (WithLogger); nil silences it
-	slog    *logz.Logger // structured JSON log (WithLogz); nil silences it
-	debug   bool         // mounts /debug/pprof/* and /debug/vars
+	// log receives every server event, one call and one attribute set each
+	// (WithSlog, WithLogger). nil, the default, silences them: each log site
+	// checks it first, so a server without a logger formats nothing.
+	log   *slog.Logger
+	debug bool // mounts /debug/pprof/* and /debug/vars
 
 	// recorder samples per-request span trees into a ring buffer served at
 	// GET /v1/traces. A default recorder (1% sampling, errored and >1s
@@ -202,7 +210,6 @@ type Server struct {
 	// again may wait in the admission queue, everything beyond is shed with
 	// 429. 0 disables admission control.
 	maxInflight int
-	maxQueue    int
 	sem         chan struct{} // counting semaphore, cap maxInflight
 	queued      atomic.Int64  // requests waiting in the admission queue
 	inflight    atomic.Int64  // admitted requests currently being served
@@ -225,19 +232,18 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Server) { s.metrics = reg }
 }
 
-// WithLogger enables the key=value text log: one access-log line per
-// request, panics, and lifecycle events.
-func WithLogger(l *log.Logger) Option {
-	return func(s *Server) { s.logger = l }
+// WithSlog sets the server's logger: one line per request with the request
+// ID and trace ID as attributes (joinable against /v1/traces and the
+// X-Request-ID header), plus panics, lifecycle and re-score events and the
+// final metrics snapshot. Its handler decides the format.
+func WithSlog(l *slog.Logger) Option {
+	return func(s *Server) { s.log = l }
 }
 
-// WithLogz enables structured JSON logging: one object per request with the
-// request ID and trace ID as first-class fields (joinable against
-// /v1/traces), plus panic and lifecycle events and the final metrics
-// snapshot. It receives every event WithLogger does; a server given both
-// writes each event to both, so callers pass the one sink they want.
-func WithLogz(l *logz.Logger) Option {
-	return func(s *Server) { s.slog = l }
+// WithLogger logs the same events as slog text lines written to l's
+// writer; l's prefix and flags are not used.
+func WithLogger(l *log.Logger) Option {
+	return WithSlog(slog.New(slog.NewTextHandler(l.Writer(), nil)))
 }
 
 // WithTraceRecorder supplies the trace recorder behind GET /v1/traces
@@ -356,9 +362,6 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 
 	if s.maxInflight > 0 {
 		s.sem = make(chan struct{}, s.maxInflight)
-		if s.maxQueue <= 0 {
-			s.maxQueue = s.maxInflight
-		}
 	}
 	if s.recorder == nil {
 		s.recorder = obs.NewTraceRecorder(obs.TraceConfig{
@@ -448,11 +451,10 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 // Shutdown gracefully stops the server's request processing: it stops
 // accepting work (new requests are rejected with 503 and /v1/healthz flips
 // to draining — load balancers pull the instance), waits for admitted
-// in-flight requests to drain, and flushes a final metrics snapshot through
-// the configured log sink. It returns ctx's error if the drain does not
-// finish in time, with requests still running; callers pair it with
-// http.Server.Shutdown, which closes the listeners. Safe to call more than
-// once.
+// in-flight requests to drain, and logs a final metrics snapshot. It
+// returns ctx's error if the drain does not finish in time, with requests
+// still running; callers pair it with http.Server.Shutdown, which closes
+// the listeners. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	// The watchdog stops first: a tick landing mid-teardown would act on
@@ -490,20 +492,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if err := s.awaitRescore(ctx); err != nil {
 		return fmt.Errorf("server: shutdown aborted with a lake re-score in flight: %w", err)
 	}
-	snap, err := json.Marshal(s.metrics.Snapshot())
-	if err != nil {
-		snap, _ = json.Marshal(err.Error())
+	if s.log != nil {
+		snap, err := json.Marshal(s.metrics.Snapshot())
+		if err != nil {
+			snap, _ = json.Marshal(err.Error())
+		}
+		s.log.Info("shutdown drained, final metrics",
+			"traces_captured", s.recorder.Captured(), "metrics", json.RawMessage(snap))
 	}
-	if s.logger != nil {
-		s.logger.Printf("shutdown: drained, final metrics %s", snap)
-	}
-	s.slog.Log(logz.Info, "shutdown drained",
-		"traces_captured", s.recorder.Captured(), "metrics", json.RawMessage(snap))
 	return nil
 }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // model returns the current primary slot's model.
 func (s *Server) model() *core.Model {
@@ -533,19 +531,8 @@ func (s *Server) primaryEngine() *infer.Engine {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// Index exposes the currently served discovery index snapshot. A completed
-// lake re-score replaces it wholesale — callers issuing several related
-// queries should pin one Index() result and run them all against it.
-func (s *Server) Index() *discovery.TypeIndex { return s.index.Current() }
-
-// Lake exposes the retained-table store a re-score walks.
-func (s *Server) Lake() *rescore.Lake { return s.lake }
-
 // Metrics exposes the server's metrics registry.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
-// SLO exposes the server's SLO engine.
-func (s *Server) SLO() *slo.Engine { return s.sloEng }
 
 // --- wire types ---
 

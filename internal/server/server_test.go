@@ -124,7 +124,7 @@ func TestIndexAndSearchFlow(t *testing.T) {
 			t.Fatal("response must confirm indexing")
 		}
 	}
-	if got := s.Index().Stats().Tables; got != 2 {
+	if got := s.index.Current().Stats().Tables; got != 2 {
 		t.Fatalf("indexed tables = %d", got)
 	}
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +12,6 @@ import (
 
 	"github.com/sematype/pythagoras/internal/faultinject"
 	"github.com/sematype/pythagoras/internal/obs"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 )
 
 // alwaysRecorder keeps every finished trace — deterministic capture for
@@ -264,13 +264,13 @@ func TestMetricsPromFormat(t *testing.T) {
 	}
 }
 
-// TestStructuredAccessLog: WithLogz emits one JSON line per request whose
-// request_id matches the response header and whose trace_id joins to the
-// captured trace.
+// TestStructuredAccessLog: WithSlog over a JSON handler emits one JSON line
+// per request whose request_id matches the response header and whose
+// trace_id joins to the captured trace.
 func TestStructuredAccessLog(t *testing.T) {
 	var buf bytes.Buffer
 	s := trainedServer(t,
-		WithLogz(logz.New(&buf, logz.Info)),
+		WithSlog(slog.New(slog.NewJSONHandler(&buf, nil))),
 		WithTraceRecorder(alwaysRecorder()))
 
 	rec := postJSON(t, s, "/v1/predict", sampleRequest(""))
@@ -293,7 +293,7 @@ func TestStructuredAccessLog(t *testing.T) {
 	if err := json.Unmarshal([]byte(line), &entry); err != nil {
 		t.Fatalf("access log line not JSON: %v (%q)", err, line)
 	}
-	if entry.Level != "info" || entry.Msg != "request" {
+	if entry.Level != "INFO" || entry.Msg != "request" {
 		t.Fatalf("level=%q msg=%q", entry.Level, entry.Msg)
 	}
 	if entry.Method != "POST" || entry.Path != "/v1/predict" || entry.Status != 200 {

@@ -16,10 +16,8 @@ import (
 	"time"
 
 	"github.com/sematype/pythagoras/internal/obs"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 	"github.com/sematype/pythagoras/internal/obs/slo"
 	"github.com/sematype/pythagoras/internal/obs/watch"
-	"github.com/sematype/pythagoras/internal/rescore"
 )
 
 // Watchdog defaults: the agreement gate matches what an operator would eye
@@ -83,13 +81,6 @@ func WithShadowAgreement(min float64, window time.Duration) Option {
 // loop (cmd/pythagoras serve) or drive Tick directly (tests).
 func (s *Server) Watchdog() *watch.Watchdog { return s.watchdog }
 
-// Flights exposes the flight-record ring, nil when no -flight-dir is set.
-func (s *Server) Flights() *watch.FlightDir { return s.flights }
-
-// RescoreBudget exposes the shared re-score concurrency budget the
-// watchdog throttles.
-func (s *Server) RescoreBudget() *rescore.Budget { return s.rescoreBudget }
-
 // initWatchdog builds the watchdog and its default rules. Called once from
 // NewWithEngine, after the SLO engine, recorder and registry exist.
 func (s *Server) initWatchdog() {
@@ -98,10 +89,9 @@ func (s *Server) initWatchdog() {
 		if err != nil {
 			// A broken flight dir must not stop the server from starting —
 			// alerting still works, only evidence capture is lost.
-			if s.logger != nil {
-				s.logger.Printf("watch: flight recorder disabled: %v", err)
+			if s.log != nil {
+				s.log.Error("flight recorder disabled", "err", err)
 			}
-			s.slog.Log(logz.Error, "flight recorder disabled", "err", err.Error())
 		} else {
 			s.flights = fd
 		}
@@ -198,10 +188,10 @@ func (s *Server) addWatchRules() {
 	s.watchdog.Add(watch.Rule{
 		Name: "queue-saturated",
 		Signal: func() (float64, bool) {
-			if s.maxQueue <= 0 {
+			if s.maxInflight <= 0 {
 				return 0, false
 			}
-			return float64(s.queued.Load()) / float64(s.maxQueue), true
+			return float64(s.queued.Load()) / float64(s.maxInflight), true
 		},
 		Threshold: queueSaturationThreshold,
 		For:       interval,

@@ -75,7 +75,7 @@ func TestWatchdogChaosBurstClosesTheLoop(t *testing.T) {
 	s := chaosServer(t, nil, srvFaults,
 		WithMaxInflight(1), WithSLO(eng), WithWatchNow(clk.now),
 		WithFlightDir(chaosFlightDir(t), 8), WithTraceRecorder(rec))
-	if s.Flights() == nil {
+	if s.flights == nil {
 		t.Fatal("flight recorder not enabled")
 	}
 	base := runtime.NumGoroutine()
@@ -149,7 +149,7 @@ func TestWatchdogChaosBurstClosesTheLoop(t *testing.T) {
 	}
 
 	// One tick: the fast burn has no for-duration, so it must fire now.
-	if got := s.RescoreBudget().Limit(); got != 2 {
+	if got := s.rescoreBudget.Limit(); got != 2 {
 		t.Fatalf("pre-alert budget limit = %d, want base 2", got)
 	}
 	s.Watchdog().Tick()
@@ -172,7 +172,7 @@ func TestWatchdogChaosBurstClosesTheLoop(t *testing.T) {
 	}
 
 	// The action fired: re-score budget halved from its base of 2.
-	if got := s.RescoreBudget().Limit(); got != 1 {
+	if got := s.rescoreBudget.Limit(); got != 1 {
 		t.Fatalf("budget limit while fast burn fires = %d, want 1", got)
 	}
 	snap := s.Metrics().Snapshot()
@@ -228,7 +228,7 @@ func TestWatchdogChaosBurstClosesTheLoop(t *testing.T) {
 	// and the budget is restored.
 	clk.advance(10 * time.Minute)
 	s.Watchdog().Tick() // clear tick: cool-down starts
-	if got := s.RescoreBudget().Limit(); got != 1 {
+	if got := s.rescoreBudget.Limit(); got != 1 {
 		t.Fatalf("budget restored before cool-down elapsed: %d", got)
 	}
 	clk.advance(s.Watchdog().Interval() + time.Second)
@@ -248,7 +248,7 @@ func TestWatchdogChaosBurstClosesTheLoop(t *testing.T) {
 	if !cleared {
 		t.Fatal("cleared slo-fast-burn not in recent history")
 	}
-	if got := s.RescoreBudget().Limit(); got != 2 {
+	if got := s.rescoreBudget.Limit(); got != 2 {
 		t.Fatalf("budget limit after clear = %d, want base 2", got)
 	}
 	snap = s.Metrics().Snapshot()
@@ -314,7 +314,7 @@ func TestWatchdogAutoRollbackOncePerCandidate(t *testing.T) {
 		t.Fatalf("state after auto-rollback: %+v", mr)
 	}
 	annotated := false
-	for _, ev := range s.SLO().Status().Events {
+	for _, ev := range s.sloEng.Status().Events {
 		if ev.Event == "auto-rollback" && strings.Contains(ev.Detail, "v2") {
 			annotated = true
 		}
@@ -396,9 +396,9 @@ func TestWatchdogQueueAndShedRules(t *testing.T) {
 		t.Fatalf("shed-rate not firing: %+v", rep.Active)
 	}
 
-	// Queue saturation reads queued/maxQueue directly; fake it via the
+	// Queue saturation reads queued/maxInflight directly; fake it via the
 	// admission gauges the middleware maintains.
-	s.queued.Store(int64(s.maxQueue))
+	s.queued.Store(int64(s.maxInflight))
 	clk.advance(interval)
 	s.Watchdog().Tick()
 	clk.advance(interval)
@@ -557,7 +557,7 @@ func TestWatchdogSurvivesBrokenFlightDir(t *testing.T) {
 	// their unavailable branch: the rules stay quiet instead of firing on a
 	// zero-valued read.
 	s := chaosServer(t, nil, nil, WithFlightDir(file, 4), WithSLO(slo.New(nil)))
-	if s.Flights() != nil {
+	if s.flights != nil {
 		t.Fatal("flight recorder opened on a regular file")
 	}
 	if s.Watchdog() == nil {
