@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt test vet perfbench lint-spans lint-alloc race cover fuzz bench bench-json loadtest profile experiments experiments-full corpora clean
+.PHONY: check build fmt test vet perfbench lint-spans lint-alloc race cover fuzz bench bench-json profile experiments experiments-full corpora clean
 
 # The default pre-merge gate: compile, formatting, lint, unit tests, the
 # benchmark harness, the race pass over the concurrent serving path (chaos
@@ -48,7 +48,7 @@ vet:
 # bounds, and running them alongside the (CPU-heavy) training race tests on
 # a small machine starves those timers into flakes.
 race:
-	$(GO) test -race -p 1 ./internal/core/... ./internal/infer/... ./internal/par/... ./internal/lm/... ./internal/server/... ./internal/faultinject/... ./internal/obs/... ./internal/loadgen/... ./internal/discovery/... ./internal/rescore/...
+	$(GO) test -race -p 1 ./internal/core/... ./internal/infer/... ./internal/par/... ./internal/lm/... ./internal/server/... ./internal/faultinject/... ./internal/obs/... ./internal/discovery/... ./internal/rescore/...
 
 # Total statement coverage floor, last raised when the watchdog/flight
 # recorder PR landed; `make cover` fails if the tree ever drops below it.
@@ -100,15 +100,6 @@ bench-json:
 		           if (n++) printf ","; printf "\n  \"%s_ns_per_op\": %s", name, $$3 } \
 		       END { printf "\n}\n" }' \
 		| tee BENCH_train.json
-
-# Serving-path benchmark: the open-loop load harness (cmd/loadgen) trains a
-# small model in-process, serves it behind a bounded admission queue with a
-# deterministic injected service time, and runs the soak+burst suite —
-# achieved-vs-offered QPS, p50/p90/p99/p999 latency (measured from scheduled
-# send times, coordinated-omission-safe), shed rate, per-status counts, and
-# the server's SLO burn-rate response, all into BENCH_serve.json.
-loadtest:
-	$(GO) run ./cmd/loadgen -suite -qps 100 -duration 10s -warmup 2s -out BENCH_serve.json
 
 # CPU profile of one training epoch (the substrate's hottest loop):
 # emits cpu.pprof + the train-epoch test binary for

@@ -86,10 +86,10 @@ var GCPauseBuckets = ExpBuckets(1e-5, 2, 12) // 10µs … ~20ms
 //	runtime.num_cpu                 logical CPUs visible to the process
 //	process.uptime_seconds          seconds since process start
 //
-// The last three make performance artifacts (BENCH_serve.json, a scraped
-// dashboard) interpretable across machines: a throughput number without the
-// CPU budget behind it is unreadable, and uptime separates a freshly warmed
-// process from one hours into its cache lifetime.
+// The last three make a scraped dashboard interpretable across machines: a
+// throughput number without the CPU budget behind it is unreadable, and
+// uptime separates a freshly warmed process from one hours into its cache
+// lifetime.
 //
 // Values are read lazily at snapshot/scrape time; ReadMemStats is throttled
 // to at most once per second so a tight scrape loop cannot turn telemetry

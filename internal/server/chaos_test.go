@@ -145,7 +145,7 @@ func TestBurstShedsCleanly(t *testing.T) {
 	if ok == 0 || shed == 0 {
 		t.Fatalf("burst of %d: %d ok, %d shed — want both non-zero", burst, ok, shed)
 	}
-	if got := s.Metrics().Snapshot().Counters["http.shed"]; got != uint64(shed) {
+	if got := s.metrics.Snapshot().Counters["http.shed"]; got != uint64(shed) {
 		t.Fatalf("http.shed = %d, want %d", got, shed)
 	}
 	settleGoroutines(t, base)
@@ -204,7 +204,7 @@ func TestDeadlineSurfacesAs504(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
 		t.Fatalf("504 body not a JSON error: %s", rec.Body)
 	}
-	if got := s.Metrics().Snapshot().Counters["http.timeouts"]; got != 1 {
+	if got := s.metrics.Snapshot().Counters["http.timeouts"]; got != 1 {
 		t.Fatalf("http.timeouts = %d, want 1", got)
 	}
 
@@ -379,7 +379,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	if !strings.Contains(logBuf.String(), "final metrics") {
 		t.Fatal("Shutdown did not flush a final metrics snapshot")
 	}
-	if s.Metrics().Snapshot().Gauges["http.draining"] != 1 {
+	if s.metrics.Snapshot().Gauges["http.draining"] != 1 {
 		t.Fatal("http.draining gauge not set")
 	}
 }

@@ -143,7 +143,7 @@ func TestModelLifecycleLoadPromoteRollback(t *testing.T) {
 	modelsPost(t, s, "/v1/models/rollback", nil, http.StatusConflict)
 
 	drain(t, s)
-	snap := s.Metrics().Snapshot()
+	snap := s.metrics.Snapshot()
 	for _, event := range []string{"load", "promote", "rollback"} {
 		key := fmt.Sprintf("models.swap{event=%q}", event)
 		if snap.Counters[key] != 1 {
@@ -187,7 +187,7 @@ func TestShadowScoringRecordsTelemetry(t *testing.T) {
 	}
 
 	drain(t, s)
-	snap := s.Metrics().Snapshot()
+	snap := s.metrics.Snapshot()
 	scored := snap.Counters[`shadow.tables.scored{model="cand"}`]
 	if want := uint64(singles + 2); scored != want {
 		t.Fatalf("shadow.tables.scored = %d, want %d", scored, want)
@@ -410,7 +410,7 @@ func TestRollbackDiscardsCandidate(t *testing.T) {
 		t.Fatalf("discard: %+v", st)
 	}
 	drain(t, s)
-	if got := s.Metrics().Snapshot().Counters["models.engines.drained"]; got != 1 {
+	if got := s.metrics.Snapshot().Counters["models.engines.drained"]; got != 1 {
 		t.Fatalf("discarded candidate engine not drained: %d", got)
 	}
 }
@@ -465,7 +465,7 @@ func TestShadowIsolationBitIdentity(t *testing.T) {
 
 	drain(t, shadowed)
 	// The shadow path really ran — scored some, errored some (After(3)).
-	snap := shadowed.Metrics().Snapshot()
+	snap := shadowed.metrics.Snapshot()
 	if snap.Counters[`shadow.tables.scored{model="cand"}`] == 0 {
 		t.Fatal("shadow scored nothing — isolation proved vacuously")
 	}

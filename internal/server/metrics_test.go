@@ -86,10 +86,10 @@ func TestRouteErrorCounter(t *testing.T) {
 func TestServerAdoptsEngineRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := trainedServer(t, WithMetrics(reg))
-	if s.Metrics() != reg {
+	if s.metrics != reg {
 		t.Fatal("server ignored WithMetrics registry")
 	}
-	if s.primaryEngine().Metrics() != reg {
+	if s.primary.Load().engine.Metrics() != reg {
 		t.Fatal("engine not wired to the server registry")
 	}
 }

@@ -287,10 +287,7 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 			return
 		}
 		if s.draining.Load() {
-			s.rejectTraced(w, r, func() {
-				w.Header().Set("Retry-After", "1")
-				writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
-			})
+			s.rejectTraced(w, r, func() { writeShuttingDown(w) })
 			return
 		}
 		if s.sem != nil {
@@ -324,10 +321,7 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
 		if s.draining.Load() {
-			s.rejectTraced(w, r, func() {
-				w.Header().Set("Retry-After", "1")
-				writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
-			})
+			s.rejectTraced(w, r, func() { writeShuttingDown(w) })
 			return
 		}
 		if err := s.faults.Fire(r.Context(), faultinject.ServerHandle); err != nil {

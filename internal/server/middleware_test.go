@@ -78,7 +78,7 @@ func TestPanicRecoveryReturnsJSON500(t *testing.T) {
 	if msg := decodeError(t, rec); msg != "internal server error" {
 		t.Fatalf("error = %q", msg)
 	}
-	if got := s.Metrics().Counter("http.panics").Value(); got != 1 {
+	if got := s.metrics.Counter("http.panics").Value(); got != 1 {
 		t.Fatalf("http.panics = %d, want 1", got)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("boom")) {

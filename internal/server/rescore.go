@@ -106,9 +106,10 @@ type RescoreResponse struct {
 // handleRescoreStart is POST /v1/index/rescore: start a background
 // re-score of every retained lake table on the current primary model.
 // 409 when one is already running — re-scores are one-at-a-time; cancel by
-// rolling back, or wait. The request body is ignored: which model to use is
-// never a choice (always the primary), so there is nothing to parameterize
-// per-request; batch size and cursor path are server configuration.
+// rolling back, or wait. 503 once Shutdown has begun. The request body is
+// ignored: which model to use is never a choice (always the primary), so
+// there is nothing to parameterize per-request; batch size and cursor path
+// are server configuration.
 func (s *Server) handleRescoreStart(w http.ResponseWriter, r *http.Request) {
 	// lcMu serializes the start against promote/rollback, which hold it
 	// while they cancel any active re-score and swap the primary pointer.
@@ -123,6 +124,14 @@ func (s *Server) handleRescoreStart(w http.ResponseWriter, r *http.Request) {
 	defer s.lcMu.Unlock()
 	s.rescore.mu.Lock()
 	defer s.rescore.mu.Unlock()
+	// The route is admission-exempt, so the middleware's draining gate never
+	// sees it. Shutdown sets draining before its cancelRescore takes
+	// rescore.mu, so under that lock a start either registers a run that
+	// Shutdown then cancels and awaits, or sees draining and is refused.
+	if s.draining.Load() {
+		writeShuttingDown(w)
+		return
+	}
 	if run := s.rescore.run; run != nil {
 		select {
 		case <-run.done:

@@ -102,6 +102,27 @@ func TestRescoreEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRescoreRefusedWhileDraining: the re-score route is admission-exempt,
+// so the handler itself must turn a start away once Shutdown has begun. A
+// scan started after Shutdown would hold an engine lease past Shutdown's
+// await barrier and outlive the server.
+func TestRescoreRefusedWhileDraining(t *testing.T) {
+	s := trainedServer(t)
+	if rec := postJSON(t, s, "/v1/index", sampleRequest("t1")); rec.Code != http.StatusOK {
+		t.Fatalf("index t1 = %d: %s", rec.Code, rec.Body)
+	}
+	drain(t, s)
+
+	rec := postJSON(t, s, "/v1/index/rescore", nil)
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("POST /v1/index/rescore after Shutdown: status %d, Retry-After %q: %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	}
+	if got := rescoreStatus(t, s); got.State != "idle" {
+		t.Fatalf("state after a refused start = %q, want idle", got.State)
+	}
+}
+
 // TestRollbackCancelsRescore is the ISSUE's lifecycle chaos case: promote a
 // new primary, start a re-score stretched by an injected per-batch stall,
 // roll back mid-scan — the run cancels cleanly and queries keep seeing the
@@ -227,7 +248,7 @@ func TestPromoteCancelsRescore(t *testing.T) {
 	}
 	// The lifecycle left a consistent story in the metrics.
 	drain(t, s)
-	snap := s.Metrics().Snapshot()
+	snap := s.metrics.Snapshot()
 	for _, key := range []string{
 		`rescore.events{event="rescore-start"}`,
 		`rescore.events{event="rescore-cancel"}`,

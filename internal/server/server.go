@@ -22,8 +22,7 @@
 //	GET  /v1/types     → indexed semantic types
 //	GET  /v1/healthz   → liveness + model/vocabulary info
 //	GET  /v1/readyz    → readiness: model loaded and not draining (load
-//	                   balancers gate traffic on this; loadgen waits for it
-//	                   before opening a measured window)
+//	                   balancers gate traffic on this)
 //	GET  /v1/metrics   → JSON snapshot of the metrics registry: per-stage
 //	                   inference latency histograms, per-route request/
 //	                   error/latency series, encoder cache gauges, spans
@@ -519,20 +518,8 @@ func (s *Server) modelTypes() int {
 	return 0
 }
 
-// primaryEngine returns the current primary slot's engine — introspection
-// for tests and callers that held the boot engine before lifecycle moves.
-func (s *Server) primaryEngine() *infer.Engine {
-	if slot := s.primary.Load(); slot != nil {
-		return slot.engine
-	}
-	return nil
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
-
-// Metrics exposes the server's metrics registry.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // --- wire types ---
 
@@ -599,6 +586,13 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 		resp.TraceID = rw.traceID
 	}
 	writeJSON(w, status, resp)
+}
+
+// writeShuttingDown turns away work that arrives once Shutdown has begun:
+// 503 with a Retry-After, so the client retries on another instance.
+func writeShuttingDown(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
+	writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
 }
 
 // toTable converts a request into the internal table model, inferring
@@ -918,8 +912,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleReadyz is the readiness probe, distinct from the liveness probe at
 // /v1/healthz: ready means a primary model is serving and the server is not
 // draining — i.e. a request sent now would be admitted rather than turned
-// away. Load balancers gate traffic on it, and loadgen polls it before
-// opening a measured window so warmup never includes a half-started server.
+// away. Load balancers gate traffic on it.
 // Lifecycle transitions never pass through an unready state: promote and
 // rollback swap the primary pointer without ever storing nil, and a failed
 // candidate load touches nothing but the error response (both are
@@ -947,7 +940,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // budget-window counts, remaining error budget, and the four burn-rate
 // windows with the fast/slow alert-pair states. The same numbers are
 // exported as gauges through /v1/metrics (slo.* families); this endpoint is
-// the structured report an operator or the load harness reads directly.
+// the structured report an operator reads directly.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.sloEng.Status())
 }

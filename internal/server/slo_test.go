@@ -29,7 +29,7 @@ func getJSON(t *testing.T, h http.Handler, path string, v any) *httptest.Respons
 }
 
 // TestReadyzReflectsLifecycle: ready while serving, 503 once draining — the
-// signal loadgen and load balancers gate on, distinct from liveness.
+// signal load balancers gate on, distinct from liveness.
 func TestReadyzReflectsLifecycle(t *testing.T) {
 	s := trainedServer(t)
 	var body map[string]any
@@ -89,7 +89,7 @@ func TestSLOEndpointReportsTraffic(t *testing.T) {
 		}
 	}
 	// The same accounting is visible as registry counters.
-	snap := s.Metrics().Snapshot()
+	snap := s.metrics.Snapshot()
 	if got := snap.Counters["slo.availability.events.good"]; got != 2 {
 		t.Fatalf("slo.availability.events.good = %d, want 2", got)
 	}
@@ -154,7 +154,7 @@ func TestSheddingMovesBurnRate(t *testing.T) {
 		}
 	}
 
-	snap := s.Metrics().Snapshot()
+	snap := s.metrics.Snapshot()
 	if got := snap.Counters["http.shed"]; got != shedWant {
 		t.Fatalf("http.shed = %d, want %d", got, shedWant)
 	}

@@ -112,10 +112,10 @@ func TestSwapUnderFire(t *testing.T) {
 	// Engines created: boot, v2-shadow, v2-primary, restored-boot, v3-shadow,
 	// v3-primary, restored-boot-again. All but the final primary must have
 	// retired and fully drained.
-	if got := s.Metrics().Snapshot().Counters["models.engines.drained"]; got != 6 {
+	if got := s.metrics.Snapshot().Counters["models.engines.drained"]; got != 6 {
 		t.Fatalf("models.engines.drained = %d, want 6", got)
 	}
-	eng := s.primaryEngine()
+	eng := s.primary.Load().engine
 	if eng.Retired() || eng.Refs() != 1 {
 		t.Fatalf("final primary engine: retired=%v refs=%d, want live with owner ref", eng.Retired(), eng.Refs())
 	}

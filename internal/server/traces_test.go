@@ -136,7 +136,7 @@ func TestPanicTraceMarkedErrored(t *testing.T) {
 	if msg := decodeError(t, rec); msg != "internal server error" {
 		t.Fatalf("error = %q", msg)
 	}
-	if got := s.Metrics().Counter("http.panics").Value(); got != 1 {
+	if got := s.metrics.Counter("http.panics").Value(); got != 1 {
 		t.Fatalf("http.panics = %d, want 1", got)
 	}
 

@@ -175,7 +175,7 @@ func TestWatchdogChaosBurstClosesTheLoop(t *testing.T) {
 	if got := s.rescoreBudget.Limit(); got != 1 {
 		t.Fatalf("budget limit while fast burn fires = %d, want 1", got)
 	}
-	snap := s.Metrics().Snapshot()
+	snap := s.metrics.Snapshot()
 	if got := snap.Counters[`watch.actions{action="rescore-throttle"}`]; got != 1 {
 		t.Fatalf("rescore-throttle actions = %d, want 1", got)
 	}
@@ -251,7 +251,7 @@ func TestWatchdogChaosBurstClosesTheLoop(t *testing.T) {
 	if got := s.rescoreBudget.Limit(); got != 2 {
 		t.Fatalf("budget limit after clear = %d, want base 2", got)
 	}
-	snap = s.Metrics().Snapshot()
+	snap = s.metrics.Snapshot()
 	if got := snap.Counters[`watch.actions{action="rescore-restore"}`]; got != 1 {
 		t.Fatalf("rescore-restore actions = %d, want 1", got)
 	}
@@ -283,7 +283,7 @@ func TestWatchdogAutoRollbackOncePerCandidate(t *testing.T) {
 		cand.mx.agree.Add(10)
 	}
 	swaps := func() uint64 {
-		return s.Metrics().Snapshot().Counters[`models.swap{event="auto-rollback"}`]
+		return s.metrics.Snapshot().Counters[`models.swap{event="auto-rollback"}`]
 	}
 
 	loadPinnedLow("v2")
@@ -357,14 +357,14 @@ func TestWatchdogAutoRollbackLatchBlocksRefire(t *testing.T) {
 
 	a := watch.Alert{Rule: "shadow-agreement-low", Value: 0.1, Threshold: 0.85}
 	s.autoRollbackCandidate(a)
-	if got := s.Metrics().Snapshot().Counters[`models.swap{event="auto-rollback"}`]; got != 1 {
+	if got := s.metrics.Snapshot().Counters[`models.swap{event="auto-rollback"}`]; got != 1 {
 		t.Fatalf("swaps after first fire = %d, want 1", got)
 	}
 	// Re-arm the candidate pointer to the already-rolled slot, as if the
 	// action re-fired mid-swap: the latch must refuse.
 	s.candidate.Store(cand)
 	s.autoRollbackCandidate(a)
-	if got := s.Metrics().Snapshot().Counters[`models.swap{event="auto-rollback"}`]; got != 1 {
+	if got := s.metrics.Snapshot().Counters[`models.swap{event="auto-rollback"}`]; got != 1 {
 		t.Fatalf("latch failed: swaps = %d, want 1", got)
 	}
 	s.candidate.Store(nil)
@@ -446,16 +446,16 @@ func TestWatchdogStoppedByShutdown(t *testing.T) {
 	defer cancel()
 	s.Watchdog().Start(ctx)
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Metrics().Snapshot().Counters["watch.ticks"] == 0 {
+	for s.metrics.Snapshot().Counters["watch.ticks"] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("watchdog loop never ticked")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	drain(t, s) // Shutdown calls watchdog.Stop()
-	n := s.Metrics().Snapshot().Counters["watch.ticks"]
+	n := s.metrics.Snapshot().Counters["watch.ticks"]
 	time.Sleep(20 * time.Millisecond)
-	if got := s.Metrics().Snapshot().Counters["watch.ticks"]; got != n {
+	if got := s.metrics.Snapshot().Counters["watch.ticks"]; got != n {
 		t.Fatalf("watchdog still ticking after Shutdown: %d → %d", n, got)
 	}
 	settleGoroutines(t, base)
