@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt test vet perfbench lint-spans lint-alloc race cover fuzz bench bench-json profile experiments experiments-full corpora clean
+.PHONY: check build fmt test vet perfbench lint-spans lint-alloc race cover fuzz bench profile experiments experiments-full corpora clean
 
 # The default pre-merge gate: compile, formatting, lint, unit tests, the
 # benchmark harness, the race pass over the concurrent serving path (chaos
@@ -70,36 +70,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTableRequestDecode -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzModelsRequestDecode -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzModelLoad -fuzztime 10s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/rescore/
 
 # One quick-scale pass per paper table/figure plus component micro-benches.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
-
-# Machine-readable performance baselines for regression tracking:
-#  - BENCH_infer.json — ns/op for PredictBatch at batch sizes 1/4/16, plus
-#    the observability overhead pair (bare engine vs metrics+drift+tracing
-#    at batch 16 with 1% sampling)
-#  - BENCH_train.json — ns/op for one training epoch at 1/4/8/16 workers
-#    (results are bit-identical at every count; only the time changes)
-bench-json:
-	$(GO) test -run '^$$' -bench '^BenchmarkPredictBatch$$/|^BenchmarkObsOverhead$$/' -benchtime=10x . \
-		| awk 'BEGIN { printf "{" } \
-		       /^BenchmarkPredictBatch\// { \
-		           name=$$1; sub(/^BenchmarkPredictBatch\//, "", name); sub(/-[0-9]+$$/, "", name); \
-		           if (n++) printf ","; printf "\n  \"%s_ns_per_op\": %s", name, $$3 } \
-		       /^BenchmarkObsOverhead\// { \
-		           name=$$1; sub(/^BenchmarkObsOverhead\//, "", name); sub(/-[0-9]+$$/, "", name); \
-		           if (n++) printf ","; printf "\n  \"%s_ns_per_op\": %s", name, $$3 } \
-		       END { printf "\n}\n" }' \
-		| tee BENCH_infer.json
-	$(GO) test -run '^$$' -bench '^BenchmarkTrainEpoch$$/' -benchtime=3x . \
-		| awk 'BEGIN { printf "{" } \
-		       /^BenchmarkTrainEpoch\// { \
-		           name=$$1; sub(/^BenchmarkTrainEpoch\//, "", name); sub(/-[0-9]+$$/, "", name); \
-		           if (n++) printf ","; printf "\n  \"%s_ns_per_op\": %s", name, $$3 } \
-		       END { printf "\n}\n" }' \
-		| tee BENCH_train.json
 
 # CPU profile of one training epoch (the substrate's hottest loop):
 # emits cpu.pprof + the train-epoch test binary for

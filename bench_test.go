@@ -248,8 +248,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 // the batch-16 serving path: "obs_off" is the bare engine, "obs_on" adds
 // everything a production `serve` runs per request — metrics registry,
 // drift monitor, and a span tree offered to a 1%-sampling trace recorder.
-// The two ns/op figures land side by side in BENCH_infer.json via
-// `make bench-json`; budget is <5% overhead.
+// Compare the two sub-benchmarks' ns/op.
 func BenchmarkObsOverhead(b *testing.B) {
 	m, c := benchModel(b)
 	tables := make([]*table.Table, 16)
@@ -290,8 +289,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // and 16 workers over the same corpus and seed. The trained parameters are
 // bit-identical at every worker count (see core's worker-count identity
 // test); this benchmark tracks the wall-clock side of that trade — epoch
-// time and epochs/sec versus parallelism — and feeds BENCH_train.json via
-// `make bench-json`.
+// time and epochs/sec versus parallelism.
 func BenchmarkTrainEpoch(b *testing.B) {
 	c := data.GenerateSportsTables(data.SportsConfig{
 		NumTables: 42, Seed: 11, MinRows: 10, MaxRows: 16, WeakNameProb: 0.1, Domains: 3,

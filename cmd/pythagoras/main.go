@@ -293,7 +293,6 @@ func cmdServe(args []string) {
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	shadowSample := fs.Float64("shadow-sample", 1, "fraction of live traffic double-scored on a shadowing candidate model (deterministic seeded sampling; see POST /v1/models)")
 	modelsDir := fs.String("models-dir", "", "confine POST /v1/models checkpoint paths to this directory (empty = any readable path)")
-	rescoreCkpt := fs.String("rescore-checkpoint", "", "durable cursor path for lake re-scores (POST /v1/index/rescore); empty keeps the cursor in memory only, so a crashed re-score restarts instead of resuming")
 	rescoreBatch := fs.Int("rescore-batch", 16, "tables per engine batch during a lake re-score")
 	watchInterval := fs.Duration("watch-interval", watch.DefaultInterval, "anomaly-watchdog evaluation period (0 disables the background loop; rules still evaluate on demand in tests)")
 	flightDir := fs.String("flight-dir", "", "directory for watchdog flight records (metrics+traces+profiles captured when an alert fires); empty disables capture")
@@ -340,9 +339,6 @@ func cmdServe(args []string) {
 	}
 	if *modelsDir != "" {
 		opts = append(opts, server.WithModelsDir(*modelsDir))
-	}
-	if *rescoreCkpt != "" {
-		opts = append(opts, server.WithRescoreCheckpoint(*rescoreCkpt))
 	}
 	srv := server.NewWithEngine(eng, *minConf, opts...)
 	logf("pythagoras serving on %s (vocabulary: %d types, debug=%v, request-timeout=%s, max-inflight=%d, slo-target=%g, slo-latency=%dms)",

@@ -50,13 +50,14 @@ func NewTypeIndex(minConfidence float64) *TypeIndex {
 	}
 }
 
-// predRefs converts predictions for t into column refs, dropping those
-// below minConfidence. The returned slice is never nil — an empty result is
-// "indexed with zero qualifying columns", not "skipped".
-func predRefs(t *table.Table, preds []core.ColumnPrediction, minConfidence float64) []ColumnRef {
+// AddPredictions indexes already-computed predictions for t — the serving
+// layer's path, so one staged-inference pass covers both the response and
+// the index update. Predictions below the index's minimum confidence are
+// dropped.
+func (ix *TypeIndex) AddPredictions(t *table.Table, preds []core.ColumnPrediction) int {
 	refs := make([]ColumnRef, 0, len(preds))
 	for _, p := range preds {
-		if p.Confidence < minConfidence {
+		if p.Confidence < ix.minConfidence {
 			continue
 		}
 		refs = append(refs, ColumnRef{
@@ -64,14 +65,7 @@ func predRefs(t *table.Table, preds []core.ColumnPrediction, minConfidence float
 			Header: p.Header, Kind: p.Kind, Type: p.Type, Confidence: p.Confidence,
 		})
 	}
-	return refs
-}
-
-// AddPredictions indexes already-computed predictions for t — the serving
-// layer's path, so one staged-inference pass covers both the response and
-// the index update.
-func (ix *TypeIndex) AddPredictions(t *table.Table, preds []core.ColumnPrediction) int {
-	return ix.setRefs(t.ID, predRefs(t, preds, ix.minConfidence))
+	return ix.setRefs(t.ID, refs)
 }
 
 // setRefs installs refs as tableID's entries, replacing any previous ones.
@@ -308,8 +302,8 @@ func (ix *TypeIndex) UnionCandidates(tableID string, topK int) ([]UnionCandidate
 // tab-separated line per indexed column, tables in sorted-ID order, each
 // table's columns in position order, confidences in hex float (lossless
 // round-trip). Two indexes over the same lake are semantically equal iff
-// their dumps are byte-equal — the oracle the rescore crash-resume
-// bit-identity tests compare.
+// their dumps are byte-equal — the oracle the rescore and swap tests
+// compare.
 func (ix *TypeIndex) CanonicalDump() []byte {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

@@ -10,15 +10,14 @@
 // pointer in one atomic store. Queries pin whichever index the pointer
 // held when they started; they never see the shadow mid-build.
 //
-// Live mutations during a shadow build dual-write: an add or remove lands
-// in the current index (queries must see it now) and in the shadow (the
-// flip must not lose it). Every dual-write also marks its table ID as
-// superseded for the rest of the build: the live mutation happened after
-// the re-score's scan fetched the table, so whatever the scan eventually
-// writes for that ID is stale. A superseded ID makes ShadowAdd and
-// ShadowAddRefs no-ops — a remove cannot be resurrected by an in-flight
-// batch, and an acknowledged live re-add cannot be overwritten by the
-// older version the scan fetched before it landed.
+// A live add during a shadow build dual-writes: it lands in the current
+// index (queries must see it now) and in the shadow (the flip must not lose
+// it). Every dual-write also marks its table ID as superseded for the rest
+// of the build: the live add may have landed after the re-score's scan
+// fetched the table, so whatever the scan eventually writes for that ID may
+// be stale. A superseded ID makes ShadowAdd a no-op — an acknowledged live
+// re-add cannot be overwritten by the older version the scan fetched
+// before it landed.
 package discovery
 
 import (
@@ -44,10 +43,10 @@ type SwapIndex struct {
 	// it — Current is a plain atomic load.
 	mu     sync.Mutex
 	shadow *TypeIndex
-	// superseded holds the IDs every live dual-write (add or remove) touched
-	// during the active build. The shadow already carries their newest state,
-	// so the re-score driver's writes for them — computed from a fetch that
-	// predates the live mutation — are dropped, not applied.
+	// superseded holds the IDs every live dual-write touched during the
+	// active build. The shadow already carries their newest state, so the
+	// re-score driver's writes for them — computed from a fetch that may
+	// predate the live add — are dropped, not applied.
 	superseded map[string]struct{}
 }
 
@@ -79,35 +78,9 @@ func (s *SwapIndex) AddPredictions(t *table.Table, preds []core.ColumnPrediction
 	return n
 }
 
-// AddLabeled indexes t's gold labels, dual-writing like AddPredictions.
-func (s *SwapIndex) AddLabeled(t *table.Table) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.cur.Load().AddLabeled(t)
-	if s.shadow != nil {
-		s.shadow.AddLabeled(t)
-		s.superseded[t.ID] = struct{}{}
-	}
-	return n
-}
-
-// Remove drops a table from the current index and, when a shadow build is
-// active, from the shadow — marking the ID superseded so an in-flight
-// re-score batch cannot re-insert what an operator just deleted.
-func (s *SwapIndex) Remove(tableID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cur.Load().Remove(tableID)
-	if s.shadow != nil {
-		s.shadow.Remove(tableID)
-		s.superseded[tableID] = struct{}{}
-	}
-}
-
 // BeginShadow starts a shadow build: a fresh empty TypeIndex that re-score
-// writes (ShadowAdd/ShadowAddRefs) and live dual-writes fill until
-// CommitShadow flips it in or AbortShadow discards it. Only one build may
-// be active at a time.
+// writes (ShadowAdd) and live dual-writes fill until CommitShadow flips it
+// in or AbortShadow discards it. Only one build may be active at a time.
 func (s *SwapIndex) BeginShadow() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -127,41 +100,21 @@ func (s *SwapIndex) ShadowActive() bool {
 }
 
 // ShadowAdd indexes re-scored predictions for t into the shadow only and
-// returns the refs it installed — the caller persists them in the scan
-// checkpoint so a resumed re-score replays them instead of re-scoring. A
-// nil result with a nil error means a live dual-write superseded the scan's
-// copy of the table (removed, or re-added with newer data, after the scan
-// fetched it) and the write was deliberately skipped — the shadow already
-// holds the authoritative state.
-func (s *SwapIndex) ShadowAdd(t *table.Table, preds []core.ColumnPrediction) ([]ColumnRef, error) {
+// reports whether it installed them. false with a nil error means a live
+// dual-write superseded the scan's copy of the table (re-added with newer
+// data after the scan fetched it) and the write was deliberately skipped —
+// the shadow already holds the authoritative state.
+func (s *SwapIndex) ShadowAdd(t *table.Table, preds []core.ColumnPrediction) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.shadow == nil {
-		return nil, fmt.Errorf("discovery: no shadow build active")
+		return false, fmt.Errorf("discovery: no shadow build active")
 	}
 	if _, newer := s.superseded[t.ID]; newer {
-		return nil, nil
+		return false, nil
 	}
-	refs := predRefs(t, preds, s.minConfidence)
-	s.shadow.setRefs(t.ID, refs)
-	return refs, nil
-}
-
-// ShadowAddRefs replays checkpointed refs for tableID into the shadow — the
-// resume path, which must reproduce the interrupted run's index without
-// re-scoring the already-durable prefix. Superseded tables are skipped like
-// in ShadowAdd.
-func (s *SwapIndex) ShadowAddRefs(tableID string, refs []ColumnRef) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shadow == nil {
-		return fmt.Errorf("discovery: no shadow build active")
-	}
-	if _, newer := s.superseded[tableID]; newer {
-		return nil
-	}
-	s.shadow.setRefs(tableID, append([]ColumnRef(nil), refs...))
-	return nil
+	s.shadow.AddPredictions(t, preds)
+	return true, nil
 }
 
 // CommitShadow atomically publishes the shadow as the current index — the

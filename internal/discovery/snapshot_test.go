@@ -22,9 +22,15 @@ func labeledPreds(t *table.Table, conf float64) []core.ColumnPrediction {
 	return preds
 }
 
+// addLive indexes t through the serving path with its gold labels at
+// confidence 1.
+func addLive(s *SwapIndex, t *table.Table) {
+	s.AddPredictions(t, labeledPreds(t, 1))
+}
+
 func TestSwapIndexDualWrite(t *testing.T) {
 	s := NewSwapIndex(0)
-	s.AddLabeled(labeledTable("pre", "price"))
+	addLive(s, labeledTable("pre", "price"))
 
 	if err := s.BeginShadow(); err != nil {
 		t.Fatal(err)
@@ -37,7 +43,7 @@ func TestSwapIndexDualWrite(t *testing.T) {
 	}
 
 	// Live add mid-build reaches the current index immediately…
-	s.AddLabeled(labeledTable("live", "rating"))
+	addLive(s, labeledTable("live", "rating"))
 	if got := s.Current().Stats().Tables; got != 2 {
 		t.Fatalf("current tables mid-build = %d, want 2", got)
 	}
@@ -61,56 +67,36 @@ func TestSwapIndexDualWrite(t *testing.T) {
 	}
 }
 
+// TestSwapIndexTombstones: a live re-add supersedes the scan's copy — the
+// table is carried into the shadow by the dual-write, and the driver's later
+// ShadowAdd of the version it fetched before the re-add is dropped, not
+// applied.
 func TestSwapIndexTombstones(t *testing.T) {
 	s := NewSwapIndex(0)
-	doomed := labeledTable("doomed", "price")
-	s.AddLabeled(doomed)
+	readded := labeledTable("readded", "price")
+	addLive(s, readded)
 
 	if err := s.BeginShadow(); err != nil {
 		t.Fatal(err)
 	}
-	// Operator removes the table while re-score holds a copy of it.
-	s.Remove("doomed")
-	// The in-flight batch lands after the remove: must be skipped.
-	refs, err := s.ShadowAdd(doomed, labeledPreds(doomed, 0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refs != nil {
-		t.Fatalf("tombstoned ShadowAdd returned refs: %+v", refs)
-	}
-	// Checkpoint replay must honor the tombstone too.
-	if err := s.ShadowAddRefs("doomed", []ColumnRef{{TableID: "doomed", Type: "price", Confidence: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	s.CommitShadow()
-	if got := s.Current().Stats().Tables; got != 0 {
-		t.Fatalf("removed table resurrected: %d tables post-flip", got)
-	}
-
-	// A live re-add supersedes the scan's copy: the table is legitimately
-	// back, carried by the dual-write — the driver's later ShadowAdd of the
-	// version it fetched before the re-add is dropped, not applied.
-	if err := s.BeginShadow(); err != nil {
-		t.Fatal(err)
-	}
-	s.Remove("doomed")
-	s.AddLabeled(doomed)
-	refs, err = s.ShadowAdd(doomed, labeledPreds(doomed, 0.9))
-	if err != nil || refs != nil {
-		t.Fatalf("stale ShadowAdd after a live re-add must skip: refs=%v err=%v", refs, err)
+	addLive(s, readded)
+	installed, err := s.ShadowAdd(readded, labeledPreds(readded, 0.9))
+	if err != nil || installed {
+		t.Fatalf("stale ShadowAdd after a live re-add must skip: installed=%v err=%v", installed, err)
 	}
 	s.CommitShadow()
 	if got := s.Current().Stats().Tables; got != 1 {
 		t.Fatalf("re-added table missing post-flip: %d tables", got)
 	}
+	if cols := s.Current().Columns("price"); len(cols) != 1 || cols[0].Confidence != 1 {
+		t.Fatalf("stale scan copy replaced the live re-add: %+v", cols)
+	}
 }
 
 // TestSwapIndexLiveRewriteNotLost is the lost-update regression: the
 // re-score scan fetches a table, a live re-add then dual-writes newer refs
-// into the shadow, and the driver's ShadowAdd (and, on the resume path,
-// ShadowAddRefs) of the stale fetch lands last. The acknowledged live
-// update must survive the flip.
+// into the shadow, and the driver's ShadowAdd of the stale fetch lands
+// last. The acknowledged live update must survive the flip.
 func TestSwapIndexLiveRewriteNotLost(t *testing.T) {
 	s := NewSwapIndex(0)
 	tb := labeledTable("hot", "price")
@@ -122,13 +108,10 @@ func TestSwapIndexLiveRewriteNotLost(t *testing.T) {
 	// Scan "fetched" tb with confidence 0.3 here. The live re-add lands
 	// first with the newer 0.9 view…
 	s.AddPredictions(tb, labeledPreds(tb, 0.9))
-	// …then the driver's stale writes arrive. Both forms must skip.
-	refs, err := s.ShadowAdd(tb, labeledPreds(tb, 0.3))
-	if err != nil || refs != nil {
-		t.Fatalf("stale ShadowAdd overwrote a live update: refs=%v err=%v", refs, err)
-	}
-	if err := s.ShadowAddRefs("hot", []ColumnRef{{TableID: "hot", Type: "price", Confidence: 0.3}}); err != nil {
-		t.Fatal(err)
+	// …then the driver's stale write arrives and must skip.
+	installed, err := s.ShadowAdd(tb, labeledPreds(tb, 0.3))
+	if err != nil || installed {
+		t.Fatalf("stale ShadowAdd overwrote a live update: installed=%v err=%v", installed, err)
 	}
 	if !s.CommitShadow() {
 		t.Fatal("CommitShadow = false")
@@ -141,7 +124,7 @@ func TestSwapIndexLiveRewriteNotLost(t *testing.T) {
 
 func TestSwapIndexAbort(t *testing.T) {
 	s := NewSwapIndex(0)
-	s.AddLabeled(labeledTable("keep", "price"))
+	addLive(s, labeledTable("keep", "price"))
 	before := s.Current()
 
 	if err := s.BeginShadow(); err != nil {
@@ -160,9 +143,6 @@ func TestSwapIndexAbort(t *testing.T) {
 	// Shadow ops after abort fail cleanly.
 	if _, err := s.ShadowAdd(labeledTable("x", "a"), nil); err == nil {
 		t.Fatal("ShadowAdd without active build must error")
-	}
-	if err := s.ShadowAddRefs("x", nil); err == nil {
-		t.Fatal("ShadowAddRefs without active build must error")
 	}
 	// A new build can start after abort.
 	if err := s.BeginShadow(); err != nil {

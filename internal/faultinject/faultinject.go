@@ -57,11 +57,6 @@ const (
 	// cancellation tests race against; an injected error models a scoring
 	// failure aborting the run.
 	RescoreBatch Point = "rescore.batch"
-	// RescoreCheckpoint fires before each durable cursor write. An injected
-	// error is the deterministic stand-in for a crash between batches: the
-	// run dies with the previous checkpoint as the last durable position,
-	// which is exactly what a resume must recover from.
-	RescoreCheckpoint Point = "rescore.checkpoint"
 	// RescoreSwap fires after the scan completes, before the snapshot index
 	// flip — the last instant at which a crash leaves the old index
 	// serving.

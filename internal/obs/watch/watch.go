@@ -1,7 +1,7 @@
 // Package watch is the anomaly watchdog (DESIGN.md §16): declarative rules
 // evaluated over the serving stack's existing signal surfaces — SLO burn-rate
 // pairs, drift χ² gauges, shadow agreement, admission queue depth and shed
-// rate, re-score cursor progress — on a fixed tick with per-rule hysteresis.
+// rate, re-score progress — on a fixed tick with per-rule hysteresis.
 //
 // The watchdog closes the loop that the rest of internal/obs leaves open:
 // metrics are exported and then nobody looks at them. A Rule names a signal,

@@ -1,12 +1,10 @@
 // Package rescore re-types an already-indexed lake after a model upgrade
-// (DESIGN.md §15): a checkpointed scan cursor over a frozen snapshot of the
-// lake's table IDs, a bounded-concurrency driver that feeds table batches
-// through the staged inference engine, and a snapshot-isolated index swap
+// (DESIGN.md §15): one in-memory scan over a frozen snapshot of the lake's
+// table IDs, a bounded-concurrency driver that feeds table batches through
+// the staged inference engine, and a snapshot-isolated index swap
 // (discovery.SwapIndex) so discovery queries never observe a half-rescored
-// lake. The cursor is durable — a crash mid-scan resumes from the last
-// checkpoint and provably reproduces the uninterrupted run's index bit for
-// bit, because per-table predictions are deterministic and the checkpoint
-// carries the refs of the completed prefix.
+// lake. A crashed or cancelled run leaves the old index serving; the next
+// run starts over from the lake.
 package rescore
 
 import (
@@ -19,7 +17,8 @@ import (
 // Lake is the serving layer's retained copy of every indexed table — the
 // corpus a re-score walks. The discovery index alone cannot drive a
 // re-score: it holds predictions, not the column data a model needs to
-// predict again. Safe for concurrent use.
+// predict again. It only grows: re-indexing a table replaces its copy, and
+// nothing removes one. Safe for concurrent use.
 type Lake struct {
 	mu     sync.RWMutex
 	tables map[string]*table.Table
@@ -49,13 +48,6 @@ func (l *Lake) Get(id string) *table.Table {
 	return l.tables[id]
 }
 
-// Remove drops a table from the store.
-func (l *Lake) Remove(id string) {
-	l.mu.Lock()
-	delete(l.tables, id)
-	l.mu.Unlock()
-}
-
 // Len reports how many tables the lake holds.
 func (l *Lake) Len() int {
 	l.mu.RLock()
@@ -64,8 +56,7 @@ func (l *Lake) Len() int {
 }
 
 // SnapshotIDs returns the sorted IDs of every stored table — the frozen
-// scan order a re-score walks. Sorting makes the scan (and therefore the
-// cursor semantics and the chaos tests' resume determinism) independent of
+// scan order a re-score walks. Sorting makes the batches independent of
 // map iteration order and insertion history.
 func (l *Lake) SnapshotIDs() []string {
 	l.mu.RLock()

@@ -30,10 +30,4 @@ func TestLakeBasics(t *testing.T) {
 	if l.Len() != 3 || l.Get("mid").Name != "v2" {
 		t.Fatal("Put did not replace")
 	}
-
-	l.Remove("mid")
-	l.Remove("ghost") // no-op
-	if l.Len() != 2 || l.Get("mid") != nil {
-		t.Fatal("Remove misbehaves")
-	}
 }

@@ -1,18 +1,15 @@
-// The re-score driver: walk the frozen scan snapshot in batches, score
-// each batch on the inference engine with bounded concurrency, commit
-// results in scan order (so the durable cursor is always a contiguous
-// completed prefix), checkpoint after every commit, and flip the shadow
-// index in when the scan completes. Cancellation (operator rollback, or
-// shutdown) aborts the shadow and leaves the old index serving; the cursor
-// survives on disk for a later resume.
+// The re-score driver: freeze the lake's table IDs, score them in batches
+// on the inference engine under the concurrency budget, write each scored
+// batch into the shadow index, and flip the shadow in when the scan
+// completes. Cancellation (operator promote or rollback, or shutdown) and
+// errors abort the shadow and leave the old index serving; the next run
+// starts over from the lake.
 package rescore
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -23,14 +20,6 @@ import (
 	"github.com/sematype/pythagoras/internal/table"
 )
 
-// ErrLakeMismatch is returned by Run when a resumed checkpoint references
-// mostly tables the lake no longer holds. The lake is in-memory: after a
-// process restart it is empty until the serving layer repopulates it, and
-// replaying a cursor against it would flip in a near-empty index — strictly
-// worse than refusing. Repopulate the lake (re-index the tables) before
-// resuming, or delete the checkpoint to start fresh.
-var ErrLakeMismatch = errors.New("rescore: checkpoint references tables missing from the lake")
-
 // Scorer is the slice of infer.Engine the driver needs — batch inference
 // with context cancellation. Narrowing to an interface keeps the package
 // testable with deterministic fakes and free of an engine dependency.
@@ -40,8 +29,7 @@ type Scorer interface {
 
 // Config parameterizes one re-score run.
 type Config struct {
-	// ModelID labels telemetry and guards the checkpoint: a cursor written
-	// by a different model is discarded, not resumed.
+	// ModelID labels the run's progress and telemetry.
 	ModelID string
 	// BatchSize is how many tables are scored per engine batch (default 16,
 	// the engine's union-chunk bound).
@@ -55,9 +43,6 @@ type Config struct {
 	// dynamic one the watchdog can lower mid-run (SLO fast burn → halve) and
 	// restore. When nil the driver builds a private NewBudget(Concurrency).
 	Budget *Budget
-	// CheckpointPath is where the durable cursor lives. Empty disables
-	// durability: the run still works, it just cannot resume after a crash.
-	CheckpointPath string
 	// Faults arms the chaos suite's injection points; nil (production) is
 	// free.
 	Faults *faultinject.Set
@@ -71,15 +56,13 @@ type Progress struct {
 	// "done", "failed", "cancelled".
 	State   string `json:"state"`
 	ModelID string `json:"model_id"`
-	// Total is the scan snapshot size; Done the committed cursor position.
+	// Total is the scan snapshot size; Done how many of its tables have
+	// been through a completed batch.
 	Total int `json:"total"`
 	Done  int `json:"done"`
-	// Skipped counts snapshot tables that vanished from the lake, or whose
-	// scan write was superseded by a concurrent live add/remove, before they
-	// could be committed.
-	Skipped int `json:"skipped"`
-	// Resumed reports whether this run continued a persisted cursor.
-	Resumed    bool      `json:"resumed"`
+	// Skipped counts scanned tables whose shadow write was dropped because a
+	// live re-add superseded it (the shadow already holds the newer copy).
+	Skipped    int       `json:"skipped"`
 	Error      string    `json:"error,omitempty"`
 	StartedAt  time.Time `json:"started_at"`
 	FinishedAt time.Time `json:"finished_at"`
@@ -99,7 +82,7 @@ type Driver struct {
 
 	scored *obs.Counter // rescore.tables.scored{model=}
 	errs   *obs.Counter // rescore.errors{model=}
-	posG   *obs.Gauge   // rescore.cursor.position
+	posG   *obs.Gauge   // rescore.cursor.position: Progress.Done
 	totalG *obs.Gauge   // rescore.tables.total
 	active *obs.Gauge   // rescore.active
 }
@@ -151,19 +134,9 @@ func (d *Driver) update(fn func(p *Progress)) {
 	d.totalG.Set(float64(total))
 }
 
-// batchResult carries one scored batch from a worker to the committer.
-type batchResult struct {
-	tables  []*table.Table
-	preds   [][]core.ColumnPrediction
-	missing int
-	err     error
-}
-
 // Run executes the re-score to completion (or failure/cancellation). It is
-// one-shot: a Driver runs once, a resume is a fresh Driver over the same
-// checkpoint path. On success the shadow index has been committed and the
-// checkpoint file removed; on any other exit the old index is untouched
-// and the checkpoint (if durable) names the last completed prefix.
+// one-shot: a Driver runs once. On success the shadow index has been
+// committed; on any other exit the old index is untouched.
 func (d *Driver) Run(ctx context.Context) error {
 	d.mu.Lock()
 	if d.started {
@@ -197,92 +170,10 @@ func (d *Driver) Run(ctx context.Context) error {
 	return err
 }
 
-// loadOrInit resumes the persisted cursor when one exists, was written by
-// the same model, and validates; otherwise it freezes a fresh scan snapshot
-// from the lake. Only a same-model cursor resumes — another model's prefix
-// refs are that model's view of the lake and replaying them would commit a
-// mixed index, the exact state this subsystem exists to prevent.
-func (d *Driver) loadOrInit() (*Checkpoint, bool) {
-	if d.cfg.CheckpointPath != "" {
-		cp, err := LoadCheckpoint(d.cfg.CheckpointPath)
-		if err == nil && cp.ModelID == d.cfg.ModelID {
-			return cp, true
-		}
-	}
-	return &Checkpoint{
-		Version: CheckpointVersion,
-		ModelID: d.cfg.ModelID,
-		IDs:     d.lake.SnapshotIDs(),
-		Refs:    map[string][]discovery.ColumnRef{},
-	}, false
-}
-
-// checkResumable refuses to resume a cursor whose tables are mostly gone
-// from the lake — the signature of a process restart without the lake being
-// repopulated (see ErrLakeMismatch). A minority of absent tables is normal
-// churn (operators remove tables mid-scan) and resumes fine.
-func (d *Driver) checkResumable(cp *Checkpoint) error {
-	if len(cp.IDs) == 0 {
-		return nil
-	}
-	present := 0
-	for _, id := range cp.IDs {
-		if d.lake.Get(id) != nil {
-			present++
-		}
-	}
-	if present*2 < len(cp.IDs) {
-		return fmt.Errorf("%w: %d of %d checkpointed tables present — repopulate the lake before resuming, or delete %s to start fresh",
-			ErrLakeMismatch, present, len(cp.IDs), d.cfg.CheckpointPath)
-	}
-	return nil
-}
-
-// reconcile folds lake changes the frozen cursor cannot know about into a
-// resumed scan. Two kinds exist: tables added to the lake after the
-// interrupted run froze its snapshot (they are in no scan and were
-// dual-written only into a shadow that died with the crash — without this
-// they silently vanish from the discovery index at the flip), and
-// completed-prefix tables with no checkpointed refs (their ShadowAdd was
-// superseded by a live dual-write during the interrupted run). Both sets
-// join the pending suffix — sorted, duplicate-free — and are scored like
-// any other unscanned table.
-func (d *Driver) reconcile(cp *Checkpoint) {
-	inSnap := make(map[string]struct{}, len(cp.IDs))
-	for _, id := range cp.IDs {
-		inSnap[id] = struct{}{}
-	}
-	var requeue []string
-	for _, id := range d.lake.SnapshotIDs() {
-		if _, ok := inSnap[id]; !ok {
-			requeue = append(requeue, id)
-		}
-	}
-	done := make([]string, 0, cp.Pos)
-	for _, id := range cp.IDs[:cp.Pos] {
-		if _, ok := cp.Refs[id]; ok {
-			done = append(done, id)
-		} else {
-			requeue = append(requeue, id)
-		}
-	}
-	if len(requeue) == 0 {
-		return
-	}
-	pending := append(requeue, cp.IDs[cp.Pos:]...)
-	sort.Strings(pending)
-	cp.IDs = append(done, pending...)
-	cp.Pos = len(done)
-}
-
 func (d *Driver) run(ctx context.Context) error {
-	cp, resumed := d.loadOrInit()
-	if resumed {
-		if err := d.checkResumable(cp); err != nil {
-			return err
-		}
-		d.reconcile(cp)
-	}
+	// The shadow opens before the snapshot freezes: a table indexed in
+	// between is then either in the snapshot or dual-written into the
+	// shadow, never neither.
 	if err := d.idx.BeginShadow(); err != nil {
 		return err
 	}
@@ -292,110 +183,39 @@ func (d *Driver) run(ctx context.Context) error {
 			d.idx.AbortShadow()
 		}
 	}()
+	ids := d.lake.SnapshotIDs()
+	d.update(func(p *Progress) { p.Total = len(ids) })
 
-	// Replay the durable prefix into the fresh shadow. Tables that vanished
-	// from the lake since the cursor was written are dropped — the new index
-	// must reflect the lake as it is, not as it was mid-crash.
-	skipped := 0
-	for _, id := range cp.IDs[:cp.Pos] {
-		refs, ok := cp.Refs[id]
-		if !ok || d.lake.Get(id) == nil {
-			delete(cp.Refs, id)
-			skipped++
-			continue
-		}
-		if err := d.idx.ShadowAddRefs(id, refs); err != nil {
-			return err
-		}
-	}
-	d.update(func(p *Progress) {
-		p.Total = len(cp.IDs)
-		p.Done = cp.Pos
-		p.Skipped = skipped
-		p.Resumed = resumed
-	})
-
-	// Score the remaining suffix: one goroutine per batch gated by the
-	// concurrency budget, results committed strictly in scan order so the
-	// checkpoint is always a contiguous prefix.
-	pending := cp.IDs[cp.Pos:]
-	var batches [][]string
-	for len(pending) > 0 {
-		n := d.cfg.BatchSize
-		if n > len(pending) {
-			n = len(pending)
-		}
-		batches = append(batches, pending[:n])
-		pending = pending[n:]
-	}
-
+	// A batch goroutine starts only once it holds a budget slot, so at most
+	// the budget's limit exist at once. Batches write the shadow in
+	// whatever order they finish: every TypeIndex query sorts on a total
+	// order, so insertion order is unobservable.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make([]chan batchResult, len(batches))
+	var (
+		wg      sync.WaitGroup
+		errOnce sync.Once
+		runErr  error
+	)
 	budget := d.cfg.Budget
-	var wg sync.WaitGroup
-	for i := range batches {
-		results[i] = make(chan batchResult, 1)
+	for lo := 0; lo < len(ids) && runCtx.Err() == nil; lo += d.cfg.BatchSize {
+		if budget.Acquire(runCtx) != nil {
+			break // runCtx is done: a batch failed or ctx was cancelled
+		}
+		batch := ids[lo:min(lo+d.cfg.BatchSize, len(ids))]
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if err := budget.Acquire(runCtx); err != nil {
-				results[i] <- batchResult{err: err}
-				return
-			}
 			defer budget.Release()
-			results[i] <- d.scoreBatch(runCtx, batches[i])
-		}(i)
+			if err := d.scoreBatch(runCtx, batch); err != nil {
+				errOnce.Do(func() {
+					runErr = err
+					cancel()
+				})
+			}
+		}()
 	}
-	defer wg.Wait() // no worker outlives Run, even on early error
-
-	var runErr error
-	for i := range batches {
-		r := <-results[i]
-		if runErr != nil {
-			continue // already failing: drain workers, commit nothing more
-		}
-		if r.err != nil {
-			runErr = r.err
-			cancel()
-			continue
-		}
-		batchSkipped := r.missing
-		for j, t := range r.tables {
-			refs, err := d.idx.ShadowAdd(t, r.preds[j])
-			if err != nil {
-				runErr = err
-				break
-			}
-			if refs == nil {
-				batchSkipped++ // superseded by a concurrent live remove or re-add
-				continue
-			}
-			cp.Refs[t.ID] = refs
-			d.scored.Inc()
-		}
-		if runErr != nil {
-			cancel()
-			continue
-		}
-		cp.Pos += len(batches[i])
-		if err := d.cfg.Faults.Fire(runCtx, faultinject.RescoreCheckpoint); err != nil {
-			runErr = fmt.Errorf("rescore: checkpoint: %w", err)
-			cancel()
-			continue
-		}
-		if d.cfg.CheckpointPath != "" {
-			if err := cp.Save(d.cfg.CheckpointPath); err != nil {
-				runErr = err
-				cancel()
-				continue
-			}
-		}
-		d.update(func(p *Progress) {
-			p.Done = cp.Pos
-			p.Skipped += batchSkipped
-		})
-	}
+	wg.Wait() // no batch outlives Run
 	if runErr != nil {
 		return runErr
 	}
@@ -403,9 +223,8 @@ func (d *Driver) run(ctx context.Context) error {
 		return err
 	}
 
-	// Scan complete: flip the shadow in. A crash before the flip (modeled by
-	// the RescoreSwap fault) leaves the old index serving and a complete
-	// cursor on disk — a resume replays it and retries just the flip.
+	// Scan complete: flip the shadow in. A failure before the flip (modeled
+	// by the RescoreSwap fault) leaves the old index serving.
 	if err := d.cfg.Faults.Fire(ctx, faultinject.RescoreSwap); err != nil {
 		return fmt.Errorf("rescore: swap: %w", err)
 	}
@@ -413,34 +232,38 @@ func (d *Driver) run(ctx context.Context) error {
 		return errors.New("rescore: shadow build vanished before commit")
 	}
 	committed = true
-	if d.cfg.CheckpointPath != "" {
-		// The run is complete; a stale cursor must not resume into it.
-		if err := os.Remove(d.cfg.CheckpointPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("rescore: clear checkpoint: %w", err)
-		}
-	}
 	return nil
 }
 
-// scoreBatch fetches the batch's surviving tables from the lake and scores
-// them in one engine batch. Tables removed since the snapshot are skipped.
-func (d *Driver) scoreBatch(ctx context.Context, ids []string) batchResult {
-	tables := make([]*table.Table, 0, len(ids))
-	for _, id := range ids {
-		if t := d.lake.Get(id); t != nil {
-			tables = append(tables, t)
-		}
-	}
-	missing := len(ids) - len(tables)
+// scoreBatch scores one batch of snapshot tables in one engine batch and
+// writes the predictions into the shadow index.
+func (d *Driver) scoreBatch(ctx context.Context, ids []string) error {
 	if err := d.cfg.Faults.Fire(ctx, faultinject.RescoreBatch); err != nil {
-		return batchResult{err: fmt.Errorf("rescore: batch: %w", err)}
+		return fmt.Errorf("rescore: batch: %w", err)
 	}
-	if len(tables) == 0 {
-		return batchResult{missing: missing}
+	tables := make([]*table.Table, len(ids))
+	for i, id := range ids {
+		tables[i] = d.lake.Get(id) // the lake never drops a table
 	}
 	preds, err := d.scorer.PredictBatchCtx(ctx, tables)
 	if err != nil {
-		return batchResult{err: err}
+		return err
 	}
-	return batchResult{tables: tables, preds: preds, missing: missing}
+	skipped := 0
+	for i, t := range tables {
+		installed, err := d.idx.ShadowAdd(t, preds[i])
+		if err != nil {
+			return err
+		}
+		if !installed {
+			skipped++ // superseded by a live re-add
+			continue
+		}
+		d.scored.Inc()
+	}
+	d.update(func(p *Progress) {
+		p.Done += len(ids)
+		p.Skipped += skipped
+	})
+	return nil
 }

@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -28,7 +27,7 @@ func mkTable(id string, types ...string) *table.Table {
 
 // predsFor is the fake model: deterministic per table and column, and
 // independent of batch composition — the property the real engine has and
-// the crash-resume bit-identity proof relies on.
+// the oracle comparisons rely on.
 func predsFor(t *table.Table) []core.ColumnPrediction {
 	preds := make([]core.ColumnPrediction, 0, len(t.Columns))
 	for ci, c := range t.Columns {
@@ -110,15 +109,14 @@ func wantDump(lake *Lake) []byte {
 func TestRunHappyPath(t *testing.T) {
 	lake, idx := seedLake(10)
 	old := idx.Current()
-	ckpt := filepath.Join(t.TempDir(), "cursor.json")
 	sc := &fakeScorer{}
-	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 3, Concurrency: 2, CheckpointPath: ckpt})
+	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 3, Concurrency: 2})
 
 	if err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	p := d.Progress()
-	if p.State != "done" || p.Total != 10 || p.Done != 10 || p.Skipped != 0 || p.Resumed {
+	if p.State != "done" || p.Total != 10 || p.Done != 10 || p.Skipped != 0 {
 		t.Fatalf("progress = %+v", p)
 	}
 	if idx.Current() == old {
@@ -127,114 +125,48 @@ func TestRunHappyPath(t *testing.T) {
 	if got := idx.Current().CanonicalDump(); !bytes.Equal(got, wantDump(lake)) {
 		t.Fatalf("rescored index diverges from oracle:\n%s", got)
 	}
-	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("checkpoint not cleared after completion: %v", err)
-	}
 	// One-shot: a second Run must refuse.
 	if err := d.Run(context.Background()); err == nil {
 		t.Fatal("second Run succeeded")
 	}
 }
 
-// TestCrashResumeBitIdentity is the ISSUE's acceptance criterion: kill the
-// re-score at an injected fault point, resume from the persisted cursor
-// with a fresh driver, and the finished index is byte-identical to an
-// uninterrupted run's.
-func TestCrashResumeBitIdentity(t *testing.T) {
-	const n, batch = 11, 3 // deliberately not batch-aligned
-	oracle := func() []byte {
-		lake, _ := seedLake(n)
-		return wantDump(lake)
-	}()
-
-	lake, idx := seedLake(n)
-	old := idx.Current()
-	ckpt := filepath.Join(t.TempDir(), "cursor.json")
-	boom := errors.New("simulated crash")
-
-	// Crash at the 3rd checkpoint write — two batches are durable.
-	faults := faultinject.New().On(faultinject.RescoreCheckpoint,
-		faultinject.After(2, faultinject.Err(boom)))
-	sc1 := &fakeScorer{}
-	d1 := New(lake, sc1, idx, Config{
-		ModelID: "m-new", BatchSize: batch, Concurrency: 2,
-		CheckpointPath: ckpt, Faults: faults,
-	})
-	if err := d1.Run(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("Run = %v, want the injected crash", err)
-	}
-	if p := d1.Progress(); p.State != "failed" || p.Done != 2*batch {
-		t.Fatalf("crashed progress = %+v", p)
-	}
-	if idx.Current() != old {
-		t.Fatal("crashed run flipped the index")
-	}
-	cp, err := LoadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatalf("no durable cursor after crash: %v", err)
-	}
-	if cp.Pos != 2*batch || len(cp.Refs) != 2*batch {
-		t.Fatalf("cursor = pos %d, %d refs; want the 2-batch prefix", cp.Pos, len(cp.Refs))
-	}
-
-	// Resume: a fresh driver over the same cursor. The durable prefix is
-	// replayed, not re-scored.
-	sc2 := &fakeScorer{}
-	d2 := New(lake, sc2, idx, Config{
-		ModelID: "m-new", BatchSize: batch, Concurrency: 2, CheckpointPath: ckpt,
-	})
-	if err := d2.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	p := d2.Progress()
-	if p.State != "done" || !p.Resumed || p.Total != n || p.Done != n {
-		t.Fatalf("resumed progress = %+v", p)
-	}
-	for id := range sc2.scoredIDs() {
-		for _, pre := range cp.IDs[:cp.Pos] {
-			if id == pre {
-				t.Fatalf("resume re-scored durable-prefix table %s", id)
-			}
-		}
-	}
-	if got := idx.Current().CanonicalDump(); !bytes.Equal(got, oracle) {
-		t.Fatalf("resumed index is not bit-identical to an uninterrupted run:\n got:\n%s\nwant:\n%s", got, oracle)
-	}
-	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("checkpoint survived a completed resume")
-	}
-}
-
-// TestSwapCrashResume crashes after the scan finished but before the flip:
-// the cursor is complete on disk, so the resume replays everything, scores
-// nothing, and retries just the flip.
+// TestSwapCrashResume fails the run after the scan finished but before the
+// flip: the old index keeps serving, and the next run scores the lake as it
+// is then — a table re-indexed in between included — and flips.
 func TestSwapCrashResume(t *testing.T) {
 	lake, idx := seedLake(6)
-	ckpt := filepath.Join(t.TempDir(), "cursor.json")
+	old := idx.Current()
+	oldDump := old.CanonicalDump()
 	boom := errors.New("crash before flip")
 
 	faults := faultinject.New().On(faultinject.RescoreSwap, faultinject.Times(1, faultinject.Err(boom)))
-	d1 := New(lake, &fakeScorer{}, idx, Config{
-		ModelID: "m-new", BatchSize: 2, CheckpointPath: ckpt, Faults: faults,
-	})
+	d1 := New(lake, &fakeScorer{}, idx, Config{ModelID: "m-new", BatchSize: 2, Faults: faults})
 	if err := d1.Run(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("Run = %v", err)
 	}
-	cp, err := LoadCheckpoint(ckpt)
-	if err != nil || cp.Pos != 6 {
-		t.Fatalf("cursor after swap-crash: %+v, %v", cp, err)
+	if p := d1.Progress(); p.State != "failed" || p.Done != 6 {
+		t.Fatalf("failed-flip progress = %+v", p)
+	}
+	if idx.Current() != old || !bytes.Equal(idx.Current().CanonicalDump(), oldDump) || idx.ShadowActive() {
+		t.Fatal("failed flip disturbed the serving index")
 	}
 
+	// Between the runs, t00 is re-indexed with different columns.
+	fresh := mkTable(tableID(0), "team")
+	lake.Put(fresh)
+	idx.AddPredictions(fresh, predsFor(fresh))
+
 	sc2 := &fakeScorer{}
-	d2 := New(lake, sc2, idx, Config{ModelID: "m-new", BatchSize: 2, CheckpointPath: ckpt})
+	d2 := New(lake, sc2, idx, Config{ModelID: "m-new", BatchSize: 2, Faults: faults})
 	if err := d2.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(sc2.scoredIDs()) != 0 {
-		t.Fatalf("flip-retry re-scored tables: %v", sc2.scoredIDs())
+	if got := len(sc2.scoredIDs()); got != 6 {
+		t.Fatalf("next run scored %d tables, want all 6", got)
 	}
 	if got := idx.Current().CanonicalDump(); !bytes.Equal(got, wantDump(lake)) {
-		t.Fatal("flip-retry index diverges from oracle")
+		t.Fatalf("next run's index diverges from the lake:\n%s", got)
 	}
 }
 
@@ -242,7 +174,6 @@ func TestCancelMidRunLeavesOldIndex(t *testing.T) {
 	lake, idx := seedLake(9)
 	old := idx.Current()
 	oldDump := old.CanonicalDump()
-	ckpt := filepath.Join(t.TempDir(), "cursor.json")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -250,8 +181,7 @@ func TestCancelMidRunLeavesOldIndex(t *testing.T) {
 	faults := faultinject.New().On(faultinject.RescoreBatch,
 		faultinject.After(1, faultinject.Cancel(cancel)))
 	d := New(lake, &fakeScorer{}, idx, Config{
-		ModelID: "m-new", BatchSize: 3, Concurrency: 1,
-		CheckpointPath: ckpt, Faults: faults,
+		ModelID: "m-new", BatchSize: 3, Concurrency: 1, Faults: faults,
 	})
 	err := d.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
@@ -272,196 +202,51 @@ func TestCancelMidRunLeavesOldIndex(t *testing.T) {
 	}
 }
 
-func TestModelMismatchStartsFresh(t *testing.T) {
-	lake, idx := seedLake(4)
-	ckpt := filepath.Join(t.TempDir(), "cursor.json")
-	stale := &Checkpoint{
-		Version: CheckpointVersion, ModelID: "m-old",
-		IDs: lake.SnapshotIDs(), Pos: 2,
-		Refs: map[string][]discovery.ColumnRef{
-			lake.SnapshotIDs()[0]: nil, lake.SnapshotIDs()[1]: nil,
-		},
-	}
-	if err := stale.Save(ckpt); err != nil {
-		t.Fatal(err)
-	}
-
-	sc := &fakeScorer{}
-	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 2, CheckpointPath: ckpt})
-	if err := d.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	p := d.Progress()
-	if p.Resumed {
-		t.Fatal("resumed another model's cursor")
-	}
-	if got := len(sc.scoredIDs()); got != 4 {
-		t.Fatalf("fresh run scored %d tables, want all 4", got)
-	}
-	if got := idx.Current().CanonicalDump(); !bytes.Equal(got, wantDump(lake)) {
-		t.Fatal("index diverges from oracle")
-	}
-}
-
-// TestResumeSkipsVanishedTables: tables in the durable prefix that left the
-// lake before the resume are dropped, not replayed — the new index reflects
-// the lake as it is.
-func TestResumeSkipsVanishedTables(t *testing.T) {
-	lake, idx := seedLake(6)
-	ckpt := filepath.Join(t.TempDir(), "cursor.json")
-	boom := errors.New("crash")
-	faults := faultinject.New().On(faultinject.RescoreCheckpoint,
-		faultinject.After(1, faultinject.Err(boom)))
-	d1 := New(lake, &fakeScorer{}, idx, Config{
-		ModelID: "m-new", BatchSize: 2, CheckpointPath: ckpt, Faults: faults,
-	})
-	if err := d1.Run(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("Run = %v", err)
-	}
-	cp, err := LoadCheckpoint(ckpt)
-	if err != nil || cp.Pos != 2 {
-		t.Fatalf("cursor = %+v, %v", cp, err)
-	}
-	gone := cp.IDs[0] // in the durable prefix
-	lake.Remove(gone)
-	idx.Remove(gone)
-
-	d2 := New(lake, &fakeScorer{}, idx, Config{ModelID: "m-new", BatchSize: 2, CheckpointPath: ckpt})
-	if err := d2.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	p := d2.Progress()
-	if p.Skipped != 1 {
-		t.Fatalf("Skipped = %d, want 1", p.Skipped)
-	}
-	if got := idx.Current().CanonicalDump(); !bytes.Equal(got, wantDump(lake)) {
-		t.Fatal("index diverges from post-removal oracle")
-	}
-}
-
-// TestConcurrentRemoveTombstones models an operator deleting a table while
-// its batch is on the engine: the scorer's hook removes it through the
-// SwapIndex mid-batch, so ShadowAdd must tombstone-skip it and the flipped
-// index must not resurrect it.
-func TestConcurrentRemoveTombstones(t *testing.T) {
-	lake, idx := seedLake(6)
-	victim := lake.SnapshotIDs()[3]
-	sc := &fakeScorer{}
-	sc.hook = func(ts []*table.Table) {
-		for _, tb := range ts {
-			if tb.ID == victim {
-				lake.Remove(victim)
-				idx.Remove(victim)
-			}
-		}
-	}
-	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 2})
-	if err := d.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	p := d.Progress()
-	if p.State != "done" || p.Skipped != 1 {
-		t.Fatalf("progress = %+v, want done with 1 skipped", p)
-	}
-	dump := idx.Current().CanonicalDump()
-	if bytes.Contains(dump, []byte(victim)) {
-		t.Fatalf("removed table %s resurrected by in-flight batch:\n%s", victim, dump)
-	}
-	if got := idx.Current().CanonicalDump(); !bytes.Equal(got, wantDump(lake)) {
-		t.Fatal("index diverges from post-removal oracle")
-	}
-}
-
-// TestResumePicksUpLakeAdds: tables indexed after the interrupted run froze
-// its snapshot (live adds while it ran, or adds between the crash and the
-// resume) are unknown to the cursor — the resume must fold them into the
-// pending suffix and score them, or they silently vanish from the discovery
-// index when the shadow flips in.
-func TestResumePicksUpLakeAdds(t *testing.T) {
-	lake, idx := seedLake(6)
-	ckpt := filepath.Join(t.TempDir(), "cursor.json")
-	boom := errors.New("crash")
-	faults := faultinject.New().On(faultinject.RescoreCheckpoint,
-		faultinject.After(1, faultinject.Err(boom)))
-	d1 := New(lake, &fakeScorer{}, idx, Config{
-		ModelID: "m-new", BatchSize: 2, CheckpointPath: ckpt, Faults: faults,
-	})
-	if err := d1.Run(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("Run = %v", err)
-	}
-
-	// A table lands in the lake (and, as the serving layer would do, in the
-	// live index) after the crash, before the resume.
-	late := mkTable("t99", "price")
-	lake.Put(late)
-	idx.AddPredictions(late, predsFor(late))
-
-	sc2 := &fakeScorer{}
-	d2 := New(lake, sc2, idx, Config{ModelID: "m-new", BatchSize: 2, CheckpointPath: ckpt})
-	if err := d2.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	p := d2.Progress()
-	if !p.Resumed || p.Total != 7 || p.Done != 7 {
-		t.Fatalf("resumed progress = %+v, want total 7", p)
-	}
-	if _, ok := sc2.scoredIDs()["t99"]; !ok {
-		t.Fatal("resume never scored the post-snapshot table")
-	}
-	if got := idx.Current().CanonicalDump(); !bytes.Equal(got, wantDump(lake)) {
-		t.Fatalf("post-snapshot table missing from flipped index:\n%s", got)
-	}
-}
-
-// TestResumeRequeuesSupersededTables: a table whose ShadowAdd was superseded
-// by a live dual-write during the interrupted run has no checkpointed refs —
-// the shadow state that covered it died with the crash, so the resume must
-// score it again rather than drop it.
-func TestResumeRequeuesSupersededTables(t *testing.T) {
-	lake, idx := seedLake(6)
-	victim := lake.SnapshotIDs()[0]
-	ckpt := filepath.Join(t.TempDir(), "cursor.json")
-	boom := errors.New("crash")
-	faults := faultinject.New().On(faultinject.RescoreCheckpoint,
+// TestBatchErrorFailsRun: a scoring error in one batch fails the run, stops
+// the scan and leaves the old index serving.
+func TestBatchErrorFailsRun(t *testing.T) {
+	lake, idx := seedLake(12)
+	old := idx.Current()
+	boom := errors.New("engine failure")
+	faults := faultinject.New().On(faultinject.RescoreBatch,
 		faultinject.After(2, faultinject.Err(boom)))
-	sc1 := &fakeScorer{}
-	sc1.hook = func(ts []*table.Table) {
-		for _, tb := range ts {
-			if tb.ID == victim {
-				// A live re-add lands after the scan fetched the table: the
-				// dual-write supersedes the driver's pending ShadowAdd.
-				idx.AddPredictions(tb, predsFor(tb))
-			}
-		}
+	sc := &fakeScorer{}
+	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 1, Concurrency: 1, Faults: faults})
+	if err := d.Run(context.Background()); !errors.Is(err, boom) {
+		t.Fatalf("Run = %v, want the injected error", err)
 	}
-	d1 := New(lake, sc1, idx, Config{
-		ModelID: "m-new", BatchSize: 2, Concurrency: 1,
-		CheckpointPath: ckpt, Faults: faults,
-	})
-	if err := d1.Run(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("Run = %v", err)
+	if p := d.Progress(); p.State != "failed" || p.Done != 2 {
+		t.Fatalf("progress = %+v, want failed after 2 tables", p)
 	}
-	cp, err := LoadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatal(err)
+	if got := len(sc.scoredIDs()); got != 2 {
+		t.Fatalf("scan scored %d tables after the failure, want it stopped at 2", got)
 	}
-	if cp.Pos != 4 {
-		t.Fatalf("cursor pos = %d, want 4", cp.Pos)
+	if idx.Current() != old || idx.ShadowActive() {
+		t.Fatal("failed run disturbed the serving index")
 	}
-	if _, ok := cp.Refs[victim]; ok {
-		t.Fatalf("superseded table %s has checkpointed refs", victim)
-	}
+}
 
-	sc2 := &fakeScorer{}
-	d2 := New(lake, sc2, idx, Config{ModelID: "m-new", BatchSize: 2, CheckpointPath: ckpt})
-	if err := d2.Run(context.Background()); err != nil {
+// TestRunBoundsBatchGoroutines: a batch goroutine starts only once it holds
+// a budget slot, so however many batches a lake has, at most the budget's
+// limit of them are alive at once — plus one that has released its slot and
+// is exiting.
+func TestRunBoundsBatchGoroutines(t *testing.T) {
+	const limit = 2
+	lake, idx := seedLake(64)
+	base := runtime.NumGoroutine()
+	var mu sync.Mutex
+	peak := 0
+	sc := &fakeScorer{hook: func([]*table.Table) {
+		mu.Lock()
+		peak = max(peak, runtime.NumGoroutine()-base)
+		mu.Unlock()
+	}}
+	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 1, Concurrency: limit})
+	if err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sc2.scoredIDs()[victim]; !ok {
-		t.Fatalf("resume dropped superseded table %s instead of re-scoring it", victim)
-	}
-	if got := idx.Current().CanonicalDump(); !bytes.Equal(got, wantDump(lake)) {
-		t.Fatal("index diverges from oracle after requeued resume")
+	if peak > limit+1 {
+		t.Fatalf("%d goroutines above the baseline during the scan, want at most %d", peak, limit+1)
 	}
 }
 
@@ -495,56 +280,5 @@ func TestLiveRewriteDuringScanWins(t *testing.T) {
 		if ref.TableID == victim && ref.Confidence != 0.95 {
 			t.Fatalf("live update lost: %s indexed at %v, want the live 0.95", victim, ref.Confidence)
 		}
-	}
-}
-
-// TestResumeRefusedOnLostLake: after a real process restart the in-memory
-// lake is empty until the serving layer repopulates it. Resuming a cursor
-// against it must refuse (ErrLakeMismatch) instead of flipping in a
-// near-empty index; the old index keeps serving and the cursor survives.
-func TestResumeRefusedOnLostLake(t *testing.T) {
-	lake, idx := seedLake(6)
-	old := idx.Current()
-	ckpt := filepath.Join(t.TempDir(), "cursor.json")
-	boom := errors.New("crash")
-	faults := faultinject.New().On(faultinject.RescoreCheckpoint,
-		faultinject.After(1, faultinject.Err(boom)))
-	d1 := New(lake, &fakeScorer{}, idx, Config{
-		ModelID: "m-new", BatchSize: 2, CheckpointPath: ckpt, Faults: faults,
-	})
-	if err := d1.Run(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("Run = %v", err)
-	}
-
-	// Simulated restart: fresh empty lake, same cursor.
-	d2 := New(NewLake(), &fakeScorer{}, idx, Config{ModelID: "m-new", BatchSize: 2, CheckpointPath: ckpt})
-	err := d2.Run(context.Background())
-	if !errors.Is(err, ErrLakeMismatch) {
-		t.Fatalf("Run over an empty lake = %v, want ErrLakeMismatch", err)
-	}
-	if p := d2.Progress(); p.State != "failed" {
-		t.Fatalf("state = %q, want failed", p.State)
-	}
-	if idx.Current() != old {
-		t.Fatal("refused resume disturbed the serving index")
-	}
-	if idx.ShadowActive() {
-		t.Fatal("shadow leaked after refused resume")
-	}
-	if _, err := LoadCheckpoint(ckpt); err != nil {
-		t.Fatalf("cursor lost after refused resume: %v", err)
-	}
-}
-
-// TestInMemoryRun: an empty CheckpointPath disables durability but the run
-// still completes and flips.
-func TestInMemoryRun(t *testing.T) {
-	lake, idx := seedLake(5)
-	d := New(lake, &fakeScorer{}, idx, Config{ModelID: "m-new", BatchSize: 2})
-	if err := d.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := idx.Current().CanonicalDump(); !bytes.Equal(got, wantDump(lake)) {
-		t.Fatal("in-memory run diverges from oracle")
 	}
 }

@@ -484,10 +484,9 @@ func (s *Server) handleModelsRollback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Rolling the primary back mid-rescore cancels the re-score: it is
-	// scoring on the model being rolled away from. The shadow build aborts,
-	// the old index keeps serving untouched, and the durable cursor stays on
-	// disk (a later re-score by the same model resumes it; any other model
-	// starts fresh).
+	// scoring on the model being rolled away from. The shadow build aborts
+	// and the old index keeps serving untouched; the next re-score starts
+	// over from the lake.
 	s.cancelRescore("rollback")
 	restored := &modelSlot{
 		id:       prev.id,

@@ -1,12 +1,12 @@
 // Lake re-score control plane (DESIGN.md §15): after a model promote, the
 // discovery index still carries the previous model's predictions for every
 // table indexed before the swap. POST /v1/index/rescore walks the retained
-// lake through the new primary in the background — checkpointed cursor,
-// bounded concurrency, shadow index — and atomically flips the discovery
-// index when the scan completes, so queries go from "all old model" to
-// "all new model" in one step and never see a mix. GET /v1/index/rescore
-// reports progress; promote, rollback and shutdown cancel an active run
-// (the old index keeps serving, the durable cursor survives for a resume).
+// lake through the new primary in the background — bounded concurrency,
+// shadow index — and atomically flips the discovery index when the scan
+// completes, so queries go from "all old model" to "all new model" in one
+// step and never see a mix. GET /v1/index/rescore reports progress;
+// promote, rollback and shutdown cancel an active run (the old index keeps
+// serving, and the next run starts over from the lake).
 package server
 
 import (
@@ -93,23 +93,13 @@ func (s *Server) recordRescore(event, detail string) {
 	}
 }
 
-// RescoreResponse is the body of both re-score endpoints: the driver's
-// progress plus the server's cursor configuration. State "idle" (zero
-// Progress otherwise) means no re-score has run since boot.
-type RescoreResponse struct {
-	rescore.Progress
-	// Checkpoint is the configured durable cursor path, empty when the
-	// cursor is in-memory only.
-	Checkpoint string `json:"checkpoint,omitempty"`
-}
-
 // handleRescoreStart is POST /v1/index/rescore: start a background
-// re-score of every retained lake table on the current primary model.
-// 409 when one is already running — re-scores are one-at-a-time; cancel by
-// rolling back, or wait. 503 once Shutdown has begun. The request body is
-// ignored: which model to use is never a choice (always the primary), so
-// there is nothing to parameterize per-request; batch size and cursor path
-// are server configuration.
+// re-score of every retained lake table on the current primary model, and
+// answer with its rescore.Progress. 409 when one is already running —
+// re-scores are one-at-a-time; cancel by rolling back, or wait. 503 once
+// Shutdown has begun. The request body is ignored: which model to use is
+// never a choice (always the primary), so there is nothing to parameterize
+// per-request; the batch size is server configuration.
 func (s *Server) handleRescoreStart(w http.ResponseWriter, r *http.Request) {
 	// lcMu serializes the start against promote/rollback, which hold it
 	// while they cancel any active re-score and swap the primary pointer.
@@ -146,9 +136,8 @@ func (s *Server) handleRescoreStart(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	drv := rescore.New(s.lake, slot.engine, s.index, rescore.Config{
-		ModelID:        slot.id,
-		BatchSize:      s.rescoreBatch,
-		CheckpointPath: s.rescoreCkpt,
+		ModelID:   slot.id,
+		BatchSize: s.rescoreBatch,
 		// The server-lifetime budget, not a per-run semaphore: the watchdog
 		// holds a reference and throttles it while the SLO fast burn fires.
 		Budget:  s.rescoreBudget,
@@ -176,20 +165,19 @@ func (s *Server) handleRescoreStart(w http.ResponseWriter, r *http.Request) {
 			s.recordRescore("rescore-fail", err.Error())
 		}
 	}()
-	writeJSON(w, http.StatusAccepted, RescoreResponse{Progress: drv.Progress(), Checkpoint: s.rescoreCkpt})
+	writeJSON(w, http.StatusAccepted, drv.Progress())
 }
 
-// handleRescoreStatus is GET /v1/index/rescore: progress of the current
-// (or most recent) re-score run.
+// handleRescoreStatus is GET /v1/index/rescore: the rescore.Progress of the
+// current (or most recent) re-score run. State "idle" (zero Progress
+// otherwise) means no re-score has run since boot.
 func (s *Server) handleRescoreStatus(w http.ResponseWriter, r *http.Request) {
 	s.rescore.mu.Lock()
 	run := s.rescore.run
 	s.rescore.mu.Unlock()
-	resp := RescoreResponse{Checkpoint: s.rescoreCkpt}
 	if run == nil {
-		resp.State = "idle"
-	} else {
-		resp.Progress = run.drv.Progress()
+		writeJSON(w, http.StatusOK, rescore.Progress{State: "idle"})
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, run.drv.Progress())
 }

@@ -3,25 +3,24 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/sematype/pythagoras/internal/faultinject"
+	"github.com/sematype/pythagoras/internal/rescore"
 )
 
 // rescoreStatus decodes one GET /v1/index/rescore.
-func rescoreStatus(t *testing.T, s *Server) RescoreResponse {
+func rescoreStatus(t *testing.T, s *Server) rescore.Progress {
 	t.Helper()
 	rec := getPath(t, s, "/v1/index/rescore")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /v1/index/rescore = %d: %s", rec.Code, rec.Body)
 	}
-	var resp RescoreResponse
+	var resp rescore.Progress
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("decode rescore status: %v: %s", err, rec.Body)
 	}
@@ -30,7 +29,7 @@ func rescoreStatus(t *testing.T, s *Server) RescoreResponse {
 
 // waitRescore polls the status endpoint until the run reaches one of the
 // wanted states; any other terminal state fails the test.
-func waitRescore(t *testing.T, s *Server, want ...string) RescoreResponse {
+func waitRescore(t *testing.T, s *Server, want ...string) rescore.Progress {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
@@ -48,15 +47,14 @@ func waitRescore(t *testing.T, s *Server, want ...string) RescoreResponse {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("rescore never reached %v", want)
-	return RescoreResponse{}
+	return rescore.Progress{}
 }
 
 // TestRescoreEndToEnd: index tables, kick a re-score, poll to completion —
 // the serving index pointer flips to a fresh index with identical content
-// (same model re-scored the same lake) and the durable cursor is cleared.
+// (same model re-scored the same lake).
 func TestRescoreEndToEnd(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "cursor.json")
-	s := trainedServer(t, WithRescoreCheckpoint(ckpt), WithRescoreBatch(2))
+	s := trainedServer(t, WithRescoreBatch(2))
 	defer drain(t, s)
 
 	if got := rescoreStatus(t, s); got.State != "idle" {
@@ -76,12 +74,12 @@ func TestRescoreEndToEnd(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("POST /v1/index/rescore = %d: %s", rec.Code, rec.Body)
 	}
-	var started RescoreResponse
+	var started rescore.Progress
 	if err := json.Unmarshal(rec.Body.Bytes(), &started); err != nil {
 		t.Fatal(err)
 	}
-	if started.Checkpoint != ckpt {
-		t.Fatalf("reported checkpoint %q, want %q", started.Checkpoint, ckpt)
+	if started.ModelID != "boot" {
+		t.Fatalf("started on model %q, want boot", started.ModelID)
 	}
 
 	done := waitRescore(t, s, "done")
@@ -96,9 +94,6 @@ func TestRescoreEndToEnd(t *testing.T) {
 	// though the index object is new.
 	if got := cur.CanonicalDump(); !bytes.Equal(got, oldDump) {
 		t.Fatalf("re-score with the same model changed the index:\n got:\n%s\nwant:\n%s", got, oldDump)
-	}
-	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("cursor not cleared after completion: %v", err)
 	}
 }
 
@@ -129,8 +124,7 @@ func TestRescoreRefusedWhileDraining(t *testing.T) {
 // pre-rescore index.
 func TestRollbackCancelsRescore(t *testing.T) {
 	srvFaults := faultinject.New().On(faultinject.RescoreBatch, faultinject.Sleep(200*time.Millisecond))
-	ckpt := filepath.Join(t.TempDir(), "cursor.json")
-	s := chaosServer(t, nil, srvFaults, WithRescoreCheckpoint(ckpt), WithRescoreBatch(1))
+	s := chaosServer(t, nil, srvFaults, WithRescoreBatch(1))
 	defer drain(t, s)
 
 	for _, id := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
@@ -178,6 +172,70 @@ func TestRollbackCancelsRescore(t *testing.T) {
 		t.Fatalf("restart after cancel = %d: %s", rec.Code, rec.Body)
 	}
 	waitRescore(t, s, "done", "cancelled")
+}
+
+// TestRescoreAfterCancelSeesReindexedTables: a re-score cancelled mid-scan
+// leaves nothing behind that the next run replays. A table re-indexed
+// between the two runs must come out of the second run with its new
+// columns — the ones /v1/index acknowledged and the lake holds — not the
+// ones the cancelled run scored.
+func TestRescoreAfterCancelSeesReindexedTables(t *testing.T) {
+	// The driver launches batches in scan order: a and b run at once, c and
+	// d stall until the promote cancels them, and every later batch runs at
+	// once again.
+	srvFaults := faultinject.New().On(faultinject.RescoreBatch,
+		faultinject.After(2, faultinject.Times(2, faultinject.Sleep(10*time.Second))))
+	s := chaosServer(t, nil, srvFaults, WithRescoreBatch(1))
+	defer drain(t, s)
+
+	for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
+		if rec := postJSON(t, s, "/v1/index", sampleRequest(id)); rec.Code != http.StatusOK {
+			t.Fatalf("index %s = %d", id, rec.Code)
+		}
+	}
+	if rec := postJSON(t, s, "/v1/index/rescore", nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("start rescore = %d: %s", rec.Code, rec.Body)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for srvFaults.Fired(faultinject.RescoreBatch) < 4 {
+		if time.Now().After(deadline) {
+			t.Fatal("first re-score never reached its stalled batches")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// A promote cancels the scan, a's content changes, and a rollback puts
+	// the model the cancelled scan ran on back in service.
+	path := savedCheckpoint(t, t.TempDir(), "v2.bin", false)
+	modelsPost(t, s, "/v1/models", ModelsRequest{ID: "v2", Path: path}, http.StatusOK)
+	modelsPost(t, s, "/v1/models/promote", nil, http.StatusOK)
+	if fin := waitRescore(t, s, "cancelled"); fin.ModelID != "boot" {
+		t.Fatalf("cancelled run's model = %q, want boot", fin.ModelID)
+	}
+	team := TableRequest{ID: "a", Name: "NBA Player Stats", Columns: []ColumnRequest{
+		{Header: "Team", Values: []string{"Lakers", "Pacers"}},
+	}}
+	if rec := postJSON(t, s, "/v1/index", team); rec.Code != http.StatusOK {
+		t.Fatalf("re-index a = %d: %s", rec.Code, rec.Body)
+	}
+	modelsPost(t, s, "/v1/models/rollback", nil, http.StatusOK)
+
+	if rec := postJSON(t, s, "/v1/index/rescore", nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("second rescore = %d: %s", rec.Code, rec.Body)
+	}
+	if fin := waitRescore(t, s, "done"); fin.ModelID != "boot" || fin.Total != 6 || fin.Done != 6 {
+		t.Fatalf("second run's progress = %+v", fin)
+	}
+	dump := string(s.index.Current().CanonicalDump())
+	var aLines []string
+	for _, line := range strings.Split(dump, "\n") {
+		if strings.HasPrefix(line, "a\t") {
+			aLines = append(aLines, line)
+		}
+	}
+	if len(aLines) != 1 || strings.Split(aLines[0], "\t")[2] != "Team" {
+		t.Fatalf("a is indexed as %q, want only its new Team column:\n%s", aLines, dump)
+	}
 }
 
 // TestRescoreStartSerializesWithPromote: starting a re-score races a

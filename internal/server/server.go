@@ -35,7 +35,7 @@
 //	                   the discovery index flips atomically on completion
 //	                   (rescore.go, DESIGN.md §15)
 //	GET  /v1/index/rescore
-//	                   → re-score progress: cursor position, totals, state
+//	                   → re-score progress: tables done, totals, state
 //	POST /v1/models    load a candidate checkpoint for shadow scoring;
 //	GET  /v1/models    with POST /v1/models/promote and /rollback these
 //	                   drive the zero-downtime model lifecycle state
@@ -160,12 +160,10 @@ type Server struct {
 	lake    *rescore.Lake
 	rescore rescoreState
 
-	// rescoreCkpt/rescoreBatch configure re-score runs: the durable cursor
-	// path ("" = in-memory only) and the engine batch size. rescoreBudget is
-	// the shared dynamic concurrency gate every run scores under — the
+	// rescoreBatch is the engine batch size of re-score runs. rescoreBudget
+	// is the shared dynamic concurrency gate every run scores under — the
 	// watchdog's rescore-throttle action halves it while the SLO fast burn
 	// fires and restores it on clear.
-	rescoreCkpt   string
 	rescoreBatch  int
 	rescoreBudget *rescore.Budget
 
@@ -175,7 +173,7 @@ type Server struct {
 	watchdog       *watch.Watchdog
 	flights        *watch.FlightDir
 	watchInterval  time.Duration
-	watchNow       func() time.Time
+	watchNow       func() time.Time // nil (wall clock) unless a test sets it
 	flightDir      string
 	flightMax      int
 	agreeMin       float64
@@ -215,7 +213,9 @@ type Server struct {
 	draining    atomic.Bool   // set by Shutdown: turn new work away
 	shed        *obs.Counter  // http.shed — requests rejected with 429
 	timeouts    *obs.Counter  // http.timeouts — requests expired with 504
-	faults      *faultinject.Set
+	// faults arms the chaos suite's injection points on the serving path;
+	// only tests set it (export_test.go), and nil is free.
+	faults *faultinject.Set
 
 	idPrefix uint32 // per-process request-ID prefix
 	reqSeq   atomic.Uint64
@@ -286,12 +286,6 @@ func WithSLO(e *slo.Engine) Option {
 	return func(s *Server) { s.sloEng = e }
 }
 
-// WithFaults arms fault-injection points on the serving path — test support
-// for the chaos suite, never set in production (nil disables, the default).
-func WithFaults(fs *faultinject.Set) Option {
-	return func(s *Server) { s.faults = fs }
-}
-
 // WithShadowSample sets the fraction of live predict / predict-batch
 // traffic double-scored on a shadowing candidate (lifecycle.go), in [0, 1].
 // Sampling is deterministic from the shadow seed — the same request
@@ -307,14 +301,6 @@ func WithShadowSample(f float64) Option {
 // default) any path the process can read is accepted.
 func WithModelsDir(dir string) Option {
 	return func(s *Server) { s.modelsDir = dir }
-}
-
-// WithRescoreCheckpoint sets the durable cursor path for lake re-score runs
-// (POST /v1/index/rescore): progress checkpoints land there after every
-// committed batch, and a restarted process resumes from it. Empty (the
-// default) keeps the cursor in memory only — a crash restarts the scan.
-func WithRescoreCheckpoint(path string) Option {
-	return func(s *Server) { s.rescoreCkpt = path }
 }
 
 // WithRescoreBatch sets how many tables a re-score scores per engine batch
@@ -461,8 +447,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// loop was never started).
 	s.watchdog.Stop()
 	// A background lake re-score must not outlive the server: cancel it
-	// (the durable cursor survives for the next process to resume) and,
-	// after the request drain below, wait for its goroutine to unwind.
+	// and, after the request drain below, wait for its goroutine to unwind.
 	s.cancelRescore("shutdown")
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()

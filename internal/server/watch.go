@@ -1,7 +1,7 @@
 // Watchdog wiring (DESIGN.md §16): the server assembles an anomaly watchdog
 // over its own signal surfaces — SLO burn-rate pairs, the primary's drift
 // χ² score, shadow agreement, admission queue depth and shed rate, re-score
-// cursor progress — and binds two closed-loop actions to it: a sustained
+// progress — and binds two closed-loop actions to it: a sustained
 // low-agreement candidate is auto-rolled-back (at most once per candidate),
 // and a firing fast burn halves the background re-score's concurrency
 // budget until the alert clears. Alerts are served at GET /v1/alerts and
@@ -54,12 +54,6 @@ func WithFlightDir(dir string, max int) Option {
 		s.flightDir = dir
 		s.flightMax = max
 	}
-}
-
-// WithWatchNow injects the watchdog's clock — the fake-clock seam that
-// makes for-duration and cool-down math exact in tests.
-func WithWatchNow(now func() time.Time) Option {
-	return func(s *Server) { s.watchNow = now }
 }
 
 // WithShadowAgreement tunes the auto-rollback gate: a shadowing candidate
@@ -206,7 +200,7 @@ func (s *Server) addWatchRules() {
 		CoolDown:  interval,
 	})
 
-	// A re-score whose committed cursor has not moved for 10 intervals is
+	// A re-score whose done count has not moved for 10 intervals is
 	// stalled — wedged on a lease, or starved below its budget.
 	st := &stallSignal{s: s}
 	s.watchdog.Add(watch.Rule{
@@ -285,7 +279,7 @@ func (d *deltaSignal) read() (float64, bool) {
 	return float64(delta), true
 }
 
-// stallSignal reports 1 when the active re-score's committed cursor did not
+// stallSignal reports 1 when the active re-score's done count did not
 // advance since the previous tick, 0 when it did, and unavailable when no
 // re-score is running. A new run primes fresh.
 type stallSignal struct {
