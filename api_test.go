@@ -79,10 +79,6 @@ func TestPublicAPIPersistence(t *testing.T) {
 	if err := model.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := pythagoras.LoadModel(path, pythagoras.Config{Encoder: enc})
-	if err != nil {
-		t.Fatal(err)
-	}
 	predict := func(m *pythagoras.Model) []pythagoras.ColumnPrediction {
 		batch, err := pythagoras.NewEngine(m).PredictBatchCtx(context.Background(), corpus.Tables[6:7])
 		if err != nil {
@@ -90,13 +86,22 @@ func TestPublicAPIPersistence(t *testing.T) {
 		}
 		return batch[0]
 	}
-	a, b := predict(model), predict(loaded)
-	if len(a) != len(b) {
-		t.Fatal("prediction counts differ after reload")
-	}
-	for i := range a {
-		if a[i].Type != b[i].Type {
-			t.Fatal("reloaded model predicts differently")
+	a := predict(model)
+	// Reload with the training encoder, and with none: the checkpoint
+	// records the encoder's config, so both reloads predict the same bits.
+	for _, cfg := range []pythagoras.Config{{Encoder: enc}, {}} {
+		loaded, err := pythagoras.LoadModel(path, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := predict(loaded)
+		if len(a) != len(b) {
+			t.Fatal("prediction counts differ after reload")
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("reloaded model (encoder supplied: %v) predicts %+v, want %+v", cfg.Encoder != nil, b[i], a[i])
+			}
 		}
 	}
 }

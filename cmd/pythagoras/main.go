@@ -10,7 +10,9 @@
 //
 // -data points at a directory of <id>.csv files with <id>.labels.json
 // sidecars (as written by datagen or any conforming tool). Prediction works
-// on unlabeled CSVs too.
+// on unlabeled CSVs too. train's -dim and -lm-layers set the frozen
+// encoder; the checkpoint records its config, so eval, predict and serve
+// rebuild the same encoder from the model file.
 package main
 
 import (
@@ -65,13 +67,6 @@ func usage() {
 	os.Exit(2)
 }
 
-// encoderFlags adds the shared encoder configuration flags.
-func encoderFlags(fs *flag.FlagSet) (*int, *int) {
-	dim := fs.Int("dim", 64, "frozen encoder width (768 = paper scale)")
-	layers := fs.Int("lm-layers", 2, "frozen encoder depth")
-	return dim, layers
-}
-
 func buildEncoder(dim, layers int) *lm.Encoder {
 	heads := 4
 	for dim%heads != 0 {
@@ -124,7 +119,8 @@ func cmdTrain(args []string) {
 	workers := fs.Int("workers", 0, "training worker goroutines (0 = all CPUs; results are identical at any count)")
 	metrics := fs.Bool("metrics", false, "stream a JSON metrics snapshot to stdout after every epoch")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
-	dim, layers := encoderFlags(fs)
+	dim := fs.Int("dim", 64, "frozen encoder width (768 = paper scale)")
+	layers := fs.Int("lm-layers", 2, "frozen encoder depth")
 	fs.Parse(args)
 	if *dataDir == "" {
 		log.Fatal("train: -data is required")
@@ -196,13 +192,12 @@ func cmdEval(args []string) {
 	modelPath := fs.String("model", "pythagoras-model.bin", "model path")
 	report := fs.Int("report", 0, "print a per-class report for the top N types by support")
 	confusions := fs.Int("confusions", 0, "print the top N most frequent misclassification pairs")
-	dim, layers := encoderFlags(fs)
 	fs.Parse(args)
 	if *dataDir == "" {
 		log.Fatal("eval: -data is required")
 	}
 
-	m, err := core.LoadFile(*modelPath, core.Config{Encoder: buildEncoder(*dim, *layers)})
+	m, err := core.LoadFile(*modelPath, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -242,13 +237,12 @@ func cmdPredict(args []string) {
 	dataDir := fs.String("data", "", "directory of CSVs (required)")
 	modelPath := fs.String("model", "pythagoras-model.bin", "model path")
 	tableID := fs.String("table", "", "predict only this table id")
-	dim, layers := encoderFlags(fs)
 	fs.Parse(args)
 	if *dataDir == "" {
 		log.Fatal("predict: -data is required")
 	}
 
-	m, err := core.LoadFile(*modelPath, core.Config{Encoder: buildEncoder(*dim, *layers)})
+	m, err := core.LoadFile(*modelPath, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -299,7 +293,6 @@ func cmdServe(args []string) {
 	flightMax := fs.Int("flight-max", watch.DefaultFlightMax, "on-disk flight-record ring size; oldest records are evicted beyond this")
 	agreeMin := fs.Float64("shadow-agreement-min", server.DefaultShadowAgreementMin, "shadow agreement rate below which the watchdog auto-rolls-back the candidate")
 	agreeWindow := fs.Duration("shadow-agreement-window", server.DefaultShadowAgreementWindow, "how long shadow agreement must stay below -shadow-agreement-min before auto-rollback")
-	dim, layers := encoderFlags(fs)
 	fs.Parse(args)
 	logger := newLogger(*logFormat)
 	logf := slog.NewLogLogger(logger.Handler(), slog.LevelInfo).Printf
@@ -307,7 +300,7 @@ func cmdServe(args []string) {
 	// LoadServing resolves the checkpoint and its optional drift sidecar in
 	// one step — the same path POST /v1/models uses for candidates, so boot
 	// and hot-load cannot disagree about what a serving model is.
-	bundle, err := core.LoadServing(*modelPath, core.Config{Encoder: buildEncoder(*dim, *layers)})
+	bundle, err := core.LoadServing(*modelPath, core.Config{})
 	if err != nil {
 		fatal(logger, "load model", err)
 	}

@@ -77,16 +77,17 @@ func TestCLIPipeline(t *testing.T) {
 		}
 	}
 
-	// 3. Evaluate the saved model.
-	out = run(pyth, "eval", "-data", corpusDir, "-model", model,
-		"-dim", "16", "-lm-layers", "1")
+	// 3. Evaluate the saved model. The checkpoint records the encoder
+	// train built from -dim and -lm-layers, so eval, predict and serve take
+	// no encoder flags.
+	out = run(pyth, "eval", "-data", corpusDir, "-model", model)
 	if !strings.Contains(out, "weighted F1") {
 		t.Fatalf("eval output: %s", out)
 	}
 
 	// 4. Predict one table.
 	out = run(pyth, "predict", "-data", corpusDir, "-model", model,
-		"-table", "sports_00000", "-dim", "16", "-lm-layers", "1")
+		"-table", "sports_00000")
 	if !strings.Contains(out, "sports_00000") || !strings.Contains(out, "→") {
 		t.Fatalf("predict output: %s", out)
 	}
@@ -102,7 +103,7 @@ func TestCLIPipeline(t *testing.T) {
 	ln.Close()
 	var stderr bytes.Buffer
 	serve := exec.Command(pyth, "serve", "-model", model, "-addr", addr,
-		"-log-format", "json", "-dim", "16", "-lm-layers", "1")
+		"-log-format", "json")
 	serve.Dir = work
 	serve.Stderr = &stderr
 	if err := serve.Start(); err != nil {

@@ -61,12 +61,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 4. Persist and reload — the deployment path.
+	// 4. Persist and reload — the deployment path. The checkpoint records
+	// the encoder's config, so the reload rebuilds the same encoder.
 	modelPath := filepath.Join(dir, "iot-model.bin")
 	if err := model.SaveFile(modelPath); err != nil {
 		log.Fatal(err)
 	}
-	reloaded, err := core.LoadFile(modelPath, core.Config{Encoder: enc})
+	reloaded, err := core.LoadFile(modelPath, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,10 +5,10 @@
 // Backward on a scalar loss Var replays the tape in reverse, accumulating
 // gradients into every Var created with Param (trainable parameters) or
 // reached through recorded ops. The op set is exactly what Pythagoras and
-// its baselines need: dense affine layers, pointwise nonlinearities,
-// dropout, row gather/scatter (the message-passing primitives of the
-// heterogeneous GNN, plus the fused EdgeMix form), pooling reductions,
-// concatenation, and a fused softmax-cross-entropy loss.
+// its baselines need: dense affine layers, ReLU, dropout, row
+// gather/scatter (the message-passing primitives of the heterogeneous GNN,
+// plus the fused EdgeMix form), column concatenation, softmax, and a fused
+// softmax-cross-entropy loss.
 //
 // Steady-state a tape allocates nothing: ops are opcode records in a
 // reusable slice (no closures), Vars come from a block slab, and every
@@ -56,9 +56,6 @@ type Var struct {
 	needsGrad bool
 }
 
-// Shape returns the (rows, cols) of the variable's value.
-func (v *Var) Shape() (int, int) { return v.Value.Rows, v.Value.Cols }
-
 // opKind enumerates the primitive operations a tape can record. Backward
 // dispatches on the kind with a switch — an indirect call through a closure
 // would cost an allocation per record and defeat the arena.
@@ -69,21 +66,12 @@ const (
 	opAdd
 	opAddRow
 	opScale
-	opMul
 	opReLU
-	opLeakyReLU
-	opTanh
-	opSigmoid
 	opDropout
 	opGatherRows
 	opScatterAddRows
-	opScaleRows
-	opMeanRows
-	opSumRows
 	opConcatCols
-	opConcatRows
 	opSoftmaxXEnt
-	opL2Penalty
 	opSoftmax
 	opEdgeMix
 )
@@ -95,12 +83,12 @@ type opRecord struct {
 	kind opKind
 	out  *Var
 	a, b *Var
-	s    float64        // Scale factor, LeakyReLU slope, L2 λ, SoftmaxXEnt total weight
+	s    float64        // Scale factor, SoftmaxXEnt total weight
 	idx  []int          // gather/scatter indices, EdgeMix src, SoftmaxXEnt labels
 	idx2 []int          // EdgeMix dst
-	sc   []float64      // ScaleRows scales, SoftmaxXEnt weights, EdgeMix inv-degree
+	sc   []float64      // SoftmaxXEnt weights, EdgeMix inv-degree
 	aux  *tensor.Matrix // Dropout mask, SoftmaxXEnt probs, EdgeMix h×W
-	vars []*Var         // Concat inputs
+	vars []*Var         // ConcatCols inputs
 }
 
 // Tape records operations for reverse-mode differentiation. A Tape is not
@@ -274,48 +262,12 @@ func (t *Tape) backwardOp(r *opRecord) {
 	case opScale:
 		t.grad(r.a).AddScaledInPlace(g, r.s)
 
-	case opMul:
-		if r.a.needsGrad {
-			ga := t.grad(r.a)
-			for i, v := range r.b.Value.Data {
-				ga.Data[i] += g.Data[i] * v
-			}
-		}
-		if r.b.needsGrad {
-			gb := t.grad(r.b)
-			for i, v := range r.a.Value.Data {
-				gb.Data[i] += g.Data[i] * v
-			}
-		}
-
 	case opReLU:
 		ga := t.grad(r.a)
 		for i, v := range r.a.Value.Data {
 			if v > 0 {
 				ga.Data[i] += g.Data[i]
 			}
-		}
-
-	case opLeakyReLU:
-		ga := t.grad(r.a)
-		for i, v := range r.a.Value.Data {
-			if v > 0 {
-				ga.Data[i] += g.Data[i]
-			} else {
-				ga.Data[i] += r.s * g.Data[i]
-			}
-		}
-
-	case opTanh:
-		ga := t.grad(r.a)
-		for i, y := range r.out.Value.Data {
-			ga.Data[i] += g.Data[i] * (1 - y*y)
-		}
-
-	case opSigmoid:
-		ga := t.grad(r.a)
-		for i, y := range r.out.Value.Data {
-			ga.Data[i] += g.Data[i] * y * (1 - y)
 		}
 
 	case opDropout:
@@ -337,35 +289,6 @@ func (t *Tape) backwardOp(r *opRecord) {
 			}
 		}
 
-	case opScaleRows:
-		ga := t.grad(r.a)
-		for i, sv := range r.sc {
-			drow := ga.Row(i)
-			srow := g.Row(i)
-			for j, v := range srow {
-				drow[j] += sv * v
-			}
-		}
-
-	case opMeanRows:
-		inv := 1 / float64(r.a.Value.Rows)
-		ga := t.grad(r.a)
-		for i := 0; i < r.a.Value.Rows; i++ {
-			row := ga.Row(i)
-			for j, gv := range g.Data {
-				row[j] += gv * inv
-			}
-		}
-
-	case opSumRows:
-		ga := t.grad(r.a)
-		for i := 0; i < r.a.Value.Rows; i++ {
-			row := ga.Row(i)
-			for j, gv := range g.Data {
-				row[j] += gv
-			}
-		}
-
 	case opConcatCols:
 		at := 0
 		for _, v := range r.vars {
@@ -381,23 +304,6 @@ func (t *Tape) backwardOp(r *opRecord) {
 				}
 			}
 			at += w
-		}
-
-	case opConcatRows:
-		at := 0
-		for _, v := range r.vars {
-			n := v.Value.Rows
-			if v.needsGrad {
-				gv := t.grad(v)
-				for i := 0; i < n; i++ {
-					src := g.Row(at + i)
-					dst := gv.Row(i)
-					for j, gg := range src {
-						dst[j] += gg
-					}
-				}
-			}
-			at += n
 		}
 
 	case opSoftmaxXEnt:
@@ -420,9 +326,6 @@ func (t *Tape) backwardOp(r *opRecord) {
 			}
 			grow[lab] -= scale
 		}
-
-	case opL2Penalty:
-		t.grad(r.a).AddScaledInPlace(r.a.Value, r.s*g.Data[0])
 
 	case opSoftmax:
 		ga := t.grad(r.a)
@@ -524,17 +427,6 @@ func (t *Tape) Scale(a *Var, s float64) *Var {
 	return out
 }
 
-// Mul returns the elementwise product a⊙b.
-func (t *Tape) Mul(a, b *Var) *Var {
-	outVal := t.alloc(a.Value.Rows, a.Value.Cols)
-	tensor.MulInto(outVal, a.Value, b.Value)
-	out := t.newVar(outVal, a.needsGrad || b.needsGrad)
-	if out.needsGrad {
-		t.record(opRecord{kind: opMul, out: out, a: a, b: b})
-	}
-	return out
-}
-
 // ReLU applies max(0, x) elementwise.
 func (t *Tape) ReLU(a *Var) *Var {
 	outVal := t.alloc(a.Value.Rows, a.Value.Cols)
@@ -548,49 +440,6 @@ func (t *Tape) ReLU(a *Var) *Var {
 	out := t.newVar(outVal, a.needsGrad)
 	if out.needsGrad {
 		t.record(opRecord{kind: opReLU, out: out, a: a})
-	}
-	return out
-}
-
-// LeakyReLU applies x>0 ? x : slope·x elementwise.
-func (t *Tape) LeakyReLU(a *Var, slope float64) *Var {
-	outVal := t.alloc(a.Value.Rows, a.Value.Cols)
-	for i, v := range a.Value.Data {
-		if v > 0 {
-			outVal.Data[i] = v
-		} else {
-			outVal.Data[i] = slope * v
-		}
-	}
-	out := t.newVar(outVal, a.needsGrad)
-	if out.needsGrad {
-		t.record(opRecord{kind: opLeakyReLU, out: out, a: a, s: slope})
-	}
-	return out
-}
-
-// Tanh applies tanh elementwise.
-func (t *Tape) Tanh(a *Var) *Var {
-	outVal := t.alloc(a.Value.Rows, a.Value.Cols)
-	for i, v := range a.Value.Data {
-		outVal.Data[i] = math.Tanh(v)
-	}
-	out := t.newVar(outVal, a.needsGrad)
-	if out.needsGrad {
-		t.record(opRecord{kind: opTanh, out: out, a: a})
-	}
-	return out
-}
-
-// Sigmoid applies 1/(1+e^-x) elementwise.
-func (t *Tape) Sigmoid(a *Var) *Var {
-	outVal := t.alloc(a.Value.Rows, a.Value.Cols)
-	for i, v := range a.Value.Data {
-		outVal.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	out := t.newVar(outVal, a.needsGrad)
-	if out.needsGrad {
-		t.record(opRecord{kind: opSigmoid, out: out, a: a})
 	}
 	return out
 }
@@ -648,17 +497,6 @@ func (t *Tape) ScatterAddRows(a *Var, idx []int, outRows int) *Var {
 	return out
 }
 
-// ScaleRows multiplies row i of a by s[i] (used for degree normalization).
-func (t *Tape) ScaleRows(a *Var, s []float64) *Var {
-	outVal := t.alloc(a.Value.Rows, a.Value.Cols)
-	tensor.ScaleRowsInto(outVal, a.Value, s)
-	out := t.newVar(outVal, a.needsGrad)
-	if out.needsGrad {
-		t.record(opRecord{kind: opScaleRows, out: out, a: a, sc: s})
-	}
-	return out
-}
-
 // EdgeMix is the fused message-passing primitive of the heterogeneous GNN:
 // for one edge type it computes scaleRows(scatterAdd((h×w)[src[e]] into
 // dst[e]), inv) in a single pass — the h×w product runs once over nodes
@@ -666,9 +504,9 @@ func (t *Tape) ScaleRows(a *Var, s []float64) *Var {
 // and no gathered-copy, message, or aggregate temporaries are materialized.
 // outRows is the node count of the output; inv may be nil for no
 // normalization. src, dst, and inv are retained by reference until Reset.
-// Forward values are bit-identical to the unfused
-// ScaleRows(ScatterAddRows(MatMul(GatherRows(h), w))) chain; gradient
-// accumulation is re-associated per node (see DESIGN.md §12).
+// Forward values are bit-identical to gathering h's src rows, multiplying
+// by w, scatter-adding into dst and scaling rows by inv as separate ops;
+// gradient accumulation is re-associated per node (see DESIGN.md §12).
 func (t *Tape) EdgeMix(h, w *Var, src, dst []int, outRows int, inv []float64) *Var {
 	if len(src) != len(dst) {
 		panic(fmt.Sprintf("autodiff: EdgeMix %d src vs %d dst", len(src), len(dst)))
@@ -692,28 +530,6 @@ func (t *Tape) EdgeMix(h, w *Var, src, dst []int, outRows int, inv []float64) *V
 	out := t.newVar(val, h.needsGrad || w.needsGrad)
 	if out.needsGrad {
 		t.record(opRecord{kind: opEdgeMix, out: out, a: h, b: w, idx: src, idx2: dst, sc: inv, aux: hw})
-	}
-	return out
-}
-
-// MeanRows reduces a to its 1×C column-mean vector.
-func (t *Tape) MeanRows(a *Var) *Var {
-	outVal := t.alloc(1, a.Value.Cols)
-	tensor.MeanRowsInto(outVal, a.Value)
-	out := t.newVar(outVal, a.needsGrad)
-	if out.needsGrad {
-		t.record(opRecord{kind: opMeanRows, out: out, a: a})
-	}
-	return out
-}
-
-// SumRows reduces a to its 1×C column-sum vector.
-func (t *Tape) SumRows(a *Var) *Var {
-	outVal := t.alloc(1, a.Value.Cols)
-	tensor.SumRowsInto(outVal, a.Value)
-	out := t.newVar(outVal, a.needsGrad)
-	if out.needsGrad {
-		t.record(opRecord{kind: opSumRows, out: out, a: a})
 	}
 	return out
 }
@@ -745,33 +561,6 @@ func (t *Tape) ConcatCols(vars ...*Var) *Var {
 	out := t.newVar(outVal, needs)
 	if out.needsGrad {
 		t.record(opRecord{kind: opConcatCols, out: out, vars: vars})
-	}
-	return out
-}
-
-// ConcatRows stacks variables vertically (shared column count). The vars
-// slice is retained by reference until Reset.
-func (t *Tape) ConcatRows(vars ...*Var) *Var {
-	if len(vars) == 0 {
-		return t.newVar(t.alloc(0, 0), false)
-	}
-	cols, rows, needs := vars[0].Value.Cols, 0, false
-	for _, v := range vars {
-		if v.Value.Cols != cols {
-			panic(fmt.Sprintf("autodiff: ConcatRows col mismatch %d vs %d", v.Value.Cols, cols))
-		}
-		rows += v.Value.Rows
-		needs = needs || v.needsGrad
-	}
-	outVal := t.alloc(rows, cols)
-	at := 0
-	for _, v := range vars {
-		copy(outVal.Data[at:at+len(v.Value.Data)], v.Value.Data)
-		at += len(v.Value.Data)
-	}
-	out := t.newVar(outVal, needs)
-	if out.needsGrad {
-		t.record(opRecord{kind: opConcatRows, out: out, vars: vars})
 	}
 	return out
 }
@@ -827,22 +616,6 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Var, labels []int, weights []float64)
 	out := t.newVar(outVal, logits.needsGrad)
 	if out.needsGrad {
 		t.record(opRecord{kind: opSoftmaxXEnt, out: out, a: logits, idx: labels, sc: weights, aux: probs, s: totalW})
-	}
-	return out
-}
-
-// L2Penalty returns 0.5·λ·‖a‖² as a 1×1 Var (weight decay as an explicit
-// loss term).
-func (t *Tape) L2Penalty(a *Var, lambda float64) *Var {
-	var s float64
-	for _, v := range a.Value.Data {
-		s += v * v
-	}
-	outVal := t.alloc(1, 1)
-	outVal.Data[0] = 0.5 * lambda * s
-	out := t.newVar(outVal, a.needsGrad)
-	if out.needsGrad {
-		t.record(opRecord{kind: opL2Penalty, out: out, a: a, s: lambda})
 	}
 	return out
 }

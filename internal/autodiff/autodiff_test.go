@@ -104,31 +104,6 @@ func TestReLUGradient(t *testing.T) {
 	checkGrad(t, "relu/x", x, vx.Grad, lossOf)
 }
 
-func TestTanhSigmoidLeakyGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x := randMat(rng, 3, 4)
-	labels := []int{0, 3, 2}
-	type act struct {
-		name string
-		fwd  func(tp *Tape, v *Var) *Var
-	}
-	for _, a := range []act{
-		{"tanh", func(tp *Tape, v *Var) *Var { return tp.Tanh(v) }},
-		{"sigmoid", func(tp *Tape, v *Var) *Var { return tp.Sigmoid(v) }},
-		{"leaky", func(tp *Tape, v *Var) *Var { return tp.LeakyReLU(v, 0.1) }},
-	} {
-		tape := NewTape()
-		vx := tape.Param(x)
-		loss := tape.SoftmaxCrossEntropy(a.fwd(tape, vx), labels, nil)
-		tape.Backward(loss)
-		lossOf := func() float64 {
-			tp := NewTape()
-			return tp.SoftmaxCrossEntropy(a.fwd(tp, tp.Constant(x)), labels, nil).Value.Data[0]
-		}
-		checkGrad(t, a.name, x, vx.Grad, lossOf)
-	}
-}
-
 func TestGatherScatterGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := randMat(rng, 4, 3)
@@ -159,45 +134,6 @@ func TestGatherScatterGradients(t *testing.T) {
 	checkGrad(t, "scatter/src", src, vs.Grad, lossOf2)
 }
 
-func TestScaleRowsGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	x := randMat(rng, 3, 3)
-	s := []float64{0.5, 2, 1.5}
-	labels := []int{0, 1, 2}
-	tape := NewTape()
-	vx := tape.Param(x)
-	loss := tape.SoftmaxCrossEntropy(tape.ScaleRows(vx, s), labels, nil)
-	tape.Backward(loss)
-	lossOf := func() float64 {
-		tp := NewTape()
-		return tp.SoftmaxCrossEntropy(tp.ScaleRows(tp.Constant(x), s), labels, nil).Value.Data[0]
-	}
-	checkGrad(t, "scalerows/x", x, vx.Grad, lossOf)
-}
-
-func TestMeanSumRowsGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	x := randMat(rng, 4, 3)
-	labels := []int{1}
-	for _, mode := range []string{"mean", "sum"} {
-		fwd := func(tp *Tape, v *Var) *Var {
-			if mode == "mean" {
-				return tp.MeanRows(v)
-			}
-			return tp.SumRows(v)
-		}
-		tape := NewTape()
-		vx := tape.Param(x)
-		loss := tape.SoftmaxCrossEntropy(fwd(tape, vx), labels, nil)
-		tape.Backward(loss)
-		lossOf := func() float64 {
-			tp := NewTape()
-			return tp.SoftmaxCrossEntropy(fwd(tp, tp.Constant(x)), labels, nil).Value.Data[0]
-		}
-		checkGrad(t, mode, x, vx.Grad, lossOf)
-	}
-}
-
 func TestConcatColsGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randMat(rng, 2, 2)
@@ -213,23 +149,6 @@ func TestConcatColsGradient(t *testing.T) {
 	}
 	checkGrad(t, "concatcols/a", a, va.Grad, lossOf)
 	checkGrad(t, "concatcols/b", b, vb.Grad, lossOf)
-}
-
-func TestConcatRowsGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randMat(rng, 2, 3)
-	b := randMat(rng, 3, 3)
-	labels := []int{0, 1, 2, 0, 1}
-	tape := NewTape()
-	va, vb := tape.Param(a), tape.Param(b)
-	loss := tape.SoftmaxCrossEntropy(tape.ConcatRows(va, vb), labels, nil)
-	tape.Backward(loss)
-	lossOf := func() float64 {
-		tp := NewTape()
-		return tp.SoftmaxCrossEntropy(tp.ConcatRows(tp.Constant(a), tp.Constant(b)), labels, nil).Value.Data[0]
-	}
-	checkGrad(t, "concatrows/a", a, va.Grad, lossOf)
-	checkGrad(t, "concatrows/b", b, vb.Grad, lossOf)
 }
 
 func TestSoftmaxCrossEntropyMaskedAndWeighted(t *testing.T) {
@@ -300,35 +219,19 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	}
 }
 
-func TestL2PenaltyGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	x := randMat(rng, 2, 3)
-	tape := NewTape()
-	vx := tape.Param(x)
-	loss := tape.L2Penalty(vx, 0.3)
-	tape.Backward(loss)
-	lossOf := func() float64 {
-		tp := NewTape()
-		return tp.L2Penalty(tp.Constant(x), 0.3).Value.Data[0]
-	}
-	checkGrad(t, "l2/x", x, vx.Grad, lossOf)
-}
-
-func TestMulScaleGradient(t *testing.T) {
+func TestScaleGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := randMat(rng, 2, 3)
-	b := randMat(rng, 2, 3)
 	labels := []int{0, 2}
 	tape := NewTape()
-	va, vb := tape.Param(a), tape.Param(b)
-	loss := tape.SoftmaxCrossEntropy(tape.Scale(tape.Mul(va, vb), 1.7), labels, nil)
+	va := tape.Param(a)
+	loss := tape.SoftmaxCrossEntropy(tape.Scale(va, 1.7), labels, nil)
 	tape.Backward(loss)
 	lossOf := func() float64 {
 		tp := NewTape()
-		return tp.SoftmaxCrossEntropy(tp.Scale(tp.Mul(tp.Constant(a), tp.Constant(b)), 1.7), labels, nil).Value.Data[0]
+		return tp.SoftmaxCrossEntropy(tp.Scale(tp.Constant(a), 1.7), labels, nil).Value.Data[0]
 	}
-	checkGrad(t, "mul/a", a, va.Grad, lossOf)
-	checkGrad(t, "mul/b", b, vb.Grad, lossOf)
+	checkGrad(t, "scale/a", a, va.Grad, lossOf)
 }
 
 func TestDropoutTrainingFalseIsIdentity(t *testing.T) {
@@ -342,7 +245,10 @@ func TestDropoutTrainingFalseIsIdentity(t *testing.T) {
 }
 
 func TestDropoutPreservesExpectation(t *testing.T) {
-	x := tensor.New(1, 10000).Fill(1)
+	x := tensor.New(1, 10000)
+	for i := range x.Data {
+		x.Data[i] = 1
+	}
 	tape := NewTape()
 	out := tape.Dropout(tape.Constant(x), 0.3, rand.New(rand.NewSource(42)), true)
 	var s float64

@@ -101,14 +101,6 @@ type TrainOpts struct {
 	Logf         func(format string, args ...any)
 }
 
-// DefaultTrainOpts mirrors the shared training protocol of §4.2.
-func DefaultTrainOpts() TrainOpts {
-	return TrainOpts{
-		SubDim: 64, Hidden: 128, LearningRate: 1e-2, Epochs: 60,
-		BatchSize: 256, Patience: 12, Seed: 1, Dropout: 0.1,
-	}
-}
-
 // Classifier is a trained columnar model: per-group subnetworks feeding a
 // shared MLP head, with train-set feature standardization.
 type Classifier struct {

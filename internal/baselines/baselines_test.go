@@ -23,11 +23,12 @@ func testCorpus(n int) *data.Corpus {
 	})
 }
 
+// quickOpts is the shared §4.2 training protocol at a test budget.
 func quickOpts() TrainOpts {
-	o := DefaultTrainOpts()
-	o.Epochs = 15
-	o.Patience = 15
-	return o
+	return TrainOpts{
+		SubDim: 64, Hidden: 128, LearningRate: 1e-2, Epochs: 15,
+		BatchSize: 256, Patience: 15, Seed: 1, Dropout: 0.1,
+	}
 }
 
 func TestSherlockFeaturizerShapes(t *testing.T) {

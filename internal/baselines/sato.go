@@ -85,11 +85,6 @@ type SatoOpts struct {
 	CRFRate   float64
 }
 
-// DefaultSatoOpts returns the harness defaults.
-func DefaultSatoOpts() SatoOpts {
-	return SatoOpts{TrainOpts: DefaultTrainOpts(), Topics: 24, CRFEpochs: 3, CRFRate: 0.05}
-}
-
 // TrainSato trains the full Sato pipeline: LDA on the training tables, the
 // per-column network, then the CRF transitions on training chains.
 func TrainSato(c *data.Corpus, trainIdx, valIdx []int, enc *lm.Encoder, opts SatoOpts) (*Sato, error) {

@@ -15,7 +15,7 @@ import (
 // smokeOpts keeps training tiny: the assertions are about determinism, not
 // accuracy.
 func smokeOpts() TrainOpts {
-	o := DefaultTrainOpts()
+	o := quickOpts()
 	o.Epochs = 2
 	o.Patience = 2
 	o.Seed = 42

@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"github.com/sematype/pythagoras/internal/atomicfile"
+	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/table"
 )
@@ -33,7 +34,10 @@ const checkpointMagic = "PYTHCKPT"
 //	1 — first versioned format: header + gob(savedMeta) + gob(params).
 //	    Pre-versioning checkpoints (no header) are rejected; retrain or
 //	    re-save with this binary.
-const CheckpointVersion uint32 = 1
+//	2 — savedMeta records the frozen encoder's whole lm.Config, not just
+//	    its width, and Load builds the encoder from it. Version-1 files
+//	    still load, but only with a supplied encoder of their width.
+const CheckpointVersion uint32 = 2
 
 // UnsupportedVersionError reports an artifact written by a newer format
 // than this binary understands. Callers can errors.As on it to tell "too
@@ -47,6 +51,18 @@ type UnsupportedVersionError struct {
 func (e *UnsupportedVersionError) Error() string {
 	return fmt.Sprintf("core: %s format version %d is newer than this binary supports (max %d)",
 		e.Artifact, e.Got, e.Max)
+}
+
+// EncoderMismatchError reports a supplied encoder whose config differs
+// from the one the checkpoint was trained with: the model's weights mean
+// nothing on top of another frozen encoder, even one of the same width.
+type EncoderMismatchError struct {
+	Saved    lm.Config
+	Supplied lm.Config
+}
+
+func (e *EncoderMismatchError) Error() string {
+	return fmt.Sprintf("core: checkpoint was trained with encoder %+v, supplied encoder is %+v", e.Saved, e.Supplied)
 }
 
 // writeHeader writes the magic + version prefix.

@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/table"
 )
@@ -57,6 +59,109 @@ func TestLoadRejectsFutureVersion(t *testing.T) {
 	}
 	if !strings.Contains(uv.Error(), "newer than this binary") {
 		t.Fatalf("error text = %q", uv.Error())
+	}
+}
+
+// rewriteCheckpoint encodes m as a checkpoint of the given format version
+// with edit applied to its metadata: the way tests build version-1 files
+// and version-2 files whose recorded encoder config is corrupt.
+func rewriteCheckpoint(tb testing.TB, m *Model, version uint32, edit func(*savedMeta)) []byte {
+	tb.Helper()
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		tb.Fatal(err)
+	}
+	var meta savedMeta
+	if err := gob.NewDecoder(bytes.NewReader(saved.Bytes()[len(checkpointMagic)+4:])).Decode(&meta); err != nil {
+		tb.Fatal(err)
+	}
+	edit(&meta)
+	var buf bytes.Buffer
+	if err := writeHeader(&buf, version); err != nil {
+		tb.Fatal(err)
+	}
+	ge := gob.NewEncoder(&buf)
+	if err := ge.Encode(meta); err != nil {
+		tb.Fatal(err)
+	}
+	if err := m.params.EncodeGob(ge); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// asV1 turns version-2 metadata into what a version-1 binary wrote: the
+// encoder width only.
+func asV1(meta *savedMeta) {
+	meta.Hidden = meta.Encoder.Dim
+	meta.Encoder = lm.Config{}
+}
+
+// TestLoadV1Checkpoint: a version-1 file records only the encoder width, so
+// it loads with a supplied encoder of that width and predicts as before,
+// and without one it fails with an error that says to retrain.
+func TestLoadV1Checkpoint(t *testing.T) {
+	enc := tinyEncoder()
+	m := newModel(Config{Encoder: enc, GNNLayers: 1, HiddenDim: 32, Seed: 3},
+		[]string{"player.age", "team.name"})
+	v1 := rewriteCheckpoint(t, m, 1, asV1)
+	got, err := Load(bytes.NewReader(v1), Config{Encoder: enc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := &table.Table{Name: "T", ID: "t1", Columns: []*table.Column{
+		{Header: "age", Kind: table.KindNumeric, NumValues: []float64{21, 34, 28}},
+		{Header: "team", Kind: table.KindText, TextValues: []string{"ATL", "BOS", "CHI"}},
+	}}
+	want, have := predictOne(m, tb), predictOne(got, tb)
+	for i := range want {
+		if want[i] != have[i] {
+			t.Fatalf("column %d: %+v, want %+v", i, have[i], want[i])
+		}
+	}
+	_, err = Load(bytes.NewReader(v1), Config{})
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "retrain") {
+		t.Fatalf("v1 load without an encoder: err = %v", err)
+	}
+	wide := enc.Config()
+	wide.Dim, wide.FFNDim = 64, 128
+	if _, err := Load(bytes.NewReader(v1), Config{Encoder: lm.NewEncoder(wide)}); err == nil {
+		t.Fatal("v1 load with an encoder of another width accepted")
+	}
+}
+
+// TestLoadRejectsBadEncoderConfig: a version-2 file whose recorded encoder
+// config lm.NewEncoder would panic on, or that would not fit in memory,
+// fails to load with an error, whether or not the caller supplies an
+// encoder.
+func TestLoadRejectsBadEncoderConfig(t *testing.T) {
+	enc := tinyEncoder()
+	m := newModel(Config{Encoder: enc, GNNLayers: 1, HiddenDim: 32, Seed: 3},
+		[]string{"player.age", "team.name"})
+	cases := []struct {
+		name string
+		edit func(*lm.Config)
+		want string
+	}{
+		{"heads do not divide dim", func(c *lm.Config) { c.Heads = 3 }, "do not divide"},
+		{"zero layers", func(c *lm.Config) { c.Layers = 0 }, "non-positive"},
+		{"zero max len", func(c *lm.Config) { c.MaxLen = 0 }, "non-positive"},
+		{"negative buckets", func(c *lm.Config) { c.Buckets = -1 }, "non-positive"},
+		{"oversized dim", func(c *lm.Config) { c.Dim, c.Heads = 1<<30, 1 }, "ceilings"},
+		{"too many weights", func(c *lm.Config) { c.Dim, c.FFNDim, c.Layers = 4096, 16384, 12 }, "weights"},
+	}
+	for _, tc := range cases {
+		raw := rewriteCheckpoint(t, m, CheckpointVersion, func(meta *savedMeta) { tc.edit(&meta.Encoder) })
+		for _, cfg := range []Config{{}, {Encoder: enc}} {
+			_, err := Load(bytes.NewReader(raw), cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s (encoder supplied: %v): err = %v, want one naming %q", tc.name, cfg.Encoder != nil, err, tc.want)
+			}
+		}
+	}
+	// The ceilings admit the paper's bert-base geometry.
+	if err := validateEncoderConfig(lm.PaperScaleConfig()); err != nil {
+		t.Fatalf("paper-scale encoder rejected: %v", err)
 	}
 }
 

@@ -11,11 +11,14 @@ import (
 	"github.com/sematype/pythagoras/internal/tensor"
 )
 
+// fuzzTypes is the vocabulary of the fuzz seeds' untrained models.
+var fuzzTypes = []string{"player.age", "player.height", "team.name"}
+
 // fuzzSaveBytes trains nothing: it builds an untrained model on the fuzz
 // encoder and serializes it — a structurally valid checkpoint to mutate.
 func fuzzSaveBytes(tb testing.TB, cfg Config) []byte {
 	tb.Helper()
-	m := newModel(cfg, []string{"player.age", "player.height", "team.name"})
+	m := newModel(cfg, fuzzTypes)
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		tb.Fatal(err)
@@ -70,17 +73,23 @@ func FuzzModelLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	ge := gob.NewEncoder(&metaBuf)
-	if err := ge.Encode(savedMeta{Types: []string{"player.age", "player.height", "team.name"},
-		Hidden: enc.Dim(), HiddenDim: 48, GNNLayers: 2}); err != nil {
+	if err := ge.Encode(savedMeta{Types: fuzzTypes, Encoder: enc.Config(), HiddenDim: 48, GNNLayers: 2}); err != nil {
 		f.Fatal(err)
 	}
-	wrongModel := newModel(Config{Encoder: enc, GNNLayers: 2, HiddenDim: 64, Seed: 5},
-		[]string{"player.age", "player.height", "team.name"})
+	wrongModel := newModel(Config{Encoder: enc, GNNLayers: 2, HiddenDim: 64, Seed: 5}, fuzzTypes)
 	if err := wrongModel.params.EncodeGob(ge); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(metaBuf.Bytes())
 	f.Add(mismatched)
+
+	// A version-1 file (encoder width only), and version-2 files whose
+	// recorded encoder config lm.NewEncoder would panic on or could not
+	// allocate.
+	m := newModel(cfg, fuzzTypes)
+	f.Add(rewriteCheckpoint(f, m, 1, asV1))
+	f.Add(rewriteCheckpoint(f, m, CheckpointVersion, func(meta *savedMeta) { meta.Encoder.Heads = 3 }))
+	f.Add(rewriteCheckpoint(f, m, CheckpointVersion, func(meta *savedMeta) { meta.Encoder.Dim = 1 << 30 }))
 
 	probe := &table.Table{Name: "Fuzz Probe", ID: "fz", Columns: []*table.Column{
 		{Header: "name", Kind: table.KindText, TextValues: []string{"a", "b"}},
@@ -120,7 +129,7 @@ func TestDecodeGobRejectsLengthMismatch(t *testing.T) {
 	}
 	p := nn.NewParams()
 	p.Add("w", tensor.New(2, 3))
-	if err := p.Load(&buf); err == nil {
+	if err := p.DecodeGob(gob.NewDecoder(&buf)); err == nil {
 		t.Fatal("short parameter payload accepted")
 	}
 }
@@ -132,13 +141,13 @@ func TestDecodeGobRejectsMissingParams(t *testing.T) {
 	src := nn.NewParams()
 	src.Add("a", tensor.New(1, 2))
 	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := src.EncodeGob(gob.NewEncoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	dst := nn.NewParams()
 	dst.Add("a", tensor.New(1, 2))
 	dst.Add("b", tensor.New(1, 2))
-	if err := dst.Load(&buf); err == nil {
+	if err := dst.DecodeGob(gob.NewDecoder(&buf)); err == nil {
 		t.Fatal("checkpoint missing a parameter accepted")
 	}
 }

@@ -39,7 +39,9 @@ import (
 
 // Config controls model geometry and training.
 type Config struct {
-	// Encoder is the frozen LM shared by all graph nodes. Required.
+	// Encoder is the frozen LM shared by all graph nodes. Required for
+	// training. Optional for Load, which builds it from the checkpoint's
+	// recorded config when nil; a supplied one must match that config.
 	Encoder *lm.Encoder
 	// GNNLayers stacks that many heterogeneous conv layers (default 2; one
 	// layer injects all direct context, the second composes it — e.g. a
@@ -890,8 +892,12 @@ func (m *Model) DecodePredictions(p *Prepared, probs *tensor.Matrix, targets []i
 // --- persistence ---
 
 type savedMeta struct {
-	Types             []string
-	Hidden            int
+	Types []string
+	// Hidden is the encoder width, the one encoder fact a version-1
+	// checkpoint records; Load reads it only from version-1 files.
+	Hidden int
+	// Encoder is the frozen encoder's full config (version 2 on).
+	Encoder           lm.Config
 	HiddenDim         int
 	GNNLayers         int
 	PlainLMStates     bool
@@ -902,16 +908,17 @@ type savedMeta struct {
 }
 
 // Save writes the trained parameters and vocabulary to w, prefixed by the
-// versioned checkpoint header (see CheckpointVersion). The frozen encoder
-// is not serialized — it is fully determined by its Config and is
-// re-supplied at Load time.
+// versioned checkpoint header (see CheckpointVersion). The frozen
+// encoder's weights are not serialized: they are fully determined by its
+// lm.Config, which the checkpoint records and Load rebuilds the encoder
+// from.
 func (m *Model) Save(w io.Writer) error {
 	if err := writeHeader(w, CheckpointVersion); err != nil {
 		return fmt.Errorf("core: write checkpoint header: %w", err)
 	}
 	enc := gob.NewEncoder(w)
 	meta := savedMeta{
-		Types: m.types, Hidden: m.enc.Dim(), HiddenDim: m.cfg.HiddenDim,
+		Types: m.types, Encoder: m.enc.Config(), HiddenDim: m.cfg.HiddenDim,
 		GNNLayers: m.cfg.GNNLayers, PlainLMStates: m.cfg.PlainLMStates,
 		Graph: m.cfg.Graph, FeatMean: m.featMean, FeatStd: m.featStd,
 		LMMean: m.lmMean, LMStd: m.lmStd,
@@ -938,6 +945,36 @@ const (
 	maxLoadHiddenDim = 1 << 16
 	maxLoadTypes     = 1 << 20
 )
+
+// Ceilings for the encoder config a version-2 checkpoint records.
+// lm.NewEncoder allocates Layers·(4·Dim² + 2·Dim·FFNDim) weights plus a
+// MaxLen×Dim position table; the per-field ceilings keep that count from
+// overflowing, and the weight ceiling (2^27 float32s, 512 MiB) admits
+// lm.PaperScaleConfig (~85M weights) while refusing the multi-gigabyte
+// encoder a corrupt header could declare.
+const (
+	maxLoadEncoderLayers  = 64
+	maxLoadEncoderWeights = 1 << 27
+)
+
+// validateEncoderConfig rejects a recorded encoder config lm.NewEncoder
+// would panic on or that would not fit in memory. Seed is any int64.
+func validateEncoderConfig(c lm.Config) error {
+	switch {
+	case c.Dim <= 0 || c.Layers <= 0 || c.Heads <= 0 || c.FFNDim <= 0 || c.MaxLen <= 0 || c.Buckets <= 0:
+		return fmt.Errorf("core: checkpoint encoder config %+v has a non-positive size", c)
+	case c.Dim%c.Heads != 0:
+		return fmt.Errorf("core: checkpoint encoder heads %d do not divide dim %d", c.Heads, c.Dim)
+	case c.Dim > maxLoadHiddenDim || c.FFNDim > maxLoadHiddenDim || c.MaxLen > maxLoadHiddenDim ||
+		c.Layers > maxLoadEncoderLayers:
+		return fmt.Errorf("core: checkpoint encoder config %+v exceeds the load ceilings", c)
+	}
+	dim, ffn := int64(c.Dim), int64(c.FFNDim)
+	if w := int64(c.Layers)*(4*dim*dim+2*dim*ffn) + int64(c.MaxLen)*dim; w > maxLoadEncoderWeights {
+		return fmt.Errorf("core: checkpoint encoder config %+v needs %d weights (max %d)", c, w, maxLoadEncoderWeights)
+	}
+	return nil
+}
 
 // validateMeta rejects checkpoint metadata whose declared geometry or
 // fitted scalings cannot belong to a model this encoder produces — the
@@ -989,14 +1026,19 @@ func validateMeta(meta *savedMeta, encDim int) error {
 	return checkPair("state", meta.LMMean, meta.LMStd, stateDim)
 }
 
-// Load reads a model saved by Save. cfg supplies the encoder (whose Dim
-// must match the saved hidden width) and runtime options. A truncated,
-// corrupted or shape-mismatched checkpoint returns an error — never a
-// panic, and never a silently half-loaded model (see FuzzModelLoad). A
-// checkpoint written by a newer format version returns
-// *UnsupportedVersionError.
+// Load reads a model saved by Save. The encoder comes from the checkpoint:
+// with cfg.Encoder nil, Load builds it from the recorded lm.Config; a
+// supplied encoder (which lets models share one encoder's warm caches)
+// must have exactly that config, or Load returns *EncoderMismatchError.
+// A version-1 checkpoint records only the encoder width, so it needs a
+// supplied encoder of that width. cfg otherwise supplies only runtime
+// options; the geometry comes from the checkpoint. A truncated, corrupted
+// or shape-mismatched checkpoint returns an error — never a panic, and
+// never a silently half-loaded model (see FuzzModelLoad). A checkpoint
+// written by a newer format version returns *UnsupportedVersionError.
 func Load(r io.Reader, cfg Config) (*Model, error) {
-	if _, err := readHeader(r, "checkpoint", CheckpointVersion); err != nil {
+	version, err := readHeader(r, "checkpoint", CheckpointVersion)
+	if err != nil {
 		return nil, err
 	}
 	dec := gob.NewDecoder(r)
@@ -1004,14 +1046,29 @@ func Load(r io.Reader, cfg Config) (*Model, error) {
 	if err := dec.Decode(&meta); err != nil {
 		return nil, fmt.Errorf("core: decode meta: %w", err)
 	}
-	if cfg.Encoder == nil {
-		return nil, fmt.Errorf("core: Load requires Config.Encoder")
+	encCfg := meta.Encoder
+	if version == 1 {
+		if cfg.Encoder == nil {
+			return nil, fmt.Errorf("core: checkpoint format version 1 does not record its encoder config; "+
+				"retrain to write version %d, or supply Config.Encoder", CheckpointVersion)
+		}
+		encCfg = cfg.Encoder.Config()
+		if encCfg.Dim != meta.Hidden {
+			return nil, fmt.Errorf("core: encoder dim %d != saved hidden %d", encCfg.Dim, meta.Hidden)
+		}
+	} else {
+		if err := validateEncoderConfig(encCfg); err != nil {
+			return nil, err
+		}
+		if cfg.Encoder != nil && cfg.Encoder.Config() != encCfg {
+			return nil, &EncoderMismatchError{Saved: encCfg, Supplied: cfg.Encoder.Config()}
+		}
 	}
-	if cfg.Encoder.Dim() != meta.Hidden {
-		return nil, fmt.Errorf("core: encoder dim %d != saved hidden %d", cfg.Encoder.Dim(), meta.Hidden)
-	}
-	if err := validateMeta(&meta, cfg.Encoder.Dim()); err != nil {
+	if err := validateMeta(&meta, encCfg.Dim); err != nil {
 		return nil, err
+	}
+	if cfg.Encoder == nil {
+		cfg.Encoder = lm.NewEncoder(encCfg)
 	}
 	cfg.GNNLayers = meta.GNNLayers
 	cfg.HiddenDim = meta.HiddenDim

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -179,22 +180,37 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(&buf, Config{Encoder: enc})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s1, p1 := m.Evaluate(c, test)
-	s2, p2 := m2.Evaluate(c, test)
-	if len(p1) != len(p2) {
-		t.Fatal("prediction counts differ after load")
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatal("loaded model predicts differently")
+	// Load with the training encoder, and with none: the checkpoint's
+	// recorded config must rebuild an encoder that predicts the same bits.
+	for _, leg := range []struct {
+		name string
+		cfg  Config
+	}{{"supplied encoder", Config{Encoder: enc}}, {"recorded encoder", Config{}}} {
+		m2, err := Load(bytes.NewReader(buf.Bytes()), leg.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
 		}
-	}
-	if s1.Overall.WeightedF1 != s2.Overall.WeightedF1 {
-		t.Fatal("scores differ after load")
+		s2, p2 := m2.Evaluate(c, test)
+		if len(p1) != len(p2) {
+			t.Fatalf("%s: prediction counts differ after load", leg.name)
+		}
+		for i := range p1 {
+			if p1[i] != p2[i] {
+				t.Fatalf("%s: loaded model predicts differently", leg.name)
+			}
+		}
+		if s1.Overall.WeightedF1 != s2.Overall.WeightedF1 {
+			t.Fatalf("%s: scores differ after load", leg.name)
+		}
+		for _, ti := range test {
+			want, got := predictOne(m, c.Tables[ti]), predictOne(m2, c.Tables[ti])
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("%s: table %d column %d: %+v, want %+v", leg.name, ti, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -212,8 +228,20 @@ func TestLoadRejectsWrongEncoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrong := lm.NewEncoder(lm.Config{Dim: 16, Layers: 1, Heads: 2, MaxLen: 32, Buckets: 256, Seed: 1})
-	if _, err := Load(&buf, Config{Encoder: wrong}); err == nil {
+	if _, err := Load(bytes.NewReader(buf.Bytes()), Config{Encoder: wrong}); err == nil {
 		t.Fatal("dim mismatch not rejected")
+	}
+	// Same width, one layer more: the weights were trained on another
+	// encoder, and that must fail loudly rather than predict garbage.
+	deeper := enc.Config()
+	deeper.Layers++
+	_, err = Load(bytes.NewReader(buf.Bytes()), Config{Encoder: lm.NewEncoder(deeper)})
+	var mismatch *EncoderMismatchError
+	if !errors.As(err, &mismatch) {
+		t.Fatalf("layer mismatch: err = %v, want *EncoderMismatchError", err)
+	}
+	if mismatch.Saved != enc.Config() || mismatch.Supplied != deeper {
+		t.Fatalf("mismatch error fields = %+v", mismatch)
 	}
 	if _, err := Load(bytes.NewReader(nil), Config{Encoder: enc}); err == nil {
 		t.Fatal("empty reader not rejected")

@@ -7,7 +7,6 @@ package crf
 
 import (
 	"math"
-	"math/rand"
 )
 
 // Model is a linear-chain CRF with K states (semantic types).
@@ -21,16 +20,6 @@ type Model struct {
 // independent decoding until trained).
 func New(k int) *Model {
 	return &Model{K: k, Trans: make([]float64, k*k)}
-}
-
-// NewRandom returns a CRF with small random transitions (symmetry
-// breaking for training).
-func NewRandom(k int, rng *rand.Rand) *Model {
-	m := New(k)
-	for i := range m.Trans {
-		m.Trans[i] = rng.NormFloat64() * 0.01
-	}
-	return m
 }
 
 // logSumExp returns log Σ exp(xs) computed stably.

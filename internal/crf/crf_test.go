@@ -59,10 +59,19 @@ func TestNLLNonNegativeAndZeroForCertainty(t *testing.T) {
 	}
 }
 
+// randomModel returns a CRF with small random transitions.
+func randomModel(k int, rng *rand.Rand) *Model {
+	m := New(k)
+	for i := range m.Trans {
+		m.Trans[i] = rng.NormFloat64() * 0.01
+	}
+	return m
+}
+
 func TestLogZMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	k := 3
-	m := NewRandom(k, rng)
+	m := randomModel(k, rng)
 	for i := range m.Trans {
 		m.Trans[i] = rng.NormFloat64()
 	}
@@ -108,7 +117,7 @@ func TestLogZMatchesBruteForce(t *testing.T) {
 func TestViterbiMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	k := 3
-	m := NewRandom(k, rng)
+	m := randomModel(k, rng)
 	for i := range m.Trans {
 		m.Trans[i] = rng.NormFloat64()
 	}
@@ -157,7 +166,7 @@ func TestTrainingLearnsTransitionPattern(t *testing.T) {
 	// (columns of the same table share a domain). Weak/noisy unaries.
 	rng := rand.New(rand.NewSource(3))
 	k := 2
-	m := NewRandom(k, rng)
+	m := randomModel(k, rng)
 
 	mkChain := func(label int) ([][]float64, []int) {
 		unary := make([][]float64, 4)
@@ -198,7 +207,7 @@ func TestTrainingLearnsTransitionPattern(t *testing.T) {
 
 func TestPairwiseExpectationsSumToChainLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	m := NewRandom(3, rng)
+	m := randomModel(3, rng)
 	unary := [][]float64{{0, 1, 2}, {2, 1, 0}, {1, 1, 1}}
 	exp := m.pairwiseExpectations(unary)
 	var s float64

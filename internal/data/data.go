@@ -141,13 +141,3 @@ func (c *Corpus) Validate() error {
 	}
 	return nil
 }
-
-// Subset returns a corpus containing the tables at the given indices; the
-// vocabulary is shared with the parent (class indices stay comparable).
-func (c *Corpus) Subset(idx []int) *Corpus {
-	sub := &Corpus{Name: c.Name, Types: c.Types, LabelIndex: c.LabelIndex}
-	for _, i := range idx {
-		sub.Tables = append(sub.Tables, c.Tables[i])
-	}
-	return sub
-}

@@ -239,17 +239,6 @@ func TestCorpusFilterMinSupport(t *testing.T) {
 	}
 }
 
-func TestCorpusSubsetSharesVocabulary(t *testing.T) {
-	c := GenerateSportsTables(SportsConfig{NumTables: 22, Seed: 2, MinRows: 5, MaxRows: 8, WeakNameProb: 0})
-	sub := c.Subset([]int{0, 1, 2})
-	if len(sub.Tables) != 3 {
-		t.Fatal("subset size wrong")
-	}
-	if len(sub.LabelIndex) != len(c.LabelIndex) {
-		t.Fatal("subset must share the parent vocabulary")
-	}
-}
-
 func TestCorpusValidateCatchesDuplicateIDs(t *testing.T) {
 	c := GenerateSportsTables(SportsConfig{NumTables: 11, Seed: 3, MinRows: 5, MaxRows: 8, WeakNameProb: 0})
 	c.Tables[1].ID = c.Tables[0].ID

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"time"
 
 	"github.com/sematype/pythagoras/internal/baselines"
@@ -364,16 +363,4 @@ func RowByModel(res *ComparisonResult, model string) (eval.Row, bool) {
 		}
 	}
 	return eval.Row{}, false
-}
-
-// SortedModelsByNumericF1 returns model names ordered best-first by numeric
-// weighted F1 (reporting convenience).
-func SortedModelsByNumericF1(res *ComparisonResult) []string {
-	rows := append([]eval.Row(nil), res.Rows...)
-	sort.Slice(rows, func(i, j int) bool { return rows[i].WeightedNum > rows[j].WeightedNum })
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.Model
-	}
-	return out
 }

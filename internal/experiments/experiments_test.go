@@ -126,8 +126,4 @@ func TestHelperAccessors(t *testing.T) {
 	if _, ok := RowByModel(res, "nope"); ok {
 		t.Fatal("RowByModel found a ghost")
 	}
-	order := SortedModelsByNumericF1(res)
-	if order[0] != "Pythagoras" || order[2] != "Dosolo" {
-		t.Fatalf("sort order = %v", order)
-	}
 }

@@ -32,11 +32,15 @@ func ExampleBuild() {
 	}
 
 	g := graph.Build(t, labels, graph.BuildOptions{})
+	count := map[graph.NodeType]int{}
+	for _, nt := range g.Types {
+		count[nt]++
+	}
 	fmt.Println("nodes:", g.NumNodes())
-	fmt.Println("V_tn:", len(g.NodesOfType(graph.NodeTableName)))
-	fmt.Println("V_nn:", len(g.NodesOfType(graph.NodeTextColumn)))
-	fmt.Println("V_n:", len(g.NodesOfType(graph.NodeNumericColumn)))
-	fmt.Println("V_ncf:", len(g.NodesOfType(graph.NodeNumericFeatures)))
+	fmt.Println("V_tn:", count[graph.NodeTableName])
+	fmt.Println("V_nn:", count[graph.NodeTextColumn])
+	fmt.Println("V_n:", count[graph.NodeNumericColumn])
+	fmt.Println("V_ncf:", count[graph.NodeNumericFeatures])
 	fmt.Println("green edges (tn→col):", g.Edges[graph.EdgeTableName].Len())
 	fmt.Println("yellow edges (nn→n):", g.Edges[graph.EdgeTextToNum].Len())
 	fmt.Println("red edges (ncf→n):", g.Edges[graph.EdgeFeatToNum].Len())

@@ -132,17 +132,6 @@ func (g *Graph) TargetNodes() []int {
 	return idx
 }
 
-// NodesOfType returns indices of nodes with the given type.
-func (g *Graph) NodesOfType(nt NodeType) []int {
-	var idx []int
-	for i, t := range g.Types {
-		if t == nt {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // Validate checks the structural invariants of the graph representation.
 func (g *Graph) Validate() error {
 	n := g.NumNodes()

@@ -29,6 +29,17 @@ func fig1Table() *table.Table {
 	}
 }
 
+// nodesOfType returns the indices of g's nodes of type nt.
+func nodesOfType(g *Graph, nt NodeType) []int {
+	var idx []int
+	for i, t := range g.Types {
+		if t == nt {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}
+
 func labelIdx() map[string]int {
 	return map[string]int{
 		"basketball.player.name":              0,
@@ -48,16 +59,16 @@ func TestBuildFigure2aStructure(t *testing.T) {
 	if g.NumNodes() != 9 {
 		t.Fatalf("nodes = %d, want 9", g.NumNodes())
 	}
-	if got := len(g.NodesOfType(NodeTableName)); got != 1 {
+	if got := len(nodesOfType(g, NodeTableName)); got != 1 {
 		t.Fatalf("V_tn count = %d", got)
 	}
-	if got := len(g.NodesOfType(NodeTextColumn)); got != 2 {
+	if got := len(nodesOfType(g, NodeTextColumn)); got != 2 {
 		t.Fatalf("V_nn count = %d", got)
 	}
-	if got := len(g.NodesOfType(NodeNumericColumn)); got != 3 {
+	if got := len(nodesOfType(g, NodeNumericColumn)); got != 3 {
 		t.Fatalf("V_n count = %d", got)
 	}
-	if got := len(g.NodesOfType(NodeNumericFeatures)); got != 3 {
+	if got := len(nodesOfType(g, NodeNumericFeatures)); got != 3 {
 		t.Fatalf("V_ncf count = %d", got)
 	}
 	// green edges: tn → every column node (5)
@@ -86,12 +97,12 @@ func TestBuildLabelsAssigned(t *testing.T) {
 		}
 	}
 	// non-target nodes must be unlabeled
-	for _, n := range g.NodesOfType(NodeTableName) {
+	for _, n := range nodesOfType(g, NodeTableName) {
 		if g.Labels[n] != -1 {
 			t.Fatal("V_tn must be unlabeled")
 		}
 	}
-	for _, n := range g.NodesOfType(NodeNumericFeatures) {
+	for _, n := range nodesOfType(g, NodeNumericFeatures) {
 		if g.Labels[n] != -1 {
 			t.Fatal("V_ncf must be unlabeled")
 		}
@@ -109,7 +120,7 @@ func TestBuildUnknownTypeGetsMinusOne(t *testing.T) {
 
 func TestBuildFeatureVectors(t *testing.T) {
 	g := Build(fig1Table(), labelIdx(), BuildOptions{})
-	for _, n := range g.NodesOfType(NodeNumericFeatures) {
+	for _, n := range nodesOfType(g, NodeNumericFeatures) {
 		if len(g.Feats[n]) != features.Dim {
 			t.Fatalf("V_ncf feature dim = %d, want %d", len(g.Feats[n]), features.Dim)
 		}
@@ -121,7 +132,7 @@ func TestBuildFeatureVectors(t *testing.T) {
 
 func TestBuildSerializationExcludesHeaderByDefault(t *testing.T) {
 	g := Build(fig1Table(), labelIdx(), BuildOptions{})
-	for _, n := range g.NodesOfType(NodeNumericColumn) {
+	for _, n := range nodesOfType(g, NodeNumericColumn) {
 		if strings.Contains(g.Texts[n], "PPG") || strings.Contains(g.Texts[n], "AssPG") {
 			t.Fatalf("default serialization leaked header: %q", g.Texts[n])
 		}
@@ -133,7 +144,7 @@ func TestBuildWithOriginalHeaders(t *testing.T) {
 		Serialization: table.SerializeOptions{Header: table.HeaderOriginal},
 	})
 	found := false
-	for _, n := range g.NodesOfType(NodeNumericColumn) {
+	for _, n := range nodesOfType(g, NodeNumericColumn) {
 		if strings.Contains(g.Texts[n], "AssPG") {
 			found = true
 		}
@@ -148,7 +159,7 @@ func TestAblationDropTableName(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(g.NodesOfType(NodeTableName)) != 0 {
+	if len(nodesOfType(g, NodeTableName)) != 0 {
 		t.Fatal("w/o V_tn still has table-name node")
 	}
 	if g.Edges[EdgeTableName].Len() != 0 {
@@ -170,7 +181,7 @@ func TestAblationDropTextEdges(t *testing.T) {
 	}
 	// V_nn nodes must remain: they are still prediction targets (paper
 	// keeps them present, only the information flow is removed)
-	if len(g.NodesOfType(NodeTextColumn)) != 2 {
+	if len(nodesOfType(g, NodeTextColumn)) != 2 {
 		t.Fatal("V_nn nodes must remain present")
 	}
 }
@@ -180,7 +191,7 @@ func TestAblationDropNumericFeatures(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(g.NodesOfType(NodeNumericFeatures)) != 0 || g.Edges[EdgeFeatToNum].Len() != 0 {
+	if len(nodesOfType(g, NodeNumericFeatures)) != 0 || g.Edges[EdgeFeatToNum].Len() != 0 {
 		t.Fatal("w/o V_ncf still has feature nodes/edges")
 	}
 }
@@ -264,12 +275,12 @@ func TestBuildBatchEqualsUnionOfBuilds(t *testing.T) {
 func TestInDegrees(t *testing.T) {
 	g := Build(fig1Table(), labelIdx(), BuildOptions{})
 	inv := g.InvDegrees(EdgeTextToNum)
-	for _, n := range g.NodesOfType(NodeNumericColumn) {
+	for _, n := range nodesOfType(g, NodeNumericColumn) {
 		if inv[n] != 0.5 {
 			t.Fatalf("numeric node inverse in-degree = %v, want 1/2", inv[n])
 		}
 	}
-	for _, n := range g.NodesOfType(NodeTextColumn) {
+	for _, n := range nodesOfType(g, NodeTextColumn) {
 		if inv[n] != 0 {
 			t.Fatal("text node should have no yellow in-edges")
 		}
@@ -288,8 +299,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 	g2 := Build(fig1Table(), labelIdx(), BuildOptions{})
 	// wire a green edge backwards (column → table name)
-	tn := g2.NodesOfType(NodeTableName)[0]
-	nn := g2.NodesOfType(NodeTextColumn)[0]
+	tn := nodesOfType(g2, NodeTableName)[0]
+	nn := nodesOfType(g2, NodeTextColumn)[0]
 	g2.Edges[EdgeTableName].add(nn, tn)
 	if err := g2.Validate(); err == nil {
 		t.Fatal("type-invalid edge not caught")

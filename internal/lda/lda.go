@@ -201,6 +201,3 @@ func (m *Model) Infer(doc []string, iterations int, seed int64) []float64 {
 	}
 	return out
 }
-
-// VocabSize returns the number of distinct training words.
-func (m *Model) VocabSize() int { return len(m.vocabID) }

@@ -24,8 +24,8 @@ func TestTrainBasics(t *testing.T) {
 	if m.K != 2 {
 		t.Fatalf("K = %d", m.K)
 	}
-	if m.VocabSize() != 14 {
-		t.Fatalf("vocab = %d, want 14", m.VocabSize())
+	if len(m.vocabID) != 14 {
+		t.Fatalf("vocab = %d, want 14", len(m.vocabID))
 	}
 }
 

@@ -97,30 +97,17 @@ func (c *vecCache) len() int {
 	return n
 }
 
-// resetStats zeroes the hit/miss/eviction counters (entries stay cached).
-func (c *vecCache) resetStats() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evicted.Store(0)
-}
-
 // CacheStats reports the encoder's embedding-cache effectiveness: entry
 // counts and cumulative hit/miss/eviction counters for the token-embedding
-// and full-text CLS caches. Counters are monotone between ResetCacheStats
-// calls. EntriesEvicted counts entries dropped by capacity resets — a
-// steadily climbing value on a long-running serve process means the working
-// set exceeds the cache bound (cache thrash) and recomputation is eating
-// latency.
+// and full-text CLS caches. Counters are monotone. The *EntriesEvicted
+// counters count entries dropped by capacity resets — a steadily climbing
+// value on a long-running serve process means the working set exceeds the
+// cache bound (cache thrash) and recomputation is eating latency.
 type CacheStats struct {
 	TokenEntries, TextEntries               int
 	TokenHits, TokenMisses                  uint64
 	TextHits, TextMisses                    uint64
 	TokenEntriesEvicted, TextEntriesEvicted uint64
-}
-
-// EntriesEvicted returns the total entries dropped across both caches.
-func (s CacheStats) EntriesEvicted() uint64 {
-	return s.TokenEntriesEvicted + s.TextEntriesEvicted
 }
 
 // CacheStats returns a snapshot of the embedding caches.
@@ -135,13 +122,4 @@ func (e *Encoder) CacheStats() CacheStats {
 		TokenEntriesEvicted: e.tokenVecs.evicted.Load(),
 		TextEntriesEvicted:  e.textVecs.evicted.Load(),
 	}
-}
-
-// ResetCacheStats zeroes the hit/miss/eviction counters of both caches
-// without dropping any cached vectors. Long-running serve processes reset
-// between measurement windows so rates (hit ratio, evictions/interval) are
-// computable from two snapshots of a fresh window.
-func (e *Encoder) ResetCacheStats() {
-	e.tokenVecs.resetStats()
-	e.textVecs.resetStats()
 }

@@ -1,16 +1,14 @@
 // Package nn builds neural-network training machinery on top of the
-// autodiff tape: named parameter collections, initializers, dense layers,
-// optimizers (Adam, SGD), learning-rate schedules, gradient clipping, early
+// autodiff tape: named parameter collections, initialization, dense layers,
+// the Adam optimizer, learning-rate schedules, gradient clipping, early
 // stopping, and gob-based persistence.
 package nn
 
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"os"
 	"sort"
 
 	"github.com/sematype/pythagoras/internal/autodiff"
@@ -64,19 +62,6 @@ func (p *Params) Count() int {
 	return n
 }
 
-// CopyFrom copies values from src for every shared name with matching shape.
-// It returns the number of matrices copied.
-func (p *Params) CopyFrom(src *Params) int {
-	n := 0
-	for name, dst := range p.byKey {
-		if s, ok := src.byKey[name]; ok && s.SameShape(dst) {
-			copy(dst.Data, s.Data)
-			n++
-		}
-	}
-	return n
-}
-
 // Snapshot returns a deep copy of all parameter values keyed by name.
 func (p *Params) Snapshot() map[string][]float64 {
 	out := make(map[string][]float64, len(p.byKey))
@@ -102,13 +87,9 @@ type savedParam struct {
 	Data       []float64
 }
 
-// Save writes all parameters to w in a stable (sorted-name) order.
-func (p *Params) Save(w io.Writer) error {
-	return p.EncodeGob(gob.NewEncoder(w))
-}
-
-// EncodeGob writes the parameters through an existing gob encoder, letting
-// callers interleave them with their own metadata on one stream.
+// EncodeGob writes all parameters in a stable (sorted-name) order through
+// a gob encoder, letting callers interleave them with their own metadata
+// on one stream.
 func (p *Params) EncodeGob(enc *gob.Encoder) error {
 	names := p.Names()
 	sort.Strings(names)
@@ -120,14 +101,9 @@ func (p *Params) EncodeGob(enc *gob.Encoder) error {
 	return enc.Encode(out)
 }
 
-// Load reads parameters written by Save into this collection. Every saved
-// parameter must exist here with an identical shape.
-func (p *Params) Load(r io.Reader) error {
-	return p.DecodeGob(gob.NewDecoder(r))
-}
-
-// DecodeGob is the streaming counterpart of EncodeGob. A saved parameter
-// whose declared shape or data length disagrees with the model is an error,
+// DecodeGob reads parameters written by EncodeGob into this collection.
+// Every saved parameter must exist here with an identical shape: one whose
+// declared shape or data length disagrees with the model is an error,
 // never a silent partial copy — a corrupted or truncated checkpoint must be
 // rejected, not half-loaded (see core.FuzzModelLoad).
 func (p *Params) DecodeGob(dec *gob.Decoder) error {
@@ -161,25 +137,6 @@ func (p *Params) DecodeGob(dec *gob.Decoder) error {
 	return nil
 }
 
-// SaveFile / LoadFile are Save/Load against a path.
-func (p *Params) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return p.Save(f)
-}
-
-func (p *Params) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return p.Load(f)
-}
-
 // --- initializers ---
 
 // XavierInit fills m with Glorot-uniform values for a fanIn×fanOut layer.
@@ -187,14 +144,6 @@ func XavierInit(m *tensor.Matrix, rng *rand.Rand) {
 	limit := math.Sqrt(6 / float64(m.Rows+m.Cols))
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * limit
-	}
-}
-
-// HeInit fills m with Kaiming-normal values (for ReLU networks).
-func HeInit(m *tensor.Matrix, rng *rand.Rand) {
-	std := math.Sqrt(2 / float64(m.Rows))
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64() * std
 	}
 }
 
@@ -218,39 +167,6 @@ func NewLinear(p *Params, prefix string, in, out int, rng *rand.Rand) *Linear {
 // Apply runs the layer on the tape.
 func (l *Linear) Apply(t *autodiff.Tape, x *autodiff.Var) *autodiff.Var {
 	return t.AddRow(t.MatMul(x, t.Param(l.W)), t.Param(l.B))
-}
-
-// MLP is a stack of Linear layers with ReLU between them (none after the
-// final layer) and optional dropout on hidden activations.
-type MLP struct {
-	Layers  []*Linear
-	Dropout float64
-}
-
-// NewMLP builds an MLP with the given layer widths, e.g. dims = [192, 300,
-// 96] gives 192→300→96 with one hidden ReLU.
-func NewMLP(p *Params, prefix string, dims []int, dropout float64, rng *rand.Rand) *MLP {
-	if len(dims) < 2 {
-		panic("nn: MLP needs at least input and output dims")
-	}
-	m := &MLP{Dropout: dropout}
-	for i := 0; i+1 < len(dims); i++ {
-		m.Layers = append(m.Layers, NewLinear(p, fmt.Sprintf("%s.l%d", prefix, i), dims[i], dims[i+1], rng))
-	}
-	return m
-}
-
-// Apply runs the MLP on the tape. rng is used for dropout when training.
-func (m *MLP) Apply(t *autodiff.Tape, x *autodiff.Var, rng *rand.Rand, training bool) *autodiff.Var {
-	h := x
-	for i, l := range m.Layers {
-		h = l.Apply(t, h)
-		if i+1 < len(m.Layers) {
-			h = t.ReLU(h)
-			h = t.Dropout(h, m.Dropout, rng, training)
-		}
-	}
-	return h
 }
 
 // --- gradient bookkeeping ---
@@ -376,45 +292,6 @@ type Optimizer interface {
 	LR() float64
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	lr       float64
-	Momentum float64
-	velocity map[string][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{lr: lr, Momentum: momentum, velocity: make(map[string][]float64)}
-}
-
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-func (s *SGD) LR() float64      { return s.lr }
-
-// Step applies v = m·v - lr·g; p += v (or plain p -= lr·g when momentum=0).
-func (s *SGD) Step(p *Params, grads *GradSet) {
-	for _, name := range p.Names() {
-		g := grads.Grad(name)
-		if g == nil {
-			continue
-		}
-		w := p.Get(name)
-		if s.Momentum == 0 {
-			w.AddScaledInPlace(g, -s.lr)
-			continue
-		}
-		v := s.velocity[name]
-		if v == nil {
-			v = make([]float64, len(w.Data))
-			s.velocity[name] = v
-		}
-		for i := range v {
-			v[i] = s.Momentum*v[i] - s.lr*g.Data[i]
-			w.Data[i] += v[i]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba) with bias correction,
 // matching the paper's training configuration.
 type Adam struct {
@@ -506,7 +383,7 @@ func NewEarlyStopper(patience int) *EarlyStopper {
 // never an improvement (the implicit `NaN > best` comparison is always
 // false, which used to make this an accident rather than a decision), it
 // never snapshots, and it counts against patience like any non-improving
-// epoch. Callers should check RestoreBest/HasSnapshot afterwards: a run
+// epoch. Callers should check RestoreBest's result afterwards: a run
 // whose metric was never finite has no snapshot to restore.
 func (e *EarlyStopper) Observe(epoch int, metric float64, p *Params) bool {
 	e.seen++
@@ -526,9 +403,6 @@ func (e *EarlyStopper) Observe(epoch int, metric float64, p *Params) bool {
 // Best returns the best metric value and the epoch it occurred at
 // (-Inf, -1 when no finite metric was ever observed).
 func (e *EarlyStopper) Best() (float64, int) { return e.best, e.bestEpoch }
-
-// HasSnapshot reports whether any epoch produced a best-parameter snapshot.
-func (e *EarlyStopper) HasSnapshot() bool { return e.snapshot != nil }
 
 // NaNsSeen returns how many observed epochs carried a NaN metric.
 func (e *EarlyStopper) NaNsSeen() int { return e.nans }

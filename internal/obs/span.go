@@ -119,12 +119,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey, s), s
 }
 
-// SpanFrom returns the context's current span (nil if none).
-func SpanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey).(*Span)
-	return s
-}
-
 // Name returns the span's stage name ("" for nil).
 func (s *Span) Name() string {
 	if s == nil {

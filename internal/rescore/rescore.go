@@ -82,7 +82,7 @@ type Driver struct {
 
 	scored *obs.Counter // rescore.tables.scored{model=}
 	errs   *obs.Counter // rescore.errors{model=}
-	posG   *obs.Gauge   // rescore.cursor.position: Progress.Done
+	doneG  *obs.Gauge   // rescore.tables.done: Progress.Done
 	totalG *obs.Gauge   // rescore.tables.total
 	active *obs.Gauge   // rescore.active
 }
@@ -106,7 +106,7 @@ func New(lake *Lake, scorer Scorer, idx *discovery.SwapIndex, cfg Config) *Drive
 	reg := cfg.Metrics // nil-safe: every obs handle tolerates a nil registry
 	d.scored = reg.Counter(obs.Labels("rescore.tables.scored", "model", cfg.ModelID))
 	d.errs = reg.Counter(obs.Labels("rescore.errors", "model", cfg.ModelID))
-	d.posG = reg.Gauge("rescore.cursor.position")
+	d.doneG = reg.Gauge("rescore.tables.done")
 	d.totalG = reg.Gauge("rescore.tables.total")
 	d.active = reg.Gauge("rescore.active")
 	if reg != nil {
@@ -128,9 +128,9 @@ func (d *Driver) Progress() Progress {
 func (d *Driver) update(fn func(p *Progress)) {
 	d.mu.Lock()
 	fn(&d.prog)
-	pos, total := d.prog.Done, d.prog.Total
+	done, total := d.prog.Done, d.prog.Total
 	d.mu.Unlock()
-	d.posG.Set(float64(pos))
+	d.doneG.Set(float64(done))
 	d.totalG.Set(float64(total))
 }
 

@@ -11,6 +11,7 @@ import (
 	"github.com/sematype/pythagoras/internal/core"
 	"github.com/sematype/pythagoras/internal/discovery"
 	"github.com/sematype/pythagoras/internal/faultinject"
+	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/table"
 )
 
@@ -110,7 +111,8 @@ func TestRunHappyPath(t *testing.T) {
 	lake, idx := seedLake(10)
 	old := idx.Current()
 	sc := &fakeScorer{}
-	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 3, Concurrency: 2})
+	reg := obs.NewRegistry()
+	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 3, Concurrency: 2, Metrics: reg})
 
 	if err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -118,6 +120,9 @@ func TestRunHappyPath(t *testing.T) {
 	p := d.Progress()
 	if p.State != "done" || p.Total != 10 || p.Done != 10 || p.Skipped != 0 {
 		t.Fatalf("progress = %+v", p)
+	}
+	if got := reg.Snapshot().Gauges["rescore.tables.done"]; got != 10 {
+		t.Fatalf("rescore.tables.done = %v, want 10", got)
 	}
 	if idx.Current() == old {
 		t.Fatal("index never flipped")

@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"github.com/sematype/pythagoras/internal/core"
+	"github.com/sematype/pythagoras/internal/data"
 	"github.com/sematype/pythagoras/internal/faultinject"
+	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/table"
 )
 
@@ -331,9 +333,10 @@ promoted:
 }
 
 // TestFailedCandidateLoadDoesNotFlipReadiness is the second readiness
-// regression test: a load that fails — missing file, corrupt checkpoint, or
-// an injected ServerModelLoad fault — returns its error and changes nothing:
-// readyz stays 200, traffic keeps flowing, no candidate appears.
+// regression test: a load that fails — missing file, corrupt checkpoint, a
+// checkpoint trained on another encoder, or an injected ServerModelLoad
+// fault — returns its error and changes nothing: readyz stays 200, traffic
+// keeps flowing, no candidate appears.
 func TestFailedCandidateLoadDoesNotFlipReadiness(t *testing.T) {
 	srvFaults := faultinject.New().
 		On(faultinject.ServerModelLoad, faultinject.Times(1, faultinject.Err(errInjected)))
@@ -341,6 +344,21 @@ func TestFailedCandidateLoadDoesNotFlipReadiness(t *testing.T) {
 	dir := t.TempDir()
 	corrupt := filepath.Join(dir, "corrupt.bin")
 	if err := os.WriteFile(corrupt, []byte("PYTHCKPTgarbage-not-a-checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A candidate trained on a deeper encoder of the primary's width: the
+	// candidate shares the primary's encoder, so it must be refused.
+	deeperEnc := chaosModel(t).Encoder().Config()
+	deeperEnc.Layers = 2
+	cfg := core.DefaultConfig(lm.NewEncoder(deeperEnc))
+	cfg.Epochs = 1
+	c := data.GenerateSportsTables(data.SportsConfig{NumTables: 4, Seed: 11, MinRows: 5, MaxRows: 8, Domains: 2})
+	deeper, err := core.TrainCtx(context.Background(), c, []int{0, 1}, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deeperPath := filepath.Join(dir, "deeper.bin")
+	if err := deeper.SaveFile(deeperPath); err != nil {
 		t.Fatal(err)
 	}
 
@@ -352,6 +370,7 @@ func TestFailedCandidateLoadDoesNotFlipReadiness(t *testing.T) {
 		{"injected fault", ModelsRequest{ID: "f", Path: filepath.Join(dir, "whatever.bin")}, http.StatusUnprocessableEntity},
 		{"missing file", ModelsRequest{ID: "m", Path: filepath.Join(dir, "missing.bin")}, http.StatusNotFound},
 		{"corrupt checkpoint", ModelsRequest{ID: "c", Path: corrupt}, http.StatusUnprocessableEntity},
+		{"other encoder", ModelsRequest{ID: "d", Path: deeperPath}, http.StatusUnprocessableEntity},
 		{"empty path", ModelsRequest{ID: "e"}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -224,13 +224,6 @@ type Server struct {
 // Option configures a Server.
 type Option func(*Server)
 
-// WithMetrics supplies the metrics registry. Without it the server adopts
-// the engine's registry, or creates its own — a server always serves
-// /v1/metrics.
-func WithMetrics(reg *obs.Registry) Option {
-	return func(s *Server) { s.metrics = reg }
-}
-
 // WithSlog sets the server's logger: one line per request with the request
 // ID and trace ID as attributes (joinable against /v1/traces and the
 // X-Request-ID header), plus panics, lifecycle and re-score events and the
@@ -313,16 +306,11 @@ func WithRescoreBatch(n int) Option {
 	}
 }
 
-// New builds a server around a trained model. minConfidence filters what
-// enters the discovery index.
-func New(m *core.Model, minConfidence float64, opts ...Option) *Server {
-	return NewWithEngine(infer.New(m), minConfidence, opts...)
-}
-
 // NewWithEngine builds a server around a pre-configured inference engine
-// (custom worker counts, batch bounds). The server and engine share one
-// metrics registry: the server's (WithMetrics) if the engine has none yet,
-// otherwise the engine's.
+// (custom worker counts, batch bounds). minConfidence filters what enters
+// the discovery index. The server and engine share one metrics registry:
+// the engine's, or a new one when the engine has none — a server always
+// serves /v1/metrics.
 func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Server {
 	s := &Server{
 		index:        discovery.NewSwapIndex(minConfidence),

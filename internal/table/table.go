@@ -99,28 +99,6 @@ func (t *Table) NumRows() int {
 	return t.Columns[0].Len()
 }
 
-// NumericColumns returns the indices of numeric columns in order.
-func (t *Table) NumericColumns() []int {
-	var idx []int
-	for i, c := range t.Columns {
-		if c.Kind == KindNumeric {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// TextColumns returns the indices of non-numerical columns in order.
-func (t *Table) TextColumns() []int {
-	var idx []int
-	for i, c := range t.Columns {
-		if c.Kind == KindText {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // Validate checks structural invariants: consistent row counts, labels
 // present, kind/value agreement.
 func (t *Table) Validate() error {

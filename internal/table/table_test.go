@@ -66,16 +66,6 @@ func TestFormatNumber(t *testing.T) {
 	}
 }
 
-func TestNumericTextColumnIndices(t *testing.T) {
-	tb := sampleTable()
-	if got := tb.NumericColumns(); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("NumericColumns = %v", got)
-	}
-	if got := tb.TextColumns(); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("TextColumns = %v", got)
-	}
-}
-
 func TestNumRows(t *testing.T) {
 	tb := sampleTable()
 	if tb.NumRows() != 2 {

@@ -2,7 +2,7 @@
 // linear-algebra kernels the rest of the system is built on.
 //
 // The package is deliberately small: everything Pythagoras needs — matrix
-// products, broadcasts, reductions, row gather/scatter — and nothing else.
+// products, broadcasts, row gather/scatter — and nothing else.
 // All operations are deterministic and allocation behaviour is explicit:
 // functions ending in InPlace mutate their receiver, functions ending in
 // Into write into caller-owned storage (the hot-path forms — see matmul.go
@@ -57,9 +57,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// RowVector returns a 1×len(v) matrix with a copy of v.
-func RowVector(v []float64) *Matrix { return FromSlice(1, len(v), v) }
-
 // At returns the element at (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -84,14 +81,6 @@ func (m *Matrix) Zero() *Matrix {
 	return m
 }
 
-// Fill sets every element to v and returns m.
-func (m *Matrix) Fill(v float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-	return m
-}
-
 // SameShape reports whether m and other have identical dimensions.
 func (m *Matrix) SameShape(other *Matrix) bool {
 	return m.Rows == other.Rows && m.Cols == other.Cols
@@ -99,17 +88,6 @@ func (m *Matrix) SameShape(other *Matrix) bool {
 
 func (m *Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
-}
-
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
 }
 
 // Add returns a+b (same shape).
@@ -128,18 +106,6 @@ func (m *Matrix) AddInPlace(other *Matrix) *Matrix {
 		m.Data[i] += v
 	}
 	return m
-}
-
-// Sub returns a-b (same shape).
-func Sub(a, b *Matrix) *Matrix {
-	if !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: Sub %v - %v", a, b))
-	}
-	c := a.Clone()
-	for i, v := range b.Data {
-		c.Data[i] -= v
-	}
-	return c
 }
 
 // AddScaledInPlace computes m += s·other and returns m.
@@ -184,18 +150,6 @@ func (m *Matrix) ScaleInPlace(s float64) *Matrix {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// Mul returns the elementwise (Hadamard) product a⊙b.
-func Mul(a, b *Matrix) *Matrix {
-	if !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: Mul %v ⊙ %v", a, b))
-	}
-	c := a.Clone()
-	for i, v := range b.Data {
-		c.Data[i] *= v
-	}
-	return c
 }
 
 // Apply returns a new matrix with f applied elementwise.
@@ -254,27 +208,6 @@ func ScaleRows(m *Matrix, s []float64) *Matrix {
 	return out
 }
 
-// SumRows returns a 1×Cols row vector holding the column sums of m.
-func SumRows(m *Matrix) *Matrix {
-	out := New(1, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j] += v
-		}
-	}
-	return out
-}
-
-// MeanRows returns a 1×Cols row vector holding the column means of m.
-func MeanRows(m *Matrix) *Matrix {
-	out := SumRows(m)
-	if m.Rows > 0 {
-		out.ScaleInPlace(1 / float64(m.Rows))
-	}
-	return out
-}
-
 // ConcatRows stacks matrices vertically. All inputs must share Cols.
 func ConcatRows(ms ...*Matrix) *Matrix {
 	if len(ms) == 0 {
@@ -295,51 +228,6 @@ func ConcatRows(ms ...*Matrix) *Matrix {
 		at += len(m.Data)
 	}
 	return out
-}
-
-// ConcatCols concatenates matrices horizontally. All inputs must share Rows.
-func ConcatCols(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic(fmt.Sprintf("tensor: ConcatCols row mismatch %d vs %d", m.Rows, rows))
-		}
-		cols += m.Cols
-	}
-	out := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		at := 0
-		orow := out.Row(i)
-		for _, m := range ms {
-			copy(orow[at:at+m.Cols], m.Row(i))
-			at += m.Cols
-		}
-	}
-	return out
-}
-
-// Norm returns the Frobenius norm of m.
-func (m *Matrix) Norm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for empty m.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // ArgMaxRow returns the index of the maximum element in row i.
@@ -368,57 +256,19 @@ func Equal(a, b *Matrix, tol float64) bool {
 	return true
 }
 
-// HasNaN reports whether any element is NaN or ±Inf.
-func (m *Matrix) HasNaN() bool {
-	for _, v := range m.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
-}
-
 // --- Into-variants of the elementwise ops ---
 //
 // The allocating forms above stay for cold paths and tests; the forms below
 // write into caller-owned (typically arena-recycled) storage and are what
 // the autodiff tape and inference engine use steady-state.
 
-func checkSameShape3(op string, out, a, b *Matrix) {
-	if !out.SameShape(a) || !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: %s out=%v a=%v b=%v", op, out, a, b))
-	}
-}
-
-// CopyInto copies m into out (same shape).
-func CopyInto(out, m *Matrix) {
-	if !out.SameShape(m) {
-		panic(fmt.Sprintf("tensor: CopyInto %v <- %v", out, m))
-	}
-	copy(out.Data, m.Data)
-}
-
 // AddInto computes out = a+b elementwise. out may alias a or b.
 func AddInto(out, a, b *Matrix) {
-	checkSameShape3("AddInto", out, a, b)
+	if !out.SameShape(a) || !a.SameShape(b) {
+		panic(fmt.Sprintf("tensor: AddInto out=%v a=%v b=%v", out, a, b))
+	}
 	for i, v := range a.Data {
 		out.Data[i] = v + b.Data[i]
-	}
-}
-
-// SubInto computes out = a-b elementwise. out may alias a or b.
-func SubInto(out, a, b *Matrix) {
-	checkSameShape3("SubInto", out, a, b)
-	for i, v := range a.Data {
-		out.Data[i] = v - b.Data[i]
-	}
-}
-
-// MulInto computes out = a⊙b elementwise. out may alias a or b.
-func MulInto(out, a, b *Matrix) {
-	checkSameShape3("MulInto", out, a, b)
-	for i, v := range a.Data {
-		out.Data[i] = v * b.Data[i]
 	}
 }
 
@@ -458,71 +308,6 @@ func ScaleRowsInto(out, m *Matrix, s []float64) {
 		orow := out.Row(i)
 		for j, v := range mrow {
 			orow[j] = sv * v
-		}
-	}
-}
-
-// SumRowsInto writes the column sums of m into the 1×Cols vector out.
-func SumRowsInto(out, m *Matrix) {
-	if out.Rows != 1 || out.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: SumRowsInto out=%v m=%v", out, m))
-	}
-	out.Zero()
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j] += v
-		}
-	}
-}
-
-// MeanRowsInto writes the column means of m into the 1×Cols vector out.
-func MeanRowsInto(out, m *Matrix) {
-	SumRowsInto(out, m)
-	if m.Rows > 0 {
-		out.ScaleInPlace(1 / float64(m.Rows))
-	}
-}
-
-// ConcatRowsInto stacks matrices vertically into out, which must have the
-// summed row count and the shared column count.
-func ConcatRowsInto(out *Matrix, ms ...*Matrix) {
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != out.Cols {
-			panic(fmt.Sprintf("tensor: ConcatRowsInto col mismatch %d vs %d", m.Cols, out.Cols))
-		}
-		rows += m.Rows
-	}
-	if rows != out.Rows {
-		panic(fmt.Sprintf("tensor: ConcatRowsInto out has %d rows, want %d", out.Rows, rows))
-	}
-	at := 0
-	for _, m := range ms {
-		copy(out.Data[at:at+len(m.Data)], m.Data)
-		at += len(m.Data)
-	}
-}
-
-// ConcatColsInto concatenates matrices horizontally into out, which must
-// have the shared row count and the summed column count.
-func ConcatColsInto(out *Matrix, ms ...*Matrix) {
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != out.Rows {
-			panic(fmt.Sprintf("tensor: ConcatColsInto row mismatch %d vs %d", m.Rows, out.Rows))
-		}
-		cols += m.Cols
-	}
-	if cols != out.Cols {
-		panic(fmt.Sprintf("tensor: ConcatColsInto out has %d cols, want %d", out.Cols, cols))
-	}
-	for i := 0; i < out.Rows; i++ {
-		at := 0
-		orow := out.Row(i)
-		for _, m := range ms {
-			copy(orow[at:at+m.Cols], m.Row(i))
-			at += m.Cols
 		}
 	}
 }

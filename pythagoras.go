@@ -133,8 +133,9 @@ func Train(ctx context.Context, c *Corpus, trainIdx, valIdx []int, cfg Config) (
 	return core.TrainCtx(ctx, c, trainIdx, valIdx, cfg)
 }
 
-// LoadModel reads a model written by Model.SaveFile. cfg must supply an
-// encoder whose width matches the saved model.
+// LoadModel reads a model written by Model.SaveFile. The checkpoint
+// records its encoder's config, so cfg may be the zero Config; an encoder
+// cfg does supply must have exactly that config.
 func LoadModel(path string, cfg Config) (*Model, error) { return core.LoadFile(path, cfg) }
 
 // TrainValTestSplit partitions n tables into the paper's 60/20/20 splits.
