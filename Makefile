@@ -33,11 +33,15 @@ lint-alloc:
 build:
 	$(GO) build ./...
 
+# The 386 lines build and test the portable float32 strip kernel
+# (internal/tensor/f32_other.go), which amd64 replaces with SSE assembly.
 test:
 	$(GO) test ./...
+	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/lm/
 
 vet:
 	$(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
 
 # Race-detect the concurrent paths: the staged inference engine, the
 # data-parallel trainer (worker-count bit-identity + train chaos suites live
@@ -64,12 +68,15 @@ cover:
 # Short-budget fuzz pass over every fuzz target. go test accepts a single
 # -fuzz pattern per invocation, hence one line per target; the committed
 # seed corpora under testdata/fuzz/ run in the ordinary `make test` too.
+# -fuzzminimizetime 0s spends the budget fuzzing: Go's default minimizes
+# each new interesting input for up to 60 s, which ate the whole 10 s.
+# A failing input is still reported and saved under testdata/fuzz/.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s ./internal/table/
-	$(GO) test -run '^$$' -fuzz FuzzCSVTable -fuzztime 10s ./internal/table/
-	$(GO) test -run '^$$' -fuzz FuzzTableRequestDecode -fuzztime 10s ./internal/server/
-	$(GO) test -run '^$$' -fuzz FuzzModelsRequestDecode -fuzztime 10s ./internal/server/
-	$(GO) test -run '^$$' -fuzz FuzzModelLoad -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s -fuzzminimizetime 0s ./internal/table/
+	$(GO) test -run '^$$' -fuzz FuzzCSVTable -fuzztime 10s -fuzzminimizetime 0s ./internal/table/
+	$(GO) test -run '^$$' -fuzz FuzzTableRequestDecode -fuzztime 10s -fuzzminimizetime 0s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzModelsRequestDecode -fuzztime 10s -fuzzminimizetime 0s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzModelLoad -fuzztime 10s -fuzzminimizetime 0s ./internal/core/
 
 # One quick-scale pass per paper table/figure plus component micro-benches.
 bench:

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -162,6 +164,55 @@ func TestLoadRejectsBadEncoderConfig(t *testing.T) {
 	// The ceilings admit the paper's bert-base geometry.
 	if err := validateEncoderConfig(lm.PaperScaleConfig()); err != nil {
 		t.Fatalf("paper-scale encoder rejected: %v", err)
+	}
+}
+
+// widestHidden declares the widest GNN hidden layer the per-field
+// ceiling admits: with two layers, ~146 GB of weights.
+func widestHidden(meta *savedMeta) { meta.HiddenDim = maxLoadHiddenDim }
+
+// TestLoadRejectsOversizedModel: Load must refuse a header whose geometry
+// needs more parameters than the ceiling from the metadata alone, before
+// newModel allocates any of them.
+func TestLoadRejectsOversizedModel(t *testing.T) {
+	enc := tinyEncoder()
+	m := newModel(Config{Encoder: enc, GNNLayers: 2, HiddenDim: 48, Seed: 5}, fuzzTypes)
+	raw := rewriteCheckpoint(t, m, CheckpointVersion, widestHidden)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(raw), Config{Encoder: enc})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "parameters") {
+		t.Fatalf("err = %v, want one naming the parameter count", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("Load allocated %d bytes before refusing the header", grew)
+	}
+}
+
+// TestModelParamsCountsNewModel: the count validateMeta bounds is the
+// number of parameters newModel allocates, and the ceiling admits a
+// paper-scale model (768-wide encoder, 2 GNN layers, 462 types).
+func TestModelParamsCountsNewModel(t *testing.T) {
+	enc := tinyEncoder()
+	for _, cfg := range []Config{
+		{Encoder: enc, GNNLayers: 2, HiddenDim: 48},
+		{Encoder: enc, GNNLayers: 3},
+		{Encoder: enc, PlainLMStates: true},
+	} {
+		m := newModel(cfg, fuzzTypes)
+		got := modelParams(m.stateDim(), enc.Dim(), cfg.HiddenDim, cfg.GNNLayers, len(fuzzTypes))
+		if want := int64(m.params.Count()); got != want {
+			t.Errorf("hidden dim %d, %d GNN layers, plain %v: modelParams = %d, newModel allocates %d",
+				cfg.HiddenDim, cfg.GNNLayers, cfg.PlainLMStates, got, want)
+		}
+	}
+	paper := &savedMeta{GNNLayers: 2, Types: make([]string, 462)}
+	for i := range paper.Types {
+		paper.Types[i] = fmt.Sprintf("type%d", i)
+	}
+	if err := validateMeta(paper, lm.PaperScaleConfig().Dim); err != nil {
+		t.Fatalf("paper-scale model rejected: %v", err)
 	}
 }
 

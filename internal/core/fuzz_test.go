@@ -90,6 +90,8 @@ func FuzzModelLoad(f *testing.F) {
 	f.Add(rewriteCheckpoint(f, m, 1, asV1))
 	f.Add(rewriteCheckpoint(f, m, CheckpointVersion, func(meta *savedMeta) { meta.Encoder.Heads = 3 }))
 	f.Add(rewriteCheckpoint(f, m, CheckpointVersion, func(meta *savedMeta) { meta.Encoder.Dim = 1 << 30 }))
+	// A GNN geometry whose parameters alone would need ~146 GB.
+	f.Add(rewriteCheckpoint(f, m, CheckpointVersion, widestHidden))
 
 	probe := &table.Table{Name: "Fuzz Probe", ID: "fz", Columns: []*table.Column{
 		{Header: "name", Kind: table.KindText, TextValues: []string{"a", "b"}},

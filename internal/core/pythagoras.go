@@ -195,11 +195,9 @@ func newModel(cfg Config, types []string) *Model {
 	for i, st := range m.types {
 		m.labelIndex[st] = i
 	}
-	encDim := hidden
 	if cfg.HiddenDim > 0 {
 		hidden = cfg.HiddenDim
 	}
-	_ = encDim
 	stateDim := m.stateDim()
 	m.subnet = nn.NewLinear(p, "subnet", features.Dim, stateDim, rng)
 	dims := make([]int, cfg.GNNLayers+1)
@@ -936,15 +934,39 @@ func (m *Model) SaveFile(path string) error {
 	return atomicfile.Write(path, 0o644, m.Save)
 }
 
-// Geometry ceilings for checkpoint metadata. A checkpoint declaring wider
-// or deeper geometry than these is corrupt (or adversarial): rejecting it
-// up front keeps a fuzzed byte stream from driving newModel into huge
-// allocations before the parameter shape checks can catch it.
+// Geometry ceilings for checkpoint metadata. The per-field ceilings keep
+// the parameter count validateMeta derives from overflowing; the count
+// ceiling is what keeps a corrupt (or adversarial) header from driving
+// newModel into a huge allocation before DecodeGob checks the payload.
+// maxLoadModelParams (2^26 float64s, 512 MiB) admits a paper-scale model —
+// a 768-wide encoder, 2 GNN layers and 462 types need ≈7.9M parameters —
+// and refuses the ~146 GB a header declaring the widest hidden layer asks
+// for.
 const (
-	maxLoadGNNLayers = 64
-	maxLoadHiddenDim = 1 << 16
-	maxLoadTypes     = 1 << 20
+	maxLoadGNNLayers   = 64
+	maxLoadHiddenDim   = 1 << 16
+	maxLoadTypes       = 1 << 20
+	maxLoadModelParams = 1 << 26
 )
+
+// modelParams counts the float64 parameters newModel allocates: the subnet
+// (features.Dim → state), one HeteroConv per GNN layer (a weight per edge
+// type plus the self weight, in·out each, and an out-wide bias), and the
+// classifier (hidden → types). A zero hiddenDim or gnnLayers takes
+// newModel's default, the encoder width or one layer.
+func modelParams(state, encDim, hiddenDim, gnnLayers, types int) int64 {
+	if hiddenDim == 0 {
+		hiddenDim = encDim
+	}
+	if gnnLayers == 0 {
+		gnnLayers = 1
+	}
+	s, h, conv := int64(state), int64(hiddenDim), int64(graph.NumEdgeTypes+1)
+	return int64(features.Dim)*s + s +
+		conv*s*h + h +
+		int64(gnnLayers-1)*(conv*h*h+h) +
+		h*int64(types) + int64(types)
+}
 
 // Ceilings for the encoder config a version-2 checkpoint records.
 // lm.NewEncoder allocates Layers·(4·Dim² + 2·Dim·FFNDim) weights plus a
@@ -992,6 +1014,14 @@ func validateMeta(meta *savedMeta, encDim int) error {
 	case math.IsNaN(meta.Temperature) || math.IsInf(meta.Temperature, 0) || meta.Temperature < 0:
 		return fmt.Errorf("core: checkpoint temperature %v out of range", meta.Temperature)
 	}
+	stateDim := 2*encDim + colfeat.CharProfileDim
+	if meta.PlainLMStates {
+		stateDim = encDim
+	}
+	if n := modelParams(stateDim, encDim, meta.HiddenDim, meta.GNNLayers, len(meta.Types)); n > maxLoadModelParams {
+		return fmt.Errorf("core: checkpoint geometry (hidden dim %d, %d GNN layers, %d types) needs %d parameters (max %d)",
+			meta.HiddenDim, meta.GNNLayers, len(meta.Types), n, maxLoadModelParams)
+	}
 	seen := make(map[string]bool, len(meta.Types))
 	for _, st := range meta.Types {
 		if seen[st] {
@@ -1002,10 +1032,6 @@ func validateMeta(meta *savedMeta, encDim int) error {
 	// The fitted scalings must be absent together or sized together: a
 	// half-present pair would silently skip standardization (nil mean) or
 	// index out of range inside the hot loops.
-	stateDim := 2*encDim + colfeat.CharProfileDim
-	if meta.PlainLMStates {
-		stateDim = encDim
-	}
 	checkPair := func(what string, mean, std []float64, want int) error {
 		if len(mean) != len(std) {
 			return fmt.Errorf("core: checkpoint %s mean/std lengths differ (%d vs %d)", what, len(mean), len(std))

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // F32 is a dense row-major matrix of float32 values — the storage type of
 // the frozen LM encoder, whose weights are never trained and therefore
@@ -36,12 +39,12 @@ func (m *F32) String() string {
 	return fmt.Sprintf("F32(%dx%d)", m.Rows, m.Cols)
 }
 
-// MatMulF32Into computes out = a×b over float32 storage. It walks b in
-// 8-column strips, then any leftover columns one at a time; for each row of
-// a, the strip's outputs accumulate in registers, from zero, over ascending
-// k, and are stored once. Every element thus adds its terms in the naive
-// triple loop's order and keeps its bits. Serial on purpose: the inference
-// engine parallelizes across tables, not inside one product.
+// MatMulF32Into computes out = a×b over float32 storage. f32Strips computes
+// the output columns of b's whole 8-column strips (SSE assembly on amd64, a
+// Go loop elsewhere); any leftover columns go one at a time here. Every output element
+// accumulates from zero, over ascending k, in the naive triple loop's
+// order, and so keeps its bits. Serial on purpose: the inference engine
+// parallelizes across tables, not inside one product.
 func MatMulF32Into(out, a, b *F32) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulF32 %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -49,27 +52,18 @@ func MatMulF32Into(out, a, b *F32) {
 	if out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulF32Into out %dx%d want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
 	}
-	ac, bc := a.Cols, b.Cols
-	j := 0
-	for ; j+8 <= bc; j += 8 {
-		for i := 0; i < a.Rows; i++ {
-			var c0, c1, c2, c3, c4, c5, c6, c7 float32
-			for k, av := range a.Data[i*ac : (i+1)*ac] {
-				bs := (*[8]float32)(b.Data[k*bc+j:])
-				c0 += av * bs[0]
-				c1 += av * bs[1]
-				c2 += av * bs[2]
-				c3 += av * bs[3]
-				c4 += av * bs[4]
-				c5 += av * bs[5]
-				c6 += av * bs[6]
-				c7 += av * bs[7]
-			}
-			o := (*[8]float32)(out.Data[i*bc+j:])
-			o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c0, c1, c2, c3, c4, c5, c6, c7
+	// The assembly strips do no bounds checks, so a Data shorter than its
+	// shape must panic here rather than be read or written past its end.
+	// Rows·Cols is taken unsigned and 128 bits wide, so a negative or
+	// overflowing shape fails too.
+	for _, m := range [...]*F32{out, a, b} {
+		if hi, n := bits.Mul64(uint64(m.Rows), uint64(m.Cols)); hi != 0 || n > uint64(len(m.Data)) {
+			panic(fmt.Sprintf("tensor: MatMulF32Into %dx%d operand has %d elements", m.Rows, m.Cols, len(m.Data)))
 		}
 	}
-	for ; j < bc; j++ {
+	f32Strips(out, a, b)
+	ac, bc := a.Cols, b.Cols
+	for j := bc &^ 7; j < bc; j++ {
 		for i := 0; i < a.Rows; i++ {
 			var c float32
 			for k, av := range a.Data[i*ac : (i+1)*ac] {

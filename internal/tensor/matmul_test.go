@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -214,6 +215,13 @@ func TestAddIntoSeededNaive(t *testing.T) {
 	bitEqual(t, "MatMulTransposeBAddInto", got, want)
 }
 
+// shortF32 is a rows×cols matrix whose Data lacks its last element.
+func shortF32(rows, cols int) *F32 {
+	m := NewF32(rows, cols)
+	m.Data = m.Data[:len(m.Data)-1]
+	return m
+}
+
 func TestIntoShapePanics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -223,6 +231,20 @@ func TestIntoShapePanics(t *testing.T) {
 		{"MatMulInto inner", func() { MatMulInto(New(2, 3), New(2, 4), New(3, 3)) }},
 		{"MatMulTransposeAInto", func() { MatMulTransposeAInto(New(2, 2), New(4, 3), New(4, 3)) }},
 		{"MatMulTransposeBInto", func() { MatMulTransposeBInto(New(2, 2), New(2, 3), New(4, 3)) }},
+		{"MatMulF32Into", func() { MatMulF32Into(NewF32(2, 8), NewF32(2, 3), NewF32(3, 9)) }},
+		{"MatMulF32Into inner", func() { MatMulF32Into(NewF32(2, 8), NewF32(2, 4), NewF32(3, 8)) }},
+		// A Data shorter than its shape: the kernel must refuse it rather
+		// than read or write past the end.
+		{"MatMulF32Into short a", func() { MatMulF32Into(NewF32(5, 8), shortF32(5, 3), NewF32(3, 8)) }},
+		{"MatMulF32Into short b", func() { MatMulF32Into(NewF32(5, 8), NewF32(5, 3), shortF32(3, 8)) }},
+		{"MatMulF32Into short out", func() { MatMulF32Into(shortF32(5, 8), NewF32(5, 3), NewF32(3, 8)) }},
+		{"MatMulF32Into negative rows", func() {
+			MatMulF32Into(&F32{Rows: -4, Cols: 8}, &F32{Rows: -4, Cols: 3}, NewF32(3, 8))
+		}},
+		{"MatMulF32Into overflowing rows", func() {
+			const rows = math.MaxInt/4 + 1 // rows·8 overflows int
+			MatMulF32Into(&F32{Rows: rows, Cols: 8}, &F32{Rows: rows, Cols: 4}, NewF32(4, 8))
+		}},
 	}
 	for _, c := range cases {
 		func() {
@@ -299,6 +321,34 @@ func TestF32KernelMatchesFloat64(t *testing.T) {
 	}
 }
 
+// TestF32KernelLongData: operands whose Data runs past Rows·Cols, as a
+// matrix viewing the head of a larger buffer does, give the naive loop's
+// bits, and the kernel writes nothing past out's Rows·Cols.
+func TestF32KernelLongData(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	long := func(m *F32) *F32 {
+		nan := float32(math.NaN())
+		m.Data = append(m.Data, nan, nan, nan, nan, nan, nan, nan, nan, nan)
+		return m
+	}
+	for _, s := range []struct{ m, k, n int }{{1, 64, 64}, {7, 13, 17}, {16, 64, 128}} {
+		a, b := randF32(rng, s.m, s.k), randF32(rng, s.k, s.n)
+		want := naiveMatMulF32(a, b)
+		out := long(NewF32(s.m, s.n))
+		MatMulF32Into(out, long(a), long(b))
+		for i, v := range out.Data {
+			if i >= len(want.Data) {
+				if !math.IsNaN(float64(v)) {
+					t.Fatalf("%dx%d·%dx%d: wrote %v past out's shape at %d", s.m, s.k, s.k, s.n, v, i)
+				}
+			} else if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%dx%d·%dx%d: element %d = %v, want %v (bit-identity violated)",
+					s.m, s.k, s.k, s.n, i, v, want.Data[i])
+			}
+		}
+	}
+}
+
 // TestF32KernelAllocFree: the float32 kernel is serial and must not
 // allocate either.
 func TestF32KernelAllocFree(t *testing.T) {
@@ -332,7 +382,7 @@ func BenchmarkParallelThreshold(b *testing.B) {
 		name      string
 		threshold int
 	}{
-		{"serial", 1 << 62},
+		{"serial", math.MaxInt},
 		{"parallel", 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -340,6 +390,23 @@ func BenchmarkParallelThreshold(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MatMulInto(out, a, m)
+			}
+		})
+	}
+}
+
+// BenchmarkMatMulF32 times the float32 kernel at the frozen encoder's
+// product shapes (lm.DefaultConfig, a 16-token text): the Q/K/V/Wo
+// projections, the two FFN products, and the final layer's CLS-row
+// projection.
+func BenchmarkMatMulF32(b *testing.B) {
+	rng := rand.New(rand.NewSource(18))
+	for _, s := range []struct{ m, k, n int }{{16, 64, 64}, {16, 64, 128}, {16, 128, 64}, {1, 64, 64}} {
+		x, y := randF32(rng, s.m, s.k), randF32(rng, s.k, s.n)
+		out := NewF32(s.m, s.n)
+		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulF32Into(out, x, y)
 			}
 		})
 	}
