@@ -167,23 +167,21 @@ func cmdTrain(args []string) {
 		split.Numeric.WeightedF1, split.NonNumeric.WeightedF1, split.Overall.WeightedF1)
 	fmt.Printf("test macro F1:    numeric=%.3f non-numeric=%.3f overall=%.3f\n",
 		split.Numeric.MacroF1, split.NonNumeric.MacroF1, split.Overall.MacroF1)
-	if err := m.SaveFile(*modelPath); err != nil {
-		fatal(logger, "save model", err)
-	}
-	fmt.Printf("model saved to %s (%d parameters)\n", *modelPath, m.Params().Count())
 
-	// Write the drift baseline sidecar: the model's own prediction
-	// distribution over its training tables, the reference `serve` compares
-	// live traffic against (DESIGN.md §11).
+	// The drift baseline — the model's own prediction distribution over its
+	// training tables, the reference `serve` compares live traffic against
+	// (DESIGN.md §11) — is saved inside the checkpoint.
 	trainTables := make([]*table.Table, len(train))
 	for i, idx := range train {
 		trainTables[i] = c.Tables[idx]
 	}
-	sidecar := core.DriftSidecarPath(*modelPath)
-	if err := core.SaveDriftBaseline(sidecar, m.ComputeDriftBaseline(trainTables)); err != nil {
-		fatal(logger, "write drift baseline", err)
+	baseline := m.ComputeDriftBaseline(trainTables)
+	m.SetDriftBaseline(baseline)
+	if err := m.SaveFile(*modelPath); err != nil {
+		fatal(logger, "save model", err)
 	}
-	fmt.Printf("drift baseline saved to %s\n", sidecar)
+	fmt.Printf("model saved to %s (%d parameters, drift baseline of %d predictions)\n",
+		*modelPath, m.Params().Count(), baseline.Total())
 }
 
 func cmdEval(args []string) {
@@ -297,23 +295,19 @@ func cmdServe(args []string) {
 	logger := newLogger(*logFormat)
 	logf := slog.NewLogLogger(logger.Handler(), slog.LevelInfo).Printf
 
-	// LoadServing resolves the checkpoint and its optional drift sidecar in
-	// one step — the same path POST /v1/models uses for candidates, so boot
-	// and hot-load cannot disagree about what a serving model is.
-	bundle, err := core.LoadServing(*modelPath, core.Config{})
+	// The checkpoint carries the model's drift baseline — the same load
+	// POST /v1/models runs for candidates, so boot and hot-load cannot
+	// disagree about what a serving model is.
+	m, err := core.LoadFile(*modelPath, core.Config{})
 	if err != nil {
 		fatal(logger, "load model", err)
 	}
-	m := bundle.Model
 	eng := infer.New(m, infer.WithWorkers(*workers), infer.WithMetrics(obs.NewRegistry()))
-	// The drift sidecar is optional — a model trained before baselines
-	// existed still serves, just without drift gauges.
-	if bundle.Drift != nil {
-		eng.EnableDrift(bundle.Drift)
-		logf("pythagoras: drift baseline loaded from %s", core.DriftSidecarPath(*modelPath))
-	} else if bundle.DriftErr != nil {
-		logf("pythagoras: drift baseline unusable, serving without drift telemetry: %v", bundle.DriftErr)
-	}
+	// A checkpoint written before baselines moved into it carries none; the
+	// model still serves, just without drift gauges.
+	drift := obs.NewDriftMonitor(m.DriftBaseline())
+	eng.EnableDrift(drift)
+	logf("pythagoras: checkpoint carries a drift baseline: %t (without one, no drift telemetry)", drift != nil)
 	recorder := obs.NewTraceRecorder(obs.TraceConfig{
 		SampleRate: *traceSample, SlowThreshold: *traceSlow, Buffer: *traceBuffer,
 	})

@@ -76,6 +76,17 @@ func TestCLIPipeline(t *testing.T) {
 			t.Fatalf("train stderr line under -log-format json is not a JSON object with a msg: %q", line)
 		}
 	}
+	// The checkpoint is train's one artifact: the drift baseline is inside
+	// it, not in a file next to it.
+	entries, err = os.ReadDir(work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, filepath.Base(model)) && name != filepath.Base(model) {
+			t.Fatalf("train wrote %s next to the checkpoint", name)
+		}
+	}
 
 	// 3. Evaluate the saved model. The checkpoint records the encoder
 	// train built from -dim and -lm-layers, so eval, predict and serve take
@@ -138,6 +149,23 @@ func TestCLIPipeline(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/predict = %d", resp.StatusCode)
+	}
+	// serve took the drift baseline from the checkpoint alone, so the
+	// prediction fed the drift monitor.
+	resp, err = http.Get(base + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Gauges map[string]float64 `json:"gauges"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Gauges["drift.observations"]; got < 1 {
+		t.Fatalf("drift.observations = %v after one predict, want ≥ 1", got)
 	}
 	if err := serve.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package atomicfile holds the one crash-safe file write every persisted
-// artifact goes through: the model checkpoint and its drift sidecar, and
-// the watchdog's flight records.
+// artifact goes through: the model checkpoint (which carries its drift
+// baseline) and the watchdog's flight records.
 package atomicfile
 
 import (

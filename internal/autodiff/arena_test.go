@@ -109,3 +109,45 @@ func TestEdgeMixSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("steady-state EdgeMix forward+backward: %v allocs/op, want 0", n)
 	}
 }
+
+// TestTapeArenaBoundedAcrossShapes pins the arena's bound when every step
+// has new shapes, as a pooled inference tape sees with each union batch:
+// one tape runs the same forward+backward at 256 distinct row counts, and
+// the elements its free lists hold must stay within a small constant times
+// the largest single step. A free list keyed by exact size would keep
+// every step's buffers.
+func TestTapeArenaBoundedAcrossShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	w1 := randMat(rng, 8, 6)
+	b1 := randMat(rng, 1, 6)
+	w2 := randMat(rng, 6, 3)
+	tape := NewTape()
+	var maxStep, maxHeld int
+	for _, rows := range rng.Perm(256) {
+		rows++
+		x := randMat(rng, rows, 8)
+		labels := make([]int, rows)
+		for i := range labels {
+			labels[i] = i % 3
+		}
+		tape.Reset()
+		h := tape.ReLU(tape.AddRow(tape.MatMul(tape.Constant(x), tape.Param(w1)), tape.Param(b1)))
+		loss := tape.SoftmaxCrossEntropy(tape.MatMul(h, tape.Param(w2)), labels, nil)
+		tape.Backward(loss)
+		step := 0
+		for _, m := range tape.used {
+			step += len(m.Data)
+		}
+		held := 0
+		for _, list := range tape.free {
+			for _, m := range list {
+				held += cap(m.Data)
+			}
+		}
+		maxStep, maxHeld = max(maxStep, step), max(maxHeld, held)
+	}
+	if maxHeld > 4*maxStep {
+		t.Errorf("free lists held %d elements, largest step used %d: the arena grows with the number of shapes", maxHeld, maxStep)
+	}
+	t.Logf("largest step %d elements, free lists held at most %d", maxStep, maxHeld)
+}

@@ -33,6 +33,7 @@ package autodiff
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"github.com/sematype/pythagoras/internal/tensor"
@@ -97,10 +98,14 @@ type Tape struct {
 	ops    []opRecord
 	nextID int
 
-	// arena: value/grad/scratch matrices handed out by alloc, keyed by
-	// element count. used tracks every live arena matrix; Reset moves them
-	// back to free. Caller-owned matrices (Constant/Param) never enter.
-	free map[int][]*tensor.Matrix
+	// arena: value/grad/scratch matrices handed out by alloc. free[c] lists
+	// buffers of size class c = bits.Len(n), capacity 2^c−1, so any one fits
+	// any request of its class: a reused tape whose every step has new
+	// shapes (each union batch does) keeps, per class, only the buffers one
+	// step had live at once. used tracks every live arena matrix; Reset
+	// moves them back to free. Caller-owned matrices (Constant/Param) never
+	// enter.
+	free [bits.UintSize + 1][]*tensor.Matrix
 	used []*tensor.Matrix
 
 	// Var slab: fixed-capacity blocks so Var pointers stay stable while the
@@ -110,9 +115,7 @@ type Tape struct {
 }
 
 // NewTape returns an empty tape.
-func NewTape() *Tape {
-	return &Tape{free: make(map[int][]*tensor.Matrix)}
-}
+func NewTape() *Tape { return &Tape{} }
 
 // Reset discards all recorded operations and recycles every arena matrix
 // and slab Var so the tape can be reused without re-allocating. All Vars
@@ -121,7 +124,8 @@ func (t *Tape) Reset() {
 	t.ops = t.ops[:0]
 	t.nextID = 0
 	for i, m := range t.used {
-		t.free[len(m.Data)] = append(t.free[len(m.Data)], m)
+		c := bits.Len(uint(cap(m.Data)))
+		t.free[c] = append(t.free[c], m)
 		t.used[i] = nil
 	}
 	t.used = t.used[:0]
@@ -131,24 +135,22 @@ func (t *Tape) Reset() {
 	t.cur = 0
 }
 
-// alloc hands out a rows×cols matrix from the arena, recycling a same-size
-// buffer when one is free. Contents are UNDEFINED — every element must be
-// written (the Into kernels and full-overwrite loops do). Use allocZero
-// when the op accumulates.
+// alloc hands out a rows×cols matrix from the arena, recycling a free
+// buffer of the same size class. Contents are UNDEFINED — every element
+// must be written (the Into kernels and full-overwrite loops do). Use
+// allocZero when the op accumulates.
 func (t *Tape) alloc(rows, cols int) *tensor.Matrix {
 	n := rows * cols
-	if t.free == nil {
-		t.free = make(map[int][]*tensor.Matrix)
-	}
-	if list := t.free[n]; len(list) > 0 {
+	c := bits.Len(uint(n))
+	if list := t.free[c]; len(list) > 0 {
 		m := list[len(list)-1]
 		list[len(list)-1] = nil
-		t.free[n] = list[:len(list)-1]
-		m.Rows, m.Cols = rows, cols
+		t.free[c] = list[:len(list)-1]
+		m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 		t.used = append(t.used, m)
 		return m
 	}
-	m := &tensor.Matrix{Rows: rows, Cols: cols, Data: make([]float64, n)}
+	m := &tensor.Matrix{Rows: rows, Cols: cols, Data: make([]float64, n, 1<<c-1)}
 	t.used = append(t.used, m)
 	return m
 }

@@ -1,7 +1,6 @@
-// Checkpoint format versioning and the drift-baseline sidecar.
+// Checkpoint format versioning and the drift baseline a checkpoint carries.
 //
-// Every artifact this package persists — the model checkpoint and the
-// drift baseline written next to it — starts with the same fixed binary
+// The checkpoint is a model's one artifact. It starts with a fixed binary
 // header: an 8-byte magic ("PYTHCKPT") and a big-endian uint32 format
 // version. The header is raw bytes, not gob: a gob stream cannot be probed
 // and rewound, so the version must be decidable from a fixed prefix before
@@ -10,22 +9,23 @@
 // binary is too old", distinct from corruption — instead of surfacing a
 // baffling gob decode error from halfway into a payload it was never meant
 // to understand.
+//
+// The checkpoint also carries the model's drift baseline (SetDriftBaseline),
+// so no crash between two saves can pair a model with another training's.
 package core
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"math"
 
-	"github.com/sematype/pythagoras/internal/atomicfile"
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/table"
 )
 
-// checkpointMagic identifies a Pythagoras artifact; it doubles as a cheap
+// checkpointMagic identifies a Pythagoras checkpoint; it doubles as a cheap
 // "is this even one of ours" check before the version is trusted.
 const checkpointMagic = "PYTHCKPT"
 
@@ -37,13 +37,19 @@ const checkpointMagic = "PYTHCKPT"
 //	2 — savedMeta records the frozen encoder's whole lm.Config, not just
 //	    its width, and Load builds the encoder from it. Version-1 files
 //	    still load, but only with a supplied encoder of their width.
+//	    Later, without a version bump, savedMeta gained the optional
+//	    Drift* fields, the drift baseline that used to be a separate file
+//	    next to the checkpoint. An older binary skips them and serves
+//	    without drift telemetry; a file written before them loads with an
+//	    empty baseline, so it serves without drift telemetry until
+//	    retrained. The old separate baseline file is not read.
 const CheckpointVersion uint32 = 2
 
-// UnsupportedVersionError reports an artifact written by a newer format
+// UnsupportedVersionError reports a checkpoint written by a newer format
 // than this binary understands. Callers can errors.As on it to tell "too
 // new" apart from "corrupt".
 type UnsupportedVersionError struct {
-	Artifact string // "checkpoint" or "drift baseline"
+	Artifact string // "checkpoint"
 	Got      uint32
 	Max      uint32
 }
@@ -74,35 +80,31 @@ func writeHeader(w io.Writer, version uint32) error {
 	return err
 }
 
-// readHeader consumes and validates the magic + version prefix. artifact
-// names the file kind in errors.
-func readHeader(r io.Reader, artifact string, maxVersion uint32) (uint32, error) {
+// readHeader consumes and validates the magic + version prefix.
+func readHeader(r io.Reader, maxVersion uint32) (uint32, error) {
 	var hdr [len(checkpointMagic) + 4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, fmt.Errorf("core: read %s header: %w", artifact, err)
+		return 0, fmt.Errorf("core: read checkpoint header: %w", err)
 	}
 	if string(hdr[:len(checkpointMagic)]) != checkpointMagic {
-		return 0, fmt.Errorf("core: not a pythagoras %s (bad magic %q)", artifact, hdr[:len(checkpointMagic)])
+		return 0, fmt.Errorf("core: not a pythagoras checkpoint (bad magic %q)", hdr[:len(checkpointMagic)])
 	}
 	v := binary.BigEndian.Uint32(hdr[len(checkpointMagic):])
 	if v == 0 {
-		return 0, fmt.Errorf("core: %s declares version 0 (corrupt header)", artifact)
+		return 0, fmt.Errorf("core: checkpoint declares version 0 (corrupt header)")
 	}
 	if v > maxVersion {
-		return 0, &UnsupportedVersionError{Artifact: artifact, Got: v, Max: maxVersion}
+		return 0, &UnsupportedVersionError{Artifact: "checkpoint", Got: v, Max: maxVersion}
 	}
 	return v, nil
 }
 
-// --- drift baseline sidecar ---
+// --- drift baseline ---
 
-// DriftBaselineVersion is the drift sidecar's format version; it shares the
-// checkpoint's header layout and typed version error.
-const DriftBaselineVersion uint32 = 1
-
-// DriftSidecarPath is the conventional location of a model's drift baseline:
-// next to the checkpoint, with a fixed suffix.
-func DriftSidecarPath(modelPath string) string { return modelPath + ".drift.json" }
+// maxDriftConfBounds caps the confidence bounds a checkpoint's baseline may
+// declare: DriftMonitor.Observe is linear in them per prediction, and
+// obs.ConfidenceBuckets has 20.
+const maxDriftConfBounds = 64
 
 // ComputeDriftBaseline runs the trained model over its own training tables
 // and tallies the predicted-type distribution and confidence histogram —
@@ -110,6 +112,7 @@ func DriftSidecarPath(modelPath string) string { return modelPath + ".drift.json
 // against. Using the model's *predictions* (not the labels) is deliberate:
 // drift is measured between two prediction distributions, so the baseline
 // must be produced by the same mechanism that produces the serving side.
+// It has no side effect; SetDriftBaseline attaches the result.
 func (m *Model) ComputeDriftBaseline(tables []*table.Table) obs.DriftBaseline {
 	b := obs.DriftBaseline{
 		TypeCounts: map[string]uint64{},
@@ -131,73 +134,68 @@ func (m *Model) ComputeDriftBaseline(tables []*table.Table) obs.DriftBaseline {
 	return b
 }
 
-// SaveDriftBaseline writes a drift baseline sidecar — the shared versioned
-// header followed by the baseline as JSON — through atomicfile.Write, so a
-// crash mid-save leaves any previous sidecar intact.
-func SaveDriftBaseline(path string, b obs.DriftBaseline) error {
-	return atomicfile.Write(path, 0o644, func(w io.Writer) error {
-		if err := writeHeader(w, DriftBaselineVersion); err != nil {
-			return err
+// SetDriftBaseline attaches the drift baseline the model's checkpoint
+// carries: Save persists it and Load restores it. Set it before the model
+// serves.
+func (m *Model) SetDriftBaseline(b obs.DriftBaseline) { m.drift = b }
+
+// DriftBaseline returns the model's drift baseline. It is empty, so
+// obs.NewDriftMonitor returns nil for it, when none was set — including
+// for a model loaded from a checkpoint written before checkpoints carried
+// one.
+func (m *Model) DriftBaseline() obs.DriftBaseline { return m.drift }
+
+// putDrift stores b in meta's wire form. The type counts become a slice
+// aligned with meta.Types, not a map: gob encodes maps in random order,
+// and a model must save to the same bytes every time.
+func putDrift(meta *savedMeta, b obs.DriftBaseline, labelIndex map[string]int) error {
+	if len(b.TypeCounts) > 0 {
+		meta.DriftTypeCounts = make([]uint64, len(meta.Types))
+		for name, c := range b.TypeCounts {
+			i, ok := labelIndex[name]
+			if !ok {
+				return fmt.Errorf("core: drift baseline type %q is not in the model's vocabulary", name)
+			}
+			meta.DriftTypeCounts[i] = c
 		}
-		if err := json.NewEncoder(w).Encode(b); err != nil {
-			return fmt.Errorf("core: encode drift baseline: %w", err)
+	}
+	meta.DriftConfBounds, meta.DriftConfCounts = b.ConfBounds, b.ConfCounts
+	return validateDrift(meta)
+}
+
+// getDrift rebuilds the baseline putDrift stored. The map holds the nonzero
+// counts, exactly the map ComputeDriftBaseline returns.
+func getDrift(meta *savedMeta) obs.DriftBaseline {
+	b := obs.DriftBaseline{ConfBounds: meta.DriftConfBounds, ConfCounts: meta.DriftConfCounts}
+	if len(meta.DriftTypeCounts) > 0 || len(meta.DriftConfCounts) > 0 {
+		b.TypeCounts = map[string]uint64{}
+	}
+	for i, c := range meta.DriftTypeCounts {
+		if c > 0 {
+			b.TypeCounts[meta.Types[i]] = c
 		}
-		return nil
-	})
+	}
+	return b
 }
 
-// ServingBundle is everything a serving process loads for one model
-// version: the checkpoint itself plus the optional drift sidecar, resolved
-// together so `serve` at startup and the lifecycle manager's POST
-// /v1/models load through one code path.
-type ServingBundle struct {
-	Model *Model
-	Path  string
-	// Drift is the monitor seeded from the checkpoint's sidecar; nil when
-	// no sidecar exists (a model trained before baselines did still serves,
-	// just without drift telemetry).
-	Drift *obs.DriftMonitor
-	// DriftErr is non-nil when a sidecar was present but unusable (corrupt,
-	// future version). The model still serves; callers decide whether to
-	// log or refuse.
-	DriftErr error
-}
-
-// LoadServing loads a checkpoint and its conventional drift sidecar into a
-// running process. Checkpoint problems are errors — a serving process must
-// never swap in a half-loaded model — while sidecar problems degrade to a
-// nil monitor with DriftErr set, because drift telemetry is advisory.
-func LoadServing(path string, cfg Config) (*ServingBundle, error) {
-	m, err := LoadFile(path, cfg)
-	if err != nil {
-		return nil, err
+// validateDrift rejects a stored baseline whose shape obs.DriftMonitor
+// cannot score against: counts not aligned with the vocabulary, too many
+// or unordered confidence bounds, or a histogram not sized to its bounds.
+func validateDrift(meta *savedMeta) error {
+	if n := len(meta.DriftTypeCounts); n != 0 && n != len(meta.Types) {
+		return fmt.Errorf("core: checkpoint drift baseline has %d type counts for %d types", n, len(meta.Types))
 	}
-	b := &ServingBundle{Model: m, Path: path}
-	baseline, err := LoadDriftBaseline(DriftSidecarPath(path))
-	switch {
-	case err == nil:
-		b.Drift = obs.NewDriftMonitor(baseline)
-	case !os.IsNotExist(err):
-		b.DriftErr = err
+	bounds := meta.DriftConfBounds
+	if len(bounds) > maxDriftConfBounds {
+		return fmt.Errorf("core: checkpoint drift baseline has %d confidence bounds (max %d)", len(bounds), maxDriftConfBounds)
 	}
-	return b, nil
-}
-
-// LoadDriftBaseline reads a drift baseline sidecar written by
-// SaveDriftBaseline. A sidecar from a future format version returns
-// *UnsupportedVersionError.
-func LoadDriftBaseline(path string) (obs.DriftBaseline, error) {
-	var b obs.DriftBaseline
-	f, err := os.Open(path)
-	if err != nil {
-		return b, err
+	for i, v := range bounds {
+		if math.IsNaN(v) || math.IsInf(v, 0) || (i > 0 && v <= bounds[i-1]) {
+			return fmt.Errorf("core: checkpoint drift baseline confidence bounds are not finite and ascending")
+		}
 	}
-	defer f.Close()
-	if _, err := readHeader(f, "drift baseline", DriftBaselineVersion); err != nil {
-		return b, err
+	if nb, nc := len(bounds), len(meta.DriftConfCounts); nc != nb+1 && (nb != 0 || nc != 0) {
+		return fmt.Errorf("core: checkpoint drift baseline has %d confidence counts for %d bounds", nc, nb)
 	}
-	if err := json.NewDecoder(f).Decode(&b); err != nil {
-		return b, fmt.Errorf("core: decode drift baseline: %w", err)
-	}
-	return b, nil
+	return nil
 }

@@ -6,12 +6,13 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/sematype/pythagoras/internal/graph"
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/table"
@@ -241,134 +242,210 @@ func TestLoadRejectsBadMagicAndVersionZero(t *testing.T) {
 	}
 }
 
-func TestDriftBaselineSidecarRoundTrip(t *testing.T) {
+// driftTable is a two-column probe the drift tests compute baselines over.
+var driftTable = &table.Table{Name: "T", ID: "t1", Columns: []*table.Column{
+	{Header: "age", Kind: table.KindNumeric, NumValues: []float64{21, 34, 28}},
+	{Header: "team", Kind: table.KindText, TextValues: []string{"ATL", "BOS", "CHI"}},
+}}
+
+// TestDriftBaselineCheckpointRoundTrip: the baseline a model carries comes
+// back from Save→Load exactly, and DriftMonitor accepts it.
+func TestDriftBaselineCheckpointRoundTrip(t *testing.T) {
 	enc := tinyEncoder()
 	m := newModel(Config{Encoder: enc, GNNLayers: 1, HiddenDim: 32, Seed: 3},
 		[]string{"player.age", "team.name", "game.attendance"})
-	tb := &table.Table{Name: "T", ID: "t1", Columns: []*table.Column{
-		{Header: "age", Kind: table.KindNumeric, NumValues: []float64{21, 34, 28}},
-		{Header: "team", Kind: table.KindText, TextValues: []string{"ATL", "BOS", "CHI"}},
-	}}
-	base := m.ComputeDriftBaseline([]*table.Table{tb})
+	base := m.ComputeDriftBaseline([]*table.Table{driftTable})
 	if base.Total() != 2 {
 		t.Fatalf("baseline total = %d, want one count per column", base.Total())
 	}
 	if len(base.ConfBounds) != len(obs.ConfidenceBuckets) {
 		t.Fatalf("baseline bounds = %d, want the shared ConfidenceBuckets", len(base.ConfBounds))
 	}
-
-	path := filepath.Join(t.TempDir(), "model.ckpt.drift.json")
-	if err := SaveDriftBaseline(path, base); err != nil {
+	if got := m.DriftBaseline(); got.Total() != 0 {
+		t.Fatalf("ComputeDriftBaseline set the model's baseline: %+v", got)
+	}
+	m.SetDriftBaseline(base)
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadDriftBaseline(path)
+	got, err := Load(&buf, Config{Encoder: enc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Total() != base.Total() || len(got.ConfCounts) != len(base.ConfCounts) {
-		t.Fatalf("sidecar round trip diverged: %+v vs %+v", got, base)
+	if !reflect.DeepEqual(got.DriftBaseline(), base) {
+		t.Fatalf("round trip diverged: %+v, want %+v", got.DriftBaseline(), base)
 	}
-	if mon := obs.NewDriftMonitor(got); mon == nil {
+	if mon := obs.NewDriftMonitor(got.DriftBaseline()); mon == nil {
 		t.Fatal("round-tripped baseline rejected by DriftMonitor")
 	}
 }
 
-func TestDriftBaselineSidecarVersioned(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.drift.json")
-	base := obs.DriftBaseline{TypeCounts: map[string]uint64{"a": 1}}
-	if err := SaveDriftBaseline(path, base); err != nil {
+// TestDriftBaselineSaveDeterministic: a model carrying a baseline saves to
+// the same bytes every time — the type counts are not a gob map, whose
+// encoding order is random.
+func TestDriftBaselineSaveDeterministic(t *testing.T) {
+	m := newModel(Config{Encoder: tinyEncoder(), GNNLayers: 1, HiddenDim: 32, Seed: 3}, fuzzTypes)
+	m.SetDriftBaseline(obs.DriftBaseline{
+		TypeCounts: map[string]uint64{"player.age": 5, "player.height": 2, "team.name": 9},
+		ConfBounds: obs.ConfidenceBuckets,
+		ConfCounts: make([]uint64, len(obs.ConfidenceBuckets)+1),
+	})
+	var first bytes.Buffer
+	if err := m.Save(&first); err != nil {
 		t.Fatal(err)
 	}
-	// Bump the sidecar's version in place: same typed rejection as the
-	// checkpoint.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.BigEndian.PutUint32(raw[len(checkpointMagic):], DriftBaselineVersion+1)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadDriftBaseline(path)
-	var uv *UnsupportedVersionError
-	if !errors.As(err, &uv) {
-		t.Fatalf("future-version sidecar: err = %v, want *UnsupportedVersionError", err)
-	}
-	if uv.Artifact != "drift baseline" {
-		t.Fatalf("artifact = %q", uv.Artifact)
-	}
-	if _, err := LoadDriftBaseline(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing sidecar load succeeded")
+	for i := 0; i < 4; i++ {
+		var again bytes.Buffer
+		if err := m.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("save %d differs from the first", i+2)
+		}
 	}
 }
 
-func TestDriftSidecarPath(t *testing.T) {
-	if got := DriftSidecarPath("/models/m.ckpt"); got != "/models/m.ckpt.drift.json" {
-		t.Fatalf("DriftSidecarPath = %q", got)
+// preDriftCheckpoint encodes m as a binary from before checkpoints carried
+// the drift baseline wrote it: the same header, and savedMeta without the
+// Drift* fields. gob matches struct fields by name, so the local type
+// stands in for the old one.
+func preDriftCheckpoint(tb testing.TB, m *Model) []byte {
+	tb.Helper()
+	type savedMeta struct {
+		Types             []string
+		Hidden            int
+		Encoder           lm.Config
+		HiddenDim         int
+		GNNLayers         int
+		PlainLMStates     bool
+		Graph             graph.BuildOptions
+		FeatMean, FeatStd []float64
+		LMMean, LMStd     []float64
+		Temperature       float64
 	}
+	var buf bytes.Buffer
+	if err := writeHeader(&buf, CheckpointVersion); err != nil {
+		tb.Fatal(err)
+	}
+	ge := gob.NewEncoder(&buf)
+	meta := savedMeta{
+		Types: m.types, Encoder: m.enc.Config(), HiddenDim: m.cfg.HiddenDim,
+		GNNLayers: m.cfg.GNNLayers, PlainLMStates: m.cfg.PlainLMStates,
+		Graph: m.cfg.Graph, FeatMean: m.featMean, FeatStd: m.featStd,
+		LMMean: m.lmMean, LMStd: m.lmStd, Temperature: m.temperature,
+	}
+	if err := ge.Encode(meta); err != nil {
+		tb.Fatal(err)
+	}
+	if err := m.params.EncodeGob(ge); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
-// TestLoadServing covers the one-call serving load: checkpoint plus
-// optional sidecar, with the degradation ladder the lifecycle manager
-// depends on — no sidecar serves silently, a broken sidecar serves with
-// DriftErr, a broken checkpoint never serves.
-func TestLoadServing(t *testing.T) {
+// TestLoadPreDriftCheckpoint: a checkpoint written before checkpoints
+// carried a baseline loads and predicts as before, with an empty baseline
+// for which NewDriftMonitor returns nil — it serves without drift
+// telemetry.
+func TestLoadPreDriftCheckpoint(t *testing.T) {
 	enc := tinyEncoder()
-	cfg := Config{Encoder: enc, GNNLayers: 1, HiddenDim: 32, Seed: 3}
-	m := newModel(cfg, []string{"player.age", "team.name"})
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.ckpt")
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// No sidecar: model loads, no monitor, no error.
-	b, err := LoadServing(path, Config{Encoder: enc})
+	m := newModel(Config{Encoder: enc, GNNLayers: 1, HiddenDim: 32, Seed: 3},
+		[]string{"player.age", "team.name"})
+	got, err := Load(bytes.NewReader(preDriftCheckpoint(t, m)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Drift != nil || b.DriftErr != nil || len(b.Model.Types()) != 2 {
-		t.Fatalf("sidecar-less bundle: %+v", b)
+	if b := got.DriftBaseline(); b.Total() != 0 || len(b.ConfCounts) != 0 {
+		t.Fatalf("pre-drift checkpoint loaded a baseline: %+v", b)
 	}
-
-	// Healthy sidecar: monitor attached.
-	tb := &table.Table{Name: "T", ID: "t1", Columns: []*table.Column{
-		{Header: "age", Kind: table.KindNumeric, NumValues: []float64{21, 34, 28}},
-	}}
-	if err := SaveDriftBaseline(DriftSidecarPath(path), m.ComputeDriftBaseline([]*table.Table{tb})); err != nil {
-		t.Fatal(err)
+	if mon := obs.NewDriftMonitor(got.DriftBaseline()); mon != nil {
+		t.Fatal("NewDriftMonitor built a monitor for a checkpoint without a baseline")
 	}
-	b, err = LoadServing(path, Config{Encoder: enc})
-	if err != nil || b.Drift == nil || b.DriftErr != nil {
-		t.Fatalf("bundle with sidecar: %+v (err %v)", b, err)
-	}
-
-	// Corrupt sidecar: the model still serves, DriftErr says why there is
-	// no drift telemetry.
-	if err := os.WriteFile(DriftSidecarPath(path), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err = LoadServing(path, Config{Encoder: enc})
-	if err != nil {
-		t.Fatalf("corrupt sidecar must not fail the load: %v", err)
-	}
-	if b.Drift != nil || b.DriftErr == nil {
-		t.Fatalf("corrupt-sidecar bundle: %+v", b)
-	}
-
-	// Broken checkpoint: fatal, regardless of sidecar state.
-	if _, err := LoadServing(filepath.Join(dir, "missing.ckpt"), Config{Encoder: enc}); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing checkpoint err = %v, want ErrNotExist", err)
+	want, have := predictOne(m, driftTable), predictOne(got, driftTable)
+	for i := range want {
+		if want[i] != have[i] {
+			t.Fatalf("column %d: %+v, want %+v", i, have[i], want[i])
+		}
 	}
 }
 
-// TestDriftBaselineSaveErrors: unwritable paths surface as errors instead
-// of silent telemetry loss.
-func TestDriftBaselineSaveErrors(t *testing.T) {
-	err := SaveDriftBaseline(filepath.Join(t.TempDir(), "no", "such", "dir", "x.json"),
-		obs.DriftBaseline{TypeCounts: map[string]uint64{"a": 1}})
-	if err == nil {
-		t.Fatal("SaveDriftBaseline into a missing directory succeeded")
+// TestSaveRejectsUnknownDriftType: a baseline naming a type outside the
+// model's vocabulary has no slot in the checkpoint, so Save fails before
+// writing anything; so does one shaped so Load would reject it.
+func TestSaveRejectsUnknownDriftType(t *testing.T) {
+	m := newModel(Config{Encoder: tinyEncoder(), GNNLayers: 1, HiddenDim: 32, Seed: 3}, fuzzTypes)
+	for _, tc := range []struct {
+		b    obs.DriftBaseline
+		want string
+	}{
+		{obs.DriftBaseline{TypeCounts: map[string]uint64{"player.age": 1, "city.name": 2}}, "city.name"},
+		{obs.DriftBaseline{TypeCounts: map[string]uint64{"player.age": 1}, ConfBounds: obs.ConfidenceBuckets}, "confidence counts"},
+	} {
+		m.SetDriftBaseline(tc.b)
+		var buf bytes.Buffer
+		err := m.Save(&buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("err = %v, want one naming %q", err, tc.want)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("Save wrote %d bytes before failing", buf.Len())
+		}
+	}
+}
+
+// malformedDrift lists the stored-baseline shapes Load rejects, for
+// TestLoadRejectsMalformedDriftBaseline and FuzzModelLoad's seeds. Each
+// edit starts from a checkpoint carrying a valid baseline over fuzzTypes.
+var malformedDrift = []struct {
+	name, want string
+	edit       func(*savedMeta)
+}{
+	{"type counts not aligned with types", "type counts", func(m *savedMeta) { m.DriftTypeCounts = m.DriftTypeCounts[:1] }},
+	{"too many bounds", "confidence bounds", func(m *savedMeta) {
+		m.DriftConfBounds = make([]float64, maxDriftConfBounds+1)
+		for i := range m.DriftConfBounds {
+			m.DriftConfBounds[i] = float64(i)
+		}
+		m.DriftConfCounts = make([]uint64, len(m.DriftConfBounds)+1)
+	}},
+	{"NaN bound", "ascending", func(m *savedMeta) { m.DriftConfBounds[3] = math.NaN() }},
+	{"infinite bound", "ascending", func(m *savedMeta) { m.DriftConfBounds[19] = math.Inf(1) }},
+	{"repeated bound", "ascending", func(m *savedMeta) { m.DriftConfBounds[5] = m.DriftConfBounds[4] }},
+	{"descending bounds", "ascending", func(m *savedMeta) { m.DriftConfBounds[0], m.DriftConfBounds[1] = 0.5, 0.1 }},
+	{"counts one short", "confidence counts", func(m *savedMeta) { m.DriftConfCounts = m.DriftConfCounts[1:] }},
+	{"counts without bounds", "confidence counts", func(m *savedMeta) { m.DriftConfBounds = nil }},
+	{"bounds without counts", "confidence counts", func(m *savedMeta) { m.DriftConfCounts = nil }},
+}
+
+// driftModel is an untrained model over fuzzTypes carrying a valid
+// baseline that names every type.
+func driftModel(cfg Config) *Model {
+	m := newModel(cfg, fuzzTypes)
+	counts := make([]uint64, len(obs.ConfidenceBuckets)+1)
+	counts[3], counts[20] = 4, 3
+	m.SetDriftBaseline(obs.DriftBaseline{
+		TypeCounts: map[string]uint64{"player.age": 3, "player.height": 1, "team.name": 3},
+		ConfBounds: obs.ConfidenceBuckets,
+		ConfCounts: counts,
+	})
+	return m
+}
+
+// TestLoadRejectsMalformedDriftBaseline: a stored baseline DriftMonitor
+// could not score against is a load error, like any other corrupt
+// checkpoint.
+func TestLoadRejectsMalformedDriftBaseline(t *testing.T) {
+	enc := tinyEncoder()
+	m := driftModel(Config{Encoder: enc, GNNLayers: 1, HiddenDim: 32, Seed: 3})
+	if _, err := Load(bytes.NewReader(rewriteCheckpoint(t, m, CheckpointVersion, func(*savedMeta) {})), Config{Encoder: enc}); err != nil {
+		t.Fatalf("valid baseline rejected: %v", err)
+	}
+	for _, tc := range malformedDrift {
+		raw := rewriteCheckpoint(t, m, CheckpointVersion, tc.edit)
+		_, err := Load(bytes.NewReader(raw), Config{Encoder: enc})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }

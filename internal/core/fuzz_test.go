@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"math"
 	"testing"
 
 	"github.com/sematype/pythagoras/internal/nn"
+	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/table"
 	"github.com/sematype/pythagoras/internal/tensor"
 )
@@ -18,7 +20,11 @@ var fuzzTypes = []string{"player.age", "player.height", "team.name"}
 // encoder and serializes it — a structurally valid checkpoint to mutate.
 func fuzzSaveBytes(tb testing.TB, cfg Config) []byte {
 	tb.Helper()
-	m := newModel(cfg, fuzzTypes)
+	return fuzzSaveModel(tb, newModel(cfg, fuzzTypes))
+}
+
+func fuzzSaveModel(tb testing.TB, m *Model) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		tb.Fatal(err)
@@ -33,7 +39,8 @@ func fuzzSaveBytes(tb testing.TB, cfg Config) []byte {
 // crash the server loading it, and never come back as a silently
 // half-loaded model. When a load unexpectedly succeeds, the model must be
 // fully usable: we run a prediction to shake out any accepted
-// shape-mismatch before it could crash a serving path.
+// shape-mismatch before it could crash a serving path, and score one
+// observation against the drift baseline it carries.
 func FuzzModelLoad(f *testing.F) {
 	enc := tinyEncoder()
 	cfg := Config{Encoder: enc, GNNLayers: 2, HiddenDim: 48, Seed: 5}
@@ -92,6 +99,13 @@ func FuzzModelLoad(f *testing.F) {
 	f.Add(rewriteCheckpoint(f, m, CheckpointVersion, func(meta *savedMeta) { meta.Encoder.Dim = 1 << 30 }))
 	// A GNN geometry whose parameters alone would need ~146 GB.
 	f.Add(rewriteCheckpoint(f, m, CheckpointVersion, widestHidden))
+	// A checkpoint carrying a valid drift baseline, and one per malformed
+	// baseline shape.
+	dm := driftModel(cfg)
+	f.Add(fuzzSaveModel(f, dm))
+	for _, tc := range malformedDrift {
+		f.Add(rewriteCheckpoint(f, dm, CheckpointVersion, tc.edit))
+	}
 
 	probe := &table.Table{Name: "Fuzz Probe", ID: "fz", Columns: []*table.Column{
 		{Header: "name", Kind: table.KindText, TextValues: []string{"a", "b"}},
@@ -107,8 +121,16 @@ func FuzzModelLoad(f *testing.F) {
 		if len(m.Types()) == 0 {
 			t.Fatal("loaded model has no types")
 		}
-		if got := predictOne(m, probe); len(got) != len(probe.Columns) {
+		got := predictOne(m, probe)
+		if len(got) != len(probe.Columns) {
 			t.Fatalf("loaded model predicted %d of %d columns", len(got), len(probe.Columns))
+		}
+		mon := obs.NewDriftMonitor(m.DriftBaseline())
+		mon.Observe(got[0].Type, got[0].Confidence)
+		for _, v := range []float64{mon.TypeScore(), mon.ConfidenceScore()} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("drift scores %v, %v against the loaded baseline", mon.TypeScore(), mon.ConfidenceScore())
+			}
 		}
 	})
 }

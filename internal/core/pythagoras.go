@@ -129,6 +129,8 @@ type Model struct {
 	// temperature is the calibrated softmax temperature (0 = uncalibrated,
 	// treated as 1). See CalibrateTemperature.
 	temperature float64
+	// drift is the training-time baseline (SetDriftBaseline). Persisted.
+	drift obs.DriftBaseline
 	// tapePool recycles inference tapes (and their op/arena/Var storage)
 	// across InferLogits/InferProbs calls: a gradient-free forward re-runs
 	// the same shapes over and over, so the second call on a pooled tape
@@ -286,12 +288,8 @@ func (m *Model) whitenStates(p *Prepared) {
 	if m.lmMean == nil {
 		return
 	}
-	ncf := map[int]bool{}
-	for _, i := range p.NCFIdx {
-		ncf[i] = true
-	}
-	for i := 0; i < p.LMStates.Rows; i++ {
-		if ncf[i] {
+	for i, nt := range p.Graph.Types {
+		if nt == graph.NodeNumericFeatures {
 			continue
 		}
 		row := p.LMStates.Row(i)
@@ -309,12 +307,8 @@ func (m *Model) fitStateScaling(ps []*Prepared) {
 	std := make([]float64, dim)
 	n := 0
 	for _, p := range ps {
-		ncf := map[int]bool{}
-		for _, i := range p.NCFIdx {
-			ncf[i] = true
-		}
-		for i := 0; i < p.LMStates.Rows; i++ {
-			if ncf[i] {
+		for i, nt := range p.Graph.Types {
+			if nt == graph.NodeNumericFeatures {
 				continue
 			}
 			for j, v := range p.LMStates.Row(i) {
@@ -330,12 +324,8 @@ func (m *Model) fitStateScaling(ps []*Prepared) {
 		mean[j] /= float64(n)
 	}
 	for _, p := range ps {
-		ncf := map[int]bool{}
-		for _, i := range p.NCFIdx {
-			ncf[i] = true
-		}
-		for i := 0; i < p.LMStates.Rows; i++ {
-			if ncf[i] {
+		for i, nt := range p.Graph.Types {
+			if nt == graph.NodeNumericFeatures {
 				continue
 			}
 			for j, v := range p.LMStates.Row(i) {
@@ -903,18 +893,20 @@ type savedMeta struct {
 	FeatMean, FeatStd []float64
 	LMMean, LMStd     []float64
 	Temperature       float64
+	// The optional drift baseline (putDrift; validateDrift says its shape),
+	// absent from files written before checkpoints carried it.
+	DriftTypeCounts []uint64
+	DriftConfBounds []float64
+	DriftConfCounts []uint64
 }
 
-// Save writes the trained parameters and vocabulary to w, prefixed by the
-// versioned checkpoint header (see CheckpointVersion). The frozen
-// encoder's weights are not serialized: they are fully determined by its
-// lm.Config, which the checkpoint records and Load rebuilds the encoder
-// from.
+// Save writes the trained parameters, vocabulary and drift baseline to w,
+// prefixed by the versioned checkpoint header (see CheckpointVersion). The
+// frozen encoder's weights are not serialized: they are fully determined by
+// its lm.Config, which the checkpoint records and Load rebuilds the encoder
+// from. A drift baseline naming a type outside the vocabulary, or shaped so
+// Load would reject it, is an error before anything is written.
 func (m *Model) Save(w io.Writer) error {
-	if err := writeHeader(w, CheckpointVersion); err != nil {
-		return fmt.Errorf("core: write checkpoint header: %w", err)
-	}
-	enc := gob.NewEncoder(w)
 	meta := savedMeta{
 		Types: m.types, Encoder: m.enc.Config(), HiddenDim: m.cfg.HiddenDim,
 		GNNLayers: m.cfg.GNNLayers, PlainLMStates: m.cfg.PlainLMStates,
@@ -922,6 +914,13 @@ func (m *Model) Save(w io.Writer) error {
 		LMMean: m.lmMean, LMStd: m.lmStd,
 		Temperature: m.temperature,
 	}
+	if err := putDrift(&meta, m.drift, m.labelIndex); err != nil {
+		return err
+	}
+	if err := writeHeader(w, CheckpointVersion); err != nil {
+		return fmt.Errorf("core: write checkpoint header: %w", err)
+	}
+	enc := gob.NewEncoder(w)
 	if err := enc.Encode(meta); err != nil {
 		return fmt.Errorf("core: encode meta: %w", err)
 	}
@@ -1029,6 +1028,9 @@ func validateMeta(meta *savedMeta, encDim int) error {
 		}
 		seen[st] = true
 	}
+	if err := validateDrift(meta); err != nil {
+		return err
+	}
 	// The fitted scalings must be absent together or sized together: a
 	// half-present pair would silently skip standardization (nil mean) or
 	// index out of range inside the hot loops.
@@ -1058,12 +1060,13 @@ func validateMeta(meta *savedMeta, encDim int) error {
 // must have exactly that config, or Load returns *EncoderMismatchError.
 // A version-1 checkpoint records only the encoder width, so it needs a
 // supplied encoder of that width. cfg otherwise supplies only runtime
-// options; the geometry comes from the checkpoint. A truncated, corrupted
+// options; the geometry and the drift baseline (DriftBaseline) come from
+// the checkpoint. A truncated, corrupted
 // or shape-mismatched checkpoint returns an error — never a panic, and
 // never a silently half-loaded model (see FuzzModelLoad). A checkpoint
 // written by a newer format version returns *UnsupportedVersionError.
 func Load(r io.Reader, cfg Config) (*Model, error) {
-	version, err := readHeader(r, "checkpoint", CheckpointVersion)
+	version, err := readHeader(r, CheckpointVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -1104,6 +1107,7 @@ func Load(r io.Reader, cfg Config) (*Model, error) {
 	m.featMean, m.featStd = meta.FeatMean, meta.FeatStd
 	m.lmMean, m.lmStd = meta.LMMean, meta.LMStd
 	m.temperature = meta.Temperature
+	m.drift = getDrift(&meta)
 	if err := m.params.DecodeGob(dec); err != nil {
 		return nil, err
 	}

@@ -2,9 +2,8 @@
 // was trained against and the distribution it is serving (DESIGN.md §11).
 //
 // At train time the trainer runs the fresh model over its own training
-// split and persists the resulting predicted-type distribution and
-// confidence histogram as a baseline sidecar next to the checkpoint. At
-// serve time a DriftMonitor accumulates the same two distributions from
+// split and saves the resulting predicted-type distribution and confidence
+// histogram inside the model's checkpoint, as its baseline. At serve time a DriftMonitor accumulates the same two distributions from
 // live predictions and continuously scores their distance to the baseline
 // with a chi-square-style statistic. The scores are exported as gauges —
 // when the serving mix departs from the training mix (new table shapes,
@@ -26,18 +25,18 @@ var ConfidenceBuckets = LinearBuckets(0.05, 0.05, 20)
 
 // DriftBaseline is the training-time reference distribution: how often each
 // semantic type was predicted over the training split, and how confident
-// those predictions were. Serialized as a JSON sidecar next to the model
-// checkpoint (core.SaveDriftBaseline).
+// those predictions were. The model checkpoint carries it
+// (core.Model.SetDriftBaseline).
 type DriftBaseline struct {
 	// TypeCounts maps predicted type name → prediction count.
-	TypeCounts map[string]uint64 `json:"type_counts"`
+	TypeCounts map[string]uint64
 	// ConfBounds are the confidence histogram's bucket upper bounds
-	// (ConfidenceBuckets at write time; carried so a reader can reject a
-	// sidecar bucketed differently).
-	ConfBounds []float64 `json:"conf_bounds"`
+	// (ConfidenceBuckets at train time; carried so the monitor buckets
+	// served confidences the same way).
+	ConfBounds []float64
 	// ConfCounts are per-bucket confidence counts; len(ConfBounds)+1 with
 	// the overflow bucket last.
-	ConfCounts []uint64 `json:"conf_counts"`
+	ConfCounts []uint64
 }
 
 // Total returns the baseline's total prediction count.

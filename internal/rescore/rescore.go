@@ -34,14 +34,12 @@ type Config struct {
 	// BatchSize is how many tables are scored per engine batch (default 16,
 	// the engine's union-chunk bound).
 	BatchSize int
-	// Concurrency bounds how many batches are in flight on the engine at
-	// once (default 2). The engine parallelizes within a batch too; this
-	// knob keeps the pipeline fed without monopolizing the worker pool
-	// serving live traffic.
-	Concurrency int
-	// Budget, when non-nil, replaces the fixed Concurrency bound with a
-	// dynamic one the watchdog can lower mid-run (SLO fast burn → halve) and
-	// restore. When nil the driver builds a private NewBudget(Concurrency).
+	// Budget bounds how many batches are in flight on the engine at once.
+	// The engine parallelizes within a batch too; the bound keeps the
+	// pipeline fed without monopolizing the worker pool serving live
+	// traffic, and the watchdog can lower it mid-run (SLO fast burn →
+	// halve) and restore it. When nil the driver builds a private
+	// NewBudget(2).
 	Budget *Budget
 	// Faults arms the chaos suite's injection points; nil (production) is
 	// free.
@@ -93,11 +91,8 @@ func New(lake *Lake, scorer Scorer, idx *discovery.SwapIndex, cfg Config) *Drive
 	if cfg.BatchSize < 1 {
 		cfg.BatchSize = 16
 	}
-	if cfg.Concurrency < 1 {
-		cfg.Concurrency = 2
-	}
 	if cfg.Budget == nil {
-		cfg.Budget = NewBudget(cfg.Concurrency)
+		cfg.Budget = NewBudget(2)
 	}
 	d := &Driver{
 		lake: lake, scorer: scorer, idx: idx, cfg: cfg,

@@ -112,7 +112,7 @@ func TestRunHappyPath(t *testing.T) {
 	old := idx.Current()
 	sc := &fakeScorer{}
 	reg := obs.NewRegistry()
-	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 3, Concurrency: 2, Metrics: reg})
+	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 3, Budget: NewBudget(2), Metrics: reg})
 
 	if err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestCancelMidRunLeavesOldIndex(t *testing.T) {
 	faults := faultinject.New().On(faultinject.RescoreBatch,
 		faultinject.After(1, faultinject.Cancel(cancel)))
 	d := New(lake, &fakeScorer{}, idx, Config{
-		ModelID: "m-new", BatchSize: 3, Concurrency: 1, Faults: faults,
+		ModelID: "m-new", BatchSize: 3, Budget: NewBudget(1), Faults: faults,
 	})
 	err := d.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
@@ -216,7 +216,7 @@ func TestBatchErrorFailsRun(t *testing.T) {
 	faults := faultinject.New().On(faultinject.RescoreBatch,
 		faultinject.After(2, faultinject.Err(boom)))
 	sc := &fakeScorer{}
-	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 1, Concurrency: 1, Faults: faults})
+	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 1, Budget: NewBudget(1), Faults: faults})
 	if err := d.Run(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("Run = %v, want the injected error", err)
 	}
@@ -246,7 +246,7 @@ func TestRunBoundsBatchGoroutines(t *testing.T) {
 		peak = max(peak, runtime.NumGoroutine()-base)
 		mu.Unlock()
 	}}
-	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 1, Concurrency: limit})
+	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 1, Budget: NewBudget(limit)})
 	if err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestLiveRewriteDuringScanWins(t *testing.T) {
 			}
 		}
 	}
-	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 2, Concurrency: 1})
+	d := New(lake, sc, idx, Config{ModelID: "m-new", BatchSize: 2, Budget: NewBudget(1)})
 	if err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@
 // drive a small state machine over three endpoints:
 //
 //	POST /v1/models          load a candidate checkpoint (versioned
-//	                         PYTHCKPT header + drift sidecar) into a second
-//	                         engine → state "shadowing"
+//	                         PYTHCKPT header, drift baseline inside) into a
+//	                         second engine → state "shadowing"
 //	POST /v1/models/promote  candidate becomes primary; the old primary is
 //	                         parked as the rollback target
 //	POST /v1/models/rollback discard a candidate, or restore the parked
@@ -20,8 +20,9 @@
 // is byte-identical with shadowing on or off (proved by the bit-identity
 // test). Each shadow score records per-model obs.Labels telemetry:
 // candidate latency, confidence distribution, drift-vs-baseline χ² (from
-// the candidate's own sidecar), and the per-column agreement rate between
-// primary and candidate — the evidence an operator reads before promoting.
+// the baseline the candidate's checkpoint carries), and the per-column
+// agreement rate between primary and candidate — the evidence an operator
+// reads before promoting.
 //
 // Swaps never drop in-flight requests: every request takes a lease on the
 // engine it reads from the pointer (infer.Engine.Acquire/Release), and a
@@ -66,7 +67,7 @@ type modelSlot struct {
 	path     string // checkpoint path, "" for the boot-time model
 	model    *core.Model
 	engine   *infer.Engine
-	drift    *obs.DriftMonitor // per-model monitor from the sidecar; may be nil
+	drift    *obs.DriftMonitor // per-model monitor from the checkpoint's baseline; may be nil
 	loadedAt time.Time
 	mx       *slotMetrics
 }
@@ -376,7 +377,7 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, "load model %q: %v", path, err)
 		return
 	}
-	bundle, err := core.LoadServing(path, core.Config{Encoder: prim.model.Encoder()})
+	m, err := core.LoadFile(path, core.Config{Encoder: prim.model.Encoder()})
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		if errors.Is(err, os.ErrNotExist) {
@@ -385,17 +386,13 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, "load model %q: %v", path, err)
 		return
 	}
-	if bundle.DriftErr != nil && s.log != nil {
-		s.log.Warn("model drift sidecar unusable, shadowing without drift telemetry",
-			"model", id, "err", bundle.DriftErr)
-	}
 
 	slot := &modelSlot{
 		id:       id,
 		path:     path,
-		model:    bundle.Model,
-		engine:   s.newServingEngine(bundle.Model, false),
-		drift:    bundle.Drift,
+		model:    m,
+		engine:   s.newServingEngine(m, false),
+		drift:    obs.NewDriftMonitor(m.DriftBaseline()),
 		loadedAt: time.Now(),
 		mx:       s.newSlotMetrics(id),
 	}

@@ -23,8 +23,10 @@ import (
 )
 
 // savedCheckpoint writes the shared chaos model to dir as name; withDrift
-// adds a sidecar baseline computed over the sample corpus, so a candidate
-// loaded from it shadows with per-model drift telemetry.
+// puts a baseline computed over the sample corpus into the checkpoint, so a
+// candidate loaded from it shadows with per-model drift telemetry. The
+// baseline goes on a private copy loaded back from the file: set on the
+// shared model, it would ride along in every later checkpoint.
 func savedCheckpoint(t *testing.T, dir, name string, withDrift bool) string {
 	t.Helper()
 	m := chaosModel(t)
@@ -38,8 +40,12 @@ func savedCheckpoint(t *testing.T, dir, name string, withDrift bool) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := m.ComputeDriftBaseline([]*table.Table{tbl})
-		if err := core.SaveDriftBaseline(core.DriftSidecarPath(path), b); err != nil {
+		own, err := core.LoadFile(path, core.Config{Encoder: m.Encoder()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		own.SetDriftBaseline(own.ComputeDriftBaseline([]*table.Table{tbl}))
+		if err := own.SaveFile(path); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +178,8 @@ func TestModelLifecycleLoadPromoteRollback(t *testing.T) {
 // TestShadowScoringRecordsTelemetry: with a candidate shadowing at 100%
 // sampling, every predict/predict-batch request lands in the candidate's
 // labeled shadow series — scored tables, latency, confidence, agreement
-// (exactly 1: the candidate is the same checkpoint) and sidecar drift.
+// (exactly 1: the candidate is the same checkpoint) and drift against the
+// baseline its checkpoint carries.
 func TestShadowScoringRecordsTelemetry(t *testing.T) {
 	s := chaosServer(t, nil, nil)
 	path := savedCheckpoint(t, t.TempDir(), "cand.bin", true)

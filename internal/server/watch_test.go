@@ -44,13 +44,17 @@ func (c *testClock) advance(d time.Duration) {
 }
 
 // chaosFlightDir keeps failed runs' flight records under testdata so CI can
-// upload them as the failure artifact; a passing run cleans up after itself.
+// upload them as the failure artifact; a passing run cleans up after itself,
+// and the last one out removes the shared parent (os.Remove refuses a
+// non-empty directory, so a failed test's records stay).
 func chaosFlightDir(t *testing.T) string {
 	t.Helper()
-	dir := filepath.Join("testdata", "flight-chaos", t.Name())
+	parent := filepath.Join("testdata", "flight-chaos")
+	dir := filepath.Join(parent, t.Name())
 	t.Cleanup(func() {
 		if !t.Failed() {
 			os.RemoveAll(dir)
+			os.Remove(parent)
 		}
 	})
 	return dir
