@@ -46,13 +46,14 @@ vet:
 # Race-detect the concurrent paths: the staged inference engine, the
 # data-parallel trainer (worker-count bit-identity + train chaos suites live
 # in internal/core), the shared worker pool, the sharded encoder cache, the
-# fault-injection hooks, and the HTTP server — this is what runs the
-# cancellation/shedding/shutdown chaos suites under the race detector.
+# per-graph caches the GNN reads, the fault-injection hooks, and the HTTP
+# server — this is what runs the cancellation/shedding/shutdown chaos
+# suites under the race detector.
 # -p 1 serializes the packages: the chaos suites assert wall-clock drain
 # bounds, and running them alongside the (CPU-heavy) training race tests on
 # a small machine starves those timers into flakes.
 race:
-	$(GO) test -race -p 1 ./internal/core/... ./internal/infer/... ./internal/par/... ./internal/lm/... ./internal/server/... ./internal/faultinject/... ./internal/obs/... ./internal/discovery/... ./internal/rescore/...
+	$(GO) test -race -p 1 ./internal/core/... ./internal/infer/... ./internal/par/... ./internal/lm/... ./internal/graph/... ./internal/server/... ./internal/faultinject/... ./internal/obs/... ./internal/discovery/... ./internal/rescore/...
 
 # Total statement coverage floor, last raised when the watchdog/flight
 # recorder PR landed; `make cover` fails if the tree ever drops below it.

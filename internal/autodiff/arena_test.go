@@ -83,6 +83,7 @@ func TestEdgeMixSteadyStateAllocFree(t *testing.T) {
 	h := randMat(rng, 12, 16)
 	w := randMat(rng, 16, 16)
 	src := []int{0, 1, 2, 3, 4, 0, 5}
+	rows := []int{0, 1, 2, 3, 4, 5} // src's distinct nodes, so src is also pos
 	dst := []int{6, 6, 7, 8, 9, 9, 11}
 	inv := make([]float64, 12)
 	for _, d := range dst {
@@ -99,7 +100,7 @@ func TestEdgeMixSteadyStateAllocFree(t *testing.T) {
 	step := func() {
 		tape.Reset()
 		vh, vw := tape.Param(h), tape.Param(w)
-		out := tape.EdgeMix(vh, vw, src, dst, 12, inv)
+		out := tape.EdgeMix(vh, vw, rows, src, dst, 12, inv)
 		loss := tape.SoftmaxCrossEntropy(out, labels, nil)
 		tape.Backward(loss)
 	}

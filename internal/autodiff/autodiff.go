@@ -85,10 +85,11 @@ type opRecord struct {
 	out  *Var
 	a, b *Var
 	s    float64        // Scale factor, SoftmaxXEnt total weight
-	idx  []int          // gather/scatter indices, EdgeMix src, SoftmaxXEnt labels
+	idx  []int          // gather/scatter indices, EdgeMix pos, SoftmaxXEnt labels
 	idx2 []int          // EdgeMix dst
+	idx3 []int          // EdgeMix source rows
 	sc   []float64      // SoftmaxXEnt weights, EdgeMix inv-degree
-	aux  *tensor.Matrix // Dropout mask, SoftmaxXEnt probs, EdgeMix h×W
+	aux  *tensor.Matrix // Dropout mask, SoftmaxXEnt probs, EdgeMix h[rows]
 	vars []*Var         // ConcatCols inputs
 }
 
@@ -345,37 +346,46 @@ func (t *Tape) backwardOp(r *opRecord) {
 		}
 
 	case opEdgeMix:
-		// out = scaleRows(scatterAdd((h×w)[src] → dst), inv). Push the
-		// inv-scaled output gradient back through the scatter into ghw
+		// out = scaleRows(scatterAdd((hs×w)[pos] → dst), inv) with
+		// hs = h[rows]. Push the inv-scaled output gradient back through
+		// the scatter into ghw, one row per source node, in edge order
 		// (per-node grouping — a deliberate re-association of the old
 		// per-edge op chain, see DESIGN.md §12), then one fused product
-		// per input: ∂h += ghw·wᵀ, ∂w += hᵀ·ghw.
-		h, w := r.a, r.b
-		ghw := t.allocZero(r.aux.Rows, r.aux.Cols)
+		// per input: ∂h[rows] += ghw·wᵀ, ∂w += hsᵀ·ghw. The ∂h product
+		// accumulates into ∂h's own source rows, gathered and copied back,
+		// so each sum still starts from the gradient other ops left there.
+		h, w, hs, rows := r.a, r.b, r.aux, r.idx3
+		ghw := t.allocZero(hs.Rows, w.Value.Cols)
 		if r.sc != nil {
-			for e, src := range r.idx {
+			for e, p := range r.idx {
 				dst := r.idx2[e]
 				sv := r.sc[dst]
 				grow := g.Row(dst)
-				hrow := ghw.Row(src)
+				hrow := ghw.Row(p)
 				for j, gv := range grow {
 					hrow[j] += sv * gv
 				}
 			}
 		} else {
-			for e, src := range r.idx {
+			for e, p := range r.idx {
 				grow := g.Row(r.idx2[e])
-				hrow := ghw.Row(src)
+				hrow := ghw.Row(p)
 				for j, gv := range grow {
 					hrow[j] += gv
 				}
 			}
 		}
 		if h.needsGrad {
-			tensor.MatMulTransposeBAddInto(t.grad(h), ghw, w.Value)
+			gh := t.grad(h)
+			ghs := t.alloc(hs.Rows, hs.Cols)
+			tensor.GatherRowsInto(ghs, gh, rows)
+			tensor.MatMulTransposeBAddInto(ghs, ghw, w.Value)
+			for p, i := range rows {
+				copy(gh.Row(i), ghs.Row(p))
+			}
 		}
 		if w.needsGrad {
-			tensor.MatMulTransposeAAddInto(t.grad(w), h.Value, ghw)
+			tensor.MatMulTransposeAAddInto(t.grad(w), hs, ghw)
 		}
 
 	default:
@@ -501,27 +511,33 @@ func (t *Tape) ScatterAddRows(a *Var, idx []int, outRows int) *Var {
 
 // EdgeMix is the fused message-passing primitive of the heterogeneous GNN:
 // for one edge type it computes scaleRows(scatterAdd((h×w)[src[e]] into
-// dst[e]), inv) in a single pass — the h×w product runs once over nodes
-// instead of once per edge (gather commutes with the right-multiplication),
-// and no gathered-copy, message, or aggregate temporaries are materialized.
-// outRows is the node count of the output; inv may be nil for no
-// normalization. src, dst, and inv are retained by reference until Reset.
-// Forward values are bit-identical to gathering h's src rows, multiplying
-// by w, scatter-adding into dst and scaling rows by inv as separate ops;
-// gradient accumulation is re-associated per node (see DESIGN.md §12).
-func (t *Tape) EdgeMix(h, w *Var, src, dst []int, outRows int, inv []float64) *Var {
-	if len(src) != len(dst) {
-		panic(fmt.Sprintf("autodiff: EdgeMix %d src vs %d dst", len(src), len(dst)))
+// dst[e]), inv) in a single pass. The sources arrive as rows, the edge
+// type's distinct source nodes in ascending order, and pos, with
+// rows[pos[e]] = src[e] (graph.SourceRows). The h×w product runs over rows
+// only — gather commutes with the right-multiplication, so no node is
+// multiplied twice and a node that sends no message is not multiplied at
+// all — and no message or aggregate temporaries are materialized. outRows
+// is the node count of the output; inv may be nil for no normalization.
+// rows, pos, dst and inv are retained by reference until Reset. Forward
+// values are bit-identical to gathering h's src rows, multiplying by w,
+// scatter-adding into dst and scaling rows by inv as separate ops; gradient
+// accumulation is re-associated per node, and ∂h and ∂w equal those of the
+// product over every node bit for bit (see DESIGN.md §12).
+func (t *Tape) EdgeMix(h, w *Var, rows, pos, dst []int, outRows int, inv []float64) *Var {
+	if len(pos) != len(dst) {
+		panic(fmt.Sprintf("autodiff: EdgeMix %d pos vs %d dst", len(pos), len(dst)))
 	}
 	if inv != nil && len(inv) != outRows {
 		panic(fmt.Sprintf("autodiff: EdgeMix %d inv-degrees for %d rows", len(inv), outRows))
 	}
-	hw := t.alloc(h.Value.Rows, w.Value.Cols)
-	tensor.MatMulInto(hw, h.Value, w.Value)
+	hs := t.alloc(len(rows), h.Value.Cols)
+	tensor.GatherRowsInto(hs, h.Value, rows)
+	hw := t.alloc(len(rows), w.Value.Cols)
+	tensor.MatMulInto(hw, hs, w.Value)
 	val := t.allocZero(outRows, w.Value.Cols)
-	for e, s := range src {
+	for e, p := range pos {
 		drow := val.Row(dst[e])
-		srow := hw.Row(s)
+		srow := hw.Row(p)
 		for j, v := range srow {
 			drow[j] += v
 		}
@@ -531,7 +547,7 @@ func (t *Tape) EdgeMix(h, w *Var, src, dst []int, outRows int, inv []float64) *V
 	}
 	out := t.newVar(val, h.needsGrad || w.needsGrad)
 	if out.needsGrad {
-		t.record(opRecord{kind: opEdgeMix, out: out, a: h, b: w, idx: src, idx2: dst, sc: inv, aux: hw})
+		t.record(opRecord{kind: opEdgeMix, out: out, a: h, b: w, idx: pos, idx2: dst, idx3: rows, sc: inv, aux: hs})
 	}
 	return out
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/obs"
@@ -181,9 +182,17 @@ func getDrift(meta *savedMeta) obs.DriftBaseline {
 // validateDrift rejects a stored baseline whose shape obs.DriftMonitor
 // cannot score against: counts not aligned with the vocabulary, too many
 // or unordered confidence bounds, or a histogram not sized to its bounds.
+// It also rejects type counts whose sum overflows uint64: Total would wrap,
+// and a sum of exactly 2^64 would read as no baseline at all.
 func validateDrift(meta *savedMeta) error {
 	if n := len(meta.DriftTypeCounts); n != 0 && n != len(meta.Types) {
 		return fmt.Errorf("core: checkpoint drift baseline has %d type counts for %d types", n, len(meta.Types))
+	}
+	var total, carry uint64
+	for _, c := range meta.DriftTypeCounts {
+		if total, carry = bits.Add64(total, c, 0); carry != 0 {
+			return fmt.Errorf("core: checkpoint drift baseline type counts overflow uint64")
+		}
 	}
 	bounds := meta.DriftConfBounds
 	if len(bounds) > maxDriftConfBounds {

@@ -402,6 +402,11 @@ var malformedDrift = []struct {
 	edit       func(*savedMeta)
 }{
 	{"type counts not aligned with types", "type counts", func(m *savedMeta) { m.DriftTypeCounts = m.DriftTypeCounts[:1] }},
+	// Summing to exactly 2^64, these would wrap Total to 0.
+	{"type counts overflow", "overflow", func(m *savedMeta) {
+		clear(m.DriftTypeCounts)
+		m.DriftTypeCounts[0], m.DriftTypeCounts[1] = 1<<63, 1<<63
+	}},
 	{"too many bounds", "confidence bounds", func(m *savedMeta) {
 		m.DriftConfBounds = make([]float64, maxDriftConfBounds+1)
 		for i := range m.DriftConfBounds {

@@ -64,11 +64,13 @@ func (hc *HeteroConv) Apply(t *autodiff.Tape, grads *nn.GradSet, h *autodiff.Var
 			continue
 		}
 		w := nn.ParamVar(t, grads, fmt.Sprintf("%s.edge%d.w", hc.prefix, et), hc.EdgeW[et])
-		// Fused message passing: one h×W product over nodes (gather
-		// commutes with the right-multiplication), scatter-aggregated and
-		// mean-normalized (g.InvDegrees is cached per graph) in a single
-		// op — no gathered-copy, message, or aggregate temporaries.
-		out = t.Add(out, t.EdgeMix(h, w, el.Src, el.Dst, g.NumNodes(), g.InvDegrees(et)))
+		// Fused message passing: one h×W product over the edge type's
+		// distinct source nodes (gather commutes with the
+		// right-multiplication), scatter-aggregated and mean-normalized in a
+		// single op — no message or aggregate temporaries. g caches both the
+		// source rows and the inverse degrees per graph.
+		rows, pos := g.SourceRows(et)
+		out = t.Add(out, t.EdgeMix(h, w, rows, pos, el.Dst, g.NumNodes(), g.InvDegrees(et)))
 	}
 
 	bias := nn.ParamVar(t, grads, hc.prefix+".b", hc.Bias)

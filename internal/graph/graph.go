@@ -115,6 +115,11 @@ type Graph struct {
 	// invOnce — safe under concurrent Apply calls sharing a graph.
 	invOnce [NumEdgeTypes]sync.Once
 	invDeg  [NumEdgeTypes][]float64
+
+	// srcRows/srcPos lazily cache SourceRows per edge type, like invDeg.
+	srcOnce [NumEdgeTypes]sync.Once
+	srcRows [NumEdgeTypes][]int
+	srcPos  [NumEdgeTypes][]int
 }
 
 // NumNodes returns the node count.
@@ -317,4 +322,38 @@ func (g *Graph) InvDegrees(et EdgeType) []float64 {
 		g.invDeg[et] = inv
 	})
 	return g.invDeg[et]
+}
+
+// SourceRows returns the distinct source nodes of the given edge type in
+// ascending order (rows), and for each edge e the index of Src[e] in rows
+// (pos) — the only node states the edge type's messages read, so the GNN
+// multiplies those rows through W_r and no others. The slices are computed
+// once per graph and cached; callers must treat them as read-only. Safe for
+// concurrent use.
+func (g *Graph) SourceRows(et EdgeType) (rows, pos []int) {
+	g.srcOnce[et].Do(func() {
+		src := g.Edges[et].Src
+		// at[i] marks node i as a source, then holds its index in rows.
+		at := make([]int, g.NumNodes())
+		distinct := 0
+		for _, s := range src {
+			if at[s] == 0 {
+				at[s] = 1
+				distinct++
+			}
+		}
+		rows := make([]int, 0, distinct)
+		for i, seen := range at {
+			if seen != 0 {
+				at[i] = len(rows)
+				rows = append(rows, i)
+			}
+		}
+		pos := make([]int, len(src))
+		for e, s := range src {
+			pos[e] = at[s]
+		}
+		g.srcRows[et], g.srcPos[et] = rows, pos
+	})
+	return g.srcRows[et], g.srcPos[et]
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/sematype/pythagoras/internal/features"
@@ -287,6 +288,98 @@ func TestInDegrees(t *testing.T) {
 	}
 	if &g.InvDegrees(EdgeTextToNum)[0] != &inv[0] {
 		t.Fatal("InvDegrees must cache its slice per edge type")
+	}
+}
+
+// TestSourceRows checks the rows the GNN multiplies per edge type on a
+// union of a full graph and one without V_tn: ascending and distinct, each
+// edge's source at its pos, one row per distinct source, and cached.
+func TestSourceRows(t *testing.T) {
+	t2 := fig1Table()
+	t2.ID = "nba2"
+	g1 := Build(fig1Table(), labelIdx(), BuildOptions{})
+	u := Union(g1, Build(t2, labelIdx(), BuildOptions{DropTableName: true}))
+	for et := EdgeType(0); et < NumEdgeTypes; et++ {
+		rows, pos := u.SourceRows(et)
+		el := u.Edges[et]
+		if len(pos) != el.Len() {
+			t.Fatalf("%v: %d positions for %d edges", et, len(pos), el.Len())
+		}
+		for i := 1; i < len(rows); i++ {
+			if rows[i] <= rows[i-1] {
+				t.Fatalf("%v: rows %v not ascending and distinct", et, rows)
+			}
+		}
+		distinct := map[int]bool{}
+		for e, s := range el.Src {
+			if rows[pos[e]] != s {
+				t.Fatalf("%v edge %d: rows[pos] = %d, source %d", et, e, rows[pos[e]], s)
+			}
+			distinct[s] = true
+		}
+		if len(rows) != len(distinct) {
+			t.Fatalf("%v: %d rows for %d distinct sources", et, len(rows), len(distinct))
+		}
+		if again, _ := u.SourceRows(et); &again[0] != &rows[0] {
+			t.Fatalf("%v: SourceRows must cache its slices per edge type", et)
+		}
+	}
+	// Figure 2a: the one V_tn node feeds every column; the second table
+	// has none.
+	if rows, _ := u.SourceRows(EdgeTableName); len(rows) != 1 || u.Types[rows[0]] != NodeTableName {
+		t.Fatalf("table-name source rows %v, want the first table's V_tn node", rows)
+	}
+	if rows, _ := Build(fig1Table(), labelIdx(), BuildOptions{DropTextColumns: true}).SourceRows(EdgeTextToNum); len(rows) != 0 {
+		t.Fatalf("no V_nn→V_n edges but source rows %v", rows)
+	}
+}
+
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// TestCachesConcurrentReaders reads InvDegrees and SourceRows of every edge
+// type from 8 goroutines at once, on one built graph and on a Union: each
+// cache is filled once, and every reader gets the same slices. Run under
+// -race via `make race`.
+func TestCachesConcurrentReaders(t *testing.T) {
+	t2 := fig1Table()
+	t2.ID = "nba2"
+	g := Build(fig1Table(), labelIdx(), BuildOptions{})
+	u := Union(g, Build(t2, labelIdx(), BuildOptions{}))
+	type view struct {
+		inv       []float64
+		rows, pos []int
+	}
+	const readers = 8
+	for _, gr := range []*Graph{g, u} {
+		var got [readers][NumEdgeTypes]view
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				// Readers start on different edge types, so the caches are
+				// filled under contention from both accessors.
+				for k := 0; k < int(NumEdgeTypes); k++ {
+					et := EdgeType((k + r) % int(NumEdgeTypes))
+					rows, pos := gr.SourceRows(et)
+					got[r][et] = view{gr.InvDegrees(et), rows, pos}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for r := 1; r < readers; r++ {
+			for et := EdgeType(0); et < NumEdgeTypes; et++ {
+				a, b := got[0][et], got[r][et]
+				if !sameSlice(a.inv, b.inv) || !sameSlice(a.rows, b.rows) || !sameSlice(a.pos, b.pos) {
+					t.Fatalf("reader %d got other %v slices than reader 0", r, et)
+				}
+			}
+		}
 	}
 }
 

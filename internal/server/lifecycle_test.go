@@ -110,7 +110,7 @@ func TestModelLifecycleLoadPromoteRollback(t *testing.T) {
 		t.Fatalf("after load: %+v", st)
 	}
 	if !st.Candidate.Drift {
-		t.Fatal("candidate sidecar not loaded")
+		t.Fatal("candidate checkpoint's drift baseline not loaded")
 	}
 	if st.Primary == nil || st.Primary.ID != "boot" {
 		t.Fatalf("primary after load: %+v", st.Primary)
@@ -216,7 +216,7 @@ func TestShadowScoringRecordsTelemetry(t *testing.T) {
 		t.Fatalf("shadow.confidence count = %d, want %d", h.Count, compared)
 	}
 	if got := snap.Gauges[`drift.observations{model="cand"}`]; got == 0 {
-		t.Fatal("candidate sidecar drift monitor observed nothing")
+		t.Fatal("drift monitor built from the candidate checkpoint's drift baseline observed nothing")
 	}
 	if snap.Counters[`shadow.errors{model="cand"}`] != 0 {
 		t.Fatalf("shadow.errors = %d, want 0", snap.Counters[`shadow.errors{model="cand"}`])
