@@ -33,11 +33,14 @@ lint-alloc:
 build:
 	$(GO) build ./...
 
-# The 386 lines build and test the portable float32 strip kernel
-# (internal/tensor/f32_other.go), which amd64 replaces with SSE assembly.
+# The 386 lines build and test the portable kernels that amd64 replaces
+# with SSE assembly: the float32 strips (internal/tensor/f32_other.go), run
+# by the tensor and lm tests, and the float64 product leaves
+# (internal/tensor/f64_other.go), run by the tensor tests and by the
+# autodiff and gnn tests through EdgeMix and the HeteroConv gradient check.
 test:
 	$(GO) test ./...
-	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/lm/
+	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/lm/ ./internal/autodiff/ ./internal/gnn/
 
 vet:
 	$(GO) vet ./...
@@ -87,7 +90,7 @@ bench:
 # emits cpu.pprof + the train-epoch test binary for
 # `go tool pprof pythagoras.test cpu.pprof`.
 profile:
-	$(GO) test -run '^$$' -bench 'BenchmarkTrainEpoch/workers1' -benchtime=3x \
+	$(GO) test -run '^$$' -bench '^BenchmarkTrainEpoch$$/^workers1$$' -benchtime=3x \
 		-cpuprofile cpu.pprof -o pythagoras.test .
 	@echo "wrote cpu.pprof — inspect with: $(GO) tool pprof pythagoras.test cpu.pprof"
 

@@ -19,10 +19,15 @@ import (
 //
 // All kernels are cache-blocked (see blockK/blockJ) but keep a fixed
 // per-element accumulation order — ascending k (or r) regardless of block
-// boundaries or worker count — so results are bit-identical to the naive
-// triple loop and independent of parallel dispatch. Hot paths must use the
-// Into/AddInto forms; cmd/lintalloc enforces this for internal/autodiff,
-// internal/gnn and internal/infer.
+// boundaries or worker count — so for finite inputs results are
+// bit-identical to the naive triple loop, and always independent of
+// parallel dispatch. (The a×b and aᵀ×b kernels skip a zero a entry, which
+// drops a 0·±Inf or 0·NaN term, and where two NaNs meet in one element
+// the payload that survives follows each loop's operand order.) Their
+// innermost loops are two leaves, f64Axpy and f64Dot8: SSE2 assembly on
+// amd64 (f64_amd64.s), Go loops elsewhere (f64_other.go). Hot paths must
+// use the Into/AddInto forms; cmd/lintalloc enforces this for
+// internal/autodiff, internal/gnn and internal/infer.
 
 // ParallelThreshold is the flop count (rows·inner·cols) above which the
 // product kernels fan out across CPU cores. It is a variable so benchmarks
@@ -119,9 +124,10 @@ func parallelRows(rows, flops int, out, a, b *Matrix, kernel func(out, a, b *Mat
 }
 
 // matMulRange accumulates rows [lo, hi) of a×b into out with j/k cache
-// blocking and an ikj-ordered, 4-wide-unrolled inner loop. Per output
-// element the additions happen in ascending k order — bit-identical to the
-// naive loop whatever the block geometry.
+// blocking, ikj-ordered: each nonzero a[i,k] adds a[i,k]·b[k, jb:je) to
+// out[i, jb:je) in one f64Axpy call. Per output element the additions
+// happen in ascending k order — bit-identical to the naive loop whatever
+// the block geometry.
 func matMulRange(out, a, b *Matrix, lo, hi int) {
 	ac, bc := a.Cols, b.Cols
 	for jb := 0; jb < bc; jb += blockJ {
@@ -141,18 +147,7 @@ func matMulRange(out, a, b *Matrix, lo, hi int) {
 					if av == 0 {
 						continue
 					}
-					brow := b.Data[(kb+kk)*bc+jb : (kb+kk)*bc+je]
-					brow = brow[:len(orow)] // bounds-check elimination hint
-					j := 0
-					for ; j+4 <= len(orow); j += 4 {
-						orow[j] += av * brow[j]
-						orow[j+1] += av * brow[j+1]
-						orow[j+2] += av * brow[j+2]
-						orow[j+3] += av * brow[j+3]
-					}
-					for ; j < len(orow); j++ {
-						orow[j] += av * brow[j]
-					}
+					f64Axpy(orow, av, b.Data[(kb+kk)*bc+jb:(kb+kk)*bc+je])
 				}
 			}
 		}
@@ -199,10 +194,14 @@ func matMulTBDispatch(out, a, b *Matrix) {
 // the i sweep) — never over k: the dot product seeds its accumulator from
 // out and adds terms in ascending k order, so both the Into and AddInto
 // forms are bit-identical to the naive loop. (Splitting k into block
-// partials would re-associate the sum and move ulps.)
+// partials would re-associate the sum and move ulps.) f64Dot8 takes eight
+// output columns per call; the b.Rows%8 leftover columns go one at a time
+// here.
 func matMulTBRange(out, a, b *Matrix, lo, hi int) {
 	ac, oc := a.Cols, out.Cols
-	const rowTile = 48 // b rows per tile: 48 rows × 128 cols ≈ 48KB, L2-resident
+	// b rows per tile: 48 rows × 128 cols ≈ 48KB, L2-resident. A multiple
+	// of 8, so only the last tile has leftover columns.
+	const rowTile = 48
 	for jb := 0; jb < b.Rows; jb += rowTile {
 		je := jb + rowTile
 		if je > b.Rows {
@@ -211,7 +210,11 @@ func matMulTBRange(out, a, b *Matrix, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Data[i*ac : (i+1)*ac]
 			orow := out.Data[i*oc : (i+1)*oc]
-			for j := jb; j < je; j++ {
+			j := jb
+			for ; j+8 <= je; j += 8 {
+				f64Dot8((*[8]float64)(orow[j:]), arow, b.Data[j*ac:(j+8)*ac])
+			}
+			for ; j < je; j++ {
 				brow := b.Data[j*ac : (j+1)*ac]
 				brow = brow[:len(arow)]
 				s := orow[j]
@@ -262,9 +265,9 @@ func matMulTADispatch(out, a, b *Matrix) {
 }
 
 // matMulTARange accumulates output rows [lo, hi) of aᵀ×b: for each input
-// row r, out[i] += a[r][i]·b[r] for i in [lo, hi). The r loop is outermost
-// so b.Row(r) is loaded once per sweep; per output element the additions
-// happen in ascending r order.
+// row r, out[i] += a[r][i]·b[r] for i in [lo, hi), one f64Axpy call per
+// nonzero a[r][i]. The r loop is outermost so b.Row(r) is loaded once per
+// sweep; per output element the additions happen in ascending r order.
 func matMulTARange(out, a, b *Matrix, lo, hi int) {
 	ac, bc := a.Cols, b.Cols
 	for r := 0; r < a.Rows; r++ {
@@ -274,18 +277,7 @@ func matMulTARange(out, a, b *Matrix, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			orow := out.Data[(lo+i)*bc : (lo+i+1)*bc]
-			orow = orow[:len(brow)]
-			j := 0
-			for ; j+4 <= len(brow); j += 4 {
-				orow[j] += av * brow[j]
-				orow[j+1] += av * brow[j+1]
-				orow[j+2] += av * brow[j+2]
-				orow[j+3] += av * brow[j+3]
-			}
-			for ; j < len(brow); j++ {
-				orow[j] += av * brow[j]
-			}
+			f64Axpy(out.Data[(lo+i)*bc:(lo+i+1)*bc], av, brow)
 		}
 	}
 }

@@ -24,13 +24,15 @@ func randF32(rng *rand.Rand, r, c int) *F32 {
 	return m
 }
 
+// bitEqual requires got to equal want bit for bit (Float64bits, so a signed
+// zero and a NaN's payload count too).
 func bitEqual(t *testing.T, name string, got, want *Matrix) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 			t.Fatalf("%s: element %d = %v, want %v (bit-identity violated)",
 				name, i, got.Data[i], want.Data[i])
 		}
@@ -139,6 +141,123 @@ func TestF32KernelZeroEntries(t *testing.T) {
 		}
 	}
 	checkF32Kernel(t, a, b)
+}
+
+// TestF64KernelZeroEntries: exact +0 and -0 entries in a (and one all-zero
+// row) must leave every output element of all three float64 forms with the
+// naive loop's bits, whether or not the kernel skips their zero products.
+func TestF64KernelZeroEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	zeroed := func(m *Matrix) *Matrix {
+		for i := range m.Data {
+			switch {
+			case i/m.Cols == 4 || i%3 == 0:
+				m.Data[i] = 0
+			case i%5 == 0:
+				m.Data[i] = math.Copysign(0, -1)
+			}
+		}
+		return m
+	}
+	a, b := zeroed(randMat(rng, 9, 21)), randMat(rng, 21, 19)
+	bitEqual(t, "MatMul", MatMul(a, b), naiveMatMul(a, b))
+
+	at, bt := zeroed(randMat(rng, 21, 9)), randMat(rng, 21, 19)
+	bitEqual(t, "MatMulTransposeA", MatMulTransposeA(at, bt), naiveMatMulTransposeA(at, bt))
+
+	ab, bb := zeroed(randMat(rng, 9, 21)), randMat(rng, 19, 21)
+	bitEqual(t, "MatMulTransposeB", MatMulTransposeB(ab, bb), naiveMatMulTransposeB(ab, bb))
+}
+
+// qnan returns the quiet NaN carrying payload p.
+func qnan(p uint64) float64 { return math.Float64frombits(0x7ff8_0000_0000_0000 | p) }
+
+// withNaNs puts quiet NaNs with distinct payloads (first, first+1, …) at the
+// given (row, col) cells of m.
+func withNaNs(m *Matrix, first uint64, cells ...[2]int) *Matrix {
+	for n, c := range cells {
+		m.Data[c[0]*m.Cols+c[1]] = qnan(first + uint64(n))
+	}
+	return m
+}
+
+// TestF64KernelNaNPayloads: quiet NaNs with distinct payloads, put in place
+// of nonzero entries of a and then of b, must reach the naive loop's output
+// elements with its bits in all three float64 forms. Each output element
+// meets at most one NaN here. Which of two NaNs survives depends on the
+// operand order the compiler picks for a scalar loop (the naive loops form
+// a·b and out+p, the scalar a×b and aᵀ×b kernels formed b·a and p+out, and
+// -race builds pick other orders again), so TestF64KernelOperandOrder pins
+// the order for the assembly alone.
+func TestF64KernelNaNPayloads(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	// out is 9×19 in every form: one NaN per output row, then one per
+	// output column. Columns 0, 7, 8 and 15 lie in a row's two 8-column
+	// runs (b's two 8-row strips in a×bᵀ), 16 and 18 in its 3-column tail.
+	cols := [][2]int{{1, 0}, {20, 7}, {4, 8}, {0, 15}, {9, 16}, {9, 18}}
+
+	a := withNaNs(randMat(rng, 9, 21), 1, [2]int{0, 3}, [2]int{2, 20}, [2]int{5, 0}, [2]int{8, 11})
+	b := randMat(rng, 21, 19)
+	bitEqual(t, "MatMul NaN in a", MatMul(a, b), naiveMatMul(a, b))
+	a, b = randMat(rng, 9, 21), withNaNs(randMat(rng, 21, 19), 11, cols...)
+	bitEqual(t, "MatMul NaN in b", MatMul(a, b), naiveMatMul(a, b))
+
+	at := withNaNs(randMat(rng, 21, 9), 21, [2]int{3, 0}, [2]int{20, 2}, [2]int{0, 5}, [2]int{11, 8})
+	bt := randMat(rng, 21, 19)
+	bitEqual(t, "MatMulTransposeA NaN in a", MatMulTransposeA(at, bt), naiveMatMulTransposeA(at, bt))
+	at, bt = randMat(rng, 21, 9), withNaNs(randMat(rng, 21, 19), 31, cols...)
+	bitEqual(t, "MatMulTransposeA NaN in b", MatMulTransposeA(at, bt), naiveMatMulTransposeA(at, bt))
+
+	ab := withNaNs(randMat(rng, 9, 21), 41, [2]int{0, 3}, [2]int{2, 20}, [2]int{5, 0}, [2]int{8, 11})
+	bb := randMat(rng, 19, 21)
+	bitEqual(t, "MatMulTransposeB NaN in a", MatMulTransposeB(ab, bb), naiveMatMulTransposeB(ab, bb))
+	ab = randMat(rng, 9, 21)
+	bb = withNaNs(randMat(rng, 19, 21), 51, [2]int{0, 1}, [2]int{7, 20}, [2]int{8, 4}, [2]int{15, 0}, [2]int{16, 9}, [2]int{18, 9})
+	bitEqual(t, "MatMulTransposeB NaN in b", MatMulTransposeB(ab, bb), naiveMatMulTransposeB(ab, bb))
+}
+
+// TestF64KernelLongData: operands whose Data runs past Rows·Cols, as a
+// matrix viewing the head of a larger buffer does, give the naive loop's
+// bits, and no kernel writes past out's Rows·Cols. It runs the AddInto
+// forms on a zero out, because the Into forms' Zero clears all of out.Data.
+func TestF64KernelLongData(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	long := func(m *Matrix) *Matrix {
+		nan := math.NaN()
+		m.Data = append(m.Data, nan, nan, nan, nan, nan, nan, nan, nan, nan)
+		return m
+	}
+	check := func(name string, out, want *Matrix) {
+		t.Helper()
+		for i, v := range out.Data {
+			if i >= len(want.Data) {
+				if !math.IsNaN(v) {
+					t.Fatalf("%s %v: wrote %v past out's shape at %d", name, want, v, i)
+				}
+			} else if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s %v: element %d = %v, want %v (bit-identity violated)", name, want, i, v, want.Data[i])
+			}
+		}
+	}
+	for _, s := range []struct{ m, k, n int }{{1, 64, 64}, {7, 13, 17}, {16, 64, 128}} {
+		a, b := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n)
+		want := naiveMatMul(a, b)
+		out := long(New(s.m, s.n))
+		MatMulAddInto(out, long(a), long(b))
+		check("MatMulAddInto", out, want)
+
+		at, bt := randMat(rng, s.k, s.m), randMat(rng, s.k, s.n)
+		want = naiveMatMulTransposeA(at, bt)
+		out = long(New(s.m, s.n))
+		MatMulTransposeAAddInto(out, long(at), long(bt))
+		check("MatMulTransposeAAddInto", out, want)
+
+		ab, bb := randMat(rng, s.m, s.k), randMat(rng, s.n, s.k)
+		want = naiveMatMulTransposeB(ab, bb)
+		out = long(New(s.m, s.n))
+		MatMulTransposeBAddInto(out, long(ab), long(bb))
+		check("MatMulTransposeBAddInto", out, want)
+	}
 }
 
 // TestParallelDispatchBitIdentical forces the parallel row-split path (by
@@ -274,6 +393,7 @@ func TestIntoKernelsAllocFree(t *testing.T) {
 		"MatMulInto":              func() { MatMulInto(out, a, b) },
 		"MatMulAddInto":           func() { MatMulAddInto(out, a, b) },
 		"MatMulTransposeAInto":    func() { MatMulTransposeAInto(outTA, at, b) },
+		"MatMulTransposeAAddInto": func() { MatMulTransposeAAddInto(outTA, at, b) },
 		"MatMulTransposeBInto":    func() { MatMulTransposeBInto(out, a, bb) },
 		"MatMulTransposeBAddInto": func() { MatMulTransposeBAddInto(out, a, bb) },
 	}
@@ -407,6 +527,44 @@ func BenchmarkMatMulF32(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				MatMulF32Into(out, x, y)
+			}
+		})
+	}
+}
+
+// BenchmarkMatMulF64 times the three float64 product forms at the GNN's
+// shapes: the subnetwork (192 features → 178-wide states) over 64 numeric
+// columns, and the HeteroConv layers (178→64, then 64→64) over 240 nodes.
+// ab is the forward h×W; its backward runs atb (∂W += hᵀ×g) and abt
+// (∂h += g×Wᵀ). About half the entries of h and g are exact zeros, as
+// after a ReLU.
+func BenchmarkMatMulF64(b *testing.B) {
+	rng := rand.New(rand.NewSource(21))
+	relu := func(m *Matrix) *Matrix {
+		for i, v := range m.Data {
+			if v < 0 {
+				m.Data[i] = 0
+			}
+		}
+		return m
+	}
+	for _, s := range []struct{ m, k, n int }{{64, 192, 178}, {240, 178, 64}, {240, 64, 64}} {
+		h, w, g := relu(randMat(rng, s.m, s.k)), randMat(rng, s.k, s.n), relu(randMat(rng, s.m, s.n))
+		out, dw, dh := New(s.m, s.n), New(s.k, s.n), New(s.m, s.k)
+		shape := fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n)
+		b.Run("ab/"+shape, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulInto(out, h, w)
+			}
+		})
+		b.Run("atb/"+shape, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulTransposeAAddInto(dw, h, g)
+			}
+		})
+		b.Run("abt/"+shape, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulTransposeBAddInto(dh, g, w)
 			}
 		})
 	}
