@@ -283,9 +283,8 @@ func TrainClassifier(groups []Group, classes int, train, val *Dataset, opts Trai
 			logits := c.forward(tape, grads, tape.Constant(xb), rng, true)
 			loss := tape.SoftmaxCrossEntropy(logits, yb, nil)
 			tape.Backward(loss)
-			grads.ClipByGlobalNorm(5)
 			opt.SetLR(nn.LinearDecay(opts.LearningRate, step, totalSteps))
-			opt.Step(c.params, grads)
+			opt.Step(c.params, []*nn.GradSet{grads}, 5, 1)
 			step++
 			epochLoss += loss.Value.Data[0]
 		}

@@ -54,7 +54,8 @@ type Config struct {
 	HiddenDim int
 	// LearningRate is Adam's initial rate, decayed linearly to zero over
 	// Epochs with no warm-up (paper: 1e-5 at BERT scale; our default 3e-3
-	// suits the smaller default width).
+	// suits the smaller default width). TrainCtx requires a positive finite
+	// rate and at least one epoch.
 	LearningRate float64
 	Epochs       int
 	// BatchSize is the number of tables whose graphs are unioned per step.
@@ -62,12 +63,13 @@ type Config struct {
 	// Patience is the early-stopping patience in epochs (<= 0 selects the
 	// default of 30; to disable early stopping set Patience >= Epochs).
 	Patience int
-	Dropout  float64
-	Seed     int64
+	// Dropout is the dropout probability, in [0, 1).
+	Dropout float64
+	Seed    int64
 	// TrainWorkers bounds the trainer's parallelism: the prepare fan-out,
-	// the data-parallel forward/backward passes within each optimizer step,
-	// and validation scoring between epochs (0 or negative = NumCPU, 1 =
-	// serial). The trained parameters are bit-identical at every worker
+	// each optimizer step's data-parallel forward/backward passes, gradient
+	// merge and Adam update, and validation scoring between epochs (0 or
+	// negative = NumCPU, 1 = serial). The trained parameters are bit-identical at every worker
 	// count — the trainer's decomposition and gradient-merge order do not
 	// depend on it (DESIGN.md §10).
 	TrainWorkers int
@@ -542,6 +544,9 @@ const valChunk = 16
 // worker claims (partial-work drain, exactly as in serving): a cancelled
 // context aborts training and returns the context's error.
 func TrainCtx(ctx context.Context, c *data.Corpus, trainIdx, valIdx []int, cfg Config) (*Model, error) {
+	if err := cfg.checkTraining(); err != nil {
+		return nil, err
+	}
 	if len(trainIdx) == 0 {
 		return nil, fmt.Errorf("core: empty training split")
 	}
@@ -667,6 +672,23 @@ func TrainCtx(ctx context.Context, c *data.Corpus, trainIdx, valIdx []int, cfg C
 	return m, nil
 }
 
+// checkTraining rejects the settings TrainCtx cannot train with: no epoch
+// (which would return the untrained model), a learning rate that is not a
+// positive finite number, and a dropout probability outside [0, 1) (at 1
+// the tape's Dropout panics, inside a worker goroutine when training runs
+// on several).
+func (c Config) checkTraining() error {
+	switch {
+	case c.Epochs < 1:
+		return fmt.Errorf("core: Epochs is %d, want at least 1", c.Epochs)
+	case !(c.LearningRate > 0) || math.IsInf(c.LearningRate, 1):
+		return fmt.Errorf("core: LearningRate is %v, want a positive finite number", c.LearningRate)
+	case !(c.Dropout >= 0 && c.Dropout < 1):
+		return fmt.Errorf("core: Dropout is %v, want a probability in [0, 1)", c.Dropout)
+	}
+	return nil
+}
+
 // trainGate is the trainer's per-stage interruption check: context first,
 // then any armed fault. Both are one branch each when unset.
 func trainGate(ctx context.Context, fs *faultinject.Set, p faultinject.Point) error {
@@ -684,12 +706,12 @@ func trainGate(ctx context.Context, fs *faultinject.Set, p faultinject.Point) er
 // RNG; its loss is scaled on the tape by labeled_k/labeled_total so that
 // the summed sub-gradients equal the gradient of the minibatch's pooled
 // mean cross-entropy (what the serial union forward computed). The partial
-// gradients are then merged in sub-index order (nn.MergeGradSets), clipped,
-// and applied as a single Adam update.
+// gradients are then merged in sub-index order, clipped and applied as one
+// Adam update by nn.Adam.Step, on the same workers.
 //
 // It returns the minibatch loss (the weighted sum of sub-losses, summed in
 // sub-index order — reproducible to the bit).
-func (m *Model) trainStep(ctx context.Context, bp []*Prepared, opt nn.Optimizer, cfg Config, workers, step, totalSteps int, fbHist, mergeHist *obs.Histogram) (float64, error) {
+func (m *Model) trainStep(ctx context.Context, bp []*Prepared, opt *nn.Adam, cfg Config, workers, step, totalSteps int, fbHist, mergeHist *obs.Histogram) (float64, error) {
 	// Per-sub-batch labels and labeled-row counts, computed up front: the
 	// loss weights must be in hand before the parallel section starts.
 	labels := make([][]int, len(bp))
@@ -715,8 +737,8 @@ func (m *Model) trainStep(ctx context.Context, bp []*Prepared, opt nn.Optimizer,
 	// Each sub-batch checks a recycled tape out of the model pool; par.For
 	// hands every index to exactly one goroutine, so tapes[si] has a single
 	// writer. The tapes are NOT released inside the loop: the GradSets point
-	// at arena-backed gradient matrices, which must survive until
-	// MergeGradSets has copied them into fresh storage below.
+	// at arena-backed gradient matrices, which the optimizer step below
+	// reads.
 	tapes := make([]*autodiff.Tape, len(bp))
 	err := par.For(ctx, workers, len(bp), func(si int) error {
 		t0 := time.Now()
@@ -747,15 +769,11 @@ func (m *Model) trainStep(ctx context.Context, bp []*Prepared, opt nn.Optimizer,
 		return 0, err
 	}
 	t0 := time.Now()
-	merged := nn.MergeGradSets(grads)
-	for _, tp := range tapes {
-		if tp != nil {
-			m.releaseTape(tp)
-		}
-	}
-	merged.ClipByGlobalNorm(5)
 	opt.SetLR(nn.LinearDecay(cfg.LearningRate, step, totalSteps))
-	opt.Step(m.params, merged)
+	opt.Step(m.params, grads, 5, workers)
+	for _, tp := range tapes {
+		m.releaseTape(tp)
+	}
 	mergeHist.Since(t0)
 	var stepLoss float64
 	for _, l := range losses {

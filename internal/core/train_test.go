@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -116,6 +117,57 @@ func TestTrainCtxCancellation(t *testing.T) {
 			}
 			if fs.Fired(point) == 0 {
 				t.Fatalf("point %s never fired", point)
+			}
+		})
+	}
+}
+
+// TestTrainCtxRejectsBadConfig pins the settings TrainCtx refuses before it
+// prepares a table: no epoch (which returned the untrained model with a
+// nil error), a learning rate that is not a positive finite number, and a
+// dropout probability outside [0, 1) (at 1 a worker goroutine panicked in
+// the tape's Dropout and killed the process). The boundary values it
+// accepts must still train.
+func TestTrainCtxRejectsBadConfig(t *testing.T) {
+	c := tinyCorpus(8)
+	enc := tinyEncoder()
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"epochs-0", func(cfg *Config) { cfg.Epochs = 0 }, false},
+		{"epochs-negative", func(cfg *Config) { cfg.Epochs = -2 }, false},
+		{"lr-0", func(cfg *Config) { cfg.LearningRate = 0 }, false},
+		{"lr-negative", func(cfg *Config) { cfg.LearningRate = -1e-3 }, false},
+		{"lr-nan", func(cfg *Config) { cfg.LearningRate = math.NaN() }, false},
+		{"lr-inf", func(cfg *Config) { cfg.LearningRate = math.Inf(1) }, false},
+		{"lr-negative-inf", func(cfg *Config) { cfg.LearningRate = math.Inf(-1) }, false},
+		{"dropout-1", func(cfg *Config) { cfg.Dropout = 1 }, false},
+		{"dropout-above-1", func(cfg *Config) { cfg.Dropout = 1.5 }, false},
+		{"dropout-negative", func(cfg *Config) { cfg.Dropout = -0.1 }, false},
+		{"dropout-nan", func(cfg *Config) { cfg.Dropout = math.NaN() }, false},
+		{"boundaries", func(cfg *Config) { cfg.Epochs, cfg.Dropout, cfg.LearningRate = 1, 0, math.SmallestNonzeroFloat64 }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tinyConfig(enc)
+			cfg.TrainWorkers = 2
+			fs := faultinject.New()
+			fs.On(faultinject.TrainPrepare, func(context.Context) error { return nil })
+			cfg.Faults = fs
+			tc.edit(&cfg)
+			m, err := TrainCtx(context.Background(), c, []int{0, 1, 2, 3, 4}, []int{5, 6}, cfg)
+			if tc.ok {
+				if err != nil || m == nil {
+					t.Fatalf("TrainCtx = %v, %v; want a model", m, err)
+				}
+				return
+			}
+			if err == nil || m != nil {
+				t.Fatalf("TrainCtx = %v, %v; want no model and an error", m, err)
+			}
+			if n := fs.Fired(faultinject.TrainPrepare); n != 0 {
+				t.Fatalf("prepared %d tables before rejecting the config: %v", n, err)
 			}
 		})
 	}

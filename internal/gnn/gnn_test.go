@@ -322,7 +322,7 @@ func TestLearnsContextDependentLabels(t *testing.T) {
 		logits := tape.GatherRows(out, targets)
 		l := tape.SoftmaxCrossEntropy(logits, lab, nil)
 		tape.Backward(l)
-		opt.Step(p, grads)
+		opt.Step(p, []*nn.GradSet{grads}, math.Inf(1), 1)
 		loss = l.Value.Data[0]
 	}
 	if loss > 0.1 {

@@ -5,6 +5,7 @@
 package nn
 
 import (
+	"context"
 	"encoding/gob"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"sort"
 
 	"github.com/sematype/pythagoras/internal/autodiff"
+	"github.com/sematype/pythagoras/internal/par"
 	"github.com/sematype/pythagoras/internal/tensor"
 )
 
@@ -214,130 +216,181 @@ func (g *GradSet) Grad(name string) *tensor.Matrix {
 	return v.Grad
 }
 
-// Names returns the tracked parameter names in sorted order — the fixed
-// iteration order every gradient reduction in this package uses, so that
-// floating-point accumulation is reproducible run to run.
-func (g *GradSet) Names() []string {
-	names := make([]string, 0, len(g.vars))
-	for n := range g.vars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// --- the optimizer step ---
 
-// ClipByGlobalNorm rescales all tracked gradients so their joint L2 norm is
-// at most maxNorm. It returns the pre-clip norm. The sum of squares is
-// accumulated in sorted-name order: map-iteration order would make the norm
-// (and therefore the clipped parameters) differ by ulps between same-seed
-// runs whenever clipping engages.
-func (g *GradSet) ClipByGlobalNorm(maxNorm float64) float64 {
-	names := g.Names()
-	var total float64
-	for _, n := range names {
-		if v := g.vars[n]; v.Grad != nil {
-			for _, x := range v.Grad.Data {
-				total += x * x
-			}
-		}
-	}
-	norm := math.Sqrt(total)
-	if norm > maxNorm && norm > 0 {
-		s := maxNorm / norm
-		for _, n := range names {
-			if v := g.vars[n]; v.Grad != nil {
-				v.Grad.ScaleInPlace(s)
-			}
-		}
-	}
-	return norm
-}
-
-// MergeGradSets sums the gradients of parts into a fresh GradSet holding
-// newly allocated matrices; the inputs are left untouched. For every
-// parameter name the partial gradients are added in part-index order, so
-// the merged result is a pure function of the parts slice — the
-// bit-identity cornerstone of the data-parallel trainer: however many
-// workers produced the parts, the merge accumulates them in the same fixed
-// order. Nil parts (skipped sub-batches) are ignored.
-func MergeGradSets(parts []*GradSet) *GradSet {
-	out := NewGradSet()
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		for name, v := range part.vars {
-			if v.Grad == nil {
-				continue
-			}
-			acc, ok := out.vars[name]
-			if !ok {
-				acc = &autodiff.Var{Grad: tensor.New(v.Grad.Rows, v.Grad.Cols)}
-				out.vars[name] = acc
-			}
-			acc.Grad.AddInPlace(v.Grad)
-		}
-	}
-	return out
-}
-
-// --- optimizers ---
-
-// Optimizer applies one update step given a parameter collection and the
-// step's gradients.
-type Optimizer interface {
-	Step(p *Params, grads *GradSet)
-	// SetLR overrides the base learning rate (used by schedulers).
-	SetLR(lr float64)
-	LR() float64
-}
+// stepRange is how many values of one parameter a worker of Adam.Step
+// claims at a time: large enough that claiming a range costs nothing next
+// to the work in it, small enough that the largest parameters still split
+// across workers (perfbench's 104,624-value model is 31 ranges).
+const stepRange = 4096
 
 // Adam implements the Adam optimizer (Kingma & Ba) with bias correction,
-// matching the paper's training configuration.
+// matching the paper's training configuration. Its Step is the whole tail
+// of a training step — gradient merge, global-norm clip and update — over
+// storage Adam allocates once per parameter and keeps.
 type Adam struct {
 	lr, Beta1, Beta2, Eps float64
 	WeightDecay           float64 // decoupled (AdamW-style); 0 disables
 	t                     int
-	m, v                  map[string][]float64
+	state                 map[string]*adamState
+	// active and ranges are Step's plan, reused from step to step.
+	active []*adamState
+	ranges []adamRange
+}
+
+// adamState is what Adam keeps for one parameter: the two moment
+// estimates and the accumulator Step merges the parts' gradients into,
+// all allocated on the parameter's first gradient. w and srcs are the
+// current step's weights and part gradients (in part order).
+type adamState struct {
+	m, v, acc []float64
+	w         []float64
+	srcs      [][]float64
+}
+
+// adamRange is one unit of Step's parallel work: values [lo, hi) of one
+// parameter.
+type adamRange struct {
+	st     *adamState
+	lo, hi int
 }
 
 // NewAdam returns an Adam optimizer with standard betas (0.9, 0.999).
 func NewAdam(lr float64) *Adam {
-	return &Adam{
-		lr: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[string][]float64), v: make(map[string][]float64),
-	}
+	return &Adam{lr: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, state: make(map[string]*adamState)}
 }
 
+// SetLR overrides the base learning rate (used by schedules).
 func (a *Adam) SetLR(lr float64) { a.lr = lr }
-func (a *Adam) LR() float64      { return a.lr }
 
-// Step applies one Adam update to every parameter that has a gradient.
-func (a *Adam) Step(p *Params, grads *GradSet) {
+// Step applies one optimizer step to p from parts, the gradients of one
+// minibatch's sub-batches (nil for a skipped one), on up to workers
+// goroutines, and returns the global norm before clipping:
+//
+//  1. merge: each parameter's gradient is the sum of the parts that hold
+//     one, added in part order to +0 in Adam's accumulator;
+//  2. clip: the squares of the merged values, summed serially over the
+//     parameters in sorted-name order, give the global L2 norm; above
+//     maxNorm every merged value is scaled by maxNorm/norm (+Inf never
+//     clips);
+//  3. update: every parameter that has a gradient takes one Adam update. A
+//     parameter no part holds a gradient for keeps its weights and moments.
+//
+// Merge and update run over fixed ranges of stepRange values through
+// par.For. Each value's result depends only on its own gradients in the
+// parts and on the norm, so the step is bit-identical at any worker count,
+// and to summing the parts into fresh storage, clipping and updating
+// serially (the oracle in step_test.go). The parts are only read.
+func (a *Adam) Step(p *Params, parts []*GradSet, maxNorm float64, workers int) float64 {
+	names := p.Names()
+	sort.Strings(names)
+	a.active, a.ranges = a.active[:0], a.ranges[:0]
+	for _, name := range names {
+		w := p.byKey[name].Data
+		st := a.state[name]
+		var srcs [][]float64
+		if st != nil {
+			srcs = st.srcs[:0]
+		}
+		for _, part := range parts {
+			if part == nil {
+				continue
+			}
+			if g := part.Grad(name); g != nil {
+				if len(g.Data) != len(w) {
+					panic(fmt.Sprintf("nn: gradient of %q has %d values, parameter %d", name, len(g.Data), len(w)))
+				}
+				srcs = append(srcs, g.Data)
+			}
+		}
+		if len(srcs) == 0 {
+			continue
+		}
+		// Created here, before any worker starts: the map has one writer.
+		if st == nil {
+			st = &adamState{m: make([]float64, len(w)), v: make([]float64, len(w)), acc: make([]float64, len(w))}
+			a.state[name] = st
+		}
+		st.w, st.srcs = w, srcs
+		a.active = append(a.active, st)
+		for lo := 0; lo < len(w); lo += stepRange {
+			a.ranges = append(a.ranges, adamRange{st: st, lo: lo, hi: min(lo+stepRange, len(w))})
+		}
+	}
+
+	// Not the caller's context: a step cancelled part-way would leave some
+	// weights and moments a step ahead of the others, so the caller checks
+	// for cancellation before Step instead.
+	ctx := context.Background()
+	_ = par.For(ctx, workers, len(a.ranges), func(i int) error {
+		a.ranges[i].merge()
+		return nil
+	})
+
+	var total float64
+	for _, st := range a.active {
+		for _, x := range st.acc {
+			total += x * x
+		}
+	}
+	norm := math.Sqrt(total)
+	clip := norm > maxNorm && norm > 0
+	var scale float64
+	if clip {
+		scale = maxNorm / norm
+	}
+
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, name := range p.Names() {
-		g := grads.Grad(name)
-		if g == nil {
-			continue
+	_ = par.For(ctx, workers, len(a.ranges), func(i int) error {
+		a.update(a.ranges[i], clip, scale, c1, c2)
+		return nil
+	})
+	for _, st := range a.active {
+		clear(st.srcs) // drop the references into the parts' tapes
+	}
+	return norm
+}
+
+// merge sums the range's part gradients into its accumulator in part
+// order, starting from +0 (so a -0 gradient merges to +0, as adding it to
+// zeroed storage does).
+func (r adamRange) merge() {
+	acc := r.st.acc[r.lo:r.hi]
+	clear(acc)
+	srcs := r.st.srcs
+	// Four parts per pass, added left to right, so the accumulator is read
+	// and written once per four parts and the sum keeps the part order.
+	for ; len(srcs) >= 4; srcs = srcs[4:] {
+		a, b, c, d := srcs[0][r.lo:r.hi], srcs[1][r.lo:r.hi], srcs[2][r.lo:r.hi], srcs[3][r.lo:r.hi]
+		for i := range acc {
+			acc[i] = acc[i] + a[i] + b[i] + c[i] + d[i]
 		}
-		w := p.Get(name)
-		m := a.m[name]
-		v := a.v[name]
-		if m == nil {
-			m = make([]float64, len(w.Data))
-			v = make([]float64, len(w.Data))
-			a.m[name] = m
-			a.v[name] = v
+	}
+	for _, src := range srcs {
+		src = src[r.lo:r.hi]
+		for i := range acc {
+			acc[i] += src[i]
 		}
-		for i, gi := range g.Data {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
-			mhat := m[i] / c1
-			vhat := v[i] / c2
-			w.Data[i] -= a.lr * (mhat/(math.Sqrt(vhat)+a.Eps) + a.WeightDecay*w.Data[i])
+	}
+}
+
+// update is Adam's per-value rule, applied to one range: each merged
+// gradient is multiplied by scale first when clip is set, and c1, c2 are
+// this step's bias corrections.
+func (a *Adam) update(r adamRange, clip bool, scale, c1, c2 float64) {
+	b1, b2, eps, lr, wd := a.Beta1, a.Beta2, a.Eps, a.lr, a.WeightDecay
+	w, m, v, g := r.st.w[r.lo:r.hi], r.st.m[r.lo:r.hi], r.st.v[r.lo:r.hi], r.st.acc[r.lo:r.hi]
+	for i, gi := range g {
+		if clip {
+			gi *= scale
 		}
+		m[i] = b1*m[i] + (1-b1)*gi
+		v[i] = b2*v[i] + (1-b2)*gi*gi
+		mhat := m[i] / c1
+		vhat := v[i] / c2
+		w[i] -= lr * (mhat/(math.Sqrt(vhat)+eps) + wd*w[i])
 	}
 }
 

@@ -142,7 +142,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 		out := applyBound(tape, bound, tape.Constant(x))
 		l := tape.SoftmaxCrossEntropy(out, labels, nil)
 		tape.Backward(l)
-		opt.Step(p, grads)
+		opt.Step(p, []*GradSet{grads}, math.Inf(1), 1)
 		loss = l.Value.Data[0]
 	}
 	if loss > 0.05 {
@@ -195,7 +195,7 @@ func TestAdamFirstStepIsLR(t *testing.T) {
 	v := grads.Track("w", tape.Param(w))
 	loss := tape.MatMul(v, tape.Constant(tensor.FromSlice(2, 1, []float64{3, -7}))) // grad = (3, -7)
 	tape.Backward(loss)
-	opt.Step(p, grads)
+	opt.Step(p, []*GradSet{grads}, math.Inf(1), 1)
 	if math.Abs(w.Data[0]+0.01) > 1e-6 || math.Abs(w.Data[1]-0.01) > 1e-6 {
 		t.Fatalf("adam first step = %v, want ±0.01", w.Data)
 	}
@@ -216,7 +216,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		diffT := tape.ConcatCols(tape.GatherRows(diff, []int{0}), tape.GatherRows(diff, []int{1}), tape.GatherRows(diff, []int{2}))
 		loss := tape.MatMul(diffT, diff)
 		tape.Backward(loss)
-		opt.Step(p, grads)
+		opt.Step(p, []*GradSet{grads}, math.Inf(1), 1)
 	}
 	for i, want := range target {
 		if math.Abs(w.Data[i]-want) > 1e-2 {

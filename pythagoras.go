@@ -128,7 +128,9 @@ var WithMaxBatch = infer.WithMaxBatch
 
 // Train fits a Pythagoras model on corpus using the given table index
 // splits (validation drives early stopping; pass nil to disable). A
-// cancelled ctx aborts training with the context's error.
+// cancelled ctx aborts training with the context's error, and a Config it
+// cannot train with (Epochs < 1, a LearningRate that is not positive and
+// finite, a Dropout outside [0, 1)) is an error before any work starts.
 func Train(ctx context.Context, c *Corpus, trainIdx, valIdx []int, cfg Config) (*Model, error) {
 	return core.TrainCtx(ctx, c, trainIdx, valIdx, cfg)
 }
