@@ -38,9 +38,13 @@ build:
 # by the tensor and lm tests, and the float64 product leaves
 # (internal/tensor/f64_other.go), run by the tensor tests and by the
 # autodiff and gnn tests through EdgeMix and the HeteroConv gradient check.
+# The GODEBUG line runs the bit goldens on amd64's non-FMA math.Exp, the
+# branch CPUs without AVX and FMA take (the first line checks the other on
+# CPUs that have them).
 test:
 	$(GO) test ./...
 	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/lm/ ./internal/autodiff/ ./internal/gnn/
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run '^(TestTrainGolden|TestEncodeGolden)$$' ./internal/core/ ./internal/lm/
 
 vet:
 	$(GO) vet ./...
@@ -50,13 +54,14 @@ vet:
 # data-parallel trainer (worker-count bit-identity + train chaos suites live
 # in internal/core) and its optimizer step (internal/nn), the shared worker
 # pool, the sharded encoder cache, the per-graph caches the GNN reads, the
-# fault-injection hooks, and the HTTP server — this is what runs the
+# feature extractor's pooled scratch, the fault-injection hooks, and the
+# HTTP server — this is what runs the
 # cancellation/shedding/shutdown chaos suites under the race detector.
 # -p 1 serializes the packages: the chaos suites assert wall-clock drain
 # bounds, and running them alongside the (CPU-heavy) training race tests on
 # a small machine starves those timers into flakes.
 race:
-	$(GO) test -race -p 1 ./internal/core/... ./internal/nn/... ./internal/infer/... ./internal/par/... ./internal/lm/... ./internal/graph/... ./internal/server/... ./internal/faultinject/... ./internal/obs/... ./internal/discovery/... ./internal/rescore/...
+	$(GO) test -race -p 1 ./internal/core/... ./internal/nn/... ./internal/infer/... ./internal/par/... ./internal/lm/... ./internal/graph/... ./internal/features/... ./internal/server/... ./internal/faultinject/... ./internal/obs/... ./internal/discovery/... ./internal/rescore/...
 
 # Total statement coverage floor, last raised when the watchdog/flight
 # recorder PR landed; `make cover` fails if the tree ever drops below it.
@@ -81,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTableRequestDecode -fuzztime 10s -fuzzminimizetime 0s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzModelsRequestDecode -fuzztime 10s -fuzzminimizetime 0s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzModelLoad -fuzztime 10s -fuzzminimizetime 0s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzExtract -fuzztime 10s -fuzzminimizetime 0s ./internal/features/
 
 # One quick-scale pass per paper table/figure plus component micro-benches.
 bench:

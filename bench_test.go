@@ -164,17 +164,22 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 
 // --- component micro-benchmarks ---
 
-// BenchmarkFeatureExtraction measures the 192-feature extractor on a
-// typical column.
+// BenchmarkFeatureExtraction measures the 192-feature extractor per
+// column, cycling through the numeric columns of the reduced SportsTables
+// corpus — 8–16 rows each, the shape serving traffic has.
 func BenchmarkFeatureExtraction(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]float64, 40)
-	for i := range vals {
-		vals[i] = rng.NormFloat64() * 50
+	var cols [][]float64
+	for _, t := range data.GenerateSportsTables(data.ReducedSportsConfig()).Tables {
+		for _, c := range t.Columns {
+			if c.Kind == table.KindNumeric {
+				cols = append(cols, c.NumValues)
+			}
+		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		features.ExtractNormalized(vals)
+		features.ExtractNormalized(cols[i%len(cols)])
 	}
 }
 

@@ -22,6 +22,15 @@ const CharProfileDim = 50
 // rendered values.
 func CharProfile(vals []string) []float64 {
 	out := make([]float64, CharProfileDim)
+	CharProfileInto(out, vals)
+	return out
+}
+
+// CharProfileInto writes CharProfile(vals) into out, which must hold
+// CharProfileDim values.
+func CharProfileInto(out []float64, vals []string) {
+	out = out[:CharProfileDim]
+	clear(out)
 	var total, letters, digits, upper, spaces, special float64
 	var lenSum, lenSq float64
 	for _, v := range vals {
@@ -65,5 +74,4 @@ func CharProfile(vals []string) []float64 {
 		out[48] = upper / total
 		out[49] = (spaces + special) / total
 	}
-	return out
 }

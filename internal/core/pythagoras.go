@@ -244,12 +244,24 @@ func (m *Model) BuildGraph(t *table.Table) *graph.Graph {
 // use — the encoder cache is internally synchronized and the model's fitted
 // scalings are read-only after training.
 func (m *Model) Encode(t *table.Table, g *graph.Graph) *Prepared {
-	p := &Prepared{Graph: g, LMStates: tensor.New(g.NumNodes(), m.stateDim())}
-	var featData [][]float64
+	nNCF := 0
+	for _, nt := range g.Types {
+		if nt == graph.NodeNumericFeatures {
+			nNCF++
+		}
+	}
+	p := &Prepared{
+		Graph:    g,
+		LMStates: tensor.New(g.NumNodes(), m.stateDim()),
+		FeatRows: tensor.New(nNCF, features.Dim),
+		NCFIdx:   make([]int, 0, nNCF),
+	}
+	cells := cellScratches.Get().(*cellScratch)
+	defer cellScratches.Put(cells)
 	for i, nt := range g.Types {
 		if nt == graph.NodeNumericFeatures {
+			copy(p.FeatRows.Row(len(p.NCFIdx)), g.Feats[i])
 			p.NCFIdx = append(p.NCFIdx, i)
-			featData = append(featData, g.Feats[i])
 			continue
 		}
 		row := p.LMStates.Row(i)
@@ -259,23 +271,52 @@ func (m *Model) Encode(t *table.Table, g *graph.Graph) *Prepared {
 			row[j] = float64(x)
 		}
 		if !m.cfg.PlainLMStates {
-			var vals []string
-			if ci := g.Meta[i].ColIndex; ci >= 0 {
-				vals = t.Columns[ci].ValueStrings(0)
-			} else {
-				vals = []string{t.Name}
-			}
-			m.fillRichBlocks(row, vals)
+			m.fillRichBlocks(row, cells.values(t, g.Meta[i].ColIndex), &cells.tokens)
 		}
-	}
-	if len(featData) > 0 {
-		p.FeatRows = tensor.FromRows(featData)
-	} else {
-		p.FeatRows = tensor.New(0, features.Dim)
 	}
 	m.standardize(p.FeatRows)
 	m.whitenStates(p)
 	return p
+}
+
+// cellScratch holds the storage Encode reuses to render a node's cells and
+// tokenize them for the rich blocks; it is pooled across calls, so a warm
+// Encode allocates nothing per cell.
+type cellScratch struct {
+	buf    []byte   // one numeric column's cells, rendered back to back
+	ends   []int    // the end of each cell in buf
+	cells  []string // the cells of the current node
+	tokens lm.TokenBuf
+}
+
+var cellScratches = sync.Pool{New: func() any { return new(cellScratch) }}
+
+// values returns the cells of column ci as table.Column.ValueStrings(0)
+// renders them, or the table name for ci < 0. A numeric column's cells are
+// rendered into one string, so a column costs one allocation rather than
+// one per cell; the result is valid until the next call.
+func (sc *cellScratch) values(t *table.Table, ci int) []string {
+	if ci < 0 {
+		sc.cells = append(sc.cells[:0], t.Name)
+		return sc.cells
+	}
+	c := t.Columns[ci]
+	if c.Kind != table.KindNumeric {
+		return c.TextValues
+	}
+	sc.buf, sc.ends = sc.buf[:0], sc.ends[:0]
+	for _, v := range c.NumValues {
+		sc.buf = table.AppendNumber(sc.buf, v)
+		sc.ends = append(sc.ends, len(sc.buf))
+	}
+	all := string(sc.buf)
+	sc.cells = sc.cells[:0]
+	start := 0
+	for _, end := range sc.ends {
+		sc.cells = append(sc.cells, all[start:end])
+		start = end
+	}
+	return sc.cells
 }
 
 // Prepare runs stages 1–2 (BuildGraph + Encode) on one table.
@@ -350,21 +391,15 @@ func (m *Model) fitStateScaling(ps []*Prepared) {
 
 // fillRichBlocks writes the char-profile and mean-token-embedding blocks
 // of a node's initial state (the CLS block is already in place).
-func (m *Model) fillRichBlocks(row []float64, vals []string) {
+func (m *Model) fillRichBlocks(row []float64, vals []string, tokens *lm.TokenBuf) {
 	encDim := m.enc.Dim()
 	// block 2: character profile
-	copy(row[encDim:encDim+colfeat.CharProfileDim], colfeat.CharProfile(vals))
+	colfeat.CharProfileInto(row[encDim:encDim+colfeat.CharProfileDim], vals)
 	// block 3: mean token embedding
 	meanBlock := row[encDim+colfeat.CharProfileDim:]
 	count := 0
 	for _, v := range vals {
-		for _, tok := range m.enc.Tokenize(v) {
-			emb := m.enc.TokenEmbedding(tok)
-			for i, x := range emb {
-				meanBlock[i] += float64(x)
-			}
-			count++
-		}
+		count += m.enc.AddTokenEmbeddings(meanBlock, v, tokens)
 	}
 	if count > 0 {
 		inv := 1 / float64(count)

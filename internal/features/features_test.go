@@ -3,13 +3,15 @@ package features
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestExactly192Features(t *testing.T) {
-	if len(registry) != 192 {
-		t.Fatalf("registry has %d features, paper requires 192", len(registry))
+	if len(names) != 192 || len(refRegistry) != 192 {
+		t.Fatalf("%d names, %d reference features; paper requires 192", len(names), len(refRegistry))
 	}
 	if got := len(Extract([]float64{1, 2, 3})); got != Dim {
 		t.Fatalf("Extract returned %d values", got)
@@ -32,128 +34,118 @@ func TestFeatureNamesUnique(t *testing.T) {
 	}
 }
 
-func featureByName(t *testing.T, name string) func(*Summary) float64 {
+// featureByName returns the function computing one named feature of a
+// column.
+func featureByName(t *testing.T, name string) func([]float64) float64 {
 	t.Helper()
-	for _, f := range registry {
-		if f.Name == name {
-			return f.Fn
+	for i, n := range names {
+		if n == name {
+			return func(vals []float64) float64 { return Extract(vals)[i] }
 		}
 	}
 	t.Fatalf("no feature %q", name)
 	return nil
 }
 
+// requireFinite fails if any feature of vals is NaN or ±Inf.
+func requireFinite(t *testing.T, what string, vals []float64) {
+	t.Helper()
+	for i, v := range Extract(vals) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("feature %q = %v on %s", names[i], v, what)
+		}
+	}
+}
+
 func TestSummarizeBasicStats(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("summary: %+v", s)
+	vals := []float64{1, 2, 3, 4, 5}
+	want := map[string]float64{
+		"count": 5, "min": 1, "max": 5, "mean": 3, "variance": 2,
+		"n_unique": 5, "n_zero": 0, "frac_negative": 0, "frac_positive": 1,
 	}
-	if math.Abs(s.Mean-3) > 1e-12 {
-		t.Fatalf("mean = %v", s.Mean)
-	}
-	if math.Abs(s.Var-2) > 1e-12 {
-		t.Fatalf("var = %v", s.Var)
-	}
-	if s.NUnique != 5 || s.NZero != 0 || s.NNeg != 0 || s.NPos != 5 {
-		t.Fatalf("counts: %+v", s)
+	for name, w := range want {
+		if got := featureByName(t, name)(vals); math.Abs(got-w) > 1e-12 {
+			t.Errorf("%s = %v, want %v", name, got, w)
+		}
 	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 {
-		t.Fatal("empty summary N != 0")
+	if got := featureByName(t, "count")(nil); got != 0 {
+		t.Fatalf("count of an empty column = %v", got)
 	}
-	// every feature must be finite on empty input
-	for _, f := range registry {
-		v := f.Fn(s)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("feature %q = %v on empty input", f.Name, v)
-		}
-	}
+	requireFinite(t, "empty input", nil)
 }
 
 func TestSummarizeSingleValue(t *testing.T) {
-	s := Summarize([]float64{42})
-	for _, f := range registry {
-		v := f.Fn(s)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("feature %q = %v on single value", f.Name, v)
-		}
-	}
-	if s.Std != 0 {
+	requireFinite(t, "single value", []float64{42})
+	if featureByName(t, "std")([]float64{42}) != 0 {
 		t.Fatal("single value must have zero std")
 	}
 }
 
 func TestSummarizeConstantColumn(t *testing.T) {
-	s := Summarize([]float64{7, 7, 7, 7})
-	if s.Std != 0 || s.NUnique != 1 {
-		t.Fatalf("constant column: std=%v unique=%d", s.Std, s.NUnique)
+	vals := []float64{7, 7, 7, 7}
+	if std, u := featureByName(t, "std")(vals), featureByName(t, "n_unique")(vals); std != 0 || u != 1 {
+		t.Fatalf("constant column: std=%v unique=%v", std, u)
 	}
-	for _, f := range registry {
-		v := f.Fn(s)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("feature %q = %v on constant column", f.Name, v)
-		}
-	}
+	requireFinite(t, "constant column", vals)
 }
 
 func TestQuantileInterpolation(t *testing.T) {
-	s := Summarize([]float64{0, 10})
-	if got := s.Quantile(0.5); got != 5 {
+	sorted := []float64{0, 10}
+	if got := quantile(sorted, 0.5); got != 5 {
 		t.Fatalf("median of {0,10} = %v", got)
 	}
-	if got := s.Quantile(0); got != 0 {
+	if got := quantile(sorted, 0); got != 0 {
 		t.Fatalf("p0 = %v", got)
 	}
-	if got := s.Quantile(1); got != 10 {
+	if got := quantile(sorted, 1); got != 10 {
 		t.Fatalf("p100 = %v", got)
 	}
 }
 
 func TestSkewnessSign(t *testing.T) {
 	rightSkewed := []float64{1, 1, 1, 1, 2, 2, 3, 10, 50}
-	s := Summarize(rightSkewed)
-	if s.Skew <= 0 {
-		t.Fatalf("right-skewed data has skew %v", s.Skew)
+	if skew := featureByName(t, "skewness")(rightSkewed); skew <= 0 {
+		t.Fatalf("right-skewed data has skew %v", skew)
 	}
 }
 
 func TestIntegralityFeatures(t *testing.T) {
 	fn := featureByName(t, "frac_integer")
-	if got := fn(Summarize([]float64{1, 2, 3})); got != 1 {
+	if got := fn([]float64{1, 2, 3}); got != 1 {
 		t.Fatalf("frac_integer(ints) = %v", got)
 	}
-	if got := fn(Summarize([]float64{1.5, 2.5})); got != 0 {
+	if got := fn([]float64{1.5, 2.5}); got != 0 {
 		t.Fatalf("frac_integer(halves) = %v", got)
 	}
 	half := featureByName(t, "frac_half_integer")
-	if got := half(Summarize([]float64{1.5, 2.5, 3})); math.Abs(got-2.0/3) > 1e-12 {
+	if got := half([]float64{1.5, 2.5, 3}); math.Abs(got-2.0/3) > 1e-12 {
 		t.Fatalf("frac_half_integer = %v", got)
 	}
 }
 
 func TestYearDetector(t *testing.T) {
 	fn := featureByName(t, "frac_year_like")
-	if got := fn(Summarize([]float64{1995, 2001, 2023})); got != 1 {
+	if got := fn([]float64{1995, 2001, 2023}); got != 1 {
 		t.Fatalf("year detector on years = %v", got)
 	}
-	if got := fn(Summarize([]float64{7.5, 12.3})); got != 0 {
+	if got := fn([]float64{7.5, 12.3}); got != 0 {
 		t.Fatalf("year detector on floats = %v", got)
 	}
 }
 
 func TestMonthDayDetectors(t *testing.T) {
 	month := featureByName(t, "frac_month_like")
-	if got := month(Summarize([]float64{1, 6, 12})); got != 1 {
+	if got := month([]float64{1, 6, 12}); got != 1 {
 		t.Fatalf("month detector = %v", got)
 	}
-	if got := month(Summarize([]float64{13, 0})); got != 0 {
+	if got := month([]float64{13, 0}); got != 0 {
 		t.Fatalf("month detector out of range = %v", got)
 	}
 	day := featureByName(t, "frac_day_like")
-	if got := day(Summarize([]float64{1, 15, 31})); got != 1 {
+	if got := day([]float64{1, 15, 31}); got != 1 {
 		t.Fatalf("day detector = %v", got)
 	}
 }
@@ -179,8 +171,8 @@ func TestBenfordOnBenfordData(t *testing.T) {
 		uniform[i] = 500 + rng.Float64()*99 // leading digit always 5
 	}
 	chi2 := featureByName(t, "benford_chi2")
-	b := chi2(Summarize(benford))
-	u := chi2(Summarize(uniform))
+	b := chi2((benford))
+	u := chi2((uniform))
 	if b >= u {
 		t.Fatalf("benford chi2: benford=%v should be < concentrated=%v", b, u)
 	}
@@ -189,11 +181,11 @@ func TestBenfordOnBenfordData(t *testing.T) {
 func TestSortednessFeatures(t *testing.T) {
 	asc := featureByName(t, "frac_ascending_pairs")
 	mono := featureByName(t, "is_monotonic_inc")
-	s := Summarize([]float64{1, 2, 3, 4})
+	s := []float64{1, 2, 3, 4}
 	if asc(s) != 1 || mono(s) != 1 {
 		t.Fatal("ascending sequence not detected")
 	}
-	s2 := Summarize([]float64{4, 3, 2, 1})
+	s2 := []float64{4, 3, 2, 1}
 	if asc(s2) != 0 || mono(s2) != 0 {
 		t.Fatal("descending sequence misdetected")
 	}
@@ -209,18 +201,18 @@ func TestOutlierFeatures(t *testing.T) {
 	}
 	withOutlier := append(append([]float64{}, base...), 1e6)
 	f := featureByName(t, "frac_beyond_3std")
-	if f(Summarize(base)) != 0 {
+	if f((base)) != 0 {
 		t.Fatal("clean data flagged outliers")
 	}
-	if f(Summarize(withOutlier)) == 0 {
+	if f((withOutlier)) == 0 {
 		t.Fatal("outlier missed")
 	}
 }
 
 func TestEntropyFeatures(t *testing.T) {
 	ent := featureByName(t, "value_entropy_norm")
-	uniform := Summarize([]float64{1, 2, 3, 4, 5, 6, 7, 8})
-	constant := Summarize([]float64{5, 5, 5, 5})
+	uniform := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	constant := []float64{5, 5, 5, 5}
 	if ent(uniform) < 0.99 {
 		t.Fatalf("uniform entropy = %v, want ≈1", ent(uniform))
 	}
@@ -231,7 +223,7 @@ func TestEntropyFeatures(t *testing.T) {
 
 func TestModeFrac(t *testing.T) {
 	fn := featureByName(t, "mode_frac")
-	if got := fn(Summarize([]float64{1, 1, 1, 2})); got != 0.75 {
+	if got := fn([]float64{1, 1, 1, 2}); got != 0.75 {
 		t.Fatalf("mode_frac = %v", got)
 	}
 }
@@ -242,7 +234,7 @@ func TestHistogramSumsToOne(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.NormFloat64() * 10
 	}
-	s := Summarize(vals)
+	s := vals
 	var total float64
 	for b := 0; b < 10; b++ {
 		total += featureByName(t, "hist10_"+string(rune('0'+b)))(s)
@@ -253,10 +245,17 @@ func TestHistogramSumsToOne(t *testing.T) {
 }
 
 func TestDecimalPlaces(t *testing.T) {
-	cases := map[float64]int{1: 0, 1.5: 1, 3.25: 2, 100: 0}
+	// The e-form cases read the count off the exponent: 'g' switches to it
+	// below 1e-4 and from 1e21 on, where 'f' still spells every digit.
+	cases := map[float64]int{
+		1: 0, 1.5: 1, 3.25: 2, 100: 0, 0: 0, -0.125: 3,
+		1.5e-7: 8, 1e-5: 5, -2.5e-300: 301, 1e21: 0, 1.234e22: 0, 5e-324: 324,
+	}
 	for in, want := range cases {
-		if got := decimalPlaces(in); got != want {
-			t.Errorf("decimalPlaces(%v) = %d, want %d", in, got, want)
+		g := strconv.AppendFloat(nil, in, 'g', -1, 64)
+		got := decimalPlaces(g, strings.ContainsAny(string(g), "eE"))
+		if got != want || got != refDecimalPlaces(in) {
+			t.Errorf("decimalPlaces(%s) = %d, want %d (FormatFloat 'f' gives %d)", g, got, want, refDecimalPlaces(in))
 		}
 	}
 }

@@ -23,7 +23,10 @@ import (
 
 // HeteroConv is one heterogeneous graph convolution layer.
 type HeteroConv struct {
-	prefix string
+	// The parameters' names in nn.Params, built once here rather than on
+	// every forward.
+	edgeName           [graph.NumEdgeTypes]string
+	selfName, biasName string
 	// EdgeW holds one learned weight matrix per edge type (W_tn, W_nn,
 	// W_ncf in Figure 3).
 	EdgeW [graph.NumEdgeTypes]*tensor.Matrix
@@ -35,16 +38,17 @@ type HeteroConv struct {
 // NewHeteroConv creates a layer mapping in-dim node states to out-dim
 // states, registering parameters under prefix.
 func NewHeteroConv(p *nn.Params, prefix string, in, out int, rng *rand.Rand) *HeteroConv {
-	hc := &HeteroConv{prefix: prefix}
+	hc := &HeteroConv{selfName: prefix + ".self.w", biasName: prefix + ".b"}
 	for et := graph.EdgeType(0); et < graph.NumEdgeTypes; et++ {
 		w := tensor.New(in, out)
 		nn.XavierInit(w, rng)
-		hc.EdgeW[et] = p.Add(fmt.Sprintf("%s.edge%d.w", prefix, et), w)
+		hc.edgeName[et] = fmt.Sprintf("%s.edge%d.w", prefix, et)
+		hc.EdgeW[et] = p.Add(hc.edgeName[et], w)
 	}
 	hc.SelfW = tensor.New(in, out)
 	nn.XavierInit(hc.SelfW, rng)
-	p.Add(prefix+".self.w", hc.SelfW)
-	hc.Bias = p.Add(prefix+".b", tensor.New(1, out))
+	p.Add(hc.selfName, hc.SelfW)
+	hc.Bias = p.Add(hc.biasName, tensor.New(1, out))
 	return hc
 }
 
@@ -55,7 +59,7 @@ func NewHeteroConv(p *nn.Params, prefix string, in, out int, rng *rand.Rand) *He
 // Pass activate=false to skip the final ReLU (e.g. for the last layer
 // before the classifier).
 func (hc *HeteroConv) Apply(t *autodiff.Tape, grads *nn.GradSet, h *autodiff.Var, g *graph.Graph, activate bool) *autodiff.Var {
-	selfW := nn.ParamVar(t, grads, hc.prefix+".self.w", hc.SelfW)
+	selfW := nn.ParamVar(t, grads, hc.selfName, hc.SelfW)
 	out := t.MatMul(h, selfW)
 
 	for et := graph.EdgeType(0); et < graph.NumEdgeTypes; et++ {
@@ -63,7 +67,7 @@ func (hc *HeteroConv) Apply(t *autodiff.Tape, grads *nn.GradSet, h *autodiff.Var
 		if el.Len() == 0 {
 			continue
 		}
-		w := nn.ParamVar(t, grads, fmt.Sprintf("%s.edge%d.w", hc.prefix, et), hc.EdgeW[et])
+		w := nn.ParamVar(t, grads, hc.edgeName[et], hc.EdgeW[et])
 		// Fused message passing: one h×W product over the edge type's
 		// distinct source nodes (gather commutes with the
 		// right-multiplication), scatter-aggregated and mean-normalized in a
@@ -73,7 +77,7 @@ func (hc *HeteroConv) Apply(t *autodiff.Tape, grads *nn.GradSet, h *autodiff.Var
 		out = t.Add(out, t.EdgeMix(h, w, rows, pos, el.Dst, g.NumNodes(), g.InvDegrees(et)))
 	}
 
-	bias := nn.ParamVar(t, grads, hc.prefix+".b", hc.Bias)
+	bias := nn.ParamVar(t, grads, hc.biasName, hc.Bias)
 	out = t.AddRow(out, bias)
 	if activate {
 		out = t.ReLU(out)

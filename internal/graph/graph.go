@@ -214,9 +214,39 @@ type BuildOptions struct {
 // semantic type strings to class indices; unseen types label as -1
 // (excluded from loss and scoring).
 func Build(t *table.Table, labelIndex map[string]int, opts BuildOptions) *Graph {
-	g := &Graph{}
-	for et := EdgeType(0); et < NumEdgeTypes; et++ {
-		g.Edges[et] = &EdgeList{}
+	nText := 0
+	for _, c := range t.Columns {
+		if c.Kind == table.KindText {
+			nText++
+		}
+	}
+	nNum := len(t.Columns) - nText
+	nodes := len(t.Columns)
+	if !opts.DropTableName {
+		nodes++
+	}
+	if !opts.DropNumericFeatures {
+		nodes += nNum
+	}
+	g := &Graph{
+		Types:  make([]NodeType, 0, nodes),
+		Texts:  make([]string, 0, nodes),
+		Feats:  make([][]float64, 0, nodes),
+		Labels: make([]int, 0, nodes),
+		Meta:   make([]NodeMeta, 0, nodes),
+	}
+	var edges [NumEdgeTypes]int
+	if !opts.DropTableName {
+		edges[EdgeTableName] = nText + nNum
+	}
+	if !opts.DropTextColumns {
+		edges[EdgeTextToNum] = nText * nNum
+	}
+	if !opts.DropNumericFeatures {
+		edges[EdgeFeatToNum] = nNum
+	}
+	for et, n := range edges {
+		g.Edges[et] = &EdgeList{Src: make([]int, 0, n), Dst: make([]int, 0, n)}
 	}
 	addNode := func(nt NodeType, text string, feats []float64, label int, meta NodeMeta) int {
 		g.Types = append(g.Types, nt)
@@ -239,23 +269,30 @@ func Build(t *table.Table, labelIndex map[string]int, opts BuildOptions) *Graph 
 			NodeMeta{TableID: t.ID, ColIndex: -1})
 	}
 
-	var textNodes, numNodes []int
+	// Every column's text renders into one reused buffer, numeric cells
+	// straight from their values, so a column costs one string.
+	var buf []byte
+	textNodes := make([]int, 0, nText)
+	numNodes := make([]int, 0, nNum)
 	for ci, c := range t.Columns {
-		text := table.SerializeColumn(c, opts.Serialization)
+		buf = table.AppendColumn(buf[:0], c, opts.Serialization)
 		label := lookup(c.SemanticType)
 		meta := NodeMeta{TableID: t.ID, ColIndex: ci, Kind: c.Kind}
 		if c.Kind == table.KindText {
-			textNodes = append(textNodes, addNode(NodeTextColumn, text, nil, label, meta))
+			textNodes = append(textNodes, addNode(NodeTextColumn, string(buf), nil, label, meta))
 		} else {
-			numNodes = append(numNodes, addNode(NodeNumericColumn, text, nil, label, meta))
+			numNodes = append(numNodes, addNode(NodeNumericColumn, string(buf), nil, label, meta))
 		}
 	}
 
 	if !opts.DropNumericFeatures {
+		// One backing array holds every V_ncf row of the table.
+		feats := make([]float64, 0, nNum*features.Dim)
 		for _, ni := range numNodes {
 			ci := g.Meta[ni].ColIndex
-			f := features.ExtractNormalized(t.Columns[ci].NumValues)
-			ncf := addNode(NodeNumericFeatures, "", f, -1,
+			start := len(feats)
+			feats = features.AppendNormalized(feats, t.Columns[ci].NumValues)
+			ncf := addNode(NodeNumericFeatures, "", feats[start:len(feats):len(feats)], -1,
 				NodeMeta{TableID: t.ID, ColIndex: ci, Kind: table.KindNumeric})
 			g.Edges[EdgeFeatToNum].add(ncf, ni)
 		}

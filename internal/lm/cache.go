@@ -44,7 +44,7 @@ func newVecCache(totalCap int) *vecCache {
 }
 
 // shardFor hashes the key to a shard (FNV-1a, masked).
-func shardFor(key string) uint {
+func shardFor[K string | []byte](key K) uint {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -58,6 +58,20 @@ func (c *vecCache) get(key string) ([]float32, bool) {
 	s := &c.shards[shardFor(key)]
 	s.mu.RLock()
 	v, ok := s.m[key]
+	s.mu.RUnlock()
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return v, ok
+}
+
+// getBytes is get for a key held as bytes; the lookup does not allocate.
+func (c *vecCache) getBytes(key []byte) ([]float32, bool) {
+	s := &c.shards[shardFor(key)]
+	s.mu.RLock()
+	v, ok := s.m[string(key)]
 	s.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)

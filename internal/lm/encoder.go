@@ -198,7 +198,40 @@ func (e *Encoder) TokenEmbedding(token string) []float32 {
 	if v, ok := e.tokenVecs.get(token); ok {
 		return v
 	}
+	return e.embedToken(token)
+}
 
+// tokenEmbedding is TokenEmbedding for a token held as bytes; a cached
+// token costs no allocation.
+func (e *Encoder) tokenEmbedding(token []byte) []float32 {
+	switch {
+	case string(token) == TokenCLS:
+		return e.cls
+	case string(token) == TokenSEP:
+		return e.sep
+	}
+	if v, ok := e.tokenVecs.getBytes(token); ok {
+		return v
+	}
+	return e.embedToken(string(token))
+}
+
+// AddTokenEmbeddings tokenizes text into tb and adds each token's frozen
+// embedding, widened to float64, to acc in token order; it returns the
+// token count. With every token cached it allocates only to grow tb.
+func (e *Encoder) AddTokenEmbeddings(acc []float64, text string, tb *TokenBuf) int {
+	e.tok.tokenize(tb, text)
+	for i := range tb.ends {
+		for j, x := range e.tokenEmbedding(tb.token(i)) {
+			acc[j] += float64(x)
+		}
+	}
+	return len(tb.ends)
+}
+
+// embedToken computes and caches the embedding of a token missing from the
+// cache.
+func (e *Encoder) embedToken(token string) []float32 {
 	dim := e.cfg.Dim
 	v := make([]float64, dim)
 	mask := uint64(e.cfg.Buckets - 1)

@@ -2,11 +2,13 @@ package lm
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
 // FuzzTokenizeAndEmbed asserts the tokenizer and embedder accept arbitrary
-// input without panicking, producing finite vectors.
+// input without panicking, producing finite vectors, and that Tokenize
+// matches the reference tokenizer.
 func FuzzTokenizeAndEmbed(f *testing.F) {
 	f.Add("NBA Player Stats 2023")
 	f.Add("7.5 2.1 -3e9")
@@ -19,6 +21,9 @@ func FuzzTokenizeAndEmbed(f *testing.F) {
 			text = text[:500]
 		}
 		toks := enc.Tokenize(text)
+		if want := refTokenize(enc.tok, text); !slices.Equal(toks, want) {
+			t.Fatalf("Tokenize(%q) = %q, reference %q", text, toks, want)
+		}
 		for _, tok := range toks {
 			if tok == "" {
 				t.Fatal("empty token produced")

@@ -2,6 +2,10 @@
 
 // Float32 bits are per-platform: Go may fuse x*y+z into one FMA on arm64
 // and at GOAMD64=v3 and above, so the golden pins baseline amd64 only.
+// There, math.Exp (the attention softmax, and math.Tanh in GELU) picks an
+// FMA branch at run time when the CPU has AVX and FMA (math.useFMA). This
+// golden holds on both branches; `make test` runs it again under
+// GODEBUG=cpu.fma=off to keep it so.
 
 package lm
 

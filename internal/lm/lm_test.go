@@ -82,7 +82,7 @@ func TestNormalizeNumberMagnitudes(t *testing.T) {
 		"3.14159": "<num3e0>",
 	}
 	for in, want := range cases {
-		if got := normalizeNumber(in); got != want {
+		if got := normalizeNumber([]byte(in)); got != want {
 			t.Errorf("normalizeNumber(%q) = %q, want %q", in, got, want)
 		}
 	}

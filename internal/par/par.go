@@ -13,6 +13,8 @@ package par
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -29,6 +31,11 @@ import (
 //
 // workers <= 1 (or n <= 1) degrades to a serial loop on the calling
 // goroutine with the same per-index context check.
+//
+// A panic in fn surfaces from For on the calling goroutine, on either path,
+// so the caller's recover sees it. On a worker it is recovered and treated
+// like an error — no new index starts, every worker parks — and then
+// re-raised as an error carrying the worker's stack.
 func For(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
@@ -38,21 +45,20 @@ func For(ctx context.Context, workers, n int, fn func(i int) error) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			busyWorkers.Add(1)
-			err := fn(i)
-			busyWorkers.Add(-1)
-			if err != nil {
+			if err := call(fn, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
+		next       atomic.Int64
+		stop       atomic.Bool
+		errOnce    sync.Once
+		firstErr   error
+		panicOnce  sync.Once
+		firstPanic *workerPanic
+		wg         sync.WaitGroup
 	)
 	fail := func(err error) {
 		errOnce.Do(func() { firstErr = err })
@@ -62,6 +68,12 @@ func For(ctx context.Context, workers, n int, fn func(i int) error) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { firstPanic = &workerPanic{value: r, stack: debug.Stack()} })
+					stop.Store(true)
+				}
+			}()
 			for {
 				if stop.Load() {
 					return
@@ -74,10 +86,7 @@ func For(ctx context.Context, workers, n int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				busyWorkers.Add(1)
-				err := fn(i)
-				busyWorkers.Add(-1)
-				if err != nil {
+				if err := call(fn, i); err != nil {
 					fail(err)
 					return
 				}
@@ -85,7 +94,29 @@ func For(ctx context.Context, workers, n int, fn func(i int) error) error {
 		}()
 	}
 	wg.Wait()
+	if firstPanic != nil {
+		panic(firstPanic)
+	}
 	return firstErr
+}
+
+// call runs fn(i), counted in busyWorkers while it runs (panics included).
+func call(fn func(i int) error, i int) error {
+	busyWorkers.Add(1)
+	defer busyWorkers.Add(-1)
+	return fn(i)
+}
+
+// workerPanic is the value For panics with when fn panicked on a worker
+// goroutine: the recovered value and the stack of the worker it was
+// recovered on, which the calling goroutine's own stack no longer shows.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("par: panic in worker: %v\n\n%s", p.value, p.stack)
 }
 
 // busyWorkers counts goroutines (or the calling goroutine, on the serial

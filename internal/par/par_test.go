@@ -3,6 +3,8 @@ package par
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -183,4 +185,74 @@ func TestRegisterMetrics(t *testing.T) {
 		t.Fatalf("par.workers.utilization = %v, registered %v", u, ok)
 	}
 	RegisterMetrics(nil) // nil-safe
+}
+
+// TestForWorkerPanicSurfacesOnCaller pins the worker path to the serial
+// path's behaviour: a panic in fn reaches the caller of For (where a
+// server's recover answers 500) instead of killing the process from a
+// worker goroutine, and For re-raises it only once every worker has parked.
+func TestForWorkerPanicSurfacesOnCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	busyBefore := Busy()
+	var inFlight, started atomic.Int32
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = For(context.Background(), 4, 1000, func(i int) error {
+			started.Add(1)
+			inFlight.Add(1)
+			defer inFlight.Add(-1)
+			if i == 5 {
+				panic("boom at 5")
+			}
+			time.Sleep(100 * time.Microsecond)
+			return nil
+		})
+		t.Error("For returned instead of panicking")
+	}()
+	err, ok := got.(error)
+	if !ok {
+		t.Fatalf("recovered %T %v, want an error", got, got)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "boom at 5") ||
+		!strings.Contains(msg, "TestForWorkerPanicSurfacesOnCaller") {
+		t.Fatalf("panic value lacks the worker's value and stack:\n%s", msg)
+	}
+	if n := inFlight.Load(); n != 0 {
+		t.Fatalf("%d calls of fn still running after For panicked", n)
+	}
+	if n := started.Load(); n == 1000 {
+		t.Fatal("the panic did not stop the loop early")
+	}
+	if b := Busy(); b != busyBefore {
+		t.Fatalf("Busy() = %d after the panic, want %d", b, busyBefore)
+	}
+	// Parked workers have returned from their last wg.Done; give the
+	// scheduler a moment to retire them before counting.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running, %d before For", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	started.Store(0)
+	time.Sleep(10 * time.Millisecond)
+	if n := started.Load(); n != 0 {
+		t.Fatalf("fn ran %d more times after For panicked", n)
+	}
+}
+
+func TestForSerialPanicKeepsBusyCount(t *testing.T) {
+	busyBefore := Busy()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("serial For swallowed the panic")
+			}
+		}()
+		_ = For(context.Background(), 1, 3, func(i int) error { panic("serial boom") })
+	}()
+	if b := Busy(); b != busyBefore {
+		t.Fatalf("Busy() = %d after a serial panic, want %d", b, busyBefore)
+	}
 }

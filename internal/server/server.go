@@ -75,6 +75,7 @@ import (
 	"io"
 	"log"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -598,6 +599,13 @@ func (tr *TableRequest) toTable() (*table.Table, error) {
 			nums = append(nums, f)
 		}
 		if numeric {
+			// ParseFloat accepts "NaN", "Inf" and "-Infinity", which no
+			// statistic of a column can take in.
+			for r, f := range nums {
+				if math.IsNaN(f) || math.IsInf(f, 0) {
+					return nil, fmt.Errorf("column %d (%q) row %d: %q is not a finite number", i, c.Header, r, c.Values[r])
+				}
+			}
 			col.Kind = table.KindNumeric
 			col.NumValues = nums
 		} else {

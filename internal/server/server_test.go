@@ -273,3 +273,49 @@ func TestJoinUnionValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictRejectsNonFiniteCells covers numeric cells that parse to NaN
+// or ±Inf. They used to reach the feature extractor, which panicked on NaN
+// (a 500 for one table; inside a batch the panic hit a worker goroutine and
+// took the process down) and never returned on ±Inf. Now each is a 400
+// naming the column, the server keeps serving, and finite extremes still
+// predict.
+func TestPredictRejectsNonFiniteCells(t *testing.T) {
+	s := trainedServer(t)
+	withPPG := func(vals ...string) TableRequest {
+		r := sampleRequest("")
+		r.Columns[1].Values = vals
+		return r
+	}
+	for _, vals := range [][]string{{"NaN", "1"}, {"Inf", "1"}, {"2", "-Infinity"}, {"+Inf", "nan"}} {
+		rec := postJSON(t, s, "/v1/predict", withPPG(vals...))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `\"PPG\"`) {
+			t.Fatalf("predict %v: status %d, body %s; want 400 naming PPG", vals, rec.Code, rec.Body)
+		}
+		batch := BatchRequest{Tables: []TableRequest{sampleRequest("ok"), withPPG(vals...)}}
+		rec = postJSON(t, s, "/v1/predict-batch", batch)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "table 1") ||
+			!strings.Contains(rec.Body.String(), `\"PPG\"`) {
+			t.Fatalf("predict-batch %v: status %d, body %s; want 400 naming table 1 and PPG", vals, rec.Code, rec.Body)
+		}
+	}
+	// A column that does not parse as numbers throughout stays text, NaN
+	// cell or not.
+	if rec := postJSON(t, s, "/v1/predict", withPPG("NaN", "n/a")); rec.Code != http.StatusOK {
+		t.Fatalf("text column with a NaN cell: status %d, body %s", rec.Code, rec.Body)
+	}
+	// Finite cells whose range overflows float64 or whose tenth underflows
+	// to 0 used to panic the extractor; they predict now, singly and batched.
+	for _, vals := range [][]string{{"-1e308", "1e308"}, {"5e-324", "0"}} {
+		if rec := postJSON(t, s, "/v1/predict", withPPG(vals...)); rec.Code != http.StatusOK {
+			t.Fatalf("predict %v: status %d, body %s", vals, rec.Code, rec.Body)
+		}
+		batch := BatchRequest{Tables: []TableRequest{sampleRequest("ok"), withPPG(vals...)}}
+		if rec := postJSON(t, s, "/v1/predict-batch", batch); rec.Code != http.StatusOK {
+			t.Fatalf("predict-batch %v: status %d, body %s", vals, rec.Code, rec.Body)
+		}
+	}
+	if rec := postJSON(t, s, "/v1/predict", sampleRequest("")); rec.Code != http.StatusOK {
+		t.Fatalf("server stopped serving: status %d", rec.Code)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,9 +74,10 @@ func ReadCSV(name, id string, r io.Reader) (*Table, error) {
 		col := &Column{Header: h}
 		numeric := true
 		nonEmpty := 0
+		nonFinite := -1 // the first row whose cell parses to NaN or ±Inf
 		var nums []float64
 		var texts []string
-		for _, rec := range records[1:] {
+		for r, rec := range records[1:] {
 			cell := ""
 			if j < len(rec) {
 				cell = strings.TrimSpace(rec[j])
@@ -91,7 +93,14 @@ func ReadCSV(name, id string, r io.Reader) (*Table, error) {
 				numeric = false
 			} else {
 				nums = append(nums, v)
+				if nonFinite < 0 && (math.IsNaN(v) || math.IsInf(v, 0)) {
+					nonFinite = r
+				}
 			}
+		}
+		if numeric && nonEmpty > 0 && nonFinite >= 0 {
+			return nil, fmt.Errorf("table: csv %q row %d column %d (%q): %q is not a finite number",
+				id, nonFinite+1, j, h, texts[nonFinite])
 		}
 		if numeric && nonEmpty > 0 {
 			col.Kind = KindNumeric

@@ -7,7 +7,6 @@ package table
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Kind distinguishes numerical from non-numerical columns — the distinction
@@ -76,10 +75,17 @@ func (c *Column) ValueStrings(max int) []string {
 // FormatNumber renders a float the way cells appear in real CSVs: integers
 // without a decimal point, others with up to 4 significant decimals.
 func FormatNumber(v float64) string {
+	var buf [24]byte
+	return string(AppendNumber(buf[:0], v))
+}
+
+// AppendNumber appends FormatNumber(v) to dst and returns the extended
+// slice; it allocates only to grow dst.
+func AppendNumber(dst []byte, v float64) []byte {
 	if v == float64(int64(v)) && v < 1e15 && v > -1e15 {
-		return strconv.FormatInt(int64(v), 10)
+		return strconv.AppendInt(dst, int64(v), 10)
 	}
-	return strconv.FormatFloat(v, 'g', 5, 64)
+	return strconv.AppendFloat(dst, v, 'g', 5, 64)
 }
 
 // Table is a named table with ordered columns.
@@ -154,26 +160,37 @@ type SerializeOptions struct {
 //
 // with c_h included only per opts.Header.
 func SerializeColumn(c *Column, opts SerializeOptions) string {
-	var sb strings.Builder
-	sb.WriteString("[CLS]")
+	return string(AppendColumn(nil, c, opts))
+}
+
+// AppendColumn appends SerializeColumn(c, opts) to dst and returns the
+// extended slice. Numeric cells render straight into dst, so it allocates
+// only to grow dst.
+func AppendColumn(dst []byte, c *Column, opts SerializeOptions) []byte {
+	dst = append(dst, "[CLS]"...)
 	switch opts.Header {
 	case HeaderOriginal:
 		if c.Header != "" {
-			sb.WriteByte(' ')
-			sb.WriteString(c.Header)
+			dst = append(append(dst, ' '), c.Header...)
 		}
 	case HeaderSynthetic:
 		if c.SyntheticHeader != "" {
-			sb.WriteByte(' ')
-			sb.WriteString(c.SyntheticHeader)
+			dst = append(append(dst, ' '), c.SyntheticHeader...)
 		}
 	}
-	for _, v := range c.ValueStrings(opts.MaxValues) {
-		sb.WriteByte(' ')
-		sb.WriteString(v)
+	n := c.Len()
+	if opts.MaxValues > 0 && n > opts.MaxValues {
+		n = opts.MaxValues
 	}
-	sb.WriteString(" [SEP]")
-	return sb.String()
+	for i := 0; i < n; i++ {
+		dst = append(dst, ' ')
+		if c.Kind == KindNumeric {
+			dst = AppendNumber(dst, c.NumValues[i])
+		} else {
+			dst = append(dst, c.TextValues[i]...)
+		}
+	}
+	return append(dst, " [SEP]"...)
 }
 
 // SerializeTableName renders "[CLS] t_n [SEP]" for the table-name node.

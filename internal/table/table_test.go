@@ -278,3 +278,23 @@ func TestLoadDirMissingLabelsStillLoads(t *testing.T) {
 }
 
 func removeFile(path string) error { return os.Remove(path) }
+
+func TestReadCSVRejectsNonFiniteNumbers(t *testing.T) {
+	for _, cell := range []string{"NaN", "Inf", "-Infinity", "+inf"} {
+		csv := "team,goals\nA,3\nB," + cell + "\nC,4\n"
+		_, err := ReadCSV("t", "t1", strings.NewReader(csv))
+		if err == nil || !strings.Contains(err.Error(), "row 2") || !strings.Contains(err.Error(), `"goals"`) {
+			t.Fatalf("cell %q: err = %v, want one naming row 2 and column \"goals\"", cell, err)
+		}
+	}
+	// A column with a cell that is no number is text; its NaN cell is text.
+	tb, err := ReadCSV("t", "t1", strings.NewReader("x\nNaN\nabc\n"))
+	if err != nil || tb.Columns[0].Kind != KindText {
+		t.Fatalf("text column: err %v, table %+v", err, tb)
+	}
+	// Finite extremes stay numeric.
+	tb, err = ReadCSV("t", "t1", strings.NewReader("x\n-1e308\n1e308\n5e-324\n"))
+	if err != nil || tb.Columns[0].Kind != KindNumeric {
+		t.Fatalf("finite extremes: err %v, table %+v", err, tb)
+	}
+}
