@@ -14,7 +14,7 @@ import (
 
 // waitGoroutines polls until the goroutine count settles back to at most
 // base+slack, failing the test if it never does — the leak detector for
-// cancellation paths: a drained parallelFor must park every pool worker.
+// cancellation paths: a drained par.For must park every pool worker.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -39,6 +39,13 @@ func TestNewClampsOptions(t *testing.T) {
 	}
 	if e.maxBatch < 1 {
 		t.Fatalf("maxBatch = %d", e.maxBatch)
+	}
+}
+
+func TestConfigAccessors(t *testing.T) {
+	e := New(nil, WithWorkers(3), WithMaxBatch(7))
+	if e.Workers() != 3 || e.MaxBatch() != 7 {
+		t.Fatalf("accessors = (%d, %d), want (3, 7)", e.Workers(), e.MaxBatch())
 	}
 }
 

@@ -39,7 +39,6 @@ package infer
 import (
 	"context"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"github.com/sematype/pythagoras/internal/core"
@@ -60,9 +59,9 @@ type Engine struct {
 	// (default 16 — the training loop's default batch size). Larger batches
 	// are split into chunks run concurrently across the worker pool.
 	maxBatch int
-	// metrics, when non-nil, receives per-stage latency histograms,
-	// chunk-size distributions and pool utilization (see metrics.go). Nil
-	// costs one branch per stage — the no-sink-attached fast path.
+	// metrics, when non-nil, receives per-stage latency histograms and
+	// chunk-size distributions (see metrics.go). Nil costs one branch per
+	// stage — the no-sink-attached fast path.
 	metrics *engineMetrics
 	// drift, when non-nil, accumulates the served prediction distribution
 	// against a training-time baseline (see EnableDrift). Nil-safe throughout.
@@ -71,13 +70,6 @@ type Engine struct {
 	// each stage boundary (DESIGN.md §9). Nil — always, outside tests —
 	// costs one branch per stage.
 	faults *faultinject.Set
-
-	// Lease refcount for zero-downtime swaps (lifecycle.go): refs starts at
-	// 1 (the owner's reference), Acquire/Release bracket each request, and
-	// Retire drops the owner's reference so the engine drains and dies.
-	refs      atomic.Int64
-	retired   atomic.Bool
-	onDrained atomic.Pointer[func()]
 }
 
 // Option configures an Engine.
@@ -107,12 +99,19 @@ func New(m *core.Model, opts ...Option) *Engine {
 	if e.maxBatch < 1 {
 		e.maxBatch = 16
 	}
-	e.refs.Store(1) // the owner's reference; Retire gives it up
 	return e
 }
 
 // Model returns the engine's underlying model.
 func (e *Engine) Model() *core.Model { return e.model }
+
+// Workers reports the engine's configured worker fan-out — the server
+// clones it onto the engines a model swap builds, so a swap never changes
+// serving parallelism.
+func (e *Engine) Workers() int { return e.workers }
+
+// MaxBatch reports the engine's union-chunk bound, cloned like Workers.
+func (e *Engine) MaxBatch() int { return e.maxBatch }
 
 // stageGate is the per-stage interruption check: context first, then any
 // armed fault. Both are one branch each when unset.
@@ -121,26 +120,6 @@ func stageGate(ctx context.Context, fs *faultinject.Set, p faultinject.Point) er
 		return err
 	}
 	return fs.Fire(ctx, p)
-}
-
-// parallelFor runs fn(0..n-1) over the engine's worker pool via par.For
-// (drain-on-cancel semantics, first error wins). Used for both the prepare
-// stage and the chunked forward stage: both only read the frozen model and
-// the internally synchronized encoder cache.
-//
-// When instrumented, the infer.workers.busy gauge tracks how many pool
-// workers are inside fn — sampled by registry snapshots, it is the
-// pool-utilization signal.
-func (e *Engine) parallelFor(ctx context.Context, n int, fn func(i int) error) error {
-	if m := e.metrics; m != nil {
-		inner := fn
-		fn = func(i int) error {
-			m.busy.Add(1)
-			defer m.busy.Add(-1)
-			return inner(i)
-		}
-	}
-	return par.For(ctx, e.workers, n, fn)
 }
 
 // chunkBounds splits n prepared tables into contiguous [lo, hi) chunks — as
@@ -213,8 +192,11 @@ func (e *Engine) PredictBatchCtx(ctx context.Context, ts []*table.Table) ([][]co
 		m.batch.Observe(float64(len(ts)))
 	}
 
+	// Both stages fan out over par.For (drain-on-cancel, first error wins):
+	// they only read the frozen model and the internally synchronized encoder
+	// cache.
 	ps := make([]*core.Prepared, len(ts))
-	err := e.parallelFor(ctx, len(ts), func(i int) error {
+	err := par.For(ctx, e.workers, len(ts), func(i int) error {
 		if err := e.faults.Fire(ctx, faultinject.InferPrepare); err != nil {
 			return err
 		}
@@ -234,7 +216,7 @@ func (e *Engine) PredictBatchCtx(ctx context.Context, ts []*table.Table) ([][]co
 
 	out := make([][]core.ColumnPrediction, len(ts))
 	bounds := e.chunkBounds(len(ts))
-	err = e.parallelFor(ctx, len(bounds), func(c int) error {
+	err = par.For(ctx, e.workers, len(bounds), func(c int) error {
 		clo, chi := bounds[c][0], bounds[c][1]
 		p, probs, targets, err := e.forwardChunk(ctx, ps, clo, chi)
 		if err != nil {

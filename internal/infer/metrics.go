@@ -21,7 +21,6 @@ var chunkBuckets = obs.ExpBuckets(1, 2, 13)
 //	infer.stage.decode.seconds    histogram, one observation per chunk
 //	infer.chunk.tables            histogram of union-chunk sizes
 //	infer.batch.tables            histogram of PredictBatchCtx input sizes
-//	infer.workers.busy            gauge, currently running pool workers
 //	infer.batches / infer.tables  cumulative request counters
 //
 // Model-quality telemetry, one observation per served column prediction
@@ -40,7 +39,6 @@ type engineMetrics struct {
 	decode  *obs.Histogram
 	chunks  *obs.Histogram
 	batch   *obs.Histogram
-	busy    *obs.Gauge
 	batches *obs.Counter
 	tables  *obs.Counter
 
@@ -65,7 +63,6 @@ func newEngineMetrics(reg *obs.Registry, types []string) *engineMetrics {
 		decode:  reg.Histogram("infer.stage.decode.seconds", nil),
 		chunks:  reg.Histogram("infer.chunk.tables", chunkBuckets),
 		batch:   reg.Histogram("infer.batch.tables", chunkBuckets),
-		busy:    reg.Gauge("infer.workers.busy"),
 		batches: reg.Counter("infer.batches"),
 		tables:  reg.Counter("infer.tables"),
 
@@ -87,11 +84,10 @@ func WithMetrics(reg *obs.Registry) Option {
 }
 
 // EnableMetrics attaches a metrics registry to the engine: per-stage
-// latency histograms, worker-pool utilization and chunk-size distributions,
-// plus the underlying encoder's cache gauges. It must be called before the
-// engine serves traffic (it is not synchronized against concurrent
-// PredictBatchCtx calls); once a registry is attached, later calls are
-// no-ops.
+// latency histograms and chunk-size distributions, plus the underlying
+// encoder's cache gauges. It must be called before the engine serves
+// traffic (it is not synchronized against concurrent PredictBatchCtx
+// calls); once a registry is attached, later calls are no-ops.
 func (e *Engine) EnableMetrics(reg *obs.Registry) {
 	if reg == nil || e.metrics != nil {
 		return

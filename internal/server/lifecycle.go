@@ -12,7 +12,7 @@
 //	POST /v1/models/rollback discard a candidate, or restore the parked
 //	                         previous primary
 //	GET  /v1/models          report the state machine: per-slot id, path,
-//	                         lease counts, shadow telemetry totals
+//	                         load time, vocabulary size, drift baseline
 //
 // While a candidate is shadowing, a deterministic seeded sample of live
 // predict / predict-batch traffic is double-scored on it — after the
@@ -24,12 +24,13 @@
 // agreement rate between primary and candidate — the evidence an operator
 // reads before promoting.
 //
-// Swaps never drop in-flight requests: every request takes a lease on the
-// engine it reads from the pointer (infer.Engine.Acquire/Release), and a
-// swapped-out engine is retired, draining via refcount before its release
-// is logged. Promote and rollback build a fresh engine around the surviving
-// model rather than mutating a live one, so engine configuration
-// (instrumentation, worker counts) is immutable for an engine's lifetime.
+// Swaps never drop in-flight requests: a request reads the primary pointer
+// once and finishes on that engine, which a swap never changes; once no slot
+// holds an engine, the garbage collector frees it after its last request.
+// Promote builds a fresh, instrumented engine around the candidate's model
+// rather than mutating the shadow engine, and rollback re-installs the
+// parked slot with its engine, so engine configuration (instrumentation,
+// worker counts, drift monitor) is immutable for an engine's lifetime.
 package server
 
 import (
@@ -53,21 +54,15 @@ import (
 // a checkpoint, it does not carry one.
 const maxModelsBodyBytes = 1 << 20
 
-// errNoModel is returned by the lease helpers when no model is loaded (or,
-// transiently impossible in practice, every pointer read raced a retire).
-var errNoModel = errors.New("no model loaded")
-
-// modelSlot binds one loaded model version to the engine serving it.
-// Slots are immutable once published through an atomic pointer: every
-// lifecycle transition publishes a new slot and retires the old slot's
-// engine. The model itself is shared across a version's slots (a rollback
-// re-engines the parked model, it does not re-read the checkpoint).
+// modelSlot binds one loaded model version to the engine serving it; the
+// engine holds the model, its drift monitor (nil without a baseline) and
+// the pool settings. Slots are immutable once published through an atomic
+// pointer. A promote publishes a new slot around the candidate's model and
+// drift monitor; a rollback re-publishes the parked slot itself.
 type modelSlot struct {
 	id       string
 	path     string // checkpoint path, "" for the boot-time model
-	model    *core.Model
 	engine   *infer.Engine
-	drift    *obs.DriftMonitor // per-model monitor from the checkpoint's baseline; may be nil
 	loadedAt time.Time
 	mx       *slotMetrics
 }
@@ -107,60 +102,26 @@ func (s *Server) newSlotMetrics(id string) *slotMetrics {
 	return mx
 }
 
-// leasePrimary reads the primary pointer and takes a lease on its engine.
-// An Acquire can only fail when the slot was swapped out and fully drained
-// between the pointer read and the CAS — re-reading the pointer then finds
-// the replacement, so the loop converges in one extra iteration; the bound
-// is pure paranoia.
-func (s *Server) leasePrimary() (*modelSlot, bool) {
-	for i := 0; i < 64; i++ {
-		slot := s.primary.Load()
-		if slot == nil {
-			return nil, false
-		}
-		if slot.engine.Acquire() {
-			return slot, true
-		}
-	}
-	return nil, false
-}
-
-// newServingEngine builds a fresh engine around m with the serving
-// configuration cloned from the boot engine: same worker fan-out and batch
-// bound, the server's fault set (so chaos suites reach lifecycle-created
-// engines), and — for primary-role engines only — the shared metrics
-// registry. Shadow engines stay uninstrumented: candidate scoring must not
-// pollute the primary's infer.* series; the shadow path records its own
-// per-model labeled telemetry instead.
-func (s *Server) newServingEngine(m *core.Model, instrumented bool) *infer.Engine {
-	opts := []infer.Option{
-		infer.WithWorkers(s.engineWorkers),
-		infer.WithMaxBatch(s.engineMaxBatch),
+// newServingEngine builds a fresh engine around m and its drift monitor
+// (nil for none) with the primary engine's worker fan-out and batch bound,
+// the server's fault set (so chaos suites reach lifecycle-created engines),
+// and — for primary-role engines only — the shared metrics registry, where
+// the monitor then takes over the unlabeled drift.* gauges. Shadow engines
+// stay uninstrumented: candidate scoring must not pollute the primary's
+// infer.* series; the shadow path records its own per-model labeled
+// telemetry instead. Callers hold lcMu.
+func (s *Server) newServingEngine(m *core.Model, drift *obs.DriftMonitor, instrumented bool) *infer.Engine {
+	prim := s.primary.Load().engine
+	eng := infer.New(m,
+		infer.WithWorkers(prim.Workers()),
+		infer.WithMaxBatch(prim.MaxBatch()),
 		infer.WithFaults(s.faults),
-	}
-	eng := infer.New(m, opts...)
+	)
 	if instrumented {
 		eng.EnableMetrics(s.metrics)
 	}
+	eng.EnableDrift(drift)
 	return eng
-}
-
-// retireSlot retires a slot's engine: in-flight leases drain via refcount,
-// then the drained callback records the release. role names what the engine
-// was doing, for the log line.
-func (s *Server) retireSlot(slot *modelSlot, role string) {
-	if slot == nil || slot.engine == nil {
-		return
-	}
-	id := slot.id
-	drained := s.drained
-	logger := s.log
-	slot.engine.Retire(func() {
-		drained.Inc()
-		if logger != nil {
-			logger.Info("model engine drained", "model", id, "role", role)
-		}
-	})
 }
 
 // recordSwap counts a lifecycle event under models.swap{event=}, annotates
@@ -206,8 +167,8 @@ func (s *Server) shadowSampled() bool {
 // maybeShadow double-scores one served request's tables on the candidate,
 // when one is shadowing and the deterministic sampler selects the request.
 // Called strictly after the primary response has been written: the shadow
-// work runs on its own goroutine, against its own context, holding its own
-// lease on the candidate engine — nothing it does (slow scoring, candidate
+// work runs on its own goroutine, against its own context, on the
+// candidate slot it read here — nothing it does (slow scoring, candidate
 // errors, injected faults) can reach back into the serving path. The
 // goroutine is tracked in shadowWG so Shutdown and the lifecycle tests can
 // prove none leak.
@@ -216,21 +177,17 @@ func (s *Server) maybeShadow(ts []*table.Table, primary [][]core.ColumnPredictio
 	if cand == nil || !s.shadowSampled() {
 		return
 	}
-	if !cand.engine.Acquire() {
-		return // candidate discarded between pointer read and lease
-	}
 	s.shadowWG.Add(1)
 	go func() {
 		defer s.shadowWG.Done()
-		defer cand.engine.Release()
 		s.shadowScore(cand, ts, primary)
 	}()
 }
 
 // shadowScore runs the candidate over the sampled tables and records the
-// per-model comparison telemetry. Errors (including injected ServerShadow
-// faults) are counted, never propagated — the request they shadowed has
-// long been answered.
+// per-model comparison telemetry; the candidate engine feeds its own drift
+// monitor. Errors (including injected ServerShadow faults) are counted,
+// never propagated — the request they shadowed has long been answered.
 func (s *Server) shadowScore(cand *modelSlot, ts []*table.Table, primary [][]core.ColumnPrediction) {
 	ctx := context.Background()
 	if err := s.faults.Fire(ctx, faultinject.ServerShadow); err != nil {
@@ -253,7 +210,6 @@ func (s *Server) shadowScore(cand *modelSlot, ts []*table.Table, primary [][]cor
 		for j := range out[i] {
 			p := &out[i][j]
 			cand.mx.confidence.Observe(p.Confidence)
-			cand.drift.Observe(p.Type, p.Confidence) // nil-safe
 			if j < len(pp) {
 				cand.mx.compared.Inc()
 				if pp[j].Type == p.Type {
@@ -283,9 +239,7 @@ type SlotStatus struct {
 	Path     string    `json:"path,omitempty"`
 	LoadedAt time.Time `json:"loaded_at"`
 	Types    int       `json:"types"`
-	Leases   int64     `json:"leases"`  // current engine lease count (owner included until retire)
-	Retired  bool      `json:"retired"` // engine swapped out, draining or drained
-	Drift    bool      `json:"drift"`   // per-model drift baseline loaded
+	Drift    bool      `json:"drift"` // per-model drift baseline loaded
 }
 
 // ModelsResponse is the body of GET /v1/models and the lifecycle POSTs.
@@ -303,18 +257,13 @@ func slotStatus(slot *modelSlot) *SlotStatus {
 	if slot == nil {
 		return nil
 	}
-	st := &SlotStatus{
+	return &SlotStatus{
 		ID:       slot.id,
 		Path:     slot.path,
 		LoadedAt: slot.loadedAt,
-		Leases:   slot.engine.Refs(),
-		Retired:  slot.engine.Retired(),
-		Drift:    slot.drift != nil,
+		Types:    len(slot.engine.Model().Types()),
+		Drift:    slot.engine.Drift() != nil,
 	}
-	if slot.model != nil {
-		st.Types = len(slot.model.Types())
-	}
-	return st
 }
 
 // modelsResponse assembles the current state machine view. Callers hold
@@ -350,7 +299,7 @@ func (s *Server) resolveModelPath(req string) (string, error) {
 // handleModelsLoad is POST /v1/models: load a candidate checkpoint into a
 // shadow engine. A failed load changes nothing — the primary keeps serving
 // and /v1/readyz stays ready (regression-tested). A second load replaces
-// the previous candidate, which drains and releases.
+// the previous candidate.
 func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 	var req ModelsRequest
 	if !decodeJSONBody(w, r, maxModelsBodyBytes, &req) {
@@ -368,16 +317,11 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 
 	s.lcMu.Lock()
 	defer s.lcMu.Unlock()
-	prim := s.primary.Load()
-	if prim == nil || prim.model == nil {
-		writeErr(w, http.StatusConflict, "no primary model to inherit an encoder from")
-		return
-	}
 	if err := s.faults.Fire(r.Context(), faultinject.ServerModelLoad); err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, "load model %q: %v", path, err)
 		return
 	}
-	m, err := core.LoadFile(path, core.Config{Encoder: prim.model.Encoder()})
+	m, err := core.LoadFile(path, core.Config{Encoder: s.model().Encoder()})
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		if errors.Is(err, os.ErrNotExist) {
@@ -387,19 +331,15 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	slot := &modelSlot{
+	drift := obs.NewDriftMonitor(m.DriftBaseline())
+	drift.RegisterLabeled(s.metrics, "model", id) // nil-safe
+	s.candidate.Store(&modelSlot{
 		id:       id,
 		path:     path,
-		model:    m,
-		engine:   s.newServingEngine(m, false),
-		drift:    obs.NewDriftMonitor(m.DriftBaseline()),
+		engine:   s.newServingEngine(m, drift, false),
 		loadedAt: time.Now(),
 		mx:       s.newSlotMetrics(id),
-	}
-	slot.drift.RegisterLabeled(s.metrics, "model", id) // nil-safe
-	if old := s.candidate.Swap(slot); old != nil {
-		s.retireSlot(old, "shadow")
-	}
+	})
 	s.recordSwap("load", fmt.Sprintf("candidate %q from %s", id, path))
 	writeJSON(w, http.StatusOK, s.modelsResponse("shadowing"))
 }
@@ -414,12 +354,11 @@ func (s *Server) handleModelsStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleModelsPromote is POST /v1/models/promote: the shadowing candidate
-// becomes primary. The serving pointer moves first — requests admitted from
-// this instant run on the candidate's model behind a freshly instrumented
-// engine — then the outgoing engines retire and drain via refcount; no
-// in-flight request on the old primary (or old shadow scores on the
-// candidate's shadow engine) is dropped. The demoted primary is parked as
-// the rollback target.
+// becomes primary. From the pointer swap on, requests run on the
+// candidate's model and drift monitor behind a freshly instrumented engine;
+// requests already on the old primary (and shadow scores already on the
+// candidate's shadow engine) finish there. The demoted primary slot is
+// parked, engine and all, as the rollback target.
 func (s *Server) handleModelsPromote(w http.ResponseWriter, r *http.Request) {
 	s.lcMu.Lock()
 	defer s.lcMu.Unlock()
@@ -434,16 +373,10 @@ func (s *Server) handleModelsPromote(w http.ResponseWriter, r *http.Request) {
 	promoted := &modelSlot{
 		id:       cand.id,
 		path:     cand.path,
-		model:    cand.model,
-		engine:   s.newServingEngine(cand.model, true),
-		drift:    cand.drift,
+		engine:   s.newServingEngine(cand.engine.Model(), cand.engine.Drift(), true),
 		loadedAt: cand.loadedAt,
 		mx:       cand.mx,
 	}
-	// The promoted model's monitor also takes over the unlabeled drift.*
-	// gauges, which always describe the current primary.
-	promoted.drift.Register(s.metrics)
-
 	old := s.primary.Swap(promoted)
 	s.candidate.Store(nil)
 	// The swap is already visible; an injected fault here models a slow or
@@ -451,26 +384,21 @@ func (s *Server) handleModelsPromote(w http.ResponseWriter, r *http.Request) {
 	if err := s.faults.Fire(r.Context(), faultinject.ServerSwap); err != nil && s.log != nil {
 		s.log.Warn("swap fault injected", "err", err)
 	}
-	s.retireSlot(cand, "shadow")
-	if prev := s.previous.Swap(old); prev != nil {
-		// An older rollback target exists; promoting again abandons it.
-		s.retireSlot(prev, "parked")
-	}
-	s.retireSlot(old, "primary")
+	// An older rollback target, if any, is abandoned.
+	s.previous.Store(old)
 	s.recordSwap("promote", fmt.Sprintf("%q promoted over %q", promoted.id, old.id))
 	writeJSON(w, http.StatusOK, s.modelsResponse("promoted"))
 }
 
 // handleModelsRollback is POST /v1/models/rollback. Two meanings, by state:
-// a shadowing candidate is discarded (shadow scoring drains, primary
-// untouched); with no candidate, the parked previous primary is restored
-// behind a fresh engine and the rolled-back-from model retires. With
-// neither, 409.
+// a shadowing candidate is discarded (shadow scores already running finish,
+// primary untouched); with no candidate, the parked previous primary slot
+// is re-installed with its engine and the rolled-back-from model is
+// dropped. With neither, 409.
 func (s *Server) handleModelsRollback(w http.ResponseWriter, r *http.Request) {
 	s.lcMu.Lock()
 	defer s.lcMu.Unlock()
 	if cand := s.candidate.Swap(nil); cand != nil {
-		s.retireSlot(cand, "shadow")
 		s.recordSwap("rollback", fmt.Sprintf("candidate %q discarded", cand.id))
 		writeJSON(w, http.StatusOK, s.modelsResponse("rolled-back"))
 		return
@@ -485,21 +413,14 @@ func (s *Server) handleModelsRollback(w http.ResponseWriter, r *http.Request) {
 	// and the old index keeps serving untouched; the next re-score starts
 	// over from the lake.
 	s.cancelRescore("rollback")
-	restored := &modelSlot{
-		id:       prev.id,
-		path:     prev.path,
-		model:    prev.model,
-		engine:   s.newServingEngine(prev.model, true),
-		drift:    prev.drift,
-		loadedAt: time.Now(),
-		mx:       prev.mx,
-	}
-	restored.drift.Register(s.metrics)
-	old := s.primary.Swap(restored)
+	// The parked engine is instrumented and feeds its own drift monitor
+	// already; only the unlabeled drift.* gauges, which describe the current
+	// primary, must move back to it.
+	prev.engine.Drift().Register(s.metrics)
+	old := s.primary.Swap(prev)
 	if err := s.faults.Fire(r.Context(), faultinject.ServerSwap); err != nil && s.log != nil {
 		s.log.Warn("swap fault injected", "err", err)
 	}
-	s.retireSlot(old, "primary")
-	s.recordSwap("rollback", fmt.Sprintf("%q restored over %q", restored.id, old.id))
+	s.recordSwap("rollback", fmt.Sprintf("%q restored over %q", prev.id, old.id))
 	writeJSON(w, http.StatusOK, s.modelsResponse("rolled-back"))
 }

@@ -18,7 +18,9 @@ import (
 	"github.com/sematype/pythagoras/internal/core"
 	"github.com/sematype/pythagoras/internal/data"
 	"github.com/sematype/pythagoras/internal/faultinject"
+	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/lm"
+	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/table"
 )
 
@@ -83,8 +85,8 @@ func modelsPost(t *testing.T, s *Server, path string, body any, wantCode int) Mo
 	return mr
 }
 
-// drain shuts the server down so shadow goroutines finish and retired
-// engines release before assertions read counters.
+// drain shuts the server down so shadow goroutines finish before
+// assertions read counters.
 func drain(t *testing.T, s *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -133,7 +135,7 @@ func TestModelLifecycleLoadPromoteRollback(t *testing.T) {
 	if st.State != "promoted" || st.Primary.ID != "v2" || st.Candidate != nil {
 		t.Fatalf("after promote: %+v", st)
 	}
-	if st.Previous == nil || st.Previous.ID != "boot" || !st.Previous.Retired {
+	if st.Previous == nil || st.Previous.ID != "boot" {
 		t.Fatalf("previous after promote: %+v", st.Previous)
 	}
 	if rec := postJSON(t, s, "/v1/predict", sampleRequest("")); rec.Code != http.StatusOK {
@@ -158,11 +160,6 @@ func TestModelLifecycleLoadPromoteRollback(t *testing.T) {
 			t.Fatalf("%s = %d, want 1", key, snap.Counters[key])
 		}
 	}
-	// Retired engines all drained: the v2 shadow engine and old primary at
-	// promote, the v2 primary at rollback.
-	if got := snap.Counters["models.engines.drained"]; got != 3 {
-		t.Fatalf("models.engines.drained = %d, want 3", got)
-	}
 	// Lifecycle events annotate the SLO timeline.
 	events := map[string]bool{}
 	for _, a := range s.sloEng.Status().Events {
@@ -173,6 +170,52 @@ func TestModelLifecycleLoadPromoteRollback(t *testing.T) {
 			t.Fatalf("SLO timeline missing %q annotation: %+v", event, s.sloEng.Status().Events)
 		}
 	}
+}
+
+// TestSwappedPrimaryFeedsDrift: whichever slot serves — a promoted
+// candidate, or the boot model restored by rollback — its predictions feed
+// its drift monitor, through both the unlabeled drift.* gauges (the
+// current primary, which the drift-type-score rule watches) and its own
+// labeled series. The restored slot also keeps its original load time.
+func TestSwappedPrimaryFeedsDrift(t *testing.T) {
+	dir := t.TempDir()
+	boot, err := core.LoadFile(savedCheckpoint(t, dir, "boot.bin", true), core.Config{Encoder: chaosModel(t).Encoder()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := infer.New(boot, infer.WithWorkers(2))
+	eng.EnableDrift(obs.NewDriftMonitor(boot.DriftBaseline()))
+	s := NewWithEngine(eng, 0)
+	var before ModelsResponse
+	getJSON(t, s, "/v1/models", &before)
+	modelsPost(t, s, "/v1/models", ModelsRequest{ID: "v2", Path: savedCheckpoint(t, dir, "v2.bin", true)}, http.StatusOK)
+
+	const predicts = 5
+	cols := float64(len(sampleRequest("").Columns))
+	servingFeedsDrift := func(step, model string) {
+		t.Helper()
+		labeled := fmt.Sprintf("drift.observations{model=%q}", model)
+		g0 := s.metrics.Snapshot().Gauges
+		for i := 0; i < predicts; i++ {
+			if rec := postJSON(t, s, "/v1/predict", sampleRequest("")); rec.Code != http.StatusOK {
+				t.Fatalf("%s: predict %d", step, rec.Code)
+			}
+		}
+		g1 := s.metrics.Snapshot().Gauges
+		for _, name := range []string{"drift.observations", labeled} {
+			if got := g1[name] - g0[name]; got != predicts*cols {
+				t.Errorf("%s: %s rose by %v over %d predicts, want %v", step, name, got, predicts, predicts*cols)
+			}
+		}
+	}
+	modelsPost(t, s, "/v1/models/promote", nil, http.StatusOK)
+	servingFeedsDrift("after promote", "v2")
+	st := modelsPost(t, s, "/v1/models/rollback", nil, http.StatusOK)
+	servingFeedsDrift("after rollback", "boot")
+	if !st.Primary.LoadedAt.Equal(before.Primary.LoadedAt) {
+		t.Errorf("restored primary loaded_at = %v, want the boot slot's %v", st.Primary.LoadedAt, before.Primary.LoadedAt)
+	}
+	drain(t, s)
 }
 
 // TestShadowScoringRecordsTelemetry: with a candidate shadowing at 100%
@@ -436,9 +479,6 @@ func TestRollbackDiscardsCandidate(t *testing.T) {
 		t.Fatalf("discard: %+v", st)
 	}
 	drain(t, s)
-	if got := s.metrics.Snapshot().Counters["models.engines.drained"]; got != 1 {
-		t.Fatalf("discarded candidate engine not drained: %d", got)
-	}
 }
 
 // TestShadowIsolationBitIdentity is the isolation acceptance test: a server

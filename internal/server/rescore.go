@@ -64,8 +64,8 @@ func (s *Server) cancelRescore(reason string) bool {
 }
 
 // awaitRescore blocks until the current run (if any) has fully unwound or
-// ctx expires — Shutdown's barrier, so no re-score goroutine (holding an
-// engine lease) outlives the server.
+// ctx expires — Shutdown's barrier, so no re-score goroutine outlives the
+// server.
 func (s *Server) awaitRescore(ctx context.Context) error {
 	s.rescore.mu.Lock()
 	r := s.rescore.run
@@ -103,7 +103,7 @@ func (s *Server) recordRescore(event, detail string) {
 func (s *Server) handleRescoreStart(w http.ResponseWriter, r *http.Request) {
 	// lcMu serializes the start against promote/rollback, which hold it
 	// while they cancel any active re-score and swap the primary pointer.
-	// Leasing the primary without it races that sequence: the lease can land
+	// Reading the primary without it races that sequence: the read can land
 	// on the outgoing primary after the swap's cancelRescore already ran but
 	// before the pointer moved, and the unregistered run would proceed on a
 	// demoted model and eventually flip in an index typed by it. Under lcMu
@@ -130,11 +130,7 @@ func (s *Server) handleRescoreStart(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	slot, ok := s.leasePrimary()
-	if !ok {
-		writeErr(w, http.StatusServiceUnavailable, "%v", errNoModel)
-		return
-	}
+	slot := s.primary.Load()
 	drv := rescore.New(s.lake, slot.engine, s.index, rescore.Config{
 		ModelID:   slot.id,
 		BatchSize: s.rescoreBatch,
@@ -154,7 +150,6 @@ func (s *Server) handleRescoreStart(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer close(run.done)
 		defer cancel()
-		defer slot.engine.Release() // lease held for the whole scan
 		err := drv.Run(ctx)
 		switch p := drv.Progress(); {
 		case err == nil:

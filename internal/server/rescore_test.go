@@ -99,8 +99,8 @@ func TestRescoreEndToEnd(t *testing.T) {
 
 // TestRescoreRefusedWhileDraining: the re-score route is admission-exempt,
 // so the handler itself must turn a start away once Shutdown has begun. A
-// scan started after Shutdown would hold an engine lease past Shutdown's
-// await barrier and outlive the server.
+// scan started after Shutdown would miss Shutdown's await barrier and
+// outlive the server.
 func TestRescoreRefusedWhileDraining(t *testing.T) {
 	s := trainedServer(t)
 	if rec := postJSON(t, s, "/v1/index", sampleRequest("t1")); rec.Code != http.StatusOK {
@@ -241,7 +241,7 @@ func TestRescoreAfterCancelSeesReindexedTables(t *testing.T) {
 // TestRescoreStartSerializesWithPromote: starting a re-score races a
 // promote. The start takes lcMu, so it either completes before the promote
 // (whose cancelRescore then kills the registered run) or waits the promote
-// out and leases the new primary — it can never slip into the window between
+// out and reads the new primary — it can never slip into the window between
 // the promote's cancel and its pointer swap and run on the demoted model.
 // The injected ServerSwap stall holds the promote (and lcMu) open so the
 // start provably arrives mid-promote, and also proves the lcMu → rescore.mu

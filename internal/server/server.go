@@ -21,8 +21,8 @@
 //	                   → union candidates ranked by semantic-type overlap
 //	GET  /v1/types     → indexed semantic types
 //	GET  /v1/healthz   → liveness + model/vocabulary info
-//	GET  /v1/readyz    → readiness: model loaded and not draining (load
-//	                   balancers gate traffic on this)
+//	GET  /v1/readyz    → readiness: not draining (load balancers gate
+//	                   traffic on this)
 //	GET  /v1/metrics   → JSON snapshot of the metrics registry: per-stage
 //	                   inference latency histograms, per-route request/
 //	                   error/latency series, encoder cache gauges, spans
@@ -128,11 +128,11 @@ const bootModelID = "boot"
 
 // Server wires the inference engine and index into an http.Handler.
 type Server struct {
-	// primary is the serving slot: every prediction request leases its
-	// engine (leasePrimary). candidate, when non-nil, is a loaded model
-	// shadowing live traffic; previous parks the demoted primary as the
-	// rollback target. Slot writes serialize under lcMu; reads are plain
-	// atomic loads on the hot path.
+	// primary is the serving slot, never nil: every prediction request
+	// loads it once and runs on its engine. candidate, when non-nil, is a
+	// loaded model shadowing live traffic; previous parks the demoted
+	// primary as the rollback target. Slot writes serialize under lcMu;
+	// reads are plain atomic loads on the hot path.
 	primary   atomic.Pointer[modelSlot]
 	candidate atomic.Pointer[modelSlot]
 	previous  atomic.Pointer[modelSlot]
@@ -144,12 +144,6 @@ type Server struct {
 	shadowSample float64
 	shadowSeq    atomic.Uint64
 	modelsDir    string
-
-	// engineWorkers/engineMaxBatch clone the boot engine's configuration
-	// onto every lifecycle-created engine.
-	engineWorkers  int
-	engineMaxBatch int
-	drained        *obs.Counter // models.engines.drained — retired engines fully released
 
 	// index is the discovery index behind snapshot-isolated swapping:
 	// queries pin index.Current(), mutations dual-write through the holder,
@@ -350,26 +344,19 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 	s.recorder.Register(s.metrics)
 	obs.RegisterRuntimeMetrics(s.metrics)
 	par.RegisterMetrics(s.metrics)
-	if d := eng.Drift(); d != nil {
-		d.Register(s.metrics)
-	}
+	// Nil-safe: a boot model without a drift baseline registers no gauges.
+	eng.Drift().Register(s.metrics)
+	eng.Drift().RegisterLabeled(s.metrics, "model", bootModelID)
 
 	// The boot engine becomes the initial primary slot of the model
-	// lifecycle state machine (lifecycle.go); its configuration is the
-	// template for every engine a later load/promote/rollback builds.
-	s.engineWorkers = eng.Workers()
-	s.engineMaxBatch = eng.MaxBatch()
-	s.drained = s.metrics.Counter("models.engines.drained")
-	boot := &modelSlot{
+	// lifecycle state machine (lifecycle.go); its pool settings are the
+	// template for every engine a later load or promote builds.
+	s.primary.Store(&modelSlot{
 		id:       bootModelID,
-		model:    eng.Model(),
 		engine:   eng,
-		drift:    eng.Drift(),
 		loadedAt: time.Now(),
 		mx:       s.newSlotMetrics(bootModelID),
-	}
-	boot.drift.RegisterLabeled(s.metrics, "model", boot.id) // nil-safe
-	s.primary.Store(boot)
+	})
 
 	s.shed = s.metrics.Counter("http.shed")
 	s.timeouts = s.metrics.Counter("http.timeouts")
@@ -477,20 +464,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // model returns the current primary slot's model.
-func (s *Server) model() *core.Model {
-	if slot := s.primary.Load(); slot != nil {
-		return slot.model
-	}
-	return nil
-}
-
-// modelTypes returns the primary model's vocabulary size, 0 with no model.
-func (s *Server) modelTypes() int {
-	if m := s.model(); m != nil {
-		return len(m.Types())
-	}
-	return 0
-}
+func (s *Server) model() *core.Model { return s.primary.Load().engine.Model() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
@@ -628,15 +602,13 @@ func toResponse(t *table.Table, preds []core.ColumnPrediction) *PredictResponse 
 	return resp
 }
 
-// writeInferErr maps a failed prediction onto the wire: no loaded model is
-// a 503, an expired deadline is the server's fault (504, counted under
-// http.timeouts), a vanished client gets the conventional 499 (the
-// connection is usually already gone — the status feeds the access log and
-// error counters), and anything else (injected faults included) is a 500.
+// writeInferErr maps a failed prediction onto the wire: an expired deadline
+// is the server's fault (504, counted under http.timeouts), a vanished
+// client gets the conventional 499 (the connection is usually already gone
+// — the status feeds the access log and error counters), and anything else
+// (injected faults included) is a 500.
 func (s *Server) writeInferErr(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, errNoModel):
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Inc()
 		writeErr(w, http.StatusGatewayTimeout, "request timed out after %s", s.requestTimeout)
@@ -648,18 +620,13 @@ func (s *Server) writeInferErr(w http.ResponseWriter, err error) {
 }
 
 // predict scores tables on the primary model under an "infer" span: it
-// leases the primary engine, runs PredictBatchCtx and releases the lease.
-// Every prediction route goes through it — a single table is a batch of
-// one. Errors are for writeInferErr.
+// reads the primary slot once, so a concurrent swap cannot move the request
+// to another engine halfway. Every prediction route goes through it — a
+// single table is a batch of one. Errors are for writeInferErr.
 func (s *Server) predict(ctx context.Context, ts []*table.Table) ([][]core.ColumnPrediction, error) {
 	_, sp := obs.StartSpan(ctx, "infer")
 	defer sp.End()
-	slot, ok := s.leasePrimary()
-	if !ok {
-		return nil, errNoModel
-	}
-	defer slot.engine.Release()
-	return slot.engine.PredictBatchCtx(ctx, ts)
+	return s.primary.Load().engine.PredictBatchCtx(ctx, ts)
 }
 
 // decodeJSONBody decodes a size-capped JSON body into v, writing the JSON
@@ -870,7 +837,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTypes(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"indexed":    s.index.Current().Types(),
-		"vocabulary": s.modelTypes(),
+		"vocabulary": len(s.model().Types()),
 	})
 }
 
@@ -884,37 +851,31 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, code, map[string]any{
 		"status":         status,
-		"types":          s.modelTypes(),
+		"types":          len(s.model().Types()),
 		"indexed_tables": st.Tables,
 		"indexed_cols":   st.Columns,
 	})
 }
 
 // handleReadyz is the readiness probe, distinct from the liveness probe at
-// /v1/healthz: ready means a primary model is serving and the server is not
-// draining — i.e. a request sent now would be admitted rather than turned
-// away. Load balancers gate traffic on it.
-// Lifecycle transitions never pass through an unready state: promote and
+// /v1/healthz: ready means the server is not draining — i.e. a request sent
+// now would be admitted rather than turned away. Load balancers gate
+// traffic on it. A server always has a primary model: lifecycle
+// transitions never pass through an unready state, because promote and
 // rollback swap the primary pointer without ever storing nil, and a failed
 // candidate load touches nothing but the error response (both are
 // regression-tested) — readiness only drops when the server drains.
 // Admission-exempt, like the other probe endpoints.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	m := s.model()
-	switch {
-	case s.draining.Load():
+	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"ready": false, "status": "draining",
 		})
-	case m == nil:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"ready": false, "status": "no model loaded",
-		})
-	default:
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ready": true, "status": "ready", "types": len(m.Types()),
-		})
+		return
 	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"ready": true, "status": "ready", "types": len(s.model().Types()),
+	})
 }
 
 // handleSLO serves the SLO engine's status: every objective with its

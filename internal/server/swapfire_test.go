@@ -25,8 +25,7 @@ import (
 //     connection, or a hung request;
 //   - every 200 carries a complete, well-formed batch response — no request
 //     observes a half-swapped engine;
-//   - after the dust settles, every retired engine has drained via its
-//     refcount and no goroutine leaks.
+//   - after the dust settles, no goroutine leaks.
 func TestSwapUnderFire(t *testing.T) {
 	const maxInflight = 2
 	const clients = 8 * maxInflight
@@ -109,15 +108,5 @@ func TestSwapUnderFire(t *testing.T) {
 	t.Logf("swap under fire: %d served, %d shed across %d requests", ok, shed, clients*requestsEach)
 
 	drain(t, s)
-	// Engines created: boot, v2-shadow, v2-primary, restored-boot, v3-shadow,
-	// v3-primary, restored-boot-again. All but the final primary must have
-	// retired and fully drained.
-	if got := s.metrics.Snapshot().Counters["models.engines.drained"]; got != 6 {
-		t.Fatalf("models.engines.drained = %d, want 6", got)
-	}
-	eng := s.primary.Load().engine
-	if eng.Retired() || eng.Refs() != 1 {
-		t.Fatalf("final primary engine: retired=%v refs=%d, want live with owner ref", eng.Retired(), eng.Refs())
-	}
 	settleGoroutines(t, base)
 }

@@ -154,11 +154,11 @@ func (s *Server) addWatchRules() {
 	s.watchdog.Add(watch.Rule{
 		Name: "drift-type-score",
 		Signal: func() (float64, bool) {
-			slot := s.primary.Load()
-			if slot == nil || slot.drift == nil {
+			d := s.primary.Load().engine.Drift()
+			if d == nil {
 				return 0, false
 			}
-			return slot.drift.TypeScore(), true
+			return d.TypeScore(), true
 		},
 		Threshold: driftScoreThreshold,
 		For:       3 * interval,
@@ -201,7 +201,7 @@ func (s *Server) addWatchRules() {
 	})
 
 	// A re-score whose done count has not moved for 10 intervals is
-	// stalled — wedged on a lease, or starved below its budget.
+	// stalled — wedged in a batch, or starved below its budget.
 	st := &stallSignal{s: s}
 	s.watchdog.Add(watch.Rule{
 		Name:      "rescore-stalled",
@@ -329,7 +329,6 @@ func (s *Server) autoRollbackCandidate(a watch.Alert) {
 	}
 	s.autoRolledBack = cand
 	s.candidate.Store(nil)
-	s.retireSlot(cand, "shadow")
 	s.actionCount("auto-rollback")
 	s.recordSwap("auto-rollback",
 		fmt.Sprintf("candidate %q agreement %.3f below %.3f for %s", cand.id, a.Value, a.Threshold, s.agreeWindow))

@@ -13,7 +13,8 @@ import (
 	"strings"
 )
 
-// WriteCSV writes the table as a standard CSV with a header row.
+// WriteCSV writes the table as a standard CSV with a header row. Numeric
+// cells are written exactly: ReadCSV reads back the same values.
 func WriteCSV(t *Table, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	// A record that is a single empty field would serialize as a blank line,
@@ -42,7 +43,7 @@ func WriteCSV(t *Table, w io.Writer) error {
 	for r := 0; r < rows; r++ {
 		for i, c := range t.Columns {
 			if c.Kind == KindNumeric {
-				rec[i] = FormatNumber(c.NumValues[r])
+				rec[i] = csvNumber(c.NumValues[r])
 			} else {
 				rec[i] = c.TextValues[r]
 			}
@@ -53,6 +54,17 @@ func WriteCSV(t *Table, w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// csvNumber renders a numeric cell so that ReadCSV parses back the same
+// float64: integers in FormatNumber's plain digits, anything else in the
+// shortest exact form. FormatNumber itself keeps 5 significant digits of a
+// non-integer, which suits the encoder's node text but not a file.
+func csvNumber(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return FormatNumber(v)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // ReadCSV parses a CSV (first row = headers) into a Table, inferring the

@@ -31,12 +31,9 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-// FuzzCSVTable asserts the write→read round trip is structurally stable for
-// any table ReadCSV accepts: re-reading a written table preserves column
-// count, column kinds and row count. Cell values are NOT asserted —
-// FormatNumber renders non-integers at precision 5, so numeric values are
-// deliberately lossy on the first write; what must hold is that kind
-// inference reaches the same verdict on the rendered form.
+// FuzzCSVTable asserts the write→read round trip is stable for any table
+// ReadCSV accepts: re-reading a written table preserves column count,
+// column kinds, row count and every numeric cell's value.
 func FuzzCSVTable(f *testing.F) {
 	f.Add("a,b\n1,x\n2,y\n")
 	f.Add("n\n1.25\n-3e4\n")
@@ -68,6 +65,11 @@ func FuzzCSVTable(f *testing.F) {
 			if t2.Columns[i].Kind != t1.Columns[i].Kind {
 				t.Fatalf("col %d: kind %v → %v\ncsv:\n%s",
 					i, t1.Columns[i].Kind, t2.Columns[i].Kind, buf.String())
+			}
+			for r, v := range t1.Columns[i].NumValues {
+				if got := t2.Columns[i].NumValues[r]; got != v {
+					t.Fatalf("col %d row %d: %v → %v\ncsv:\n%s", i, r, v, got, buf.String())
+				}
 			}
 		}
 	})
