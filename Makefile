@@ -59,9 +59,12 @@ vet:
 # cancellation/shedding/shutdown chaos suites under the race detector.
 # -p 1 serializes the packages: the chaos suites assert wall-clock drain
 # bounds, and running them alongside the (CPU-heavy) training race tests on
-# a small machine starves those timers into flakes.
+# a small machine starves those timers into flakes. The second line repeats
+# the server's swap and re-score interleaving tests five times: one pass
+# samples too few schedules of a promote or rollback racing a re-score.
 race:
 	$(GO) test -race -p 1 ./internal/core/... ./internal/nn/... ./internal/infer/... ./internal/par/... ./internal/lm/... ./internal/graph/... ./internal/features/... ./internal/server/... ./internal/faultinject/... ./internal/obs/... ./internal/discovery/... ./internal/rescore/...
+	$(GO) test -race -count=5 -run '^(TestSwapUnderFire|TestRescoreStartSerializesWithPromote|TestPromoteCancelsRescore|TestRollbackCancelsRescore|TestModelsStatusDuringPromoteEpilogue)$$' ./internal/server/
 
 # Total statement coverage floor, last raised when the watchdog/flight
 # recorder PR landed; `make cover` fails if the tree ever drops below it.

@@ -304,7 +304,7 @@ func cmdServe(args []string) {
 	}
 	eng := infer.New(m, infer.WithWorkers(*workers), infer.WithMetrics(obs.NewRegistry()))
 	// A checkpoint written before baselines moved into it carries none; the
-	// model still serves, just without drift gauges.
+	// model still serves, with its drift gauges at 0.
 	drift := obs.NewDriftMonitor(m.DriftBaseline())
 	eng.EnableDrift(drift)
 	logf("pythagoras: checkpoint carries a drift baseline: %t (without one, no drift telemetry)", drift != nil)

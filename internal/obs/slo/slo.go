@@ -339,9 +339,7 @@ func (e *Engine) Status() Status {
 }
 
 // BurnAlert is the burn-rate pair state of one objective — the compact
-// readout the anomaly watchdog polls every tick (Status computes the same
-// booleans but also materializes the full per-window report; a watchdog
-// ticking every few seconds only needs the pair states and their rates).
+// readout the anomaly watchdog polls every tick.
 type BurnAlert struct {
 	Objective string  `json:"objective"`
 	Fast      bool    `json:"fast"` // 5m AND 1h over FastBurnThreshold
@@ -353,26 +351,20 @@ type BurnAlert struct {
 }
 
 // Alerts reports every objective's burn-rate pair state at the engine's
-// current clock. Nil-safe (no objectives, no alerts).
+// current clock: the rates and pair states of Status, which computes them
+// once per objective. Nil-safe (no objectives, no alerts).
 func (e *Engine) Alerts() []BurnAlert {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	nowIdx := e.now().UnixNano() / int64(e.width)
-	alerts := make([]BurnAlert, 0, len(e.objs))
-	for _, o := range e.objs {
-		a := BurnAlert{Objective: o.Name}
-		rates := map[string]*float64{
-			"5m": &a.Rate5m, "30m": &a.Rate30m, "1h": &a.Rate1h, "6h": &a.Rate6h,
+	objs := e.Status().Objectives
+	alerts := make([]BurnAlert, 0, len(objs))
+	for _, o := range objs {
+		a := BurnAlert{Objective: o.Name, Fast: o.FastBurnAlert, Slow: o.SlowBurnAlert}
+		rates := map[string]*float64{"5m": &a.Rate5m, "30m": &a.Rate30m, "1h": &a.Rate1h, "6h": &a.Rate6h}
+		for _, w := range o.Burn {
+			*rates[w.Window] = w.BurnRate
 		}
-		for _, bw := range burnWindows {
-			g, b := o.window(nowIdx, e.width, bw.d)
-			*rates[bw.label] = burnRate(g, b, o.Target)
-		}
-		a.Fast = a.Rate5m > FastBurnThreshold && a.Rate1h > FastBurnThreshold
-		a.Slow = a.Rate30m > SlowBurnThreshold && a.Rate6h > SlowBurnThreshold
 		alerts = append(alerts, a)
 	}
 	return alerts

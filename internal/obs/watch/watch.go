@@ -280,7 +280,7 @@ func (w *Watchdog) Tick() {
 		if tr.fired {
 			tr.rs.fired.Inc()
 			w.annotate("alert-firing", tr.alert)
-			if id := w.capture(tr.alert, cpuDelta); id != "" {
+			if id := w.capture(tr.rs, tr.alert, cpuDelta); id != "" {
 				tr.alert.FlightID = id
 				w.mu.Lock()
 				if tr.rs.active != nil {
@@ -376,12 +376,11 @@ func (w *Watchdog) annotate(event string, a Alert) {
 	w.cfg.Annotate(event, a.Rule)
 }
 
-// capture assembles and persists one flight record for a fired alert,
-// returning its ID ("" when capture is off, disabled for the rule, or
+// capture assembles and persists one flight record for rule rs's fired
+// alert, returning its ID ("" when capture is off, disabled for the rule, or
 // failed — a failed capture never blocks the alert or its action).
-func (w *Watchdog) capture(a Alert, cpu CPUDelta) string {
-	rs := w.findRule(a.Rule)
-	if w.cfg.Flights == nil || rs == nil || !rs.rule.Capture {
+func (w *Watchdog) capture(rs *ruleState, a Alert, cpu CPUDelta) string {
+	if w.cfg.Flights == nil || !rs.rule.Capture {
 		return ""
 	}
 	if err := w.cfg.Faults.Fire(context.Background(), faultinject.WatchCapture); err != nil {
@@ -409,17 +408,6 @@ func (w *Watchdog) capture(a Alert, cpu CPUDelta) string {
 	}
 	w.captured.Inc()
 	return id
-}
-
-func (w *Watchdog) findRule(name string) *ruleState {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, rs := range w.rules {
-		if rs.rule.Name == name {
-			return rs
-		}
-	}
-	return nil
 }
 
 // Report is the body of GET /v1/alerts: currently-firing alerts plus the

@@ -1,7 +1,7 @@
 // Model lifecycle management: zero-downtime multi-model serving with shadow
 // rollout (DESIGN.md §14).
 //
-// The server holds its serving engine behind an atomic pointer. Operators
+// The server holds its serving engine in a modelSet's slot view. Operators
 // drive a small state machine over three endpoints:
 //
 //	POST /v1/models          load a candidate checkpoint (versioned
@@ -24,8 +24,8 @@
 // agreement rate between primary and candidate — the evidence an operator
 // reads before promoting.
 //
-// Swaps never drop in-flight requests: a request reads the primary pointer
-// once and finishes on that engine, which a swap never changes; once no slot
+// Swaps never drop in-flight requests: a request reads the primary slot
+// once and finishes on its engine, which a swap never changes; once no slot
 // holds an engine, the garbage collector frees it after its last request.
 // Promote builds a fresh, instrumented engine around the candidate's model
 // rather than mutating the shadow engine, and rollback re-installs the
@@ -41,6 +41,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/sematype/pythagoras/internal/core"
@@ -56,9 +58,9 @@ const maxModelsBodyBytes = 1 << 20
 
 // modelSlot binds one loaded model version to the engine serving it; the
 // engine holds the model, its drift monitor (nil without a baseline) and
-// the pool settings. Slots are immutable once published through an atomic
-// pointer. A promote publishes a new slot around the candidate's model and
-// drift monitor; a rollback re-publishes the parked slot itself.
+// the pool settings. Slots are immutable once stored in a slot view. A
+// promote stores a new slot around the candidate's model and drift monitor;
+// a rollback re-stores the parked slot itself.
 type modelSlot struct {
 	id       string
 	path     string // checkpoint path, "" for the boot-time model
@@ -66,6 +68,52 @@ type modelSlot struct {
 	loadedAt time.Time
 	mx       *slotMetrics
 }
+
+// slots is one view of the lifecycle, immutable once stored: primary serves
+// and is never nil, candidate (when non-nil) shadows live traffic, previous
+// parks the demoted primary as the rollback target.
+type slots struct {
+	primary, candidate, previous *modelSlot
+}
+
+// modelSet is the model lifecycle the server owns: the slot view, shadow
+// sampling and the per-model series. Each transition stores one new view,
+// under mu, so one load sees all three slots of one moment.
+type modelSet struct {
+	mu      sync.Mutex
+	cur     atomic.Pointer[slots]
+	metrics *obs.Registry
+	faults  *faultinject.Set
+
+	// shadowWG tracks in-flight shadow-scoring goroutines so Shutdown (and
+	// the leak-checking tests) can prove none outlive the server.
+	shadowSample float64
+	shadowSeq    atomic.Uint64
+	shadowWG     sync.WaitGroup
+}
+
+// newModelSet makes eng the boot primary, whose pool settings are the
+// template for every engine a later load or promote builds. The unlabeled
+// drift.* gauges are registered once, here: they read the monitor of
+// whichever slot is primary when scraped (0 for one without a baseline), so
+// no transition re-registers them.
+func newModelSet(eng *infer.Engine, reg *obs.Registry, faults *faultinject.Set, shadowSample float64) *modelSet {
+	m := &modelSet{metrics: reg, faults: faults, shadowSample: shadowSample}
+	boot := &modelSlot{id: bootModelID, engine: eng, loadedAt: time.Now(), mx: m.newSlotMetrics(bootModelID)}
+	m.cur.Store(&slots{primary: boot})
+	eng.Drift().RegisterLabeled(reg, "model", bootModelID) // nil-safe
+	drift := func() *obs.DriftMonitor { return m.primary().engine.Drift() }
+	reg.GaugeFunc("drift.type.score", func() float64 { return drift().TypeScore() })
+	reg.GaugeFunc("drift.confidence.score", func() float64 { return drift().ConfidenceScore() })
+	reg.GaugeFunc("drift.observations", func() float64 { return float64(drift().Observations()) })
+	return m
+}
+
+// view returns the current slot view.
+func (m *modelSet) view() *slots { return m.cur.Load() }
+
+// primary returns the serving slot.
+func (m *modelSet) primary() *modelSlot { return m.cur.Load().primary }
 
 // slotMetrics are one model id's pre-resolved labeled telemetry handles.
 // Counters are cumulative per id — reloading the same id continues its
@@ -81,18 +129,18 @@ type slotMetrics struct {
 
 // newSlotMetrics resolves the labeled per-model series for id and registers
 // the derived agreement-rate gauge. Safe to call repeatedly for one id.
-func (s *Server) newSlotMetrics(id string) *slotMetrics {
+func (m *modelSet) newSlotMetrics(id string) *slotMetrics {
 	l := func(name string) string { return obs.Labels(name, "model", id) }
 	mx := &slotMetrics{
-		scored:     s.metrics.Counter(l("shadow.tables.scored")),
-		errors:     s.metrics.Counter(l("shadow.errors")),
-		compared:   s.metrics.Counter(l("shadow.columns.compared")),
-		agree:      s.metrics.Counter(l("shadow.columns.agree")),
-		latency:    s.metrics.Histogram(l("shadow.latency.seconds"), nil),
-		confidence: s.metrics.Histogram(l("shadow.confidence"), obs.ConfidenceBuckets),
+		scored:     m.metrics.Counter(l("shadow.tables.scored")),
+		errors:     m.metrics.Counter(l("shadow.errors")),
+		compared:   m.metrics.Counter(l("shadow.columns.compared")),
+		agree:      m.metrics.Counter(l("shadow.columns.agree")),
+		latency:    m.metrics.Histogram(l("shadow.latency.seconds"), nil),
+		confidence: m.metrics.Histogram(l("shadow.confidence"), obs.ConfidenceBuckets),
 	}
 	compared, agree := mx.compared, mx.agree
-	s.metrics.GaugeFunc(l("shadow.agreement.rate"), func() float64 {
+	m.metrics.GaugeFunc(l("shadow.agreement.rate"), func() float64 {
 		c := compared.Value()
 		if c == 0 {
 			return 0
@@ -102,36 +150,107 @@ func (s *Server) newSlotMetrics(id string) *slotMetrics {
 	return mx
 }
 
-// newServingEngine builds a fresh engine around m and its drift monitor
-// (nil for none) with the primary engine's worker fan-out and batch bound,
-// the server's fault set (so chaos suites reach lifecycle-created engines),
-// and — for primary-role engines only — the shared metrics registry, where
-// the monitor then takes over the unlabeled drift.* gauges. Shadow engines
-// stay uninstrumented: candidate scoring must not pollute the primary's
-// infer.* series; the shadow path records its own per-model labeled
-// telemetry instead. Callers hold lcMu.
-func (s *Server) newServingEngine(m *core.Model, drift *obs.DriftMonitor, instrumented bool) *infer.Engine {
-	prim := s.primary.Load().engine
-	eng := infer.New(m,
+// newEngine builds a fresh engine around model and its drift monitor (nil
+// for none) with the primary engine's worker fan-out and batch bound and the
+// server's fault set (so chaos suites reach lifecycle-created engines). Only
+// a primary-role engine records into the shared registry: candidate scoring
+// must not pollute the primary's infer.* series; the shadow path records its
+// own per-model labeled telemetry instead. Caller holds mu.
+func (m *modelSet) newEngine(model *core.Model, drift *obs.DriftMonitor, primary bool) *infer.Engine {
+	prim := m.primary().engine
+	eng := infer.New(model,
 		infer.WithWorkers(prim.Workers()),
 		infer.WithMaxBatch(prim.MaxBatch()),
-		infer.WithFaults(s.faults),
+		infer.WithFaults(m.faults),
 	)
-	if instrumented {
-		eng.EnableMetrics(s.metrics)
+	if primary {
+		eng.EnableMetrics(m.metrics)
 	}
 	eng.EnableDrift(drift)
 	return eng
 }
 
-// recordSwap counts a lifecycle event under models.swap{event=}, annotates
-// the SLO timeline, and logs it.
-func (s *Server) recordSwap(event, detail string) {
-	s.metrics.Counter(obs.Labels("models.swap", "event", event)).Inc()
+// load makes model, read from path, the shadowing candidate id, replacing
+// any loaded one.
+func (m *modelSet) load(id, path string, model *core.Model) *slots {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	drift := obs.NewDriftMonitor(model.DriftBaseline())
+	drift.RegisterLabeled(m.metrics, "model", id) // nil-safe
+	eng := m.newEngine(model, drift, false)
+	cand := &modelSlot{id: id, path: path, engine: eng, loadedAt: time.Now(), mx: m.newSlotMetrics(id)}
+	v := *m.cur.Load()
+	v.candidate = cand
+	m.cur.Store(&v)
+	return &v
+}
+
+// promote makes the candidate primary behind a fresh instrumented engine
+// and parks the old primary as previous; nil when none is shadowing.
+func (m *modelSet) promote() *slots {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	cur := m.cur.Load()
+	c := cur.candidate
+	if c == nil {
+		return nil
+	}
+	eng := m.newEngine(c.engine.Model(), c.engine.Drift(), true)
+	p := &modelSlot{id: c.id, path: c.path, engine: eng, loadedAt: c.loadedAt, mx: c.mx}
+	v := &slots{primary: p, previous: cur.primary}
+	m.cur.Store(v)
+	return v
+}
+
+// discard drops the shadowing candidate and returns it (nil: none). POST
+// /v1/models/rollback and the watchdog's auto-rollback both end a candidate
+// here; no transition stores a discarded slot again.
+func (m *modelSet) discard() *modelSlot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	cur := m.cur.Load()
+	if cur.candidate != nil {
+		m.cur.Store(&slots{primary: cur.primary, previous: cur.previous})
+	}
+	return cur.candidate
+}
+
+// restore re-installs the parked previous slot as primary, engine and all,
+// and returns the new view and the primary it dropped (nil: none parked).
+func (m *modelSet) restore() (*slots, *modelSlot) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	cur := m.cur.Load()
+	if cur.previous == nil {
+		return cur, nil
+	}
+	v := &slots{primary: cur.previous, candidate: cur.candidate}
+	m.cur.Store(v)
+	return v, cur.primary
+}
+
+// recordEvent counts a lifecycle event under family{event=}, annotates the
+// SLO timeline and logs it as "<subject> <event>". Model swaps and lake
+// re-score runs leave the same trail, so an operator reading the timeline
+// sees promote → rescore-start → rescore-done as one story.
+func (s *Server) recordEvent(family, subject, event, detail string) {
+	s.metrics.Counter(obs.Labels(family, "event", event)).Inc()
 	s.sloEng.Annotate(event, detail)
 	if s.log != nil {
-		s.log.Info("model "+event, "detail", detail)
+		s.log.Info(subject+" "+event, "detail", detail)
 	}
+}
+
+// swapEpilogue follows a transition that moved the primary: it cancels a
+// re-score on a slot no longer primary, fires the ServerSwap fault (the new
+// view is already visible, so a fault models a slow or crashing epilogue,
+// not a failed swap) and records the event.
+func (s *Server) swapEpilogue(ctx context.Context, event, detail, cancelReason string) {
+	s.rescore.cancel(cancelReason)
+	if err := s.faults.Fire(ctx, faultinject.ServerSwap); err != nil && s.log != nil {
+		s.log.Warn("swap fault injected", "err", err)
+	}
+	s.recordEvent("models.swap", "model", event, detail)
 }
 
 // --- deterministic shadow sampling ---
@@ -153,15 +272,15 @@ func splitmix64(x uint64) uint64 {
 // double-scored on the candidate. No global RNG, no lock: the same request
 // sequence against the same seed samples identically on every run, which is
 // what makes shadow behavior reproducible in tests and incident forensics.
-func (s *Server) shadowSampled() bool {
+func (m *modelSet) shadowSampled() bool {
 	switch {
-	case s.shadowSample <= 0:
+	case m.shadowSample <= 0:
 		return false
-	case s.shadowSample >= 1:
+	case m.shadowSample >= 1:
 		return true
 	}
-	u := float64(splitmix64(shadowSeed+s.shadowSeq.Add(1))>>11) / float64(1<<53)
-	return u < s.shadowSample
+	u := float64(splitmix64(shadowSeed+m.shadowSeq.Add(1))>>11) / float64(1<<53)
+	return u < m.shadowSample
 }
 
 // maybeShadow double-scores one served request's tables on the candidate,
@@ -172,15 +291,15 @@ func (s *Server) shadowSampled() bool {
 // errors, injected faults) can reach back into the serving path. The
 // goroutine is tracked in shadowWG so Shutdown and the lifecycle tests can
 // prove none leak.
-func (s *Server) maybeShadow(ts []*table.Table, primary [][]core.ColumnPrediction) {
-	cand := s.candidate.Load()
-	if cand == nil || !s.shadowSampled() {
+func (m *modelSet) maybeShadow(ts []*table.Table, primary [][]core.ColumnPrediction) {
+	cand := m.view().candidate
+	if cand == nil || !m.shadowSampled() {
 		return
 	}
-	s.shadowWG.Add(1)
+	m.shadowWG.Add(1)
 	go func() {
-		defer s.shadowWG.Done()
-		s.shadowScore(cand, ts, primary)
+		defer m.shadowWG.Done()
+		m.shadowScore(cand, ts, primary)
 	}()
 }
 
@@ -188,9 +307,9 @@ func (s *Server) maybeShadow(ts []*table.Table, primary [][]core.ColumnPredictio
 // per-model comparison telemetry; the candidate engine feeds its own drift
 // monitor. Errors (including injected ServerShadow faults) are counted,
 // never propagated — the request they shadowed has long been answered.
-func (s *Server) shadowScore(cand *modelSlot, ts []*table.Table, primary [][]core.ColumnPrediction) {
+func (m *modelSet) shadowScore(cand *modelSlot, ts []*table.Table, primary [][]core.ColumnPrediction) {
 	ctx := context.Background()
-	if err := s.faults.Fire(ctx, faultinject.ServerShadow); err != nil {
+	if err := m.faults.Fire(ctx, faultinject.ServerShadow); err != nil {
 		cand.mx.errors.Inc()
 		return
 	}
@@ -219,6 +338,9 @@ func (s *Server) shadowScore(cand *modelSlot, ts []*table.Table, primary [][]cor
 		}
 	}
 }
+
+// waitShadows returns once every shadow-scoring goroutine has finished.
+func (m *modelSet) waitShadows() { m.shadowWG.Wait() }
 
 // --- wire types ---
 
@@ -266,15 +388,14 @@ func slotStatus(slot *modelSlot) *SlotStatus {
 	}
 }
 
-// modelsResponse assembles the current state machine view. Callers hold
-// lcMu (the POST handlers) or accept a racy-but-consistent snapshot (GET).
-func (s *Server) modelsResponse(state string) ModelsResponse {
+// response renders the slot view v in the given state.
+func (m *modelSet) response(state string, v *slots) ModelsResponse {
 	return ModelsResponse{
 		State:        state,
-		Primary:      slotStatus(s.primary.Load()),
-		Candidate:    slotStatus(s.candidate.Load()),
-		Previous:     slotStatus(s.previous.Load()),
-		ShadowSample: s.shadowSample,
+		Primary:      slotStatus(v.primary),
+		Candidate:    slotStatus(v.candidate),
+		Previous:     slotStatus(v.previous),
+		ShadowSample: m.shadowSample,
 	}
 }
 
@@ -314,14 +435,10 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 	if id == "" {
 		id = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	}
-
-	s.lcMu.Lock()
-	defer s.lcMu.Unlock()
-	if err := s.faults.Fire(r.Context(), faultinject.ServerModelLoad); err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "load model %q: %v", path, err)
-		return
+	var m *core.Model
+	if err = s.faults.Fire(r.Context(), faultinject.ServerModelLoad); err == nil {
+		m, err = core.LoadFile(path, core.Config{Encoder: s.model().Encoder()})
 	}
-	m, err := core.LoadFile(path, core.Config{Encoder: s.model().Encoder()})
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		if errors.Is(err, os.ErrNotExist) {
@@ -330,97 +447,56 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, "load model %q: %v", path, err)
 		return
 	}
-
-	drift := obs.NewDriftMonitor(m.DriftBaseline())
-	drift.RegisterLabeled(s.metrics, "model", id) // nil-safe
-	s.candidate.Store(&modelSlot{
-		id:       id,
-		path:     path,
-		engine:   s.newServingEngine(m, drift, false),
-		loadedAt: time.Now(),
-		mx:       s.newSlotMetrics(id),
-	})
-	s.recordSwap("load", fmt.Sprintf("candidate %q from %s", id, path))
-	writeJSON(w, http.StatusOK, s.modelsResponse("shadowing"))
+	v := s.models.load(id, path, m)
+	s.recordEvent("models.swap", "model", "load", fmt.Sprintf("candidate %q from %s", id, path))
+	writeJSON(w, http.StatusOK, s.models.response("shadowing", v))
 }
 
 // handleModelsStatus is GET /v1/models.
 func (s *Server) handleModelsStatus(w http.ResponseWriter, r *http.Request) {
+	v := s.models.view()
 	state := "serving"
-	if s.candidate.Load() != nil {
+	if v.candidate != nil {
 		state = "shadowing"
 	}
-	writeJSON(w, http.StatusOK, s.modelsResponse(state))
+	writeJSON(w, http.StatusOK, s.models.response(state, v))
 }
 
 // handleModelsPromote is POST /v1/models/promote: the shadowing candidate
-// becomes primary. From the pointer swap on, requests run on the
-// candidate's model and drift monitor behind a freshly instrumented engine;
-// requests already on the old primary (and shadow scores already on the
-// candidate's shadow engine) finish there. The demoted primary slot is
-// parked, engine and all, as the rollback target.
+// becomes primary. From the view store on, requests run on the candidate's
+// model and drift monitor behind a freshly instrumented engine; requests
+// already on the old primary (and shadow scores already on the candidate's
+// shadow engine) finish there. A re-score scoring on the old primary is
+// obsolete and is cancelled; the operator re-runs it on the new primary.
 func (s *Server) handleModelsPromote(w http.ResponseWriter, r *http.Request) {
-	s.lcMu.Lock()
-	defer s.lcMu.Unlock()
-	cand := s.candidate.Load()
-	if cand == nil {
+	v := s.models.promote()
+	if v == nil {
 		writeErr(w, http.StatusConflict, "no candidate is shadowing")
 		return
 	}
-	// A re-score scoring on the outgoing primary is obsolete the moment the
-	// pointer moves — cancel it; the operator re-runs it on the new primary.
-	s.cancelRescore("primary promoted mid-rescore")
-	promoted := &modelSlot{
-		id:       cand.id,
-		path:     cand.path,
-		engine:   s.newServingEngine(cand.engine.Model(), cand.engine.Drift(), true),
-		loadedAt: cand.loadedAt,
-		mx:       cand.mx,
-	}
-	old := s.primary.Swap(promoted)
-	s.candidate.Store(nil)
-	// The swap is already visible; an injected fault here models a slow or
-	// crashing swap epilogue, not a failed swap.
-	if err := s.faults.Fire(r.Context(), faultinject.ServerSwap); err != nil && s.log != nil {
-		s.log.Warn("swap fault injected", "err", err)
-	}
-	// An older rollback target, if any, is abandoned.
-	s.previous.Store(old)
-	s.recordSwap("promote", fmt.Sprintf("%q promoted over %q", promoted.id, old.id))
-	writeJSON(w, http.StatusOK, s.modelsResponse("promoted"))
+	s.swapEpilogue(r.Context(), "promote",
+		fmt.Sprintf("%q promoted over %q", v.primary.id, v.previous.id), "primary promoted mid-rescore")
+	writeJSON(w, http.StatusOK, s.models.response("promoted", v))
 }
 
 // handleModelsRollback is POST /v1/models/rollback. Two meanings, by state:
 // a shadowing candidate is discarded (shadow scores already running finish,
 // primary untouched); with no candidate, the parked previous primary slot
 // is re-installed with its engine and the rolled-back-from model is
-// dropped. With neither, 409.
+// dropped, cancelling a re-score running on it — the old index keeps
+// serving and the next re-score starts over from the lake. With neither,
+// 409.
 func (s *Server) handleModelsRollback(w http.ResponseWriter, r *http.Request) {
-	s.lcMu.Lock()
-	defer s.lcMu.Unlock()
-	if cand := s.candidate.Swap(nil); cand != nil {
-		s.recordSwap("rollback", fmt.Sprintf("candidate %q discarded", cand.id))
-		writeJSON(w, http.StatusOK, s.modelsResponse("rolled-back"))
+	if cand := s.models.discard(); cand != nil {
+		s.recordEvent("models.swap", "model", "rollback", fmt.Sprintf("candidate %q discarded", cand.id))
+		writeJSON(w, http.StatusOK, s.models.response("rolled-back", s.models.view()))
 		return
 	}
-	prev := s.previous.Swap(nil)
-	if prev == nil {
+	v, old := s.models.restore()
+	if old == nil {
 		writeErr(w, http.StatusConflict, "nothing to roll back: no candidate and no previous primary")
 		return
 	}
-	// Rolling the primary back mid-rescore cancels the re-score: it is
-	// scoring on the model being rolled away from. The shadow build aborts
-	// and the old index keeps serving untouched; the next re-score starts
-	// over from the lake.
-	s.cancelRescore("rollback")
-	// The parked engine is instrumented and feeds its own drift monitor
-	// already; only the unlabeled drift.* gauges, which describe the current
-	// primary, must move back to it.
-	prev.engine.Drift().Register(s.metrics)
-	old := s.primary.Swap(prev)
-	if err := s.faults.Fire(r.Context(), faultinject.ServerSwap); err != nil && s.log != nil {
-		s.log.Warn("swap fault injected", "err", err)
-	}
-	s.recordSwap("rollback", fmt.Sprintf("%q restored over %q", prev.id, old.id))
-	writeJSON(w, http.StatusOK, s.modelsResponse("rolled-back"))
+	s.swapEpilogue(r.Context(), "rollback", fmt.Sprintf("%q restored over %q", v.primary.id, old.id), "rollback")
+	writeJSON(w, http.StatusOK, s.models.response("rolled-back", v))
 }

@@ -218,6 +218,85 @@ func TestSwappedPrimaryFeedsDrift(t *testing.T) {
 	drain(t, s)
 }
 
+// TestDriftGaugesFollowBaselineLessPrimary: the unlabeled drift.* gauges
+// read whichever slot is primary when scraped. Promoting a checkpoint
+// without a drift baseline makes them read that primary's 0, not the demoted
+// boot model's frozen counts; a rollback makes them count on the boot
+// monitor again; and a server booted without a baseline reports them at 0
+// instead of leaving them out.
+func TestDriftGaugesFollowBaselineLessPrimary(t *testing.T) {
+	dir := t.TempDir()
+	boot, err := core.LoadFile(savedCheckpoint(t, dir, "boot.bin", true), core.Config{Encoder: chaosModel(t).Encoder()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := infer.New(boot, infer.WithWorkers(2))
+	eng.EnableDrift(obs.NewDriftMonitor(boot.DriftBaseline()))
+	s := NewWithEngine(eng, 0)
+	cols := float64(len(sampleRequest("").Columns))
+	predicts := func(n int) float64 {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if rec := postJSON(t, s, "/v1/predict", sampleRequest("")); rec.Code != http.StatusOK {
+				t.Fatalf("predict: %d", rec.Code)
+			}
+		}
+		return s.metrics.Snapshot().Gauges["drift.observations"]
+	}
+	if got := predicts(3); got != 3*cols {
+		t.Fatalf("boot: drift.observations = %v, want %v", got, 3*cols)
+	}
+	modelsPost(t, s, "/v1/models", ModelsRequest{ID: "v2", Path: savedCheckpoint(t, dir, "v2.bin", false)}, http.StatusOK)
+	modelsPost(t, s, "/v1/models/promote", nil, http.StatusOK)
+	if got := predicts(5); got != 0 {
+		t.Errorf("baseline-less v2 serving: drift.observations = %v, want its 0", got)
+	}
+	modelsPost(t, s, "/v1/models/rollback", nil, http.StatusOK)
+	if got := predicts(1); got != 4*cols {
+		t.Errorf("boot restored: drift.observations = %v, want %v", got, 4*cols)
+	}
+	drain(t, s)
+
+	bare := chaosServer(t, nil, nil)
+	if got, ok := bare.metrics.Snapshot().Gauges["drift.observations"]; !ok || got != 0 {
+		t.Errorf("boot without a baseline: drift.observations = %v (registered %t), want 0", got, ok)
+	}
+}
+
+// TestModelsStatusDuringPromoteEpilogue: a transition stores its three slots
+// at once, before its epilogue, so GET /v1/models during a promote held in
+// its ServerSwap epilogue already reports the promoted state in full:
+// primary v2, no candidate, the demoted boot model parked as previous.
+func TestModelsStatusDuringPromoteEpilogue(t *testing.T) {
+	srvFaults := faultinject.New().On(faultinject.ServerSwap, faultinject.Sleep(150*time.Millisecond))
+	s := chaosServer(t, nil, srvFaults)
+	defer drain(t, s)
+	modelsPost(t, s, "/v1/models", ModelsRequest{ID: "v2", Path: savedCheckpoint(t, t.TempDir(), "v2.bin", false)}, http.StatusOK)
+
+	promoted := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/promote", nil))
+		promoted <- rec.Code
+	}()
+	// Fired counts before the stall runs: the promote is in its epilogue.
+	for deadline := time.Now().Add(5 * time.Second); srvFaults.Fired(faultinject.ServerSwap) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("promote never reached its swap epilogue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var mid ModelsResponse
+	getJSON(t, s, "/v1/models", &mid)
+	if code := <-promoted; code != http.StatusOK {
+		t.Fatalf("promote = %d", code)
+	}
+	if mid.Primary == nil || mid.Primary.ID != "v2" || mid.Candidate != nil || mid.Previous == nil || mid.Previous.ID != "boot" {
+		t.Fatalf("GET /v1/models mid-epilogue: state=%s primary=%v candidate=%t previous=%v",
+			mid.State, mid.Primary, mid.Candidate != nil, mid.Previous)
+	}
+}
+
 // TestShadowScoringRecordsTelemetry: with a candidate shadowing at 100%
 // sampling, every predict/predict-batch request lands in the candidate's
 // labeled shadow series — scored tables, latency, confidence, agreement
@@ -283,8 +362,8 @@ func TestShadowScoringRecordsTelemetry(t *testing.T) {
 // samplers agree decision-for-decision, the edge fractions short-circuit,
 // and the sampled rate lands near the configured fraction.
 func TestShadowSamplerDeterministic(t *testing.T) {
-	a := &Server{shadowSample: 0.5}
-	b := &Server{shadowSample: 0.5}
+	a := &modelSet{shadowSample: 0.5}
+	b := &modelSet{shadowSample: 0.5}
 	hits := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -299,8 +378,8 @@ func TestShadowSamplerDeterministic(t *testing.T) {
 	if hits < n/3 || hits > 2*n/3 {
 		t.Fatalf("sample=0.5 hit %d/%d — sampler badly biased", hits, n)
 	}
-	off := &Server{shadowSample: 0}
-	on := &Server{shadowSample: 1}
+	off := &modelSet{shadowSample: 0}
+	on := &modelSet{shadowSample: 1}
 	for i := 0; i < 10; i++ {
 		if off.shadowSampled() {
 			t.Fatal("sample=0 sampled a request")

@@ -89,7 +89,7 @@ func TestServerAdoptsEngineRegistry(t *testing.T) {
 	if s.metrics != reg {
 		t.Fatal("server ignored WithMetrics registry")
 	}
-	if s.primary.Load().engine.Metrics() != reg {
+	if s.models.primary().engine.Metrics() != reg {
 		t.Fatal("engine not wired to the server registry")
 	}
 }

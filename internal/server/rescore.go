@@ -11,168 +11,163 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 
-	"github.com/sematype/pythagoras/internal/obs"
+	"github.com/sematype/pythagoras/internal/discovery"
 	"github.com/sematype/pythagoras/internal/rescore"
+	"github.com/sematype/pythagoras/internal/table"
 )
 
-// rescoreState tracks the at-most-one background re-score run. The latest
-// run (running or finished) stays referenced so GET /v1/index/rescore can
-// report terminal states, not just live ones.
-type rescoreState struct {
+// rescoreRunner is the lake re-score run the server owns: the retained
+// lake, the settings every run scores under (batch size, and the
+// server-lifetime budget the watchdog throttles), and the at-most-one run.
+type rescoreRunner struct {
+	lake     *rescore.Lake
+	index    *discovery.SwapIndex
+	cfg      rescore.Config             // ModelID is set per run
+	primary  func() *modelSlot          // the slot a run scores on
+	draining func() bool                // Shutdown began: refuse starts
+	record   func(event, detail string) // rescore.events{event=}
+
 	mu  sync.Mutex
-	run *rescoreRun
+	run *rescoreRun // the latest run, kept once finished for its final state
 }
 
-// rescoreRun binds one driver to its cancellation and completion signal.
+// rescoreRun binds one driver to the slot it scores on, its cancellation
+// and its completion signal.
 type rescoreRun struct {
-	drv     *rescore.Driver
-	cancel  context.CancelFunc
-	done    chan struct{}
-	modelID string
+	drv    *rescore.Driver
+	slot   *modelSlot
+	cancel context.CancelFunc
+	done   chan struct{}
 }
 
-// activeRescore returns the current run if it has not finished yet.
-func (s *Server) activeRescore() *rescoreRun {
-	s.rescore.mu.Lock()
-	defer s.rescore.mu.Unlock()
-	if r := s.rescore.run; r != nil {
+// errShuttingDown refuses a start once Shutdown has begun.
+var errShuttingDown = errors.New("server is shutting down")
+
+// put retains t so later runs re-type it.
+func (r *rescoreRunner) put(t *table.Table) { r.lake.Put(t) }
+
+// activeLocked returns the latest run if it has not finished. Caller holds
+// r.mu.
+func (r *rescoreRunner) activeLocked() *rescoreRun {
+	if run := r.run; run != nil {
 		select {
-		case <-r.done:
+		case <-run.done:
 		default:
-			return r
+			return run
 		}
 	}
 	return nil
 }
 
-// cancelRescore cancels an active re-score, if any, and returns whether one
-// was cancelled. It does not wait for the run to unwind — the driver aborts
-// its shadow build on its own goroutine; the old index is never in danger
-// because only a completed scan commits. Called by promote and rollback
-// (the model the scan is scoring on is leaving) and by Shutdown.
-func (s *Server) cancelRescore(reason string) bool {
-	r := s.activeRescore()
-	if r == nil {
-		return false
+// progress reports the latest run's progress, state "idle" before the
+// first.
+func (r *rescoreRunner) progress() rescore.Progress {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.run == nil {
+		return rescore.Progress{State: "idle"}
 	}
-	r.cancel()
-	s.recordRescore("rescore-cancel", reason)
-	return true
+	return r.run.drv.Progress()
 }
 
-// awaitRescore blocks until the current run (if any) has fully unwound or
-// ctx expires — Shutdown's barrier, so no re-score goroutine outlives the
-// server.
-func (s *Server) awaitRescore(ctx context.Context) error {
-	s.rescore.mu.Lock()
-	r := s.rescore.run
-	s.rescore.mu.Unlock()
-	if r == nil {
-		return nil
+// start begins a run over the whole lake on the primary slot, on its own
+// context: the client that kicked it off is gone long before a lake-sized
+// scan finishes. It reads the primary under r.mu, and promote and rollback
+// store their new view before their cancel takes r.mu, so a start either
+// registers its run first, and that cancel sees it, or reads the new
+// primary.
+func (r *rescoreRunner) start() (rescore.Progress, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.draining() {
+		return rescore.Progress{}, errShuttingDown
 	}
-	select {
-	case <-r.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	if run := r.activeLocked(); run != nil {
+		return rescore.Progress{}, fmt.Errorf("a re-score is already running (model %q)", run.slot.id)
 	}
-}
-
-// recordRescore counts a re-score lifecycle event under
-// rescore.events{event=}, annotates the SLO timeline and logs it — the same
-// forensic trail model swaps leave, so an operator reading the timeline
-// sees promote → rescore-start → rescore-done as one story.
-func (s *Server) recordRescore(event, detail string) {
-	s.metrics.Counter(obs.Labels("rescore.events", "event", event)).Inc()
-	s.sloEng.Annotate(event, detail)
-	if s.log != nil {
-		s.log.Info("lake "+event, "detail", detail)
-	}
-}
-
-// handleRescoreStart is POST /v1/index/rescore: start a background
-// re-score of every retained lake table on the current primary model, and
-// answer with its rescore.Progress. 409 when one is already running —
-// re-scores are one-at-a-time; cancel by rolling back, or wait. 503 once
-// Shutdown has begun. The request body is ignored: which model to use is
-// never a choice (always the primary), so there is nothing to parameterize
-// per-request; the batch size is server configuration.
-func (s *Server) handleRescoreStart(w http.ResponseWriter, r *http.Request) {
-	// lcMu serializes the start against promote/rollback, which hold it
-	// while they cancel any active re-score and swap the primary pointer.
-	// Reading the primary without it races that sequence: the read can land
-	// on the outgoing primary after the swap's cancelRescore already ran but
-	// before the pointer moved, and the unregistered run would proceed on a
-	// demoted model and eventually flip in an index typed by it. Under lcMu
-	// the start either completes first (and the promote's cancel then kills
-	// the registered run) or observes the new primary. Lock order is
-	// lcMu → rescore.mu, matching cancelRescore's lifecycle callers.
-	s.lcMu.Lock()
-	defer s.lcMu.Unlock()
-	s.rescore.mu.Lock()
-	defer s.rescore.mu.Unlock()
-	// The route is admission-exempt, so the middleware's draining gate never
-	// sees it. Shutdown sets draining before its cancelRescore takes
-	// rescore.mu, so under that lock a start either registers a run that
-	// Shutdown then cancels and awaits, or sees draining and is refused.
-	if s.draining.Load() {
-		writeShuttingDown(w)
-		return
-	}
-	if run := s.rescore.run; run != nil {
-		select {
-		case <-run.done:
-		default:
-			writeErr(w, http.StatusConflict, "a re-score is already running (model %q)", run.modelID)
-			return
-		}
-	}
-	slot := s.primary.Load()
-	drv := rescore.New(s.lake, slot.engine, s.index, rescore.Config{
-		ModelID:   slot.id,
-		BatchSize: s.rescoreBatch,
-		// The server-lifetime budget, not a per-run semaphore: the watchdog
-		// holds a reference and throttles it while the SLO fast burn fires.
-		Budget:  s.rescoreBudget,
-		Faults:  s.faults,
-		Metrics: s.metrics,
-	})
-	// The run's context is the server's, not the request's: the client that
-	// kicked the re-score off disconnects long before a lake-sized scan
-	// finishes. Cancellation comes from rollback/promote/shutdown instead.
+	slot := r.primary()
+	cfg := r.cfg
+	cfg.ModelID = slot.id
 	ctx, cancel := context.WithCancel(context.Background())
-	run := &rescoreRun{drv: drv, cancel: cancel, done: make(chan struct{}), modelID: slot.id}
-	s.rescore.run = run
-	s.recordRescore("rescore-start", "model "+slot.id)
+	drv := rescore.New(r.lake, slot.engine, r.index, cfg)
+	run := &rescoreRun{drv: drv, slot: slot, cancel: cancel, done: make(chan struct{})}
+	r.run = run
+	r.record("rescore-start", "model "+slot.id)
 	go func() {
 		defer close(run.done)
 		defer cancel()
-		err := drv.Run(ctx)
-		switch p := drv.Progress(); {
+		err := run.drv.Run(ctx)
+		switch p := run.drv.Progress(); {
 		case err == nil:
-			s.recordRescore("rescore-done", "model "+run.modelID)
+			r.record("rescore-done", "model "+slot.id)
 		case p.State == "cancelled":
 			// rescore-cancel was recorded when the cancellation was requested.
 		default:
-			s.recordRescore("rescore-fail", err.Error())
+			r.record("rescore-fail", err.Error())
 		}
 	}()
-	writeJSON(w, http.StatusAccepted, drv.Progress())
+	return run.drv.Progress(), nil
+}
+
+// cancel cancels the active run once the slot it scores on is no longer
+// primary (promote and rollback call it after storing their new view) or
+// Shutdown began (which sets draining first, so a start either registered a
+// run this cancels, or is refused). It does not wait for the run to unwind:
+// only a completed scan commits.
+func (r *rescoreRunner) cancel(reason string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if run := r.activeLocked(); run != nil && (r.draining() || run.slot != r.primary()) {
+		run.cancel()
+		r.record("rescore-cancel", reason)
+	}
+}
+
+// wait blocks until the latest run has unwound or ctx expires — Shutdown's
+// barrier, so no re-score goroutine outlives the server.
+func (r *rescoreRunner) wait(ctx context.Context) error {
+	r.mu.Lock()
+	run := r.run
+	r.mu.Unlock()
+	if run != nil {
+		select {
+		case <-run.done:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
+// throttle halves the concurrency budget (to at least 1) while the SLO fast
+// burn fires; unthrottle restores its base when the alert clears.
+func (r *rescoreRunner) throttle()   { r.cfg.Budget.SetLimit(max(r.cfg.Budget.Base()/2, 1)) }
+func (r *rescoreRunner) unthrottle() { r.cfg.Budget.SetLimit(r.cfg.Budget.Base()) }
+
+// handleRescoreStart is POST /v1/index/rescore: start a background
+// re-score of the lake on the primary model and answer with its
+// rescore.Progress; 409 while one runs (cancel by rolling back, or wait),
+// 503 once Shutdown has begun. The request body is ignored: the model is
+// always the primary, and the batch size is server configuration.
+func (s *Server) handleRescoreStart(w http.ResponseWriter, r *http.Request) {
+	p, err := s.rescore.start()
+	switch {
+	case err == errShuttingDown:
+		writeShuttingDown(w)
+	case err != nil:
+		writeErr(w, http.StatusConflict, "%v", err)
+	default:
+		writeJSON(w, http.StatusAccepted, p)
+	}
 }
 
 // handleRescoreStatus is GET /v1/index/rescore: the rescore.Progress of the
-// current (or most recent) re-score run. State "idle" (zero Progress
-// otherwise) means no re-score has run since boot.
+// current (or most recent) re-score run, state "idle" before the first.
 func (s *Server) handleRescoreStatus(w http.ResponseWriter, r *http.Request) {
-	s.rescore.mu.Lock()
-	run := s.rescore.run
-	s.rescore.mu.Unlock()
-	if run == nil {
-		writeJSON(w, http.StatusOK, rescore.Progress{State: "idle"})
-		return
-	}
-	writeJSON(w, http.StatusOK, run.drv.Progress())
+	writeJSON(w, http.StatusOK, s.rescore.progress())
 }

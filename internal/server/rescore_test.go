@@ -239,13 +239,14 @@ func TestRescoreAfterCancelSeesReindexedTables(t *testing.T) {
 }
 
 // TestRescoreStartSerializesWithPromote: starting a re-score races a
-// promote. The start takes lcMu, so it either completes before the promote
-// (whose cancelRescore then kills the registered run) or waits the promote
-// out and reads the new primary — it can never slip into the window between
-// the promote's cancel and its pointer swap and run on the demoted model.
-// The injected ServerSwap stall holds the promote (and lcMu) open so the
-// start provably arrives mid-promote, and also proves the lcMu → rescore.mu
-// lock order is deadlock-free.
+// promote. The start reads the primary under the re-score runner's lock, and
+// the promote cancels a run whose slot is no longer primary only after it
+// stores its new slot view, so the start either registers first (and that
+// cancel kills the run on the demoted model) or reads the new primary — it
+// can never run on the demoted model unnoticed. The injected ServerSwap
+// stall holds the promote in its epilogue, after the store, so the start
+// provably arrives mid-promote, reads the promoted primary, and runs to
+// completion on it.
 func TestRescoreStartSerializesWithPromote(t *testing.T) {
 	srvFaults := faultinject.New().On(faultinject.ServerSwap, faultinject.Sleep(150*time.Millisecond))
 	s := chaosServer(t, nil, srvFaults, WithRescoreBatch(2))

@@ -80,7 +80,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -128,52 +127,34 @@ const bootModelID = "boot"
 
 // Server wires the inference engine and index into an http.Handler.
 type Server struct {
-	// primary is the serving slot, never nil: every prediction request
-	// loads it once and runs on its engine. candidate, when non-nil, is a
-	// loaded model shadowing live traffic; previous parks the demoted
-	// primary as the rollback target. Slot writes serialize under lcMu;
-	// reads are plain atomic loads on the hot path.
-	primary   atomic.Pointer[modelSlot]
-	candidate atomic.Pointer[modelSlot]
-	previous  atomic.Pointer[modelSlot]
-	lcMu      sync.Mutex
-
-	// shadowWG tracks in-flight shadow-scoring goroutines so Shutdown (and
-	// the leak-checking tests) can prove none outlive the server.
-	shadowWG     sync.WaitGroup
-	shadowSample float64
-	shadowSeq    atomic.Uint64
-	modelsDir    string
+	// models is the model lifecycle (lifecycle.go, DESIGN.md §14): the slot
+	// view every prediction reads once, shadow sampling, per-model series.
+	models *modelSet
 
 	// index is the discovery index behind snapshot-isolated swapping:
 	// queries pin index.Current(), mutations dual-write through the holder,
 	// and a completed lake re-score flips the pointer atomically
-	// (DESIGN.md §15). lake retains every indexed table so a re-score can
-	// re-type the corpus. rescore tracks the at-most-one background
-	// re-score run (rescore.go).
+	// (DESIGN.md §15). rescore retains every indexed table and runs the
+	// at-most-one background re-score over them (rescore.go).
 	index   *discovery.SwapIndex
-	lake    *rescore.Lake
-	rescore rescoreState
+	rescore *rescoreRunner
 
-	// rescoreBatch is the engine batch size of re-score runs. rescoreBudget
-	// is the shared dynamic concurrency gate every run scores under — the
-	// watchdog's rescore-throttle action halves it while the SLO fast burn
-	// fires and restores it on clear.
-	rescoreBatch  int
-	rescoreBudget *rescore.Budget
+	// Options NewWithEngine hands to models and rescore, and the directory
+	// POST /v1/models paths are confined to.
+	shadowSample float64
+	rescoreBatch int
+	modelsDir    string
 
 	// Anomaly watchdog (watch.go, DESIGN.md §16): rules over the signal
-	// surfaces above, the flight recorder behind GET /v1/flight, and the
-	// once-per-candidate auto-rollback latch (autoRolledBack, under lcMu).
-	watchdog       *watch.Watchdog
-	flights        *watch.FlightDir
-	watchInterval  time.Duration
-	watchNow       func() time.Time // nil (wall clock) unless a test sets it
-	flightDir      string
-	flightMax      int
-	agreeMin       float64
-	agreeWindow    time.Duration
-	autoRolledBack *modelSlot
+	// surfaces above and the flight recorder behind GET /v1/flight.
+	watchdog      *watch.Watchdog
+	flights       *watch.FlightDir
+	watchInterval time.Duration
+	watchNow      func() time.Time // nil (wall clock) unless a test sets it
+	flightDir     string
+	flightMax     int
+	agreeMin      float64
+	agreeWindow   time.Duration
 
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in the middleware chain
@@ -309,8 +290,6 @@ func WithRescoreBatch(n int) Option {
 func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Server {
 	s := &Server{
 		index:        discovery.NewSwapIndex(minConfidence),
-		lake:         rescore.NewLake(),
-		rescoreBatch: 16,
 		mux:          http.NewServeMux(),
 		idPrefix:     newIDPrefix(),
 		shadowSample: 1,
@@ -344,19 +323,18 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 	s.recorder.Register(s.metrics)
 	obs.RegisterRuntimeMetrics(s.metrics)
 	par.RegisterMetrics(s.metrics)
-	// Nil-safe: a boot model without a drift baseline registers no gauges.
-	eng.Drift().Register(s.metrics)
-	eng.Drift().RegisterLabeled(s.metrics, "model", bootModelID)
-
-	// The boot engine becomes the initial primary slot of the model
-	// lifecycle state machine (lifecycle.go); its pool settings are the
-	// template for every engine a later load or promote builds.
-	s.primary.Store(&modelSlot{
-		id:       bootModelID,
-		engine:   eng,
-		loadedAt: time.Now(),
-		mx:       s.newSlotMetrics(bootModelID),
-	})
+	// The boot engine becomes the first primary (lifecycle.go).
+	s.models = newModelSet(eng, s.metrics, s.faults, s.shadowSample)
+	s.rescore = &rescoreRunner{
+		lake:     rescore.NewLake(),
+		index:    s.index,
+		primary:  s.models.primary,
+		draining: s.draining.Load,
+		record:   func(event, detail string) { s.recordEvent("rescore.events", "lake", event, detail) },
+		// The budget outlives every run, so the watchdog's throttle action
+		// has a stable target to halve and restore.
+		cfg: rescore.Config{BatchSize: s.rescoreBatch, Budget: rescore.NewBudget(2), Faults: s.faults, Metrics: s.metrics},
+	}
 
 	s.shed = s.metrics.Counter("http.shed")
 	s.timeouts = s.metrics.Counter("http.timeouts")
@@ -400,9 +378,6 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 		s.metrics.PublishExpvar("pythagoras")
 	}
 
-	// The re-score budget exists before any run so the watchdog's throttle
-	// action has a stable target to halve and restore.
-	s.rescoreBudget = rescore.NewBudget(2)
 	s.initWatchdog()
 
 	s.handler = s.withRequestID(s.withAccessLog(s.withRecover(s.withDeadline(s.withAdmission(s.mux)))))
@@ -424,7 +399,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.watchdog.Stop()
 	// A background lake re-score must not outlive the server: cancel it
 	// and, after the request drain below, wait for its goroutine to unwind.
-	s.cancelRescore("shutdown")
+	s.rescore.cancel("shutdown")
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for s.inflight.Load() > 0 {
@@ -441,7 +416,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// reads.
 	shadowDone := make(chan struct{})
 	go func() {
-		s.shadowWG.Wait()
+		s.models.waitShadows()
 		close(shadowDone)
 	}()
 	select {
@@ -449,7 +424,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("server: shutdown aborted with shadow scoring in flight: %w", ctx.Err())
 	}
-	if err := s.awaitRescore(ctx); err != nil {
+	if err := s.rescore.wait(ctx); err != nil {
 		return fmt.Errorf("server: shutdown aborted with a lake re-score in flight: %w", err)
 	}
 	if s.log != nil {
@@ -464,7 +439,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // model returns the current primary slot's model.
-func (s *Server) model() *core.Model { return s.primary.Load().engine.Model() }
+func (s *Server) model() *core.Model { return s.models.primary().engine.Model() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
@@ -626,7 +601,7 @@ func (s *Server) writeInferErr(w http.ResponseWriter, err error) {
 func (s *Server) predict(ctx context.Context, ts []*table.Table) ([][]core.ColumnPrediction, error) {
 	_, sp := obs.StartSpan(ctx, "infer")
 	defer sp.End()
-	return s.primary.Load().engine.PredictBatchCtx(ctx, ts)
+	return s.models.primary().engine.PredictBatchCtx(ctx, ts)
 }
 
 // decodeJSONBody decodes a size-capped JSON body into v, writing the JSON
@@ -689,7 +664,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Strictly after the response is written: shadow-score the request on a
 	// shadowing candidate, off this goroutine. The primary response bytes
 	// are final — shadowing cannot perturb them (bit-identity test).
-	s.maybeShadow(tables, preds)
+	s.models.maybeShadow(tables, preds)
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
@@ -727,7 +702,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i] = *toResponse(tables[i], preds)
 	}
 	writeJSON(w, http.StatusOK, resp)
-	s.maybeShadow(tables, batch) // after the response bytes are final
+	s.models.maybeShadow(tables, batch) // after the response bytes are final
 }
 
 // handleMetrics serves a point-in-time JSON snapshot of the registry —
@@ -809,7 +784,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	// lake retains the table itself so a model upgrade can re-type it
 	// (POST /v1/index/rescore); the SwapIndex dual-writes into any shadow
 	// build in progress so a concurrent re-score cannot lose this add.
-	s.lake.Put(t)
+	s.rescore.put(t)
 	s.index.AddPredictions(t, preds[0])
 	resp := toResponse(t, preds[0])
 	resp.Indexed = true
@@ -862,7 +837,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // now would be admitted rather than turned away. Load balancers gate
 // traffic on it. A server always has a primary model: lifecycle
 // transitions never pass through an unready state, because promote and
-// rollback swap the primary pointer without ever storing nil, and a failed
+// rollback store slot views whose primary is never nil, and a failed
 // candidate load touches nothing but the error response (both are
 // regression-tested) — readiness only drops when the server drains.
 // Admission-exempt, like the other probe endpoints.

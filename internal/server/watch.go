@@ -128,15 +128,11 @@ func (s *Server) addWatchRules() {
 		CoolDown:  interval,
 		Capture:   true,
 		OnFire: func(watch.Alert) {
-			half := s.rescoreBudget.Base() / 2
-			if half < 1 {
-				half = 1
-			}
-			s.rescoreBudget.SetLimit(half)
+			s.rescore.throttle()
 			s.actionCount("rescore-throttle")
 		},
 		OnClear: func(watch.Alert) {
-			s.rescoreBudget.SetLimit(s.rescoreBudget.Base())
+			s.rescore.unthrottle()
 			s.actionCount("rescore-restore")
 		},
 	})
@@ -154,7 +150,7 @@ func (s *Server) addWatchRules() {
 	s.watchdog.Add(watch.Rule{
 		Name: "drift-type-score",
 		Signal: func() (float64, bool) {
-			d := s.primary.Load().engine.Drift()
+			d := s.models.primary().engine.Drift()
 			if d == nil {
 				return 0, false
 			}
@@ -167,7 +163,7 @@ func (s *Server) addWatchRules() {
 	})
 
 	// Shadow agreement: the auto-rollback gate.
-	ag := &agreementSignal{s: s}
+	ag := &agreementSignal{models: s.models}
 	s.watchdog.Add(watch.Rule{
 		Name:      "shadow-agreement-low",
 		Signal:    ag.read,
@@ -202,7 +198,7 @@ func (s *Server) addWatchRules() {
 
 	// A re-score whose done count has not moved for 10 intervals is
 	// stalled — wedged in a batch, or starved below its budget.
-	st := &stallSignal{s: s}
+	st := &stallSignal{runner: s.rescore}
 	s.watchdog.Add(watch.Rule{
 		Name:      "rescore-stalled",
 		Signal:    st.read,
@@ -235,13 +231,13 @@ func (s *Server) burnSignal(pair func(slo.BurnAlert) float64) (float64, bool) {
 // for-duration window), or before minShadowCompared columns have been
 // compared (a two-column fluke must not roll a fresh candidate back).
 type agreementSignal struct {
-	s    *Server
-	mu   sync.Mutex
-	last *modelSlot
+	models *modelSet
+	mu     sync.Mutex
+	last   *modelSlot
 }
 
 func (g *agreementSignal) read() (float64, bool) {
-	cand := g.s.candidate.Load()
+	cand := g.models.view().candidate
 	g.mu.Lock()
 	changed := cand != g.last
 	g.last = cand
@@ -279,58 +275,44 @@ func (d *deltaSignal) read() (float64, bool) {
 	return float64(delta), true
 }
 
-// stallSignal reports 1 when the active re-score's done count did not
+// stallSignal reports 1 when the running re-score's done count did not
 // advance since the previous tick, 0 when it did, and unavailable when no
-// re-score is running. A new run primes fresh.
+// re-score is running. A new run (a new start time) primes fresh.
 type stallSignal struct {
-	s        *Server
+	runner   *rescoreRunner
 	mu       sync.Mutex
-	lastRun  *rescoreRun
+	started  time.Time
 	lastDone int
 }
 
 func (g *stallSignal) read() (float64, bool) {
-	run := g.s.activeRescore()
-	if run == nil {
-		g.mu.Lock()
-		g.lastRun = nil
-		g.mu.Unlock()
-		return 0, false
-	}
-	done := run.drv.Progress().Done
+	p := g.runner.progress()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if run != g.lastRun {
-		g.lastRun = run
-		g.lastDone = done
+	if p.State != "running" || !p.StartedAt.Equal(g.started) {
+		g.started, g.lastDone = p.StartedAt, p.Done
 		return 0, false
 	}
 	stalled := 0.0
-	if done == g.lastDone {
+	if p.Done == g.lastDone {
 		stalled = 1
 	}
-	g.lastDone = done
+	g.lastDone = p.Done
 	return stalled, true
 }
 
 // autoRollbackCandidate is the shadow-agreement-low fire action: discard
-// the shadowing candidate, exactly the way POST /v1/models/rollback would,
-// recorded as models.swap{event=auto-rollback}. The autoRolledBack pointer
-// latch makes it at-most-once per loaded candidate: a slot pointer is
-// unique per load, so even if the rule re-fires before its state clears,
-// the same candidate is never rolled twice — and a newly loaded candidate
-// resets the gate naturally by being a new pointer.
+// the shadowing candidate through the same discard POST /v1/models/rollback
+// uses, recorded as models.swap{event=auto-rollback}. No transition stores a
+// discarded slot again, so the action ends each loaded candidate at most
+// once, and a newly loaded candidate is a new slot with a fresh rule window.
 func (s *Server) autoRollbackCandidate(a watch.Alert) {
-	s.lcMu.Lock()
-	defer s.lcMu.Unlock()
-	cand := s.candidate.Load()
-	if cand == nil || cand == s.autoRolledBack {
+	cand := s.models.discard()
+	if cand == nil {
 		return
 	}
-	s.autoRolledBack = cand
-	s.candidate.Store(nil)
 	s.actionCount("auto-rollback")
-	s.recordSwap("auto-rollback",
+	s.recordEvent("models.swap", "model", "auto-rollback",
 		fmt.Sprintf("candidate %q agreement %.3f below %.3f for %s", cand.id, a.Value, a.Threshold, s.agreeWindow))
 }
 

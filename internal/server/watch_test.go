@@ -153,7 +153,7 @@ func TestWatchdogChaosBurstClosesTheLoop(t *testing.T) {
 	}
 
 	// One tick: the fast burn has no for-duration, so it must fire now.
-	if got := s.rescoreBudget.Limit(); got != 2 {
+	if got := s.rescore.cfg.Budget.Limit(); got != 2 {
 		t.Fatalf("pre-alert budget limit = %d, want base 2", got)
 	}
 	s.Watchdog().Tick()
@@ -176,7 +176,7 @@ func TestWatchdogChaosBurstClosesTheLoop(t *testing.T) {
 	}
 
 	// The action fired: re-score budget halved from its base of 2.
-	if got := s.rescoreBudget.Limit(); got != 1 {
+	if got := s.rescore.cfg.Budget.Limit(); got != 1 {
 		t.Fatalf("budget limit while fast burn fires = %d, want 1", got)
 	}
 	snap := s.metrics.Snapshot()
@@ -232,7 +232,7 @@ func TestWatchdogChaosBurstClosesTheLoop(t *testing.T) {
 	// and the budget is restored.
 	clk.advance(10 * time.Minute)
 	s.Watchdog().Tick() // clear tick: cool-down starts
-	if got := s.rescoreBudget.Limit(); got != 1 {
+	if got := s.rescore.cfg.Budget.Limit(); got != 1 {
 		t.Fatalf("budget restored before cool-down elapsed: %d", got)
 	}
 	clk.advance(s.Watchdog().Interval() + time.Second)
@@ -252,7 +252,7 @@ func TestWatchdogChaosBurstClosesTheLoop(t *testing.T) {
 	if !cleared {
 		t.Fatal("cleared slo-fast-burn not in recent history")
 	}
-	if got := s.rescoreBudget.Limit(); got != 2 {
+	if got := s.rescore.cfg.Budget.Limit(); got != 2 {
 		t.Fatalf("budget limit after clear = %d, want base 2", got)
 	}
 	snap = s.metrics.Snapshot()
@@ -282,7 +282,7 @@ func TestWatchdogAutoRollbackOncePerCandidate(t *testing.T) {
 		}
 		// Pin agreement at 10% over plenty of comparisons — far below the
 		// 85% gate, and over the minShadowCompared floor.
-		cand := s.candidate.Load()
+		cand := s.models.view().candidate
 		cand.mx.compared.Add(100)
 		cand.mx.agree.Add(10)
 	}
@@ -300,7 +300,7 @@ func TestWatchdogAutoRollbackOncePerCandidate(t *testing.T) {
 	if got := swaps(); got != 0 {
 		t.Fatalf("rolled back before the agreement window elapsed: %d swaps", got)
 	}
-	if s.candidate.Load() == nil {
+	if s.models.view().candidate == nil {
 		t.Fatal("candidate discarded before the agreement window elapsed")
 	}
 	// Tick 3, window elapsed: fire → auto-rollback.
@@ -309,7 +309,7 @@ func TestWatchdogAutoRollbackOncePerCandidate(t *testing.T) {
 	if got := swaps(); got != 1 {
 		t.Fatalf("auto-rollback swaps = %d, want 1", got)
 	}
-	if s.candidate.Load() != nil {
+	if s.models.view().candidate != nil {
 		t.Fatal("candidate still loaded after auto-rollback")
 	}
 	var mr ModelsResponse
@@ -347,31 +347,6 @@ func TestWatchdogAutoRollbackOncePerCandidate(t *testing.T) {
 	if got := swaps(); got != 2 {
 		t.Fatalf("second candidate: auto-rollback swaps = %d, want 2", got)
 	}
-	drain(t, s)
-}
-
-// TestWatchdogAutoRollbackLatchBlocksRefire: even if the fire action runs
-// twice for the same slot (rule re-fire before the candidate pointer is
-// observed nil), the pointer latch keeps the rollback at most once.
-func TestWatchdogAutoRollbackLatchBlocksRefire(t *testing.T) {
-	s := chaosServer(t, nil, nil)
-	path := savedCheckpoint(t, t.TempDir(), "cand.bin", false)
-	modelsPost(t, s, "/v1/models", ModelsRequest{ID: "v2", Path: path}, http.StatusOK)
-	cand := s.candidate.Load()
-
-	a := watch.Alert{Rule: "shadow-agreement-low", Value: 0.1, Threshold: 0.85}
-	s.autoRollbackCandidate(a)
-	if got := s.metrics.Snapshot().Counters[`models.swap{event="auto-rollback"}`]; got != 1 {
-		t.Fatalf("swaps after first fire = %d, want 1", got)
-	}
-	// Re-arm the candidate pointer to the already-rolled slot, as if the
-	// action re-fired mid-swap: the latch must refuse.
-	s.candidate.Store(cand)
-	s.autoRollbackCandidate(a)
-	if got := s.metrics.Snapshot().Counters[`models.swap{event="auto-rollback"}`]; got != 1 {
-		t.Fatalf("latch failed: swaps = %d, want 1", got)
-	}
-	s.candidate.Store(nil)
 	drain(t, s)
 }
 
