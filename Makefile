@@ -40,11 +40,16 @@ build:
 # autodiff and gnn tests through EdgeMix and the HeteroConv gradient check.
 # The GODEBUG line runs the bit goldens on amd64's non-FMA math.Exp, the
 # branch CPUs without AVX and FMA take (the first line checks the other on
-# CPUs that have them).
+# CPUs that have them). The -cpu 1 line reruns the packages whose tests
+# race background goroutines (re-score runs, shadow scoring, the watchdog,
+# the worker pool) on one CPU, where a goroutine a request starts mostly
+# waits until the test blocks: a test that reads its state too early fails
+# there every time instead of now and then.
 test:
 	$(GO) test ./...
 	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/lm/ ./internal/autodiff/ ./internal/gnn/
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run '^(TestTrainGolden|TestEncodeGolden)$$' ./internal/core/ ./internal/lm/
+	$(GO) test -count=1 -cpu 1 ./internal/server/ ./internal/rescore/ ./internal/infer/ ./internal/obs/... ./internal/discovery/ ./internal/par/
 
 vet:
 	$(GO) vet ./...

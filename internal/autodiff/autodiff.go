@@ -5,10 +5,12 @@
 // Backward on a scalar loss Var replays the tape in reverse, accumulating
 // gradients into every Var created with Param (trainable parameters) or
 // reached through recorded ops. The op set is exactly what Pythagoras and
-// its baselines need: dense affine layers, ReLU, dropout, row
+// its baselines train with: dense affine layers, ReLU, dropout, row
 // gather/scatter (the message-passing primitives of the heterogeneous GNN,
-// plus the fused EdgeMix form), column concatenation, softmax, and a fused
-// softmax-cross-entropy loss.
+// plus the fused EdgeMix form), column concatenation, and a fused
+// softmax-cross-entropy loss. Inference probabilities need no gradient, so
+// they are a plain row softmax over the forward's logits, outside the tape
+// (core.Model.InferProbs).
 //
 // Steady-state a tape allocates nothing: ops are opcode records in a
 // reusable slice (no closures), Vars come from a block slab, and every
@@ -73,7 +75,6 @@ const (
 	opScatterAddRows
 	opConcatCols
 	opSoftmaxXEnt
-	opSoftmax
 	opEdgeMix
 )
 
@@ -328,21 +329,6 @@ func (t *Tape) backwardOp(r *opRecord) {
 				grow[j] += scale * p
 			}
 			grow[lab] -= scale
-		}
-
-	case opSoftmax:
-		ga := t.grad(r.a)
-		for i := 0; i < r.out.Value.Rows; i++ {
-			y := r.out.Value.Row(i)
-			gy := g.Row(i)
-			var dot float64
-			for j := range y {
-				dot += y[j] * gy[j]
-			}
-			grow := ga.Row(i)
-			for j := range y {
-				grow[j] += y[j] * (gy[j] - dot)
-			}
 		}
 
 	case opEdgeMix:
@@ -634,37 +620,6 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Var, labels []int, weights []float64)
 	out := t.newVar(outVal, logits.needsGrad)
 	if out.needsGrad {
 		t.record(opRecord{kind: opSoftmaxXEnt, out: out, a: logits, idx: labels, sc: weights, aux: probs, s: totalW})
-	}
-	return out
-}
-
-// Softmax returns the row-wise softmax of a (forward convenience for
-// inference paths; gradients flow through it correctly as well).
-func (t *Tape) Softmax(a *Var) *Var {
-	n, c := a.Value.Rows, a.Value.Cols
-	val := t.alloc(n, c)
-	for i := 0; i < n; i++ {
-		row := a.Value.Row(i)
-		orow := val.Row(i)
-		mx := math.Inf(-1)
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		var z float64
-		for j, v := range row {
-			e := math.Exp(v - mx)
-			orow[j] = e
-			z += e
-		}
-		for j := range orow {
-			orow[j] /= z
-		}
-	}
-	out := t.newVar(val, a.needsGrad)
-	if out.needsGrad {
-		t.record(opRecord{kind: opSoftmax, out: out, a: a})
 	}
 	return out
 }

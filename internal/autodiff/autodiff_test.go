@@ -183,42 +183,6 @@ func TestSoftmaxCrossEntropyValue(t *testing.T) {
 	}
 }
 
-func TestSoftmaxGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x := randMat(rng, 3, 4)
-	labels := []int{1, 2, 0}
-	tape := NewTape()
-	vx := tape.Param(x)
-	// Softmax then a dummy linear readout through cross entropy keeps the
-	// chain nontrivial.
-	loss := tape.SoftmaxCrossEntropy(tape.Softmax(vx), labels, nil)
-	tape.Backward(loss)
-	lossOf := func() float64 {
-		tp := NewTape()
-		return tp.SoftmaxCrossEntropy(tp.Softmax(tp.Constant(x)), labels, nil).Value.Data[0]
-	}
-	checkGrad(t, "softmax/x", x, vx.Grad, lossOf)
-}
-
-func TestSoftmaxRowsSumToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	x := randMat(rng, 5, 7)
-	tape := NewTape()
-	y := tape.Softmax(tape.Constant(x))
-	for i := 0; i < 5; i++ {
-		var s float64
-		for _, v := range y.Value.Row(i) {
-			if v < 0 {
-				t.Fatal("negative probability")
-			}
-			s += v
-		}
-		if math.Abs(s-1) > 1e-9 {
-			t.Fatalf("row %d sums to %v", i, s)
-		}
-	}
-}
-
 func TestScaleGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := randMat(rng, 2, 3)

@@ -3,8 +3,8 @@
 // Sherlock [13], Sato [30], Dosolo [26], Doduo [26] and a fine-tuned-LLM
 // simulator standing in for GPT-3.5 [3] (see DESIGN.md §2).
 //
-// Every baseline reduces to the same skeleton: a featurizer turns each
-// column into a fixed vector (columnwise models see only the column,
+// Every baseline reduces to the same skeleton, one Model: a featurizer turns
+// each column into a fixed vector (columnwise models see only the column,
 // tablewise models see the whole table), and a classifier maps vectors to
 // semantic types. Sherlock/Sato add per-group subnetworks; Sato adds an LDA
 // table-topic group and a linear-chain CRF over the column sequence.
@@ -12,7 +12,6 @@ package baselines
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/sematype/pythagoras/internal/autodiff"
@@ -85,6 +84,29 @@ func BuildDataset(f Featurizer, c *data.Corpus, idx []int) *Dataset {
 	return d
 }
 
+// Model is a trained baseline: a featurizer and the classifier over its
+// column vectors. Sherlock, Dosolo, Doduo and the fine-tuned-LLM simulator
+// are each a Model; Sato embeds one and adds its CRF.
+type Model struct {
+	f   Featurizer
+	cls *Classifier
+}
+
+// trainModel featurizes the training and validation splits with f, in that
+// order, and trains the classifier on them. It returns the model and the
+// featurized training split.
+func trainModel(f Featurizer, c *data.Corpus, trainIdx, valIdx []int, opts TrainOpts) (*Model, *Dataset) {
+	train := BuildDataset(f, c, trainIdx)
+	val := BuildDataset(f, c, valIdx)
+	return &Model{f: f, cls: TrainClassifier(f.Groups(), len(c.Types), train, val, opts)}, train
+}
+
+// Evaluate scores the model on the given tables.
+func (m *Model) Evaluate(c *data.Corpus, idx []int) (*eval.Split, []eval.Prediction) {
+	preds := m.cls.Predict(BuildDataset(m.f, c, idx))
+	return eval.ComputeSplit(preds), preds
+}
+
 // TrainOpts controls classifier training.
 type TrainOpts struct {
 	// SubDim is the output width of each group subnetwork (ignored with a
@@ -102,7 +124,8 @@ type TrainOpts struct {
 }
 
 // Classifier is a trained columnar model: per-group subnetworks feeding a
-// shared MLP head, with train-set feature standardization.
+// shared MLP head, with train-set feature standardization (none when the
+// training split has no columns).
 type Classifier struct {
 	groups  []Group
 	params  *nn.Params
@@ -133,38 +156,6 @@ func newClassifier(groups []Group, classes int, opts TrainOpts, rng *rand.Rand) 
 		c.head = append(c.head, nn.NewLinear(c.params, "head0", concat, classes, rng))
 	}
 	return c
-}
-
-func (c *Classifier) fitScaling(x *tensor.Matrix) {
-	dim := x.Cols
-	c.mean = make([]float64, dim)
-	c.std = make([]float64, dim)
-	if x.Rows == 0 {
-		for j := range c.std {
-			c.std[j] = 1
-		}
-		return
-	}
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			c.mean[j] += v
-		}
-	}
-	for j := range c.mean {
-		c.mean[j] /= float64(x.Rows)
-	}
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			d := v - c.mean[j]
-			c.std[j] += d * d
-		}
-	}
-	for j := range c.std {
-		c.std[j] = math.Sqrt(c.std[j] / float64(x.Rows))
-		if c.std[j] < 1e-6 {
-			c.std[j] = 1
-		}
-	}
 }
 
 func (c *Classifier) scale(x *tensor.Matrix) *tensor.Matrix {
@@ -242,7 +233,11 @@ func (c *Classifier) Predict(d *Dataset) []eval.Prediction {
 func TrainClassifier(groups []Group, classes int, train, val *Dataset, opts TrainOpts) *Classifier {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	c := newClassifier(groups, classes, opts, rng)
-	c.fitScaling(train.X)
+	c.mean, c.std = nn.FitStandardization(train.X.Cols, func(visit func([]float64)) {
+		for i := 0; i < train.X.Rows; i++ {
+			visit(train.X.Row(i))
+		}
+	})
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}

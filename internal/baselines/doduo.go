@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"github.com/sematype/pythagoras/internal/data"
-	"github.com/sematype/pythagoras/internal/eval"
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/table"
 )
@@ -105,24 +104,8 @@ func (d *DoduoFeaturizer) FeaturizeTable(t *table.Table) [][]float64 {
 	return out
 }
 
-// Doduo is the trained tablewise LM model.
-type Doduo struct {
-	f   *DoduoFeaturizer
-	cls *Classifier
-}
-
 // TrainDoduo trains Doduo on the corpus splits.
-func TrainDoduo(c *data.Corpus, trainIdx, valIdx []int, enc *lm.Encoder, opts TrainOpts) *Doduo {
-	f := NewDoduoFeaturizer(enc)
-	train := BuildDataset(f, c, trainIdx)
-	val := BuildDataset(f, c, valIdx)
-	cls := TrainClassifier(f.Groups(), len(c.Types), train, val, opts)
-	return &Doduo{f: f, cls: cls}
-}
-
-// Evaluate scores the model on the given tables.
-func (m *Doduo) Evaluate(c *data.Corpus, idx []int) (*eval.Split, []eval.Prediction) {
-	d := BuildDataset(m.f, c, idx)
-	preds := m.cls.Predict(d)
-	return eval.ComputeSplit(preds), preds
+func TrainDoduo(c *data.Corpus, trainIdx, valIdx []int, enc *lm.Encoder, opts TrainOpts) *Model {
+	m, _ := trainModel(NewDoduoFeaturizer(enc), c, trainIdx, valIdx, opts)
+	return m
 }

@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"github.com/sematype/pythagoras/internal/data"
-	"github.com/sematype/pythagoras/internal/eval"
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/table"
 )
@@ -39,24 +38,8 @@ func (d *DosoloFeaturizer) FeaturizeTable(t *table.Table) [][]float64 {
 	return out
 }
 
-// Dosolo is the trained columnwise LM model.
-type Dosolo struct {
-	f   *DosoloFeaturizer
-	cls *Classifier
-}
-
 // TrainDosolo trains Dosolo on the corpus splits.
-func TrainDosolo(c *data.Corpus, trainIdx, valIdx []int, enc *lm.Encoder, opts TrainOpts) *Dosolo {
-	f := NewDosoloFeaturizer(enc)
-	train := BuildDataset(f, c, trainIdx)
-	val := BuildDataset(f, c, valIdx)
-	cls := TrainClassifier(f.Groups(), len(c.Types), train, val, opts)
-	return &Dosolo{f: f, cls: cls}
-}
-
-// Evaluate scores the model on the given tables.
-func (m *Dosolo) Evaluate(c *data.Corpus, idx []int) (*eval.Split, []eval.Prediction) {
-	d := BuildDataset(m.f, c, idx)
-	preds := m.cls.Predict(d)
-	return eval.ComputeSplit(preds), preds
+func TrainDosolo(c *data.Corpus, trainIdx, valIdx []int, enc *lm.Encoder, opts TrainOpts) *Model {
+	m, _ := trainModel(NewDosoloFeaturizer(enc), c, trainIdx, valIdx, opts)
+	return m
 }

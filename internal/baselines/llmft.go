@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"github.com/sematype/pythagoras/internal/data"
-	"github.com/sematype/pythagoras/internal/eval"
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/table"
 )
@@ -72,27 +71,11 @@ func (f *LLMFeaturizer) buildPrompt(t *table.Table, c *table.Column) string {
 	return sb.String()
 }
 
-// LLM is the trained fine-tuned-LLM simulator.
-type LLM struct {
-	f   *LLMFeaturizer
-	cls *Classifier
-}
-
 // TrainLLM trains the simulator. The adapter is a single linear layer
 // (Hidden=0) regardless of opts.Hidden — fine-tuning adapts a thin head,
 // not the backbone.
-func TrainLLM(c *data.Corpus, trainIdx, valIdx []int, enc *lm.Encoder, opts TrainOpts) *LLM {
+func TrainLLM(c *data.Corpus, trainIdx, valIdx []int, enc *lm.Encoder, opts TrainOpts) *Model {
 	opts.Hidden = 0
-	f := NewLLMFeaturizer(enc)
-	train := BuildDataset(f, c, trainIdx)
-	val := BuildDataset(f, c, valIdx)
-	cls := TrainClassifier(f.Groups(), len(c.Types), train, val, opts)
-	return &LLM{f: f, cls: cls}
-}
-
-// Evaluate scores the model on the given tables.
-func (m *LLM) Evaluate(c *data.Corpus, idx []int) (*eval.Split, []eval.Prediction) {
-	d := BuildDataset(m.f, c, idx)
-	preds := m.cls.Predict(d)
-	return eval.ComputeSplit(preds), preds
+	m, _ := trainModel(NewLLMFeaturizer(enc), c, trainIdx, valIdx, opts)
+	return m
 }

@@ -69,11 +69,10 @@ func (tm *TopicModel) Infer(t *table.Table) []float64 {
 	return tm.lda.Infer(tableBag(tm.enc, t), 20, 1)
 }
 
-// Sato is the trained tablewise model: topic-aware per-column classifier
-// plus a linear-chain CRF over each table's column sequence.
+// Sato is the trained tablewise model: a Model over the topic-aware
+// featurizer plus a linear-chain CRF over each table's column sequence.
 type Sato struct {
-	f   *SatoFeaturizer
-	cls *Classifier
+	*Model
 	crf *crf.Model
 }
 
@@ -103,13 +102,11 @@ func TrainSato(c *data.Corpus, trainIdx, valIdx []int, enc *lm.Encoder, opts Sat
 	}
 
 	// 2. Per-column classifier.
-	train := BuildDataset(f, c, trainIdx)
-	val := BuildDataset(f, c, valIdx)
-	cls := TrainClassifier(f.Groups(), len(c.Types), train, val, opts.TrainOpts)
+	m, train := trainModel(f, c, trainIdx, valIdx, opts.TrainOpts)
 
 	// 3. CRF over column chains, using the trained unaries.
 	model := crf.New(len(c.Types))
-	logits := cls.Logits(train)
+	logits := m.cls.Logits(train)
 	for epoch := 0; epoch < opts.CRFEpochs; epoch++ {
 		at := 0
 		for at < len(train.TableOf) {
@@ -124,7 +121,7 @@ func TrainSato(c *data.Corpus, trainIdx, valIdx []int, enc *lm.Encoder, opts Sat
 			at = end
 		}
 	}
-	return &Sato{f: f, cls: cls, crf: model}, nil
+	return &Sato{Model: m, crf: model}, nil
 }
 
 // chainOf extracts the (unary, label) chain for columns [at, end), skipping

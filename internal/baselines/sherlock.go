@@ -6,7 +6,6 @@ import (
 	"github.com/sematype/pythagoras/internal/colfeat"
 
 	"github.com/sematype/pythagoras/internal/data"
-	"github.com/sematype/pythagoras/internal/eval"
 	"github.com/sematype/pythagoras/internal/features"
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/table"
@@ -142,24 +141,8 @@ func boolTo(b bool) float64 {
 	return 0
 }
 
-// Sherlock is the trained columnwise model.
-type Sherlock struct {
-	f   *SherlockFeaturizer
-	cls *Classifier
-}
-
 // TrainSherlock trains Sherlock on the corpus splits.
-func TrainSherlock(c *data.Corpus, trainIdx, valIdx []int, enc *lm.Encoder, opts TrainOpts) *Sherlock {
-	f := NewSherlockFeaturizer(enc)
-	train := BuildDataset(f, c, trainIdx)
-	val := BuildDataset(f, c, valIdx)
-	cls := TrainClassifier(f.Groups(), len(c.Types), train, val, opts)
-	return &Sherlock{f: f, cls: cls}
-}
-
-// Evaluate scores the model on the given tables.
-func (m *Sherlock) Evaluate(c *data.Corpus, idx []int) (*eval.Split, []eval.Prediction) {
-	d := BuildDataset(m.f, c, idx)
-	preds := m.cls.Predict(d)
-	return eval.ComputeSplit(preds), preds
+func TrainSherlock(c *data.Corpus, trainIdx, valIdx []int, enc *lm.Encoder, opts TrainOpts) *Model {
+	m, _ := trainModel(NewSherlockFeaturizer(enc), c, trainIdx, valIdx, opts)
+	return m
 }

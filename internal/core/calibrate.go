@@ -1,17 +1,21 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"github.com/sematype/pythagoras/internal/data"
+	"github.com/sematype/pythagoras/internal/tensor"
 )
 
 // CalibrateTemperature fits a softmax temperature on held-out tables by
 // minimizing the negative log-likelihood of the gold labels — standard
-// temperature scaling. The temperature is stored in the model (persisted by
-// Save) and applied by InferProbs, so reported confidences track actual
-// accuracy instead of the over-confident raw softmax.
+// temperature scaling. The tables' logits come from the offline scorer
+// (score), on one worker per CPU. The temperature is stored in the model
+// (persisted by Save) and applied by InferProbs, so reported confidences
+// track actual accuracy instead of the over-confident raw softmax.
 //
 // It returns the fitted temperature (1 = unchanged).
 func (m *Model) CalibrateTemperature(c *data.Corpus, valIdx []int) (float64, error) {
@@ -20,19 +24,16 @@ func (m *Model) CalibrateTemperature(c *data.Corpus, valIdx []int) (float64, err
 		label  int
 	}
 	var samples []sample
-	for _, vi := range valIdx {
-		p := m.Prepare(c.Tables[vi])
-		logits, targets := m.InferLogits(p)
-		for i, n := range targets {
-			if p.Graph.Labels[n] < 0 {
-				continue
+	// score fails only when its context is cancelled, and this one never is.
+	_ = m.score(context.TODO(), runtime.NumCPU(), len(valIdx), func(i int) *Prepared {
+		return m.Prepare(c.Tables[valIdx[i]])
+	}, func(_ int, p *Prepared, targets []int, logits *tensor.Matrix) {
+		for k, n := range targets {
+			if l := p.Graph.Labels[n]; l >= 0 {
+				samples = append(samples, sample{logits: logits.Row(k), label: l})
 			}
-			samples = append(samples, sample{
-				logits: append([]float64(nil), logits.Row(i)...),
-				label:  p.Graph.Labels[n],
-			})
 		}
-	}
+	})
 	if len(samples) == 0 {
 		return 1, fmt.Errorf("core: no labeled validation columns to calibrate on")
 	}

@@ -15,15 +15,18 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"runtime"
 
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/table"
+	"github.com/sematype/pythagoras/internal/tensor"
 )
 
 // checkpointMagic identifies a Pythagoras checkpoint; it doubles as a cheap
@@ -112,26 +115,31 @@ const maxDriftConfBounds = 64
 // the reference a serving-time obs.DriftMonitor compares live traffic
 // against. Using the model's *predictions* (not the labels) is deliberate:
 // drift is measured between two prediction distributions, so the baseline
-// must be produced by the same mechanism that produces the serving side.
-// It has no side effect; SetDriftBaseline attaches the result.
+// must be produced by the same mechanism that produces the serving side:
+// the tables' logits (from the offline scorer, on one worker per CPU), the
+// InferProbs softmax and DecodePredictions. It has no side effect;
+// SetDriftBaseline attaches the result.
 func (m *Model) ComputeDriftBaseline(tables []*table.Table) obs.DriftBaseline {
 	b := obs.DriftBaseline{
 		TypeCounts: map[string]uint64{},
 		ConfBounds: obs.ConfidenceBuckets,
 		ConfCounts: make([]uint64, len(obs.ConfidenceBuckets)+1),
 	}
-	for _, t := range tables {
-		prep := m.Prepare(t)
-		probs, targets := m.InferProbs(prep)
-		for _, p := range m.DecodePredictions(prep, probs, targets, 0, len(targets), t) {
-			b.TypeCounts[p.Type]++
-			i := 0
-			for i < len(b.ConfBounds) && p.Confidence > b.ConfBounds[i] {
-				i++
+	temp := m.Temperature()
+	// score fails only when its context is cancelled, and this one never is.
+	_ = m.score(context.TODO(), runtime.NumCPU(), len(tables), func(i int) *Prepared {
+		return m.Prepare(tables[i])
+	}, func(i int, p *Prepared, targets []int, logits *tensor.Matrix) {
+		softmaxRows(logits, temp)
+		for _, cp := range m.DecodePredictions(p, logits, targets, 0, len(targets), tables[i]) {
+			b.TypeCounts[cp.Type]++
+			j := 0
+			for j < len(b.ConfBounds) && cp.Confidence > b.ConfBounds[j] {
+				j++
 			}
-			b.ConfCounts[i]++
+			b.ConfCounts[j]++
 		}
-	}
+	})
 	return b
 }
 

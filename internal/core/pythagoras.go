@@ -133,11 +133,11 @@ type Model struct {
 	temperature float64
 	// drift is the training-time baseline (SetDriftBaseline). Persisted.
 	drift obs.DriftBaseline
-	// tapePool recycles inference tapes (and their op/arena/Var storage)
-	// across InferLogits/InferProbs calls: a gradient-free forward re-runs
-	// the same shapes over and over, so the second call on a pooled tape
-	// allocates nothing. Outputs are cloned out of the arena before the
-	// tape is returned (see inferTape/releaseTape).
+	// tapePool recycles tapes (and their op/arena/Var storage) across
+	// forwards: a gradient-free forward re-runs the same shapes over and
+	// over, so the second call on a pooled tape allocates nothing. Outputs
+	// are cloned out of the arena before the tape is returned (see
+	// inferTape/releaseTape).
 	tapePool sync.Pool
 }
 
@@ -325,8 +325,8 @@ func (m *Model) Prepare(t *table.Table) *Prepared {
 }
 
 // whitenStates applies the fitted node-state standardization in place
-// (no-op before fitStateScaling runs). V_ncf rows stay zero — they are
-// filled by the subnetwork inside the tape.
+// (no-op before fitScalings runs). V_ncf rows stay zero — they are filled
+// by the subnetwork inside the tape.
 func (m *Model) whitenStates(p *Prepared) {
 	if m.lmMean == nil {
 		return
@@ -342,49 +342,29 @@ func (m *Model) whitenStates(p *Prepared) {
 	}
 }
 
-// fitStateScaling computes per-dim mean/std of the frozen node states over
-// the prepared training tables and whitens them in place.
-func (m *Model) fitStateScaling(ps []*Prepared) {
-	dim := m.stateDim()
-	mean := make([]float64, dim)
-	std := make([]float64, dim)
-	n := 0
-	for _, p := range ps {
-		for i, nt := range p.Graph.Types {
-			if nt == graph.NodeNumericFeatures {
-				continue
-			}
-			for j, v := range p.LMStates.Row(i) {
-				mean[j] += v
-			}
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	for j := range mean {
-		mean[j] /= float64(n)
-	}
-	for _, p := range ps {
-		for i, nt := range p.Graph.Types {
-			if nt == graph.NodeNumericFeatures {
-				continue
-			}
-			for j, v := range p.LMStates.Row(i) {
-				d := v - mean[j]
-				std[j] += d * d
+// fitScalings fits the feature and node-state standardizations on the
+// prepared training tables, summing rows in table order, and applies both
+// to those tables in place. V_ncf nodes carry no frozen state, so the state
+// fit skips their rows.
+func (m *Model) fitScalings(ps []*Prepared) {
+	m.featMean, m.featStd = nn.FitStandardization(features.Dim, func(visit func([]float64)) {
+		for _, p := range ps {
+			for i := 0; i < p.FeatRows.Rows; i++ {
+				visit(p.FeatRows.Row(i))
 			}
 		}
-	}
-	for j := range std {
-		std[j] = math.Sqrt(std[j] / float64(n))
-		if std[j] < 1e-6 {
-			std[j] = 1
+	})
+	m.lmMean, m.lmStd = nn.FitStandardization(m.stateDim(), func(visit func([]float64)) {
+		for _, p := range ps {
+			for i, nt := range p.Graph.Types {
+				if nt != graph.NodeNumericFeatures {
+					visit(p.LMStates.Row(i))
+				}
+			}
 		}
-	}
-	m.lmMean, m.lmStd = mean, std
+	})
 	for _, p := range ps {
+		m.standardize(p.FeatRows)
 		m.whitenStates(p)
 	}
 }
@@ -410,7 +390,7 @@ func (m *Model) fillRichBlocks(row []float64, vals []string, tokens *lm.TokenBuf
 }
 
 // standardize applies the fitted feature scaling in place (no-op before
-// fitFeatureScaling runs).
+// fitScalings runs).
 func (m *Model) standardize(rows *tensor.Matrix) {
 	if m.featMean == nil {
 		return
@@ -420,48 +400,6 @@ func (m *Model) standardize(rows *tensor.Matrix) {
 		for j := range row {
 			row[j] = (row[j] - m.featMean[j]) / m.featStd[j]
 		}
-	}
-}
-
-// fitFeatureScaling computes per-feature mean/std over the prepared
-// training tables and standardizes them in place.
-func (m *Model) fitFeatureScaling(ps []*Prepared) {
-	mean := make([]float64, features.Dim)
-	std := make([]float64, features.Dim)
-	n := 0
-	for _, p := range ps {
-		for i := 0; i < p.FeatRows.Rows; i++ {
-			row := p.FeatRows.Row(i)
-			for j, v := range row {
-				mean[j] += v
-			}
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	for j := range mean {
-		mean[j] /= float64(n)
-	}
-	for _, p := range ps {
-		for i := 0; i < p.FeatRows.Rows; i++ {
-			row := p.FeatRows.Row(i)
-			for j, v := range row {
-				d := v - mean[j]
-				std[j] += d * d
-			}
-		}
-	}
-	for j := range std {
-		std[j] = math.Sqrt(std[j] / float64(n))
-		if std[j] < 1e-6 {
-			std[j] = 1
-		}
-	}
-	m.featMean, m.featStd = mean, std
-	for _, p := range ps {
-		m.standardize(p.FeatRows)
 	}
 }
 
@@ -519,14 +457,13 @@ func (m *Model) forward(tape *autodiff.Tape, grads *nn.GradSet, p *Prepared, rng
 	return logits, targets
 }
 
-// InferLogits is stage 3 of the inference pipeline: one gradient-free
-// forward pass over a prepared (possibly unioned) batch. It returns the raw
-// logits (targets×classes) and the target node indices into p.Graph. Safe
-// for concurrent use — each call checks a private tape out of the model's
-// pool and the parameters are read-only. The returned matrix is freshly
-// allocated and owned by the caller (the tape's arena-backed intermediate
-// is cloned out before the tape is recycled).
-func (m *Model) InferLogits(p *Prepared) (*tensor.Matrix, []int) {
+// inferLogits runs one gradient-free forward pass over a prepared
+// (possibly unioned) batch and returns the raw logits (targets×classes) and
+// the target node indices into p.Graph. Safe for concurrent use — each call
+// checks a private tape out of the model's pool and the parameters are
+// read-only. The logits are cloned out of the tape's arena before the tape
+// is recycled, so the caller owns them.
+func (m *Model) inferLogits(p *Prepared) (*tensor.Matrix, []int) {
 	tape := m.inferTape()
 	logits, targets := m.forward(tape, nil, p, nil, false)
 	out := logits.Value.Clone()
@@ -534,19 +471,43 @@ func (m *Model) InferLogits(p *Prepared) (*tensor.Matrix, []int) {
 	return out, targets
 }
 
-// InferProbs runs InferLogits and converts the logits to calibrated
-// probabilities (temperature-scaled softmax). The returned matrix is owned
-// by the caller.
+// InferProbs is stage 3 of the inference pipeline: one gradient-free
+// forward pass over a prepared (possibly unioned) batch, whose logits a
+// temperature-scaled row softmax turns into calibrated probabilities. It
+// returns them (targets×classes, owned by the caller) and the target node
+// indices into p.Graph. Safe for concurrent use.
 func (m *Model) InferProbs(p *Prepared) (*tensor.Matrix, []int) {
-	tape := m.inferTape()
-	logits, targets := m.forward(tape, nil, p, nil, false)
-	if t := m.Temperature(); t != 1 {
-		logits = tape.Scale(logits, 1/t)
+	probs, targets := m.inferLogits(p)
+	softmaxRows(probs, m.Temperature())
+	return probs, targets
+}
+
+// softmaxRows turns each row of logits into probabilities in place at
+// temperature temp, with the arithmetic of the training loss's softmax in
+// its order: multiply by 1/temp unless temp is 1, subtract the row max,
+// exponentiate, sum, divide.
+func softmaxRows(logits *tensor.Matrix, temp float64) {
+	if temp != 1 {
+		logits.ScaleInPlace(1 / temp)
 	}
-	probs := tape.Softmax(logits)
-	out := probs.Value.Clone()
-	m.releaseTape(tape)
-	return out, targets
+	for i := 0; i < logits.Rows; i++ {
+		row := logits.Row(i)
+		mx := math.Inf(-1)
+		for _, v := range row {
+			if v > mx {
+				mx = v
+			}
+		}
+		var z float64
+		for j, v := range row {
+			e := math.Exp(v - mx)
+			row[j] = e
+			z += e
+		}
+		for j := range row {
+			row[j] /= z
+		}
+	}
 }
 
 // defaultPatience is applied when Config.Patience is unset: without it a
@@ -554,9 +515,9 @@ func (m *Model) InferProbs(p *Prepared) (*tensor.Matrix, []int) {
 // the first non-improving epoch.
 const defaultPatience = 30
 
-// valChunk caps how many validation tables are unioned into one scoring
-// forward — the inference engine's default maxBatch.
-const valChunk = 16
+// scoreChunk caps how many tables one forward of the offline scorer
+// unions — the inference engine's default maxBatch.
+const scoreChunk = 16
 
 // TrainCtx fits Pythagoras on the corpus using the given table index
 // splits, with the deterministic data-parallel pipeline (DESIGN.md §10):
@@ -567,8 +528,8 @@ const valChunk = 16
 //     GradSet and dropout RNG (seeded from (Seed, step, sub-index) only),
 //     then merges the loss-weighted gradients in fixed sub-index order and
 //     applies a single Adam update.
-//   - Validation scoring between epochs runs as chunked union forwards in
-//     parallel.
+//   - Validation scoring between epochs runs through the offline scorer
+//     (score): chunked union forwards in parallel.
 //
 // Because no part of the decomposition, RNG seeding or merge order depends
 // on the worker count or on scheduling, the trained parameters are
@@ -631,8 +592,7 @@ func TrainCtx(ctx context.Context, c *data.Corpus, trainIdx, valIdx []int, cfg C
 	// The scaling fits run serially after the parallel prepare: their
 	// accumulation order (table index order) is part of the determinism
 	// contract.
-	m.fitFeatureScaling(trainPrep)
-	m.fitStateScaling(trainPrep)
+	m.fitScalings(trainPrep)
 	valPrep := make([]*Prepared, len(valIdx))
 	if err := prepare(valPrep, valIdx); err != nil {
 		return nil, err
@@ -682,7 +642,7 @@ func TrainCtx(ctx context.Context, c *data.Corpus, trainIdx, valIdx []int, cfg C
 				return nil, err
 			}
 			t0 := time.Now()
-			split, _, err := m.scorePreparedCtx(ctx, valPrep, workers)
+			split, _, err := m.evaluate(ctx, workers, len(valPrep), func(i int) *Prepared { return valPrep[i] })
 			if err != nil {
 				return nil, err
 			}
@@ -831,70 +791,91 @@ func subBatchSeed(seed int64, step, sub int) int64 {
 	return int64(h)
 }
 
-// scorePreparedCtx evaluates prepared tables in parallel: the tables are
-// chunked (never more than valChunk per union), each chunk scored with one
-// gradient-free union forward, and the per-chunk predictions concatenated
-// in chunk order. Chunk boundaries depend on the worker count but the
-// predictions do not: a union forward is bit-identical to the per-table
-// forwards it replaces, so the resulting metrics are worker-count
-// independent — which matters, because the validation F1 feeds the early
-// stopper and thereby the final parameters.
-func (m *Model) scorePreparedCtx(ctx context.Context, ps []*Prepared, workers int) (*eval.Split, []eval.Prediction, error) {
-	bounds := par.Bounds(len(ps), workers, valChunk)
-	chunkPreds := make([][]eval.Prediction, len(bounds))
-	err := par.For(ctx, workers, len(bounds), func(ci int) error {
-		lo, hi := bounds[ci][0], bounds[ci][1]
-		p := ps[lo]
-		if hi-lo > 1 {
-			p = UnionPrepared(ps[lo:hi])
+// score is the offline scorer: training validation, Evaluate,
+// ComputeDriftBaseline and CalibrateTemperature all score through it. It
+// takes n tables from prep (table i is prep(i)) in windows of at most
+// workers×scoreChunk, each prepared in parallel, so it holds one window at
+// a time. A window is scored by gradient-free union forwards of at most
+// scoreChunk tables, fanned out over the workers. Then visit receives, in
+// table order and on the calling goroutine, each table's prepared form, its
+// target nodes and their logits (row k for targets[k]), which are visit's
+// to keep or overwrite. A union forward is bit-identical to the per-table
+// forwards it replaces, so neither the windows, the chunks nor the worker
+// count change a bit of what visit sees — which matters, because the
+// validation F1 feeds the early stopper and thereby the trained parameters.
+// A cancelled ctx stops the scoring before the next table or chunk and
+// returns ctx's error.
+func (m *Model) score(ctx context.Context, workers, n int, prep func(i int) *Prepared, visit func(i int, p *Prepared, targets []int, logits *tensor.Matrix)) error {
+	window := max(workers, 1) * scoreChunk
+	ps := make([]*Prepared, min(n, window))
+	for lo := 0; lo < n; lo += window {
+		ps = ps[:min(window, n-lo)]
+		err := par.For(ctx, workers, len(ps), func(i int) error {
+			ps[i] = prep(lo + i)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		chunkPreds[ci] = m.LabeledPredictions(p)
-		return nil
+		bounds := par.Bounds(len(ps), workers, scoreChunk)
+		logits := make([]*tensor.Matrix, len(bounds))
+		err = par.For(ctx, workers, len(bounds), func(c int) error {
+			clo, chi := bounds[c][0], bounds[c][1]
+			p := ps[clo]
+			if chi-clo > 1 {
+				p = UnionPrepared(ps[clo:chi])
+			}
+			logits[c], _ = m.inferLogits(p)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for c, b := range bounds {
+			l, row := logits[c], 0
+			for i := b[0]; i < b[1]; i++ {
+				targets := ps[i].Graph.TargetNodes()
+				next := row + len(targets)
+				visit(lo+i, ps[i], targets, &tensor.Matrix{Rows: len(targets), Cols: l.Cols, Data: l.Data[row*l.Cols : next*l.Cols]})
+				row = next
+			}
+		}
+	}
+	return nil
+}
+
+// evaluate scores n tables through score and returns the paper's per-kind
+// metrics and one eval.Prediction per labeled target, in table order and
+// ascending node order within a table.
+func (m *Model) evaluate(ctx context.Context, workers, n int, prep func(i int) *Prepared) (*eval.Split, []eval.Prediction, error) {
+	var preds []eval.Prediction
+	err := m.score(ctx, workers, n, prep, func(_ int, p *Prepared, targets []int, logits *tensor.Matrix) {
+		for k, node := range targets {
+			if p.Graph.Labels[node] >= 0 {
+				preds = append(preds, eval.Prediction{
+					True:    p.Graph.Labels[node],
+					Pred:    logits.ArgMaxRow(k),
+					Numeric: p.Graph.Meta[node].Kind == table.KindNumeric,
+				})
+			}
+		}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	var preds []eval.Prediction
-	for _, cp := range chunkPreds {
-		preds = append(preds, cp...)
-	}
 	return eval.ComputeSplit(preds), preds, nil
 }
 
-// LabeledPredictions runs an inference forward pass over a prepared batch
-// and returns one eval.Prediction per labeled target node, in ascending
-// node order. It is the scoring primitive behind Evaluate and training's
-// validation pass.
-func (m *Model) LabeledPredictions(p *Prepared) []eval.Prediction {
-	logits, targets := m.InferLogits(p)
-	var preds []eval.Prediction
-	for i, n := range targets {
-		if p.Graph.Labels[n] < 0 {
-			continue
-		}
-		preds = append(preds, eval.Prediction{
-			True:    p.Graph.Labels[n],
-			Pred:    logits.ArgMaxRow(i),
-			Numeric: p.Graph.Meta[n].Kind == table.KindNumeric,
-		})
-	}
-	return preds
-}
-
 // Evaluate scores the model on the given tables of a corpus, returning the
-// paper's per-kind metrics and the raw predictions in table order. The
-// tables are prepared in parallel and scored by the chunked union forwards
-// training validation uses, on one worker per CPU; neither the chunking nor
-// the worker count changes a bit of the result.
+// paper's per-kind metrics and the raw predictions in table order. It runs
+// the offline scorer training validation uses, on one worker per CPU;
+// neither its windows, its chunks nor the worker count change a bit of the
+// result.
 func (m *Model) Evaluate(c *data.Corpus, idx []int) (*eval.Split, []eval.Prediction) {
-	ctx := context.Background()
-	workers := runtime.NumCPU()
-	ps := make([]*Prepared, len(idx))
-	_ = par.For(ctx, workers, len(idx), func(i int) error {
-		ps[i] = m.Prepare(c.Tables[idx[i]])
-		return nil
+	// score fails only when its context is cancelled, and this one never is.
+	split, preds, _ := m.evaluate(context.TODO(), runtime.NumCPU(), len(idx), func(i int) *Prepared {
+		return m.Prepare(c.Tables[idx[i]])
 	})
-	split, preds, _ := m.scorePreparedCtx(ctx, ps, workers)
 	return split, preds
 }
 

@@ -290,7 +290,7 @@ func TestEvaluateSkipsUnknownTypes(t *testing.T) {
 }
 
 // TestEvaluateMatchesPerTableScoring pins the evaluator to its reference:
-// scoring each table alone with LabeledPredictions(Prepare(t)) and
+// scoring each table alone, a batch of one with no union, and
 // concatenating in table order. Eleven tables do not fill one 16-table
 // union chunk and split unevenly across workers, so the chunked union
 // forwards Evaluate runs must be unobservable down to the last prediction.
@@ -305,7 +305,8 @@ func TestEvaluateMatchesPerTableScoring(t *testing.T) {
 	idx := []int{8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}
 	var want []eval.Prediction
 	for _, ti := range idx {
-		want = append(want, m.LabeledPredictions(m.Prepare(c.Tables[ti]))...)
+		_, one, _ := m.evaluate(context.Background(), 1, 1, func(int) *Prepared { return m.Prepare(c.Tables[ti]) })
+		want = append(want, one...)
 	}
 	split, got := m.Evaluate(c, idx)
 	if len(got) != len(want) || len(want) == 0 {

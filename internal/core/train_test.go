@@ -260,12 +260,13 @@ func TestScorePreparedCtxWorkerCountInvariant(t *testing.T) {
 			s.Overall.WeightedF1, s.Overall.MacroF1, s.Overall.Accuracy,
 			s.Numeric.WeightedF1, s.NonNumeric.WeightedF1, s.Overall.N, len(s.Overall.PerClass))
 	}
-	base, _, err := m.scorePreparedCtx(context.Background(), ps, 1)
+	prep := func(i int) *Prepared { return ps[i] }
+	base, _, err := m.evaluate(context.Background(), 1, len(ps), prep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3, 8} {
-		got, _, err := m.scorePreparedCtx(context.Background(), ps, workers)
+		got, _, err := m.evaluate(context.Background(), workers, len(ps), prep)
 		if err != nil {
 			t.Fatal(err)
 		}

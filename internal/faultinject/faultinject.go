@@ -43,10 +43,10 @@ const (
 	// validated and before the checkpoint is read — an injected error is a
 	// deterministic stand-in for a corrupt or vanished checkpoint file.
 	ServerModelLoad Point = "server.model.load"
-	// ServerSwap fires inside promote and rollback, after the serving
-	// pointer has moved and before the outgoing engine is retired — the
-	// window the swap-under-fire chaos suite stretches with injected
-	// latency while traffic is in flight.
+	// ServerSwap fires inside promote and rollback, after the new slot view
+	// is stored and before the swap event is recorded — the window the
+	// swap-under-fire chaos suite stretches with injected latency while
+	// traffic is in flight.
 	ServerSwap Point = "server.swap"
 	// ServerShadow fires at the start of every shadow-scoring task, on the
 	// shadow goroutine — injected latency or errors there must never be

@@ -217,8 +217,9 @@ func TestDriftGaugesMove(t *testing.T) {
 	}
 }
 
-// TestEnableDriftRegistersOnExistingRegistry: the post-construction path.
-func TestEnableDriftRegistersOnExistingRegistry(t *testing.T) {
+// TestEnableDriftNilKeepsAttachedMonitor: attaching a monitor after
+// construction, then EnableDrift(nil), leaves the attached monitor in place.
+func TestEnableDriftNilKeepsAttachedMonitor(t *testing.T) {
 	m, c := trainedModel(t)
 	reg := obs.NewRegistry()
 	eng := New(m, WithMetrics(reg))

@@ -1,7 +1,7 @@
 // Package nn builds neural-network training machinery on top of the
 // autodiff tape: named parameter collections, initialization, dense layers,
-// the Adam optimizer, learning-rate schedules, gradient clipping, early
-// stopping, and gob-based persistence.
+// the Adam optimizer, learning-rate schedules, gradient clipping,
+// standardization fits, early stopping, and gob-based persistence.
 package nn
 
 import (
@@ -229,10 +229,9 @@ const stepRange = 4096
 // of a training step — gradient merge, global-norm clip and update — over
 // storage Adam allocates once per parameter and keeps.
 type Adam struct {
-	lr, Beta1, Beta2, Eps float64
-	WeightDecay           float64 // decoupled (AdamW-style); 0 disables
-	t                     int
-	state                 map[string]*adamState
+	lr    float64
+	t     int
+	state map[string]*adamState
 	// active and ranges are Step's plan, reused from step to step.
 	active []*adamState
 	ranges []adamRange
@@ -255,9 +254,18 @@ type adamRange struct {
 	lo, hi int
 }
 
-// NewAdam returns an Adam optimizer with standard betas (0.9, 0.999).
+// Adam's moment decay rates and denominator guard, the standard settings.
+// They are typed: an untyped 1-adamBeta1 would fold exactly to 0.1 rather
+// than round 1 minus float64(0.9), and move every update's bits.
+const (
+	adamBeta1 float64 = 0.9
+	adamBeta2 float64 = 0.999
+	adamEps   float64 = 1e-8
+)
+
+// NewAdam returns an Adam optimizer with the standard betas (0.9, 0.999).
 func NewAdam(lr float64) *Adam {
-	return &Adam{lr: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, state: make(map[string]*adamState)}
+	return &Adam{lr: lr, state: make(map[string]*adamState)}
 }
 
 // SetLR overrides the base learning rate (used by schedules).
@@ -341,8 +349,8 @@ func (a *Adam) Step(p *Params, parts []*GradSet, maxNorm float64, workers int) f
 	}
 
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c1 := 1 - math.Pow(adamBeta1, float64(a.t))
+	c2 := 1 - math.Pow(adamBeta2, float64(a.t))
 	_ = par.For(ctx, workers, len(a.ranges), func(i int) error {
 		a.update(a.ranges[i], clip, scale, c1, c2)
 		return nil
@@ -380,18 +388,58 @@ func (r adamRange) merge() {
 // gradient is multiplied by scale first when clip is set, and c1, c2 are
 // this step's bias corrections.
 func (a *Adam) update(r adamRange, clip bool, scale, c1, c2 float64) {
-	b1, b2, eps, lr, wd := a.Beta1, a.Beta2, a.Eps, a.lr, a.WeightDecay
+	lr := a.lr
 	w, m, v, g := r.st.w[r.lo:r.hi], r.st.m[r.lo:r.hi], r.st.v[r.lo:r.hi], r.st.acc[r.lo:r.hi]
 	for i, gi := range g {
 		if clip {
 			gi *= scale
 		}
-		m[i] = b1*m[i] + (1-b1)*gi
-		v[i] = b2*v[i] + (1-b2)*gi*gi
+		m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
+		v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
 		mhat := m[i] / c1
 		vhat := v[i] / c2
-		w[i] -= lr * (mhat/(math.Sqrt(vhat)+eps) + wd*w[i])
+		w[i] -= lr * (mhat / (math.Sqrt(vhat) + adamEps))
 	}
+}
+
+// --- standardization ---
+
+// FitStandardization fits a per-column standardization (x−mean)/std: it
+// returns the mean and the population standard deviation of the dim-wide
+// rows that each passes to visit. It runs each twice, for the means and
+// then for the deviations, and sums the rows in the order each visits them,
+// which must be the same both times. A deviation under 1e-6 becomes 1, so a
+// constant column is centred but not scaled. With no rows it returns nil,
+// nil: there is nothing to standardize by.
+func FitStandardization(dim int, each func(visit func(row []float64))) (mean, std []float64) {
+	mean = make([]float64, dim)
+	n := 0
+	each(func(row []float64) {
+		for j, v := range row {
+			mean[j] += v
+		}
+		n++
+	})
+	if n == 0 {
+		return nil, nil
+	}
+	for j := range mean {
+		mean[j] /= float64(n)
+	}
+	std = make([]float64, dim)
+	each(func(row []float64) {
+		for j, v := range row {
+			d := v - mean[j]
+			std[j] += d * d
+		}
+	})
+	for j := range std {
+		std[j] = math.Sqrt(std[j] / float64(n))
+		if std[j] < 1e-6 {
+			std[j] = 1
+		}
+	}
+	return mean, std
 }
 
 // --- schedules ---

