@@ -82,19 +82,21 @@ cover:
 		   printf "total coverage %s (floor %s%%)\n", $$3, min; \
 		   if (pct + 0 < min + 0) { print "FAIL: coverage below floor"; exit 1 } }'
 
-# Short-budget fuzz pass over every fuzz target. go test accepts a single
-# -fuzz pattern per invocation, hence one line per target; the committed
-# seed corpora under testdata/fuzz/ run in the ordinary `make test` too.
+# Short-budget fuzz pass over every fuzz target in the tree. go test accepts
+# a single -fuzz pattern per invocation, so each package's targets are
+# listed with `go test -list` and run one at a time: a new target joins
+# without editing this file. The committed seed corpora under
+# testdata/fuzz/ run in the ordinary `make test` too.
 # -fuzzminimizetime 0s spends the budget fuzzing: Go's default minimizes
 # each new interesting input for up to 60 s, which ate the whole 10 s.
 # A failing input is still reported and saved under testdata/fuzz/.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s -fuzzminimizetime 0s ./internal/table/
-	$(GO) test -run '^$$' -fuzz FuzzCSVTable -fuzztime 10s -fuzzminimizetime 0s ./internal/table/
-	$(GO) test -run '^$$' -fuzz FuzzTableRequestDecode -fuzztime 10s -fuzzminimizetime 0s ./internal/server/
-	$(GO) test -run '^$$' -fuzz FuzzModelsRequestDecode -fuzztime 10s -fuzzminimizetime 0s ./internal/server/
-	$(GO) test -run '^$$' -fuzz FuzzModelLoad -fuzztime 10s -fuzzminimizetime 0s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzExtract -fuzztime 10s -fuzzminimizetime 0s ./internal/features/
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 0s $$pkg; \
+		done; \
+	done
 
 # One quick-scale pass per paper table/figure plus component micro-benches.
 bench:

@@ -23,7 +23,7 @@ func TestTapeReuseProducesIdenticalResults(t *testing.T) {
 		vw1, vw2 := tape.Param(w1), tape.Param(w2)
 		h := tape.ReLU(tape.MatMul(vx, vw1))
 		logits := tape.MatMul(h, vw2)
-		loss := tape.SoftmaxCrossEntropy(logits, labels, nil)
+		loss := tape.SoftmaxCrossEntropy(logits, labels)
 		tape.Backward(loss)
 		// Clone: grads live in the arena and die at the next Reset.
 		return loss.Value.Data[0], vw1.Grad.Clone(), vw2.Grad.Clone()
@@ -65,7 +65,7 @@ func TestTapeSteadyStateAllocFree(t *testing.T) {
 		vx := tape.Constant(x)
 		h := tape.ReLU(tape.AddRow(tape.MatMul(vx, tape.Param(w1)), tape.Param(b1)))
 		logits := tape.MatMul(h, tape.Param(w2))
-		loss := tape.SoftmaxCrossEntropy(logits, labels, nil)
+		loss := tape.SoftmaxCrossEntropy(logits, labels)
 		tape.Backward(loss)
 	}
 	// Warm the arena: first run grows every pool to steady-state shape.
@@ -101,7 +101,7 @@ func TestEdgeMixSteadyStateAllocFree(t *testing.T) {
 		tape.Reset()
 		vh, vw := tape.Param(h), tape.Param(w)
 		out := tape.EdgeMix(vh, vw, rows, src, dst, 12, inv)
-		loss := tape.SoftmaxCrossEntropy(out, labels, nil)
+		loss := tape.SoftmaxCrossEntropy(out, labels)
 		tape.Backward(loss)
 	}
 	step()
@@ -133,7 +133,7 @@ func TestTapeArenaBoundedAcrossShapes(t *testing.T) {
 		}
 		tape.Reset()
 		h := tape.ReLU(tape.AddRow(tape.MatMul(tape.Constant(x), tape.Param(w1)), tape.Param(b1)))
-		loss := tape.SoftmaxCrossEntropy(tape.MatMul(h, tape.Param(w2)), labels, nil)
+		loss := tape.SoftmaxCrossEntropy(tape.MatMul(h, tape.Param(w2)), labels)
 		tape.Backward(loss)
 		step := 0
 		for _, m := range tape.used {

@@ -26,7 +26,7 @@
 //	x := tape.Constant(input)
 //	w := tape.Param(weights)       // gradient will be accumulated
 //	h := tape.ReLU(tape.MatMul(x, w))
-//	loss := tape.SoftmaxCrossEntropy(h, labels, nil)
+//	loss := tape.SoftmaxCrossEntropy(h, labels)
 //	tape.Backward(loss)
 //	// w.Grad now holds ∂loss/∂w — read it before the next Reset,
 //	// or copy it out: the buffer returns to the arena.
@@ -85,11 +85,11 @@ type opRecord struct {
 	kind opKind
 	out  *Var
 	a, b *Var
-	s    float64        // Scale factor, SoftmaxXEnt total weight
+	s    float64        // Scale factor, SoftmaxXEnt unmasked row count
 	idx  []int          // gather/scatter indices, EdgeMix pos, SoftmaxXEnt labels
 	idx2 []int          // EdgeMix dst
 	idx3 []int          // EdgeMix source rows
-	sc   []float64      // SoftmaxXEnt weights, EdgeMix inv-degree
+	sc   []float64      // EdgeMix inv-degree
 	aux  *tensor.Matrix // Dropout mask, SoftmaxXEnt probs, EdgeMix h[rows]
 	vars []*Var         // ConcatCols inputs
 }
@@ -313,18 +313,14 @@ func (t *Tape) backwardOp(r *opRecord) {
 	case opSoftmaxXEnt:
 		gs := g.Data[0]
 		gl := t.grad(r.a)
-		probs, labels, weights, totalW := r.aux, r.idx, r.sc, r.s
+		probs, labels, rows := r.aux, r.idx, r.s
+		scale := gs / rows
 		for i, lab := range labels {
 			if lab < 0 {
 				continue
 			}
-			w := 1.0
-			if weights != nil {
-				w = weights[i]
-			}
 			prow := probs.Row(i)
 			grow := gl.Row(i)
-			scale := gs * w / totalW
 			for j, p := range prow {
 				grow[j] += scale * p
 			}
@@ -571,25 +567,18 @@ func (t *Tape) ConcatCols(vars ...*Var) *Var {
 
 // SoftmaxCrossEntropy computes mean cross-entropy between row-wise softmax
 // of logits and integer labels. Rows with label < 0 are ignored (masked).
-// weights, if non-nil, rescales each row's contribution (e.g. class
-// re-weighting); it must have len == logits.Rows. labels and weights are
-// retained by reference until Reset.
+// labels is retained by reference until Reset.
 // Returns a 1×1 loss Var.
-func (t *Tape) SoftmaxCrossEntropy(logits *Var, labels []int, weights []float64) *Var {
+func (t *Tape) SoftmaxCrossEntropy(logits *Var, labels []int) *Var {
 	n, c := logits.Value.Rows, logits.Value.Cols
 	if len(labels) != n {
 		panic(fmt.Sprintf("autodiff: %d labels for %d rows", len(labels), n))
 	}
 	probs := t.allocZero(n, c)
-	var loss float64
-	var totalW float64
+	var loss, rows float64
 	for i := 0; i < n; i++ {
 		if labels[i] < 0 {
 			continue
-		}
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
 		}
 		row := logits.Value.Row(i)
 		mx := math.Inf(-1)
@@ -608,18 +597,18 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Var, labels []int, weights []float64)
 		for j := range prow {
 			prow[j] /= z
 		}
-		loss += -w * math.Log(math.Max(prow[labels[i]], 1e-12))
-		totalW += w
+		loss -= math.Log(math.Max(prow[labels[i]], 1e-12))
+		rows++
 	}
-	if totalW == 0 {
-		totalW = 1
+	if rows == 0 {
+		rows = 1
 	}
-	loss /= totalW
+	loss /= rows
 	outVal := t.alloc(1, 1)
 	outVal.Data[0] = loss
 	out := t.newVar(outVal, logits.needsGrad)
 	if out.needsGrad {
-		t.record(opRecord{kind: opSoftmaxXEnt, out: out, a: logits, idx: labels, sc: weights, aux: probs, s: totalW})
+		t.record(opRecord{kind: opSoftmaxXEnt, out: out, a: logits, idx: labels, aux: probs, s: rows})
 	}
 	return out
 }

@@ -55,7 +55,7 @@ func TestMatMulGradient(t *testing.T) {
 		tape := NewTape()
 		va, vb := tape.Param(a), tape.Param(b)
 		out := tape.MatMul(va, vb)
-		loss := tape.SoftmaxCrossEntropy(out, labels, nil)
+		loss := tape.SoftmaxCrossEntropy(out, labels)
 		tape.Backward(loss)
 		return va, vb, loss
 	}
@@ -63,7 +63,7 @@ func TestMatMulGradient(t *testing.T) {
 	lossOf := func() float64 {
 		tape := NewTape()
 		out := tape.MatMul(tape.Constant(a), tape.Constant(b))
-		return tape.SoftmaxCrossEntropy(out, labels, nil).Value.Data[0]
+		return tape.SoftmaxCrossEntropy(out, labels).Value.Data[0]
 	}
 	checkGrad(t, "matmul/a", a, va.Grad, lossOf)
 	checkGrad(t, "matmul/b", b, vb.Grad, lossOf)
@@ -78,13 +78,13 @@ func TestAddRowGradient(t *testing.T) {
 	tape := NewTape()
 	vb := tape.Param(bias)
 	out := tape.AddRow(tape.Constant(x), vb)
-	loss := tape.SoftmaxCrossEntropy(out, labels, nil)
+	loss := tape.SoftmaxCrossEntropy(out, labels)
 	tape.Backward(loss)
 
 	lossOf := func() float64 {
 		tp := NewTape()
 		o := tp.AddRow(tp.Constant(x), tp.Constant(bias))
-		return tp.SoftmaxCrossEntropy(o, labels, nil).Value.Data[0]
+		return tp.SoftmaxCrossEntropy(o, labels).Value.Data[0]
 	}
 	checkGrad(t, "addrow/bias", bias, vb.Grad, lossOf)
 }
@@ -95,11 +95,11 @@ func TestReLUGradient(t *testing.T) {
 	labels := []int{0, 1, 2, 0, 1}
 	tape := NewTape()
 	vx := tape.Param(x)
-	loss := tape.SoftmaxCrossEntropy(tape.ReLU(vx), labels, nil)
+	loss := tape.SoftmaxCrossEntropy(tape.ReLU(vx), labels)
 	tape.Backward(loss)
 	lossOf := func() float64 {
 		tp := NewTape()
-		return tp.SoftmaxCrossEntropy(tp.ReLU(tp.Constant(x)), labels, nil).Value.Data[0]
+		return tp.SoftmaxCrossEntropy(tp.ReLU(tp.Constant(x)), labels).Value.Data[0]
 	}
 	checkGrad(t, "relu/x", x, vx.Grad, lossOf)
 }
@@ -111,11 +111,11 @@ func TestGatherScatterGradients(t *testing.T) {
 	labels := []int{0, 1, 2, 0, 1}
 	tape := NewTape()
 	vx := tape.Param(x)
-	loss := tape.SoftmaxCrossEntropy(tape.GatherRows(vx, idx), labels, nil)
+	loss := tape.SoftmaxCrossEntropy(tape.GatherRows(vx, idx), labels)
 	tape.Backward(loss)
 	lossOf := func() float64 {
 		tp := NewTape()
-		return tp.SoftmaxCrossEntropy(tp.GatherRows(tp.Constant(x), idx), labels, nil).Value.Data[0]
+		return tp.SoftmaxCrossEntropy(tp.GatherRows(tp.Constant(x), idx), labels).Value.Data[0]
 	}
 	checkGrad(t, "gather/x", x, vx.Grad, lossOf)
 
@@ -125,11 +125,11 @@ func TestGatherScatterGradients(t *testing.T) {
 	slabels := []int{1, 0, 2}
 	tape2 := NewTape()
 	vs := tape2.Param(src)
-	loss2 := tape2.SoftmaxCrossEntropy(tape2.ScatterAddRows(vs, sidx, 3), slabels, nil)
+	loss2 := tape2.SoftmaxCrossEntropy(tape2.ScatterAddRows(vs, sidx, 3), slabels)
 	tape2.Backward(loss2)
 	lossOf2 := func() float64 {
 		tp := NewTape()
-		return tp.SoftmaxCrossEntropy(tp.ScatterAddRows(tp.Constant(src), sidx, 3), slabels, nil).Value.Data[0]
+		return tp.SoftmaxCrossEntropy(tp.ScatterAddRows(tp.Constant(src), sidx, 3), slabels).Value.Data[0]
 	}
 	checkGrad(t, "scatter/src", src, vs.Grad, lossOf2)
 }
@@ -141,30 +141,29 @@ func TestConcatColsGradient(t *testing.T) {
 	labels := []int{0, 4}
 	tape := NewTape()
 	va, vb := tape.Param(a), tape.Param(b)
-	loss := tape.SoftmaxCrossEntropy(tape.ConcatCols(va, vb), labels, nil)
+	loss := tape.SoftmaxCrossEntropy(tape.ConcatCols(va, vb), labels)
 	tape.Backward(loss)
 	lossOf := func() float64 {
 		tp := NewTape()
-		return tp.SoftmaxCrossEntropy(tp.ConcatCols(tp.Constant(a), tp.Constant(b)), labels, nil).Value.Data[0]
+		return tp.SoftmaxCrossEntropy(tp.ConcatCols(tp.Constant(a), tp.Constant(b)), labels).Value.Data[0]
 	}
 	checkGrad(t, "concatcols/a", a, va.Grad, lossOf)
 	checkGrad(t, "concatcols/b", b, vb.Grad, lossOf)
 }
 
-func TestSoftmaxCrossEntropyMaskedAndWeighted(t *testing.T) {
+func TestSoftmaxCrossEntropyMasked(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x := randMat(rng, 4, 3)
 	labels := []int{0, -1, 2, 1} // row 1 masked
-	weights := []float64{1, 1, 2, 0.5}
 	tape := NewTape()
 	vx := tape.Param(x)
-	loss := tape.SoftmaxCrossEntropy(vx, labels, weights)
+	loss := tape.SoftmaxCrossEntropy(vx, labels)
 	tape.Backward(loss)
 	lossOf := func() float64 {
 		tp := NewTape()
-		return tp.SoftmaxCrossEntropy(tp.Constant(x), labels, weights).Value.Data[0]
+		return tp.SoftmaxCrossEntropy(tp.Constant(x), labels).Value.Data[0]
 	}
-	checkGrad(t, "xent/weighted", x, vx.Grad, lossOf)
+	checkGrad(t, "xent/masked", x, vx.Grad, lossOf)
 	// masked row must get zero gradient
 	for j := 0; j < 3; j++ {
 		if vx.Grad.At(1, j) != 0 {
@@ -177,7 +176,7 @@ func TestSoftmaxCrossEntropyValue(t *testing.T) {
 	// Uniform logits over C classes → loss = ln C.
 	tape := NewTape()
 	x := tensor.New(2, 4)
-	loss := tape.SoftmaxCrossEntropy(tape.Constant(x), []int{0, 3}, nil)
+	loss := tape.SoftmaxCrossEntropy(tape.Constant(x), []int{0, 3})
 	if math.Abs(loss.Value.Data[0]-math.Log(4)) > 1e-12 {
 		t.Fatalf("uniform-logit loss = %v want ln4", loss.Value.Data[0])
 	}
@@ -189,11 +188,11 @@ func TestScaleGradient(t *testing.T) {
 	labels := []int{0, 2}
 	tape := NewTape()
 	va := tape.Param(a)
-	loss := tape.SoftmaxCrossEntropy(tape.Scale(va, 1.7), labels, nil)
+	loss := tape.SoftmaxCrossEntropy(tape.Scale(va, 1.7), labels)
 	tape.Backward(loss)
 	lossOf := func() float64 {
 		tp := NewTape()
-		return tp.SoftmaxCrossEntropy(tp.Scale(tp.Constant(a), 1.7), labels, nil).Value.Data[0]
+		return tp.SoftmaxCrossEntropy(tp.Scale(tp.Constant(a), 1.7), labels).Value.Data[0]
 	}
 	checkGrad(t, "scale/a", a, va.Grad, lossOf)
 }
@@ -232,7 +231,7 @@ func TestDropoutGradientMatchesMask(t *testing.T) {
 	tape := NewTape()
 	vx := tape.Param(x)
 	out := tape.Dropout(vx, 0.4, rand.New(rand.NewSource(7)), true)
-	loss := tape.SoftmaxCrossEntropy(out, labels, nil)
+	loss := tape.SoftmaxCrossEntropy(out, labels)
 	tape.Backward(loss)
 	// Gradient must be zero exactly where output was zeroed (unless the
 	// input itself was nonzero but masked).
@@ -289,7 +288,7 @@ func TestConstantSubtreeSkipped(t *testing.T) {
 	c := tape.Add(a, b)
 	p := tape.Param(tensor.FromSlice(1, 2, []float64{0, 0}))
 	out := tape.Add(c, p)
-	loss := tape.SoftmaxCrossEntropy(out, []int{1}, nil)
+	loss := tape.SoftmaxCrossEntropy(out, []int{1})
 	tape.Backward(loss)
 	if a.Grad != nil || b.Grad != nil || c.Grad != nil {
 		t.Fatal("constant subtree received gradients")
@@ -313,13 +312,13 @@ func TestTwoLayerMLPGradient(t *testing.T) {
 	}
 	tape := NewTape()
 	vw1, vb1, vw2, vb2 := tape.Param(w1), tape.Param(b1), tape.Param(w2), tape.Param(b2)
-	loss := tape.SoftmaxCrossEntropy(forward(tape, vw1, vb1, vw2, vb2), labels, nil)
+	loss := tape.SoftmaxCrossEntropy(forward(tape, vw1, vb1, vw2, vb2), labels)
 	tape.Backward(loss)
 	lossOf := func() float64 {
 		tp := NewTape()
 		return tp.SoftmaxCrossEntropy(
 			forward(tp, tp.Constant(w1), tp.Constant(b1), tp.Constant(w2), tp.Constant(b2)),
-			labels, nil).Value.Data[0]
+			labels).Value.Data[0]
 	}
 	checkGrad(t, "mlp/w1", w1, vw1.Grad, lossOf)
 	checkGrad(t, "mlp/b1", b1, vb1.Grad, lossOf)

@@ -95,7 +95,7 @@ func TestEdgeMixMatchesAllRows(t *testing.T) {
 			mix := tape.EdgeMix(vh, vw, rows, pos, c.dst, n, inv)
 			// Recorded after EdgeMix, so its backward writes ∂h first.
 			self := tape.MatMul(vh, tape.Param(ws))
-			tape.Backward(tape.SoftmaxCrossEntropy(tape.Add(mix, self), labels, nil))
+			tape.Backward(tape.SoftmaxCrossEntropy(tape.Add(mix, self), labels))
 
 			gh, gw := tensor.New(n, in), tensor.New(in, out)
 			tensor.MatMulTransposeBAddInto(gh, self.Grad, ws)

@@ -120,7 +120,6 @@ type TrainOpts struct {
 	Patience     int
 	Dropout      float64
 	Seed         int64
-	Logf         func(format string, args ...any)
 }
 
 // Classifier is a trained columnar model: per-group subnetworks feeding a
@@ -238,11 +237,6 @@ func TrainClassifier(groups []Group, classes int, train, val *Dataset, opts Trai
 			visit(train.X.Row(i))
 		}
 	})
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-
 	xTrain := c.scale(train.X)
 	n := xTrain.Rows
 	batch := opts.BatchSize
@@ -261,7 +255,6 @@ func TrainClassifier(groups []Group, classes int, train, val *Dataset, opts Trai
 
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		var epochLoss float64
 		for at := 0; at < n; at += batch {
 			end := at + batch
 			if end > n {
@@ -276,16 +269,13 @@ func TrainClassifier(groups []Group, classes int, train, val *Dataset, opts Trai
 			tape := autodiff.NewTape()
 			grads := nn.NewGradSet()
 			logits := c.forward(tape, grads, tape.Constant(xb), rng, true)
-			loss := tape.SoftmaxCrossEntropy(logits, yb, nil)
-			tape.Backward(loss)
+			tape.Backward(tape.SoftmaxCrossEntropy(logits, yb))
 			opt.SetLR(nn.LinearDecay(opts.LearningRate, step, totalSteps))
 			opt.Step(c.params, []*nn.GradSet{grads}, 5, 1)
 			step++
-			epochLoss += loss.Value.Data[0]
 		}
 		if val != nil && val.X.Rows > 0 {
 			f1 := eval.ComputeSplit(c.Predict(val)).Overall.WeightedF1
-			logf("baseline: epoch %d loss=%.4f val-wF1=%.4f", epoch, epochLoss/float64(stepsPerEpoch), f1)
 			if stopper.Observe(epoch, f1, c.params) {
 				break
 			}

@@ -19,9 +19,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/obs"
@@ -53,14 +53,13 @@ const CheckpointVersion uint32 = 2
 // than this binary understands. Callers can errors.As on it to tell "too
 // new" apart from "corrupt".
 type UnsupportedVersionError struct {
-	Artifact string // "checkpoint"
-	Got      uint32
-	Max      uint32
+	Got uint32
+	Max uint32
 }
 
 func (e *UnsupportedVersionError) Error() string {
-	return fmt.Sprintf("core: %s format version %d is newer than this binary supports (max %d)",
-		e.Artifact, e.Got, e.Max)
+	return fmt.Sprintf("core: checkpoint format version %d is newer than this binary supports (max %d)",
+		e.Got, e.Max)
 }
 
 // EncoderMismatchError reports a supplied encoder whose config differs
@@ -98,17 +97,12 @@ func readHeader(r io.Reader, maxVersion uint32) (uint32, error) {
 		return 0, fmt.Errorf("core: checkpoint declares version 0 (corrupt header)")
 	}
 	if v > maxVersion {
-		return 0, &UnsupportedVersionError{Artifact: "checkpoint", Got: v, Max: maxVersion}
+		return 0, &UnsupportedVersionError{Got: v, Max: maxVersion}
 	}
 	return v, nil
 }
 
 // --- drift baseline ---
-
-// maxDriftConfBounds caps the confidence bounds a checkpoint's baseline may
-// declare: DriftMonitor.Observe is linear in them per prediction, and
-// obs.ConfidenceBuckets has 20.
-const maxDriftConfBounds = 64
 
 // ComputeDriftBaseline runs the trained model over its own training tables
 // and tallies the predicted-type distribution and confidence histogram —
@@ -122,7 +116,6 @@ const maxDriftConfBounds = 64
 func (m *Model) ComputeDriftBaseline(tables []*table.Table) obs.DriftBaseline {
 	b := obs.DriftBaseline{
 		TypeCounts: map[string]uint64{},
-		ConfBounds: obs.ConfidenceBuckets,
 		ConfCounts: make([]uint64, len(obs.ConfidenceBuckets)+1),
 	}
 	temp := m.Temperature()
@@ -133,11 +126,7 @@ func (m *Model) ComputeDriftBaseline(tables []*table.Table) obs.DriftBaseline {
 		softmaxRows(logits, temp)
 		for _, cp := range m.DecodePredictions(p, logits, targets, 0, len(targets), tables[i]) {
 			b.TypeCounts[cp.Type]++
-			j := 0
-			for j < len(b.ConfBounds) && cp.Confidence > b.ConfBounds[j] {
-				j++
-			}
-			b.ConfCounts[j]++
+			b.ConfCounts[obs.ConfidenceBucket(cp.Confidence)]++
 		}
 	})
 	return b
@@ -168,14 +157,19 @@ func putDrift(meta *savedMeta, b obs.DriftBaseline, labelIndex map[string]int) e
 			meta.DriftTypeCounts[i] = c
 		}
 	}
-	meta.DriftConfBounds, meta.DriftConfCounts = b.ConfBounds, b.ConfCounts
+	// The bounds are always obs.ConfidenceBuckets. They are still written,
+	// so older binaries, which read the bounds from the file, load it.
+	if len(b.ConfCounts) > 0 {
+		meta.DriftConfBounds = obs.ConfidenceBuckets
+	}
+	meta.DriftConfCounts = b.ConfCounts
 	return validateDrift(meta)
 }
 
 // getDrift rebuilds the baseline putDrift stored. The map holds the nonzero
 // counts, exactly the map ComputeDriftBaseline returns.
 func getDrift(meta *savedMeta) obs.DriftBaseline {
-	b := obs.DriftBaseline{ConfBounds: meta.DriftConfBounds, ConfCounts: meta.DriftConfCounts}
+	b := obs.DriftBaseline{ConfCounts: meta.DriftConfCounts}
 	if len(meta.DriftTypeCounts) > 0 || len(meta.DriftConfCounts) > 0 {
 		b.TypeCounts = map[string]uint64{}
 	}
@@ -188,10 +182,10 @@ func getDrift(meta *savedMeta) obs.DriftBaseline {
 }
 
 // validateDrift rejects a stored baseline whose shape obs.DriftMonitor
-// cannot score against: counts not aligned with the vocabulary, too many
-// or unordered confidence bounds, or a histogram not sized to its bounds.
-// It also rejects type counts whose sum overflows uint64: Total would wrap,
-// and a sum of exactly 2^64 would read as no baseline at all.
+// cannot score against: counts not aligned with the vocabulary, confidence
+// bounds other than obs.ConfidenceBuckets, or a histogram not sized to
+// them. It also rejects type counts whose sum overflows uint64: Total would
+// wrap, and a sum of exactly 2^64 would read as no baseline at all.
 func validateDrift(meta *savedMeta) error {
 	if n := len(meta.DriftTypeCounts); n != 0 && n != len(meta.Types) {
 		return fmt.Errorf("core: checkpoint drift baseline has %d type counts for %d types", n, len(meta.Types))
@@ -202,16 +196,14 @@ func validateDrift(meta *savedMeta) error {
 			return fmt.Errorf("core: checkpoint drift baseline type counts overflow uint64")
 		}
 	}
-	bounds := meta.DriftConfBounds
-	if len(bounds) > maxDriftConfBounds {
-		return fmt.Errorf("core: checkpoint drift baseline has %d confidence bounds (max %d)", len(bounds), maxDriftConfBounds)
+	nb, nc := len(meta.DriftConfBounds), len(meta.DriftConfCounts)
+	if nb == 0 && nc == 0 {
+		return nil
 	}
-	for i, v := range bounds {
-		if math.IsNaN(v) || math.IsInf(v, 0) || (i > 0 && v <= bounds[i-1]) {
-			return fmt.Errorf("core: checkpoint drift baseline confidence bounds are not finite and ascending")
-		}
+	if !slices.Equal(meta.DriftConfBounds, obs.ConfidenceBuckets) {
+		return fmt.Errorf("core: checkpoint drift baseline confidence bounds are not obs.ConfidenceBuckets")
 	}
-	if nb, nc := len(bounds), len(meta.DriftConfCounts); nc != nb+1 && (nb != 0 || nc != 0) {
+	if nc != nb+1 {
 		return fmt.Errorf("core: checkpoint drift baseline has %d confidence counts for %d bounds", nc, nb)
 	}
 	return nil

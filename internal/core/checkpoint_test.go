@@ -57,7 +57,7 @@ func TestLoadRejectsFutureVersion(t *testing.T) {
 	if !errors.As(err, &uv) {
 		t.Fatalf("future-version load: err = %v, want *UnsupportedVersionError", err)
 	}
-	if uv.Got != CheckpointVersion+7 || uv.Max != CheckpointVersion || uv.Artifact != "checkpoint" {
+	if uv.Got != CheckpointVersion+7 || uv.Max != CheckpointVersion {
 		t.Fatalf("typed error fields = %+v", uv)
 	}
 	if !strings.Contains(uv.Error(), "newer than this binary") {
@@ -258,8 +258,8 @@ func TestDriftBaselineCheckpointRoundTrip(t *testing.T) {
 	if base.Total() != 2 {
 		t.Fatalf("baseline total = %d, want one count per column", base.Total())
 	}
-	if len(base.ConfBounds) != len(obs.ConfidenceBuckets) {
-		t.Fatalf("baseline bounds = %d, want the shared ConfidenceBuckets", len(base.ConfBounds))
+	if len(base.ConfCounts) != len(obs.ConfidenceBuckets)+1 {
+		t.Fatalf("baseline confidence counts = %d, want one per ConfidenceBuckets bucket", len(base.ConfCounts))
 	}
 	if got := m.DriftBaseline(); got.Total() != 0 {
 		t.Fatalf("ComputeDriftBaseline set the model's baseline: %+v", got)
@@ -288,7 +288,6 @@ func TestDriftBaselineSaveDeterministic(t *testing.T) {
 	m := newModel(Config{Encoder: tinyEncoder(), GNNLayers: 1, HiddenDim: 32, Seed: 3}, fuzzTypes)
 	m.SetDriftBaseline(obs.DriftBaseline{
 		TypeCounts: map[string]uint64{"player.age": 5, "player.height": 2, "team.name": 9},
-		ConfBounds: obs.ConfidenceBuckets,
 		ConfCounts: make([]uint64, len(obs.ConfidenceBuckets)+1),
 	})
 	var first bytes.Buffer
@@ -370,6 +369,86 @@ func TestLoadPreDriftCheckpoint(t *testing.T) {
 	}
 }
 
+// boundsMeta is savedMeta as a binary whose drift baseline carried its own
+// confidence bounds wrote it: DriftConfBounds held the bounds the counts
+// were taken over, always LinearBuckets(0.05, 0.05, 20), and Load read them
+// from the file. gob matches struct fields by name, so this type stands in
+// for the old one.
+type boundsMeta struct {
+	Types             []string
+	Hidden            int
+	Encoder           lm.Config
+	HiddenDim         int
+	GNNLayers         int
+	PlainLMStates     bool
+	Graph             graph.BuildOptions
+	FeatMean, FeatStd []float64
+	LMMean, LMStd     []float64
+	Temperature       float64
+	DriftTypeCounts   []uint64
+	DriftConfBounds   []float64
+	DriftConfCounts   []uint64
+}
+
+// decodeBoundsMeta decodes a checkpoint's metadata as that binary did.
+func decodeBoundsMeta(tb testing.TB, raw []byte) boundsMeta {
+	tb.Helper()
+	var meta boundsMeta
+	if err := gob.NewDecoder(bytes.NewReader(raw[len(checkpointMagic)+4:])).Decode(&meta); err != nil {
+		tb.Fatal(err)
+	}
+	return meta
+}
+
+// TestLoadBoundsCheckpoint: a checkpoint whose baseline stored its own
+// confidence bounds loads with the same baseline, and Save writes the same
+// metadata, so a binary that reads the bounds from the file loads what this
+// one saves.
+func TestLoadBoundsCheckpoint(t *testing.T) {
+	enc := tinyEncoder()
+	m := driftModel(Config{Encoder: enc, GNNLayers: 1, HiddenDim: 32, Seed: 3})
+	b := m.DriftBaseline()
+	meta := boundsMeta{
+		Types: m.types, Encoder: m.enc.Config(), HiddenDim: m.cfg.HiddenDim,
+		GNNLayers: m.cfg.GNNLayers, PlainLMStates: m.cfg.PlainLMStates,
+		Graph: m.cfg.Graph, FeatMean: m.featMean, FeatStd: m.featStd,
+		LMMean: m.lmMean, LMStd: m.lmStd, Temperature: m.temperature,
+		DriftTypeCounts: make([]uint64, len(m.types)),
+		DriftConfBounds: obs.LinearBuckets(0.05, 0.05, 20),
+		DriftConfCounts: b.ConfCounts,
+	}
+	for i, name := range m.types {
+		meta.DriftTypeCounts[i] = b.TypeCounts[name]
+	}
+	var old bytes.Buffer
+	if err := writeHeader(&old, CheckpointVersion); err != nil {
+		t.Fatal(err)
+	}
+	ge := gob.NewEncoder(&old)
+	if err := ge.Encode(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.params.EncodeGob(ge); err != nil {
+		t.Fatal(err)
+	}
+	raw := old.Bytes()
+	got, err := Load(bytes.NewReader(raw), Config{Encoder: enc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.DriftBaseline(), b) {
+		t.Fatalf("baseline %+v, want %+v", got.DriftBaseline(), b)
+	}
+
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if have, want := decodeBoundsMeta(t, saved.Bytes()), decodeBoundsMeta(t, raw); !reflect.DeepEqual(have, want) {
+		t.Fatalf("Save wrote metadata %+v, want %+v", have, want)
+	}
+}
+
 // TestSaveRejectsUnknownDriftType: a baseline naming a type outside the
 // model's vocabulary has no slot in the checkpoint, so Save fails before
 // writing anything; so does one shaped so Load would reject it.
@@ -380,7 +459,7 @@ func TestSaveRejectsUnknownDriftType(t *testing.T) {
 		want string
 	}{
 		{obs.DriftBaseline{TypeCounts: map[string]uint64{"player.age": 1, "city.name": 2}}, "city.name"},
-		{obs.DriftBaseline{TypeCounts: map[string]uint64{"player.age": 1}, ConfBounds: obs.ConfidenceBuckets}, "confidence counts"},
+		{obs.DriftBaseline{TypeCounts: map[string]uint64{"player.age": 1}, ConfCounts: make([]uint64, len(obs.ConfidenceBuckets))}, "confidence counts"},
 	} {
 		m.SetDriftBaseline(tc.b)
 		var buf bytes.Buffer
@@ -408,18 +487,22 @@ var malformedDrift = []struct {
 		m.DriftTypeCounts[0], m.DriftTypeCounts[1] = 1<<63, 1<<63
 	}},
 	{"too many bounds", "confidence bounds", func(m *savedMeta) {
-		m.DriftConfBounds = make([]float64, maxDriftConfBounds+1)
+		m.DriftConfBounds = make([]float64, len(obs.ConfidenceBuckets)+1)
 		for i := range m.DriftConfBounds {
 			m.DriftConfBounds[i] = float64(i)
 		}
 		m.DriftConfCounts = make([]uint64, len(m.DriftConfBounds)+1)
 	}},
-	{"NaN bound", "ascending", func(m *savedMeta) { m.DriftConfBounds[3] = math.NaN() }},
-	{"infinite bound", "ascending", func(m *savedMeta) { m.DriftConfBounds[19] = math.Inf(1) }},
-	{"repeated bound", "ascending", func(m *savedMeta) { m.DriftConfBounds[5] = m.DriftConfBounds[4] }},
-	{"descending bounds", "ascending", func(m *savedMeta) { m.DriftConfBounds[0], m.DriftConfBounds[1] = 0.5, 0.1 }},
+	{"NaN bound", "confidence bounds", func(m *savedMeta) { m.DriftConfBounds[3] = math.NaN() }},
+	{"infinite bound", "confidence bounds", func(m *savedMeta) { m.DriftConfBounds[19] = math.Inf(1) }},
+	{"repeated bound", "confidence bounds", func(m *savedMeta) { m.DriftConfBounds[5] = m.DriftConfBounds[4] }},
+	{"descending bounds", "confidence bounds", func(m *savedMeta) { m.DriftConfBounds[0], m.DriftConfBounds[1] = 0.5, 0.1 }},
+	{"bounds other than ConfidenceBuckets", "confidence bounds", func(m *savedMeta) {
+		m.DriftConfBounds = obs.LinearBuckets(0.1, 0.1, 10)
+		m.DriftConfCounts = make([]uint64, len(m.DriftConfBounds)+1)
+	}},
 	{"counts one short", "confidence counts", func(m *savedMeta) { m.DriftConfCounts = m.DriftConfCounts[1:] }},
-	{"counts without bounds", "confidence counts", func(m *savedMeta) { m.DriftConfBounds = nil }},
+	{"counts without bounds", "confidence bounds", func(m *savedMeta) { m.DriftConfBounds = nil }},
 	{"bounds without counts", "confidence counts", func(m *savedMeta) { m.DriftConfCounts = nil }},
 }
 
@@ -431,7 +514,6 @@ func driftModel(cfg Config) *Model {
 	counts[3], counts[20] = 4, 3
 	m.SetDriftBaseline(obs.DriftBaseline{
 		TypeCounts: map[string]uint64{"player.age": 3, "player.height": 1, "team.name": 3},
-		ConfBounds: obs.ConfidenceBuckets,
 		ConfCounts: counts,
 	})
 	return m

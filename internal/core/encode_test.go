@@ -39,11 +39,7 @@ func refNodeText(c *table.Column, opts table.SerializeOptions) string {
 	case opts.Header == table.HeaderSynthetic && c.SyntheticHeader != "":
 		s += " " + c.SyntheticHeader
 	}
-	vals := refValueStrings(c)
-	if opts.MaxValues > 0 && len(vals) > opts.MaxValues {
-		vals = vals[:opts.MaxValues]
-	}
-	for _, v := range vals {
+	for _, v := range refValueStrings(c) {
 		s += " " + v
 	}
 	return s + " [SEP]"
@@ -62,7 +58,7 @@ func TestPrepareMatchesPerCellPath(t *testing.T) {
 	gc.NumTables = 60
 	enc := lm.NewEncoder(lm.Config{Dim: 16, Layers: 1, Heads: 2, FFNDim: 32, MaxLen: 128, Buckets: 1 << 12, Seed: 5})
 	for _, c := range []*data.Corpus{data.GenerateSportsTables(sc), data.GenerateGitTables(gc)} {
-		for _, opts := range []table.SerializeOptions{{}, {Header: table.HeaderOriginal, MaxValues: 5}} {
+		for _, opts := range []table.SerializeOptions{{}, {Header: table.HeaderOriginal}} {
 			cfg := DefaultConfig(enc)
 			cfg.Graph.Serialization = opts
 			m := newModel(cfg, c.Types)

@@ -749,7 +749,7 @@ func (m *Model) trainStep(ctx context.Context, bp []*Prepared, opt *nn.Adam, cfg
 		gs := nn.NewGradSet()
 		rng := rand.New(rand.NewSource(subBatchSeed(cfg.Seed, step, si)))
 		logits, _ := m.forward(tape, gs, p, rng, true)
-		loss := tape.SoftmaxCrossEntropy(logits, labels[si], nil)
+		loss := tape.SoftmaxCrossEntropy(logits, labels[si])
 		scaled := tape.Scale(loss, float64(labeled)/denom)
 		tape.Backward(scaled)
 		grads[si] = gs

@@ -33,7 +33,6 @@ func scoredModel(t *testing.T, tables int) (*Model, *data.Corpus) {
 func serialDriftBaseline(m *Model, tables []*table.Table) obs.DriftBaseline {
 	b := obs.DriftBaseline{
 		TypeCounts: map[string]uint64{},
-		ConfBounds: obs.ConfidenceBuckets,
 		ConfCounts: make([]uint64, len(obs.ConfidenceBuckets)+1),
 	}
 	for _, t := range tables {
@@ -42,7 +41,7 @@ func serialDriftBaseline(m *Model, tables []*table.Table) obs.DriftBaseline {
 		for _, p := range m.DecodePredictions(prep, probs, targets, 0, len(targets), t) {
 			b.TypeCounts[p.Type]++
 			i := 0
-			for i < len(b.ConfBounds) && p.Confidence > b.ConfBounds[i] {
+			for i < len(obs.ConfidenceBuckets) && p.Confidence > obs.ConfidenceBuckets[i] {
 				i++
 			}
 			b.ConfCounts[i]++

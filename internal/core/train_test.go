@@ -239,11 +239,11 @@ func TestTrainParallelMatchesQuality(t *testing.T) {
 	}
 }
 
-// TestScorePreparedCtxWorkerCountInvariant pins the validation-scoring half
-// of the worker-count identity: the same prepared tables scored with 1 and
-// many workers must produce identical metrics (chunk boundaries shift with
-// the worker count; the scores must not).
-func TestScorePreparedCtxWorkerCountInvariant(t *testing.T) {
+// TestEvaluateWorkerCountInvariant pins the validation-scoring half of the
+// worker-count identity: evaluate on the same prepared tables at 1, 3 and 8
+// workers must produce identical metrics (chunk boundaries shift with the
+// worker count; the scores must not).
+func TestEvaluateWorkerCountInvariant(t *testing.T) {
 	c := tinyCorpus(20)
 	cfg := tinyConfig(tinyEncoder())
 	cfg.Epochs = 2

@@ -170,7 +170,7 @@ func TestHeteroConvGradientsFlowToAllWeights(t *testing.T) {
 	for i, n := range targets {
 		labels[i] = g.Labels[n]
 	}
-	loss := tape.SoftmaxCrossEntropy(logits, labels, nil)
+	loss := tape.SoftmaxCrossEntropy(logits, labels)
 	tape.Backward(loss)
 
 	for _, name := range p.Names() {
@@ -197,14 +197,14 @@ func TestHeteroConvGradientCheck(t *testing.T) {
 		tape := autodiff.NewTape()
 		out := hc.Apply(tape, nn.NewGradSet(), tape.Constant(states), g, true)
 		logits := tape.GatherRows(out, targets)
-		return tape.SoftmaxCrossEntropy(logits, labels, nil).Value.Data[0]
+		return tape.SoftmaxCrossEntropy(logits, labels).Value.Data[0]
 	}
 
 	tape := autodiff.NewTape()
 	grads := nn.NewGradSet()
 	out := hc.Apply(tape, grads, tape.Constant(states), g, true)
 	logits := tape.GatherRows(out, targets)
-	loss := tape.SoftmaxCrossEntropy(logits, labels, nil)
+	loss := tape.SoftmaxCrossEntropy(logits, labels)
 	tape.Backward(loss)
 
 	for _, name := range []string{"conv.edge1.w", "conv.self.w", "conv.b"} {
@@ -320,7 +320,7 @@ func TestLearnsContextDependentLabels(t *testing.T) {
 		grads := nn.NewGradSet()
 		out := hc.Apply(tape, grads, tape.Constant(states), g, false)
 		logits := tape.GatherRows(out, targets)
-		l := tape.SoftmaxCrossEntropy(logits, lab, nil)
+		l := tape.SoftmaxCrossEntropy(logits, lab)
 		tape.Backward(l)
 		opt.Step(p, []*nn.GradSet{grads}, math.Inf(1), 1)
 		loss = l.Value.Data[0]

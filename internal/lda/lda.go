@@ -8,11 +8,16 @@ import (
 	"math/rand"
 )
 
+// The Dirichlet priors. Short documents (tables serialize to a few dozen
+// tokens) need a small document-topic prior or smoothing drowns the signal.
+const (
+	alpha float64 = 0.1  // document-topic prior
+	beta  float64 = 0.01 // topic-word prior
+)
+
 // Model is a trained LDA topic model.
 type Model struct {
-	K     int // topics
-	Alpha float64
-	Beta  float64
+	K int // topics
 
 	vocab   map[string]int
 	vocabID []string
@@ -25,9 +30,7 @@ type Model struct {
 // Config controls training.
 type Config struct {
 	Topics     int
-	Alpha      float64 // document-topic prior (default 0.1)
-	Beta       float64 // topic-word prior (default 0.01)
-	Iterations int     // Gibbs sweeps (default 50)
+	Iterations int // Gibbs sweeps (default 50)
 	Seed       int64
 }
 
@@ -37,18 +40,10 @@ func Train(docs [][]string, cfg Config) (*Model, error) {
 	if cfg.Topics <= 0 {
 		return nil, fmt.Errorf("lda: Topics must be positive, got %d", cfg.Topics)
 	}
-	if cfg.Alpha == 0 {
-		// Short documents (tables serialize to a few dozen tokens) need a
-		// small prior or smoothing drowns the signal.
-		cfg.Alpha = 0.1
-	}
-	if cfg.Beta == 0 {
-		cfg.Beta = 0.01
-	}
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 50
 	}
-	m := &Model{K: cfg.Topics, Alpha: cfg.Alpha, Beta: cfg.Beta, vocab: map[string]int{}}
+	m := &Model{K: cfg.Topics, vocab: map[string]int{}}
 
 	// Build vocabulary and integer documents.
 	intDocs := make([][]int, len(docs))
@@ -92,7 +87,7 @@ func Train(docs [][]string, cfg Config) (*Model, error) {
 	}
 
 	probs := make([]float64, k)
-	vBeta := float64(v) * cfg.Beta
+	vBeta := float64(v) * beta
 	for it := 0; it < cfg.Iterations; it++ {
 		for d, doc := range intDocs {
 			for i, w := range doc {
@@ -103,8 +98,8 @@ func Train(docs [][]string, cfg Config) (*Model, error) {
 
 				var total float64
 				for t := 0; t < k; t++ {
-					p := (float64(docTopic[d][t]) + cfg.Alpha) *
-						(float64(topicWord[t][w]) + cfg.Beta) /
+					p := (float64(docTopic[d][t]) + alpha) *
+						(float64(topicWord[t][w]) + beta) /
 						(float64(topicTotal[t]) + vBeta)
 					probs[t] = p
 					total += p
@@ -168,7 +163,7 @@ func (m *Model) Infer(doc []string, iterations int, seed int64) []float64 {
 		docTopic[z]++
 	}
 	v := len(m.vocabID)
-	vBeta := float64(v) * m.Beta
+	vBeta := float64(v) * beta
 	probs := make([]float64, m.K)
 	for it := 0; it < iterations; it++ {
 		for i, w := range ids {
@@ -176,8 +171,8 @@ func (m *Model) Infer(doc []string, iterations int, seed int64) []float64 {
 			docTopic[z]--
 			var total float64
 			for t := 0; t < m.K; t++ {
-				p := (float64(docTopic[t]) + m.Alpha) *
-					(m.topicWord[t][w] + m.Beta) /
+				p := (float64(docTopic[t]) + alpha) *
+					(m.topicWord[t][w] + beta) /
 					(m.topicTotal[t] + vBeta)
 				probs[t] = p
 				total += p
@@ -195,9 +190,9 @@ func (m *Model) Infer(doc []string, iterations int, seed int64) []float64 {
 			docTopic[z]++
 		}
 	}
-	total := float64(len(ids)) + float64(m.K)*m.Alpha
+	total := float64(len(ids)) + float64(m.K)*alpha
 	for t := 0; t < m.K; t++ {
-		out[t] = (float64(docTopic[t]) + m.Alpha) / total
+		out[t] = (float64(docTopic[t]) + alpha) / total
 	}
 	return out
 }

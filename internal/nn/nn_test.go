@@ -140,7 +140,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 		// Bind parameters to this step's tape.
 		bound := bindMLP(tape, grads, mlp)
 		out := applyBound(tape, bound, tape.Constant(x))
-		l := tape.SoftmaxCrossEntropy(out, labels, nil)
+		l := tape.SoftmaxCrossEntropy(out, labels)
 		tape.Backward(l)
 		opt.Step(p, []*GradSet{grads}, math.Inf(1), 1)
 		loss = l.Value.Data[0]

@@ -20,8 +20,19 @@ import (
 // ConfidenceBuckets is the shared bucketing for prediction confidences:
 // twenty 0.05-wide buckets spanning (0, 1]. The baseline and the monitor
 // must agree on bounds for the histogram distance to be meaningful, so both
-// sides use this slice.
+// sides count through ConfidenceBucket.
 var ConfidenceBuckets = LinearBuckets(0.05, 0.05, 20)
+
+// ConfidenceBucket returns the index of the ConfidenceBuckets bucket that
+// confidence c falls in: the first bound c does not exceed, or
+// len(ConfidenceBuckets), the overflow bucket, when c exceeds them all.
+func ConfidenceBucket(c float64) int {
+	i := 0
+	for i < len(ConfidenceBuckets) && c > ConfidenceBuckets[i] {
+		i++
+	}
+	return i
+}
 
 // DriftBaseline is the training-time reference distribution: how often each
 // semantic type was predicted over the training split, and how confident
@@ -30,12 +41,8 @@ var ConfidenceBuckets = LinearBuckets(0.05, 0.05, 20)
 type DriftBaseline struct {
 	// TypeCounts maps predicted type name → prediction count.
 	TypeCounts map[string]uint64
-	// ConfBounds are the confidence histogram's bucket upper bounds
-	// (ConfidenceBuckets at train time; carried so the monitor buckets
-	// served confidences the same way).
-	ConfBounds []float64
-	// ConfCounts are per-bucket confidence counts; len(ConfBounds)+1 with
-	// the overflow bucket last.
+	// ConfCounts are per-bucket confidence counts over ConfidenceBuckets;
+	// len(ConfidenceBuckets)+1 with the overflow bucket last.
 	ConfCounts []uint64
 }
 
@@ -84,7 +91,7 @@ type DriftMonitor struct {
 	mu         sync.Mutex
 	typeCounts map[string]uint64
 
-	confCounts []atomic.Uint64 // len(ConfBounds)+1, overflow last
+	confCounts []atomic.Uint64 // len(ConfidenceBuckets)+1, overflow last
 	n          atomic.Uint64
 }
 
@@ -94,18 +101,10 @@ func NewDriftMonitor(baseline DriftBaseline) *DriftMonitor {
 	if baseline.Total() == 0 {
 		return nil
 	}
-	if len(baseline.ConfBounds) == 0 {
-		baseline.ConfBounds = ConfidenceBuckets
-	}
-	if len(baseline.ConfCounts) != len(baseline.ConfBounds)+1 {
-		cc := make([]uint64, len(baseline.ConfBounds)+1)
-		copy(cc, baseline.ConfCounts)
-		baseline.ConfCounts = cc
-	}
 	return &DriftMonitor{
 		baseline:   baseline,
 		typeCounts: map[string]uint64{},
-		confCounts: make([]atomic.Uint64, len(baseline.ConfBounds)+1),
+		confCounts: make([]atomic.Uint64, len(ConfidenceBuckets)+1),
 	}
 }
 
@@ -117,11 +116,7 @@ func (m *DriftMonitor) Observe(predictedType string, confidence float64) {
 	m.mu.Lock()
 	m.typeCounts[predictedType]++
 	m.mu.Unlock()
-	i := 0
-	for i < len(m.baseline.ConfBounds) && confidence > m.baseline.ConfBounds[i] {
-		i++
-	}
-	m.confCounts[i].Add(1)
+	m.confCounts[ConfidenceBucket(confidence)].Add(1)
 	m.n.Add(1)
 }
 

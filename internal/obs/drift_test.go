@@ -13,16 +13,11 @@ func baselineFrom(preds []struct {
 }) DriftBaseline {
 	b := DriftBaseline{
 		TypeCounts: map[string]uint64{},
-		ConfBounds: ConfidenceBuckets,
 		ConfCounts: make([]uint64, len(ConfidenceBuckets)+1),
 	}
 	for _, p := range preds {
 		b.TypeCounts[p.typ]++
-		i := 0
-		for i < len(b.ConfBounds) && p.conf > b.ConfBounds[i] {
-			i++
-		}
-		b.ConfCounts[i]++
+		b.ConfCounts[ConfidenceBucket(p.conf)]++
 	}
 	return b
 }

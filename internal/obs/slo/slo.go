@@ -60,11 +60,10 @@ const (
 	SlowBurnThreshold = 6.0
 )
 
-// DefaultBudgetWindow is the error-budget accounting window when an
-// Objective leaves Window zero. A day keeps the ring small and makes the
-// budget numbers move visibly during a load test; production deployments
-// tracking monthly SLOs set Window explicitly.
-const DefaultBudgetWindow = 24 * time.Hour
+// BudgetWindow is every objective's error-budget accounting window. A day
+// keeps the ring small and makes the budget numbers move visibly during a
+// load test. Burn-rate windows are fixed; only the budget math uses this.
+const BudgetWindow = 24 * time.Hour
 
 // defaultBucketWidth is the sliding-window resolution: events within the
 // same 10-second bucket are indistinguishable to the window sums, which is
@@ -82,9 +81,6 @@ type Objective struct {
 	// Latency, when non-zero, makes this a latency objective: a request is
 	// good only if it succeeded and finished within this threshold.
 	Latency time.Duration
-	// Window is the error-budget accounting window (DefaultBudgetWindow when
-	// zero). Burn-rate windows are fixed; only the budget math uses this.
-	Window time.Duration
 }
 
 // cell is one time bucket of an objective's ring. idx is the absolute
@@ -148,23 +144,15 @@ func WithBucketWidth(d time.Duration) Option {
 	}
 }
 
-// New builds an engine over the given objectives. Objectives with a zero
-// Window get DefaultBudgetWindow; every ring is sized to cover both its
-// budget window and the longest burn window.
+// New builds an engine over the given objectives. Every ring is sized to
+// cover both the budget window and the longest burn window.
 func New(objectives []Objective, opts ...Option) *Engine {
 	e := &Engine{now: time.Now, width: defaultBucketWidth}
 	for _, o := range opts {
 		o(e)
 	}
+	n := int(max(BudgetWindow, SlowLongWindow)/e.width) + 1
 	for _, ob := range objectives {
-		if ob.Window <= 0 {
-			ob.Window = DefaultBudgetWindow
-		}
-		span := ob.Window
-		if span < SlowLongWindow {
-			span = SlowLongWindow
-		}
-		n := int(span/e.width) + 1
 		e.objs = append(e.objs, &objective{
 			Objective: ob,
 			ring:      make([]cell, n),
@@ -306,11 +294,11 @@ func (e *Engine) Status() Status {
 	defer e.mu.Unlock()
 	nowIdx := e.now().UnixNano() / int64(e.width)
 	for _, o := range e.objs {
-		good, bad := o.window(nowIdx, e.width, o.Window)
+		good, bad := o.window(nowIdx, e.width, BudgetWindow)
 		os := ObjectiveStatus{
 			Name:            o.Name,
 			Target:          o.Target,
-			WindowSeconds:   o.Window.Seconds(),
+			WindowSeconds:   BudgetWindow.Seconds(),
 			Good:            good,
 			Bad:             bad,
 			BudgetRemaining: 1 - burnRate(good, bad, o.Target),
@@ -336,38 +324,6 @@ func (e *Engine) Status() Status {
 	}
 	st.Events = append(st.Events, e.notes...)
 	return st
-}
-
-// BurnAlert is the burn-rate pair state of one objective — the compact
-// readout the anomaly watchdog polls every tick.
-type BurnAlert struct {
-	Objective string  `json:"objective"`
-	Fast      bool    `json:"fast"` // 5m AND 1h over FastBurnThreshold
-	Slow      bool    `json:"slow"` // 30m AND 6h over SlowBurnThreshold
-	Rate5m    float64 `json:"rate_5m"`
-	Rate30m   float64 `json:"rate_30m"`
-	Rate1h    float64 `json:"rate_1h"`
-	Rate6h    float64 `json:"rate_6h"`
-}
-
-// Alerts reports every objective's burn-rate pair state at the engine's
-// current clock: the rates and pair states of Status, which computes them
-// once per objective. Nil-safe (no objectives, no alerts).
-func (e *Engine) Alerts() []BurnAlert {
-	if e == nil {
-		return nil
-	}
-	objs := e.Status().Objectives
-	alerts := make([]BurnAlert, 0, len(objs))
-	for _, o := range objs {
-		a := BurnAlert{Objective: o.Name, Fast: o.FastBurnAlert, Slow: o.SlowBurnAlert}
-		rates := map[string]*float64{"5m": &a.Rate5m, "30m": &a.Rate30m, "1h": &a.Rate1h, "6h": &a.Rate6h}
-		for _, w := range o.Burn {
-			*rates[w.Window] = w.BurnRate
-		}
-		alerts = append(alerts, a)
-	}
-	return alerts
 }
 
 // Register exports the engine into a registry:
@@ -398,7 +354,7 @@ func (e *Engine) Register(r *obs.Registry) {
 		o.goodTotal, o.badTotal = good, bad
 		e.mu.Unlock()
 		r.GaugeFunc(prefix+".budget.remaining", func() float64 {
-			g, b := e.windowCounts(o, o.Window)
+			g, b := e.windowCounts(o, BudgetWindow)
 			return 1 - burnRate(g, b, target)
 		})
 		for _, bw := range burnWindows {

@@ -159,13 +159,13 @@ func TestWindowsSlide(t *testing.T) {
 // the budget.
 func TestBudgetWindowSlide(t *testing.T) {
 	clk := newFakeClock()
-	e := New([]Objective{{Name: "availability", Target: 0.5, Window: time.Hour}},
+	e := New([]Objective{{Name: "availability", Target: 0.5}},
 		WithNow(clk.Now), WithBucketWidth(time.Minute))
 	e.Record(0, false)
 	if st := objByName(t, e.Status(), "availability"); !almost(st.BudgetRemaining, -1) {
 		t.Fatalf("budget remaining = %v, want -1", st.BudgetRemaining)
 	}
-	clk.Advance(61 * time.Minute)
+	clk.Advance(BudgetWindow + time.Minute)
 	st := objByName(t, e.Status(), "availability")
 	if st.Good != 0 || st.Bad != 0 || !almost(st.BudgetRemaining, 1) {
 		t.Fatalf("after slide: %+v, want empty window and full budget", st)
@@ -173,25 +173,25 @@ func TestBudgetWindowSlide(t *testing.T) {
 }
 
 // TestRingReuse wraps the ring more than once and checks stale cells never
-// leak into the sums: the ring covers max(Window, 6h); events older than
-// that are overwritten by bucket reuse.
+// leak into the sums: the ring covers max(BudgetWindow, 6h); events older
+// than that are overwritten by bucket reuse.
 func TestRingReuse(t *testing.T) {
 	clk := newFakeClock()
-	e := New([]Objective{{Name: "availability", Target: 0.5, Window: time.Hour}},
-		WithNow(clk.Now), WithBucketWidth(time.Hour)) // 7 cells: 6h/1h + 1
-	for i := 0; i < 30; i++ {
+	e := New([]Objective{{Name: "availability", Target: 0.5}},
+		WithNow(clk.Now), WithBucketWidth(time.Hour)) // 25 cells: 24h/1h + 1
+	for i := 0; i < 60; i++ {
 		e.Record(0, false)
 		clk.Advance(time.Hour)
 	}
 	// The last recorded event is 1h old; only the trailing 6h of events can
-	// be visible, and the 1h-window sum must hold exactly the one event in
-	// its bucket range.
+	// be visible to the 6h window, and the 24h budget window must hold at
+	// most the 24 events in its bucket range.
 	st := objByName(t, e.Status(), "availability")
 	if b := burnByWindow(t, st, "6h"); b.Bad > 6 {
 		t.Fatalf("6h window sees %d bad events, ring leaked stale cells", b.Bad)
 	}
-	if st.Bad > 1 {
-		t.Fatalf("1h budget window sees %d bad events, want ≤1", st.Bad)
+	if st.Bad > 24 {
+		t.Fatalf("24h budget window sees %d bad events, want ≤24", st.Bad)
 	}
 }
 
@@ -423,22 +423,26 @@ func TestWritePrometheusGoldenSLO(t *testing.T) {
 	}
 }
 
-// TestAlertsReadout pins the watchdog-facing burn readout: per-objective
-// fast/slow flags follow the multi-window pairs exactly, and windows age the
-// flags off independently (fast clears when the 5m window empties while slow
-// still holds on 30m AND 6h).
+// TestAlertsReadout pins the watchdog-facing burn readout in Status:
+// per-objective fast/slow flags follow the multi-window pairs exactly, and
+// windows age the flags off independently (fast clears when the 5m window
+// empties while slow still holds on 30m AND 6h).
 func TestAlertsReadout(t *testing.T) {
 	clk := newFakeClock()
 	e := New(DefaultObjectives(0.99, 100*time.Millisecond),
 		WithNow(clk.Now), WithBucketWidth(time.Minute))
-
-	alerts := e.Alerts()
-	if len(alerts) != 2 {
-		t.Fatalf("alerts for 2 objectives = %+v", alerts)
+	rate := func(o ObjectiveStatus, label string) float64 {
+		t.Helper()
+		return burnByWindow(t, o, label).BurnRate
 	}
-	for _, a := range alerts {
-		if a.Fast || a.Slow || a.Rate5m != 0 || a.Rate6h != 0 {
-			t.Fatalf("idle engine alert = %+v, want all clear", a)
+
+	objs := e.Status().Objectives
+	if len(objs) != 2 {
+		t.Fatalf("status for 2 objectives = %+v", objs)
+	}
+	for _, o := range objs {
+		if o.FastBurnAlert || o.SlowBurnAlert || rate(o, "5m") != 0 || rate(o, "6h") != 0 {
+			t.Fatalf("idle engine status = %+v, want all clear", o)
 		}
 	}
 
@@ -447,47 +451,32 @@ func TestAlertsReadout(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.Record(time.Millisecond, false)
 	}
-	byName := func(name string) BurnAlert {
-		t.Helper()
-		for _, a := range e.Alerts() {
-			if a.Objective == name {
-				return a
-			}
-		}
-		t.Fatalf("objective %q missing", name)
-		return BurnAlert{}
+	a := objByName(t, e.Status(), "availability")
+	if !a.FastBurnAlert || !a.SlowBurnAlert {
+		t.Fatalf("saturated engine status = %+v, want fast and slow", a)
 	}
-	a := byName("availability")
-	if !a.Fast || !a.Slow {
-		t.Fatalf("saturated engine alert = %+v, want fast and slow", a)
-	}
-	if !almost(a.Rate5m, 100) || !almost(a.Rate1h, 100) || !almost(a.Rate30m, 100) || !almost(a.Rate6h, 100) {
+	if !almost(rate(a, "5m"), 100) || !almost(rate(a, "1h"), 100) || !almost(rate(a, "30m"), 100) || !almost(rate(a, "6h"), 100) {
 		t.Fatalf("rates = %+v, want 100 everywhere", a)
 	}
 
 	// +10m: the bad burst has aged out of the 5m window but still dominates
 	// 30m/1h/6h — fast clears, slow holds.
 	clk.Advance(10 * time.Minute)
-	a = byName("availability")
-	if a.Fast {
+	a = objByName(t, e.Status(), "availability")
+	if a.FastBurnAlert {
 		t.Fatalf("fast still set after 5m window emptied: %+v", a)
 	}
-	if !a.Slow {
+	if !a.SlowBurnAlert {
 		t.Fatalf("slow cleared early: %+v", a)
 	}
-	if a.Rate5m != 0 {
-		t.Fatalf("rate5m = %v, want 0", a.Rate5m)
+	if rate(a, "5m") != 0 {
+		t.Fatalf("rate5m = %v, want 0", rate(a, "5m"))
 	}
 
 	// +7h: everything has aged out.
 	clk.Advance(7 * time.Hour)
-	a = byName("availability")
-	if a.Fast || a.Slow || a.Rate6h != 0 {
+	a = objByName(t, e.Status(), "availability")
+	if a.FastBurnAlert || a.SlowBurnAlert || rate(a, "6h") != 0 {
 		t.Fatalf("alert did not age out: %+v", a)
-	}
-
-	var nilEngine *Engine
-	if got := nilEngine.Alerts(); got != nil {
-		t.Fatalf("nil engine alerts = %+v", got)
 	}
 }

@@ -11,16 +11,17 @@ import (
 	"sync"
 )
 
-// Budget is a counting semaphore whose limit can be changed while waiters
-// are queued. Waiters are served FIFO; raising the limit wakes queued
-// waiters immediately, lowering it simply stops new acquisitions until
-// enough releases bring usage under the new limit.
+// Budget is a counting semaphore whose limit can be changed while acquirers
+// wait. Raising the limit admits waiting acquirers immediately; lowering it
+// simply stops new acquisitions until enough releases bring usage under the
+// new limit. Waiters are not served in any particular order: Run's batch
+// loop is the one acquirer.
 type Budget struct {
-	mu      sync.Mutex
-	limit   int
-	base    int
-	inUse   int
-	waiters []chan struct{} // each is closed exactly once, by wakeLocked
+	mu    sync.Mutex
+	limit int
+	base  int
+	inUse int
+	wake  chan struct{} // closed and renewed whenever a slot may have opened
 }
 
 // NewBudget builds a budget with the given base limit (clamped to ≥ 1).
@@ -28,67 +29,47 @@ func NewBudget(limit int) *Budget {
 	if limit < 1 {
 		limit = 1
 	}
-	return &Budget{limit: limit, base: limit}
+	return &Budget{limit: limit, base: limit, wake: make(chan struct{})}
 }
 
 // Acquire blocks until a slot is free or ctx is cancelled.
 func (b *Budget) Acquire(ctx context.Context) error {
-	b.mu.Lock()
-	if len(b.waiters) == 0 && b.inUse < b.limit {
-		b.inUse++
-		b.mu.Unlock()
-		return nil
-	}
-	ch := make(chan struct{})
-	b.waiters = append(b.waiters, ch)
-	b.mu.Unlock()
-
-	select {
-	case <-ch:
-		return nil
-	case <-ctx.Done():
+	for {
 		b.mu.Lock()
-		for i, w := range b.waiters {
-			if w == ch {
-				b.waiters = append(b.waiters[:i], b.waiters[i+1:]...)
-				b.mu.Unlock()
-				return ctx.Err()
-			}
+		if b.inUse < b.limit {
+			b.inUse++
+			b.mu.Unlock()
+			return nil
 		}
-		// Not queued anymore: wakeLocked granted us a slot concurrently with
-		// the cancellation. Hand the slot on before reporting the cancel.
-		b.releaseLocked()
+		wake := b.wake
 		b.mu.Unlock()
-		return ctx.Err()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 }
 
-// Release returns a slot and wakes the next waiter if the limit allows.
+// Release returns a slot and wakes the waiters to retry.
 func (b *Budget) Release() {
 	b.mu.Lock()
-	b.releaseLocked()
-	b.mu.Unlock()
-}
-
-func (b *Budget) releaseLocked() {
 	if b.inUse > 0 {
 		b.inUse--
 	}
 	b.wakeLocked()
+	b.mu.Unlock()
 }
 
-// wakeLocked grants slots to queued waiters while capacity exists. Caller
+// wakeLocked wakes every waiting acquirer to recheck the limit. Caller
 // holds b.mu.
 func (b *Budget) wakeLocked() {
-	for len(b.waiters) > 0 && b.inUse < b.limit {
-		close(b.waiters[0])
-		b.waiters = b.waiters[1:]
-		b.inUse++
-	}
+	close(b.wake)
+	b.wake = make(chan struct{})
 }
 
 // SetLimit changes the current limit (clamped to ≥ 1). Raising it wakes
-// queued waiters; lowering it never interrupts in-flight work.
+// waiting acquirers; lowering it never interrupts in-flight work.
 func (b *Budget) SetLimit(n int) {
 	if n < 1 {
 		n = 1

@@ -87,18 +87,24 @@ type modelSet struct {
 
 	// shadowWG tracks in-flight shadow-scoring goroutines so Shutdown (and
 	// the leak-checking tests) can prove none outlive the server.
+	// shadowSlots, when non-nil, caps them at the admission limit.
 	shadowSample float64
 	shadowSeq    atomic.Uint64
 	shadowWG     sync.WaitGroup
+	shadowSlots  chan struct{}
 }
 
 // newModelSet makes eng the boot primary, whose pool settings are the
-// template for every engine a later load or promote builds. The unlabeled
-// drift.* gauges are registered once, here: they read the monitor of
-// whichever slot is primary when scraped (0 for one without a baseline), so
-// no transition re-registers them.
-func newModelSet(eng *infer.Engine, reg *obs.Registry, faults *faultinject.Set, shadowSample float64) *modelSet {
+// template for every engine a later load or promote builds. At most
+// maxInflight shadow scores run at once (unbounded when it is 0, as
+// admission control is). The unlabeled drift.* gauges are registered once,
+// here: they read the monitor of whichever slot is primary when scraped (0
+// for one without a baseline), so no transition re-registers them.
+func newModelSet(eng *infer.Engine, reg *obs.Registry, faults *faultinject.Set, shadowSample float64, maxInflight int) *modelSet {
 	m := &modelSet{metrics: reg, faults: faults, shadowSample: shadowSample}
+	if maxInflight > 0 {
+		m.shadowSlots = make(chan struct{}, maxInflight)
+	}
 	boot := &modelSlot{id: bootModelID, engine: eng, loadedAt: time.Now(), mx: m.newSlotMetrics(bootModelID)}
 	m.cur.Store(&slots{primary: boot})
 	eng.Drift().RegisterLabeled(reg, "model", bootModelID) // nil-safe
@@ -121,6 +127,7 @@ func (m *modelSet) primary() *modelSlot { return m.cur.Load().primary }
 type slotMetrics struct {
 	scored     *obs.Counter   // shadow.tables.scored{model=}
 	errors     *obs.Counter   // shadow.errors{model=}
+	skipped    *obs.Counter   // shadow.skipped{model=}
 	compared   *obs.Counter   // shadow.columns.compared{model=}
 	agree      *obs.Counter   // shadow.columns.agree{model=}
 	latency    *obs.Histogram // shadow.latency.seconds{model=}
@@ -134,6 +141,7 @@ func (m *modelSet) newSlotMetrics(id string) *slotMetrics {
 	mx := &slotMetrics{
 		scored:     m.metrics.Counter(l("shadow.tables.scored")),
 		errors:     m.metrics.Counter(l("shadow.errors")),
+		skipped:    m.metrics.Counter(l("shadow.skipped")),
 		compared:   m.metrics.Counter(l("shadow.columns.compared")),
 		agree:      m.metrics.Counter(l("shadow.columns.agree")),
 		latency:    m.metrics.Histogram(l("shadow.latency.seconds"), nil),
@@ -293,16 +301,28 @@ func (m *modelSet) shadowSampled() bool {
 // candidate slot it read here — nothing it does (slow scoring, candidate
 // errors, injected faults) can reach back into the serving path. The
 // goroutine is tracked in shadowWG so Shutdown and the lifecycle tests can
-// prove none leak.
+// prove none leak. A sampled request that finds every shadow slot taken is
+// counted under shadow.skipped and not scored.
 func (m *modelSet) maybeShadow(ts []*table.Table, primary [][]core.ColumnPrediction) {
 	cand := m.view().candidate
 	if cand == nil || !m.shadowSampled() {
 		return
 	}
+	if m.shadowSlots != nil {
+		select {
+		case m.shadowSlots <- struct{}{}:
+		default:
+			cand.mx.skipped.Inc()
+			return
+		}
+	}
 	m.shadowWG.Add(1)
 	go func() {
 		defer m.shadowWG.Done()
 		m.shadowScore(cand, ts, primary)
+		if m.shadowSlots != nil {
+			<-m.shadowSlots
+		}
 	}()
 }
 

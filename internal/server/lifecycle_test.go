@@ -358,6 +358,40 @@ func TestShadowScoringRecordsTelemetry(t *testing.T) {
 	}
 }
 
+// TestShadowScoringBoundedByAdmission: at most the admission limit of
+// shadow scores run at once. While the held ones occupy every slot, a
+// sampled request is counted under shadow.skipped and not scored. With
+// admission off, shadow scoring stays unbounded.
+func TestShadowScoringBoundedByAdmission(t *testing.T) {
+	const requests = 10
+	for _, tc := range []struct {
+		maxInflight     int
+		scored, skipped uint64
+	}{{0, requests, 0}, {2, 2, requests - 2}} {
+		release := make(chan struct{})
+		held := faultinject.New().On(faultinject.ServerShadow, func(context.Context) error {
+			<-release
+			return nil
+		})
+		s := chaosServer(t, nil, held, WithMaxInflight(tc.maxInflight))
+		path := savedCheckpoint(t, t.TempDir(), "cand.bin", false)
+		modelsPost(t, s, "/v1/models", ModelsRequest{ID: "cand", Path: path}, http.StatusOK)
+		for i := 0; i < requests; i++ {
+			if rec := postJSON(t, s, "/v1/predict", sampleRequest("")); rec.Code != http.StatusOK {
+				t.Fatalf("predict: %d", rec.Code)
+			}
+		}
+		close(release)
+		drain(t, s)
+		snap := s.metrics.Snapshot()
+		scored, skipped := snap.Counters[`shadow.tables.scored{model="cand"}`], snap.Counters[`shadow.skipped{model="cand"}`]
+		if scored != tc.scored || skipped != tc.skipped {
+			t.Fatalf("max inflight %d: %d scored, %d skipped; want %d and %d",
+				tc.maxInflight, scored, skipped, tc.scored, tc.skipped)
+		}
+	}
+}
+
 // TestShadowSamplerDeterministic pins the seeded sampler's contract: two
 // samplers agree decision-for-decision, the edge fractions short-circuit,
 // and the sampled rate lands near the configured fraction.

@@ -324,7 +324,7 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 	obs.RegisterRuntimeMetrics(s.metrics)
 	par.RegisterMetrics(s.metrics)
 	// The boot engine becomes the first primary (lifecycle.go).
-	s.models = newModelSet(eng, s.metrics, s.faults, s.shadowSample)
+	s.models = newModelSet(eng, s.metrics, s.faults, s.shadowSample, s.maxInflight)
 	s.rescore = &rescoreRunner{
 		lake:     rescore.NewLake(),
 		index:    s.index,
@@ -447,7 +447,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 // --- wire types ---
 
 // ColumnRequest is one column of a prediction request. Values are sent as
-// strings; numeric columns are detected the same way the CSV loader does.
+// strings. A column is numeric when it has values and every value, trimmed
+// of surrounding space, parses as a float; otherwise it is text. That is
+// stricter than the CSV loader (table.ReadCSV), which skips empty cells and
+// strips thousands separators: ["1,234", "5"] and ["1", "", "3"] are
+// numeric in a CSV file but text in a request.
 type ColumnRequest struct {
 	Header string   `json:"header"`
 	Values []string `json:"values"`

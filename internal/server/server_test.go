@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"github.com/sematype/pythagoras/internal/core"
 	"github.com/sematype/pythagoras/internal/data"
 	"github.com/sematype/pythagoras/internal/lm"
+	"github.com/sematype/pythagoras/internal/table"
 )
 
 // trainedServer builds a quickly trained model behind the handler.
@@ -270,6 +272,47 @@ func TestJoinUnionValidation(t *testing.T) {
 		s.ServeHTTP(rec, req)
 		if rec.Code != c.want {
 			t.Fatalf("%s = %d, want %d", c.path, rec.Code, c.want)
+		}
+	}
+}
+
+// TestColumnKindRules pins how a request column's kind is decided, and
+// where that departs from the CSV loader: a request column is numeric only
+// when every value parses as a float as sent, while table.ReadCSV skips
+// empty cells and strips thousands separators.
+func TestColumnKindRules(t *testing.T) {
+	for _, tc := range []struct {
+		values       []string
+		request, csv table.Kind
+	}{
+		{[]string{" 1.5", "2 "}, table.KindNumeric, table.KindNumeric},
+		{[]string{"1,234", "5"}, table.KindText, table.KindNumeric},
+		{[]string{"1", "", "3"}, table.KindText, table.KindNumeric},
+		{[]string{"1", "x"}, table.KindText, table.KindText},
+	} {
+		tr := TableRequest{Columns: []ColumnRequest{{Header: "h", Values: tc.values}}}
+		tbl, err := tr.toTable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A second column keeps the CSV's one-empty-cell row from being a
+		// blank line, which the CSV reader skips.
+		var buf bytes.Buffer
+		w := csv.NewWriter(&buf)
+		_ = w.Write([]string{"h", "g"})
+		for _, v := range tc.values {
+			_ = w.Write([]string{v, "x"})
+		}
+		w.Flush()
+		fromCSV, err := table.ReadCSV("t", "t", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tbl.Columns[0].Kind, tc.request; got != want {
+			t.Errorf("%q: request column kind %v, want %v", tc.values, got, want)
+		}
+		if got, want := fromCSV.Columns[0].Kind, tc.csv; got != want {
+			t.Errorf("%q: CSV column kind %v, want %v", tc.values, got, want)
 		}
 	}
 }

@@ -10,7 +10,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -122,7 +121,7 @@ func (s *Server) addWatchRules() {
 	s.watchdog.Add(watch.Rule{
 		Name: "slo-fast-burn",
 		Signal: func() (float64, bool) {
-			return s.burnSignal(func(a slo.BurnAlert) float64 { return math.Min(a.Rate5m, a.Rate1h) })
+			return s.burnSignal("5m", "1h")
 		},
 		Threshold: slo.FastBurnThreshold,
 		CoolDown:  interval,
@@ -139,7 +138,7 @@ func (s *Server) addWatchRules() {
 	s.watchdog.Add(watch.Rule{
 		Name: "slo-slow-burn",
 		Signal: func() (float64, bool) {
-			return s.burnSignal(func(a slo.BurnAlert) float64 { return math.Min(a.Rate30m, a.Rate6h) })
+			return s.burnSignal("30m", "6h")
 		},
 		Threshold: slo.SlowBurnThreshold,
 		CoolDown:  interval,
@@ -208,21 +207,23 @@ func (s *Server) addWatchRules() {
 	})
 }
 
-// burnSignal folds the SLO engine's per-objective burn alerts into one
-// watchdog value: the worst objective's pair minimum, so the rule threshold
-// compares against exactly the AND the engine's alert pairs define.
-func (s *Server) burnSignal(pair func(slo.BurnAlert) float64) (float64, bool) {
-	alerts := s.sloEng.Alerts()
-	if len(alerts) == 0 {
-		return 0, false
-	}
+// burnSignal folds the SLO engine's per-objective burn rates into one
+// watchdog value: the worst objective's minimum over the short and long
+// window of a pair, so the rule threshold compares against exactly the AND
+// the engine's alert pairs define.
+func (s *Server) burnSignal(short, long string) (float64, bool) {
+	objs := s.sloEng.Status().Objectives
 	worst := 0.0
-	for _, a := range alerts {
-		if v := pair(a); v > worst {
+	for _, o := range objs {
+		rate := map[string]float64{}
+		for _, w := range o.Burn {
+			rate[w.Window] = w.BurnRate
+		}
+		if v := min(rate[short], rate[long]); v > worst {
 			worst = v
 		}
 	}
-	return worst, true
+	return worst, len(objs) > 0
 }
 
 // agreementSignal reads the shadowing candidate's agreement rate. The

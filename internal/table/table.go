@@ -145,13 +145,11 @@ const (
 	HeaderSynthetic
 )
 
-// SerializeOptions controls column serialization.
+// SerializeOptions controls column serialization. Every cell value is
+// included, as in the paper; Doduo's 512-token budget truncates downstream
+// instead.
 type SerializeOptions struct {
 	Header HeaderMode
-	// MaxValues caps the number of cell values included (0 = all). The
-	// paper serializes all values; Doduo's 512-token budget truncates
-	// downstream instead.
-	MaxValues int
 }
 
 // SerializeColumn renders the paper's input sequence for one column:
@@ -179,9 +177,6 @@ func AppendColumn(dst []byte, c *Column, opts SerializeOptions) []byte {
 		}
 	}
 	n := c.Len()
-	if opts.MaxValues > 0 && n > opts.MaxValues {
-		n = opts.MaxValues
-	}
 	for i := 0; i < n; i++ {
 		dst = append(dst, ' ')
 		if c.Kind == KindNumeric {

@@ -133,14 +133,6 @@ func TestSerializeColumnSyntheticHeader(t *testing.T) {
 	}
 }
 
-func TestSerializeColumnMaxValues(t *testing.T) {
-	tb := sampleTable()
-	got := SerializeColumn(tb.Columns[1], SerializeOptions{MaxValues: 1})
-	if got != "[CLS] 7.5 [SEP]" {
-		t.Fatalf("SerializeColumn = %q", got)
-	}
-}
-
 func TestSerializeTableName(t *testing.T) {
 	got := SerializeTableName(sampleTable())
 	if got != "[CLS] NBA Ply Stats [SEP]" {
