@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt test vet perfbench lint-spans lint-alloc race cover fuzz bench profile experiments experiments-full corpora clean
+.PHONY: check build fmt test vet perfbench lint-spans lint-alloc race cover fuzz gelu-sweep bench profile experiments experiments-full corpora clean
 
 # The default pre-merge gate: compile, formatting, lint, unit tests, the
 # benchmark harness, the race pass over the concurrent serving path (chaos
@@ -38,17 +38,18 @@ build:
 # by the tensor and lm tests, and the float64 product leaves
 # (internal/tensor/f64_other.go), run by the tensor tests and by the
 # autodiff and gnn tests through EdgeMix and the HeteroConv gradient check.
-# The GODEBUG line runs the bit goldens on amd64's non-FMA math.Exp, the
-# branch CPUs without AVX and FMA take (the first line checks the other on
-# CPUs that have them). The -cpu 1 line reruns the packages whose tests
-# race background goroutines (re-score runs, shadow scoring, the watchdog,
-# the worker pool) on one CPU, where a goroutine a request starts mostly
-# waits until the test blocks: a test that reads its state too early fails
+# The GODEBUG line runs the bit goldens and the sampled GELU check on
+# amd64's non-FMA math.Exp, the branch CPUs without AVX and FMA take (the
+# first line checks the other on CPUs that have them). The -cpu 1 line
+# reruns the packages whose tests race background goroutines (re-score
+# runs, shadow scoring, the watchdog, the worker pool) on one CPU, where a
+# goroutine a request starts mostly waits until the test blocks: a test
+# that reads its state too early fails
 # there every time instead of now and then.
 test:
 	$(GO) test ./...
 	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/lm/ ./internal/autodiff/ ./internal/gnn/
-	GODEBUG=cpu.fma=off $(GO) test -count=1 -run '^(TestTrainGolden|TestEncodeGolden)$$' ./internal/core/ ./internal/lm/
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run '^(TestTrainGolden|TestEncodeGolden|TestGELUSample)$$' ./internal/core/ ./internal/lm/
 	$(GO) test -count=1 -cpu 1 ./internal/server/ ./internal/rescore/ ./internal/infer/ ./internal/obs/... ./internal/discovery/ ./internal/par/
 
 vet:
@@ -66,10 +67,13 @@ vet:
 # bounds, and running them alongside the (CPU-heavy) training race tests on
 # a small machine starves those timers into flakes. The second line repeats
 # the server's swap and re-score interleaving tests five times: one pass
-# samples too few schedules of a promote or rollback racing a re-score.
+# samples too few schedules of a promote or rollback racing a re-score, and
+# the third the encoder's layers running on eight goroutines over one
+# scratch pool ten times.
 race:
 	$(GO) test -race -p 1 ./internal/core/... ./internal/nn/... ./internal/infer/... ./internal/par/... ./internal/lm/... ./internal/graph/... ./internal/features/... ./internal/server/... ./internal/faultinject/... ./internal/obs/... ./internal/discovery/... ./internal/rescore/...
 	$(GO) test -race -count=5 -run '^(TestSwapUnderFire|TestRescoreStartSerializesWithPromote|TestPromoteCancelsRescore|TestRollbackCancelsRescore|TestModelsStatusDuringPromoteEpilogue)$$' ./internal/server/
+	$(GO) test -race -count=10 -run '^TestEncoderConcurrentColdEncode$$' ./internal/lm/
 
 # Total statement coverage floor, last raised when the watchdog/flight
 # recorder PR landed; `make cover` fails if the tree ever drops below it.
@@ -97,6 +101,13 @@ fuzz:
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 0s $$pkg; \
 		done; \
 	done
+
+# The exhaustive proof behind the encoder's fast GELU: every one of the
+# 2^32 float32 inputs against geluF32, once per math.Exp branch (about a
+# minute each on 2 vCPUs). `make test` checks every 4099th input.
+gelu-sweep:
+	$(GO) test -count=1 -timeout 30m -v -run '^TestGELUSweep$$' ./internal/lm/ -gelu-sweep
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -timeout 30m -v -run '^TestGELUSweep$$' ./internal/lm/ -gelu-sweep
 
 # One quick-scale pass per paper table/figure plus component micro-benches.
 bench:

@@ -2,6 +2,7 @@ package lm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -93,4 +94,49 @@ func TestEncoderConcurrentEncode(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestEncoderConcurrentColdEncode runs the layers on 8 goroutines at once
+// over one encoder, as the engine's prepare workers do, so they share its
+// scratch pool: every Encode misses the text cache, every EncodeTokens
+// runs the whole pass, and the texts' lengths differ, so pooled buffers
+// change shape between callers. Each result must match a serial
+// encoder's bits.
+func TestEncoderConcurrentColdEncode(t *testing.T) {
+	const workers = 8
+	var texts []string
+	for i, base := range bitTexts() {
+		for w := range workers {
+			texts = append(texts, fmt.Sprintf("%s %c", base, 'a'+(i+w)%26))
+		}
+	}
+	serial := NewEncoder(DefaultConfig())
+	wantCLS := make([][]float32, len(texts))
+	wantAll := make([][]float32, len(texts))
+	tokens := make([][]string, len(texts))
+	for i, text := range texts {
+		wantCLS[i] = serial.Encode(text)
+		tokens[i] = append(serial.Tokenize(text), TokenSEP)
+		wantAll[i] = serial.EncodeTokens(tokens[i]).Data
+	}
+	e := NewEncoder(DefaultConfig())
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(texts); i += workers {
+				if got := e.Encode(texts[i]); !slices.Equal(got, wantCLS[i]) {
+					t.Errorf("concurrent Encode(%q) diverged from the serial bits", texts[i])
+				}
+				if got := e.EncodeTokens(tokens[i]).Data; !slices.Equal(got, wantAll[i]) {
+					t.Errorf("concurrent EncodeTokens of %q diverged from the serial bits", texts[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := e.CacheStats(); st.TextMisses != uint64(len(texts)) {
+		t.Fatalf("text misses = %d, want %d: every Encode must run the layers", st.TextMisses, len(texts))
+	}
 }

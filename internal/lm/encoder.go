@@ -3,6 +3,7 @@ package lm
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/sematype/pythagoras/internal/tensor"
 )
@@ -61,6 +62,8 @@ type Encoder struct {
 
 	tokenVecs *vecCache // hashed token embedding cache
 	textVecs  *vecCache // full-text CLS cache
+
+	scratch sync.Pool // *encodeScratch
 }
 
 // Cache bounds: both caches drop a full shard when it exceeds its share of
@@ -92,6 +95,7 @@ func NewEncoder(cfg Config) *Encoder {
 		tokenVecs: newVecCache(tokenCacheCap),
 		textVecs:  newVecCache(textCacheCap),
 	}
+	e.scratch.New = func() any { return new(encodeScratch) }
 	scaled := func(rows, cols int) *tensor.F32 {
 		m := tensor.NewF32(rows, cols)
 		std := 1 / math.Sqrt(float64(rows))
@@ -267,137 +271,176 @@ func (e *Encoder) embedToken(token string) []float32 {
 	return e.tokenVecs.put(token, vf)
 }
 
+// encodeScratch is one encode's working memory: its tokens and every
+// matrix a layer writes. Each Encoder pools them, so a cache miss
+// allocates only what it returns. The head matrices hold one attention
+// head's slice of Q, Kᵀ and V contiguous for the product kernel, its
+// scores (then softmax weights, in place) and its context.
+type encodeScratch struct {
+	tb                 TokenBuf
+	h, out             tensor.F32 // a layer's input and output states
+	q, k, v, ctx, h1   tensor.F32
+	ffn                tensor.F32
+	qh, kt, vh, pw, ch tensor.F32
+	scores             []float64
+}
+
+// shape makes m rows×cols, reusing its storage when that is large enough.
+// The contents are left as they were: every caller overwrites them whole.
+func shape(m *tensor.F32, rows, cols int) *tensor.F32 {
+	n := rows * cols
+	if cap(m.Data) < n {
+		m.Data = make([]float32, n)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	return m
+}
+
+// embedRow writes token i's input state: its embedding plus a tenth of
+// position i's sinusoid.
+func (e *Encoder) embedRow(h *tensor.F32, i int, emb []float32) {
+	row := h.Row(i)
+	copy(row, emb)
+	for j, p := range e.pos.Row(i) {
+		row[j] += 0.1 * p
+	}
+}
+
 // EncodeTokens runs the frozen transformer over a token sequence (already
 // including [CLS]/[SEP] as desired) and returns the final hidden state of
 // every token as a len(tokens)×Dim float32 matrix. Sequences longer than
 // MaxLen are truncated — the same hard limit the paper discusses for Doduo.
 func (e *Encoder) EncodeTokens(tokens []string) *tensor.F32 {
-	return e.encodeTokens(tokens, len(tokens))
-}
-
-// encodeTokens is EncodeTokens computing the final layer for only the first
-// outRows tokens. Every layer still reads all tokens: the final layer
-// projects K and V for each of them, and the rest of that layer (Q,
-// attention, Wo, residuals, layer norms, FFN) is row-wise, so the rows it
-// returns carry the same bits as the full pass.
-func (e *Encoder) encodeTokens(tokens []string, outRows int) *tensor.F32 {
 	if len(tokens) > e.cfg.MaxLen {
 		tokens = tokens[:e.cfg.MaxLen]
 	}
-	n := len(tokens)
-	if n == 0 {
-		return tensor.NewF32(0, e.cfg.Dim)
+	out := tensor.NewF32(len(tokens), e.cfg.Dim)
+	if len(tokens) == 0 {
+		return out
 	}
-	h := tensor.NewF32(n, e.cfg.Dim)
+	s := e.scratch.Get().(*encodeScratch)
+	defer e.scratch.Put(s)
+	h := shape(&s.h, len(tokens), e.cfg.Dim)
 	for i, tok := range tokens {
-		emb := e.TokenEmbedding(tok)
-		row := h.Row(i)
-		copy(row, emb)
-		prow := e.pos.Row(i)
-		for j := range row {
-			row[j] += 0.1 * prow[j]
-		}
+		e.embedRow(h, i, e.TokenEmbedding(tok))
 	}
-	for l, lw := range e.layers {
-		rows := n
-		if l == len(e.layers)-1 {
-			rows = min(outRows, n)
-		}
-		h = e.encoderLayer(h, lw, rows)
-	}
-	return h
-}
-
-func matMulF32(a, b *tensor.F32) *tensor.F32 {
-	out := tensor.NewF32(a.Rows, b.Cols)
-	tensor.MatMulF32Into(out, a, b)
+	copy(out.Data, e.encodeStates(s, len(tokens)).Data)
 	return out
 }
 
+// encodeStates runs every layer over the token states in s.h and returns
+// the final layer's first outRows rows. Every layer still reads all
+// tokens: the final layer projects K and V for each of them, and the rest
+// of that layer (Q, attention, Wo, residuals, layer norms, FFN) is
+// row-wise, so the rows it returns carry the same bits as the full pass.
+func (e *Encoder) encodeStates(s *encodeScratch, outRows int) *tensor.F32 {
+	for l := range e.layers {
+		rows := s.h.Rows
+		if l == len(e.layers)-1 {
+			rows = min(outRows, rows)
+		}
+		e.encoderLayer(s, &e.layers[l], rows)
+		s.h, s.out = s.out, s.h
+	}
+	return &s.h
+}
+
 // encoderLayer applies one frozen transformer block to the first rows
-// tokens of h, attending over all of them: multi-head self-attention with
-// residual + layernorm, then a GELU FFN with residual + layernorm. All
-// storage is float32; softmax and layernorm use float64 scalar math
-// (exp/sqrt) on float32 inputs — still fully deterministic.
-func (e *Encoder) encoderLayer(h *tensor.F32, lw layerWeights, rows int) *tensor.F32 {
+// tokens of s.h, attending over all of them, and leaves the result in
+// s.out: multi-head self-attention with residual + layernorm, then a GELU
+// FFN with residual + layernorm. All storage is float32; softmax and
+// layernorm use float64 scalar math (exp/sqrt) on float32 inputs.
+//
+// Each head's scores and context run through tensor.MatMulF32Into, whose
+// every element sums from +0 over ascending inner index: a score over the
+// head's dimensions d of q·k, a context element over the tokens j of w·v,
+// the order of the scalar loops they replace, so no bit moves (DESIGN.md
+// §12). geluInPlace is geluF32 bit for bit.
+func (e *Encoder) encoderLayer(s *encodeScratch, lw *layerWeights, rows int) {
+	h := &s.h
 	n, dim := h.Rows, e.cfg.Dim
-	heads := e.cfg.Heads
-	hd := dim / heads
+	hd := dim / e.cfg.Heads
 	top := &tensor.F32{Rows: rows, Cols: dim, Data: h.Data[:rows*dim]}
 
-	q := matMulF32(top, lw.wq)
-	k := matMulF32(h, lw.wk)
-	v := matMulF32(h, lw.wv)
+	q, k, v := shape(&s.q, rows, dim), shape(&s.k, n, dim), shape(&s.v, n, dim)
+	tensor.MatMulF32Into(q, top, lw.wq)
+	tensor.MatMulF32Into(k, h, lw.wk)
+	tensor.MatMulF32Into(v, h, lw.wv)
 
-	ctx := tensor.NewF32(rows, dim)
+	ctx := shape(&s.ctx, rows, dim)
+	qh, kt, vh := shape(&s.qh, rows, hd), shape(&s.kt, hd, n), shape(&s.vh, n, hd)
+	pw, ch := shape(&s.pw, rows, n), shape(&s.ch, rows, hd)
+	if cap(s.scores) < n {
+		s.scores = make([]float64, n)
+	}
+	scores := s.scores[:n]
 	scale := 1 / math.Sqrt(float64(hd))
-	scores := make([]float64, n)
-	for hd0 := 0; hd0 < heads; hd0++ {
-		off := hd0 * hd
+	for off := 0; off < dim; off += hd {
 		for i := 0; i < rows; i++ {
-			qi := q.Row(i)[off : off+hd]
-			mx := math.Inf(-1)
-			for j := 0; j < n; j++ {
-				kj := k.Row(j)[off : off+hd]
-				var s float32
-				for d := 0; d < hd; d++ {
-					s += qi[d] * kj[d]
-				}
-				sf := float64(s) * scale
-				scores[j] = sf
-				if sf > mx {
-					mx = sf
-				}
+			copy(qh.Row(i), q.Row(i)[off:off+hd])
+		}
+		for j := 0; j < n; j++ {
+			for d, x := range k.Row(j)[off : off+hd] {
+				kt.Data[d*n+j] = x
 			}
-			var z float64
-			for j := 0; j < n; j++ {
-				scores[j] = math.Exp(scores[j] - mx)
-				z += scores[j]
-			}
-			crow := ctx.Row(i)[off : off+hd]
-			for j := 0; j < n; j++ {
-				w := float32(scores[j] / z)
-				vj := v.Row(j)[off : off+hd]
-				for d := 0; d < hd; d++ {
-					crow[d] += w * vj[d]
-				}
-			}
+			copy(vh.Row(j), v.Row(j)[off:off+hd])
+		}
+		tensor.MatMulF32Into(pw, qh, kt)
+		for i := 0; i < rows; i++ {
+			softmaxRowF32(pw.Row(i), scores, scale)
+		}
+		tensor.MatMulF32Into(ch, pw, vh)
+		for i := 0; i < rows; i++ {
+			copy(ctx.Row(i)[off:off+hd], ch.Row(i))
 		}
 	}
-	attnOut := matMulF32(ctx, lw.wo)
-	h1 := tensor.NewF32(rows, dim)
+	h1 := shape(&s.h1, rows, dim)
+	tensor.MatMulF32Into(h1, ctx, lw.wo)
 	for i, hv := range top.Data {
-		h1.Data[i] = hv + attnOut.Data[i]
+		h1.Data[i] = hv + h1.Data[i]
 	}
 	layerNormInPlaceF32(h1)
 
-	ffn := matMulF32(h1, lw.ffn1)
+	ffn := shape(&s.ffn, rows, e.cfg.FFNDim)
+	tensor.MatMulF32Into(ffn, h1, lw.ffn1)
 	for i := 0; i < rows; i++ {
 		row := ffn.Row(i)
 		for j, bv := range lw.ffn1b.Data {
-			row[j] = geluF32(row[j] + bv)
+			row[j] += bv
 		}
+		geluInPlace(row)
 	}
-	ffnOut := matMulF32(ffn, lw.ffn2)
-	h2 := tensor.NewF32(rows, dim)
+	out := shape(&s.out, rows, dim)
+	tensor.MatMulF32Into(out, ffn, lw.ffn2)
 	for i := 0; i < rows; i++ {
-		row := ffnOut.Row(i)
+		row := out.Row(i)
 		h1row := h1.Row(i)
-		orow := h2.Row(i)
 		for j, bv := range lw.ffn2b.Data {
-			orow[j] = h1row[j] + row[j] + bv
+			row[j] = h1row[j] + row[j] + bv
 		}
 	}
-	layerNormInPlaceF32(h2)
-	return h2
+	layerNormInPlaceF32(out)
 }
 
-func gelu(x float64) float64 {
-	return 0.5 * x * (1 + math.Tanh(0.7978845608*(x+0.044715*x*x*x)))
-}
-
-func geluF32(x float32) float32 {
-	return float32(gelu(float64(x)))
+// softmaxRowF32 turns one row of raw scores into attention weights in
+// place: scaled and softmaxed in float64, through scores, and rounded once.
+func softmaxRowF32(row []float32, scores []float64, scale float64) {
+	mx := math.Inf(-1)
+	for j, sv := range row {
+		sf := float64(sv) * scale
+		scores[j] = sf
+		if sf > mx {
+			mx = sf
+		}
+	}
+	var z float64
+	for j := range row {
+		scores[j] = math.Exp(scores[j] - mx)
+		z += scores[j]
+	}
+	for j := range row {
+		row[j] = float32(scores[j] / z)
+	}
 }
 
 func layerNormInPlaceF32(m *tensor.F32) {
@@ -428,17 +471,29 @@ func layerNormInPlaceF32(m *tensor.F32) {
 // Node texts from table.SerializeColumn already carry [CLS] … [SEP], so
 // their sequences read [CLS] [CLS] … [SEP] [SEP]; the double wrap is kept
 // on purpose, since dropping it moves every embedding (DESIGN.md §12).
-// Only the CLS row of the final layer is computed.
+// Only the CLS row of the final layer is computed. A miss allocates only
+// the vector it caches, with every token embedding cached.
 func (e *Encoder) Encode(text string) []float32 {
 	if v, ok := e.textVecs.get(text); ok {
 		return v
 	}
-
-	tokens := append([]string{TokenCLS}, e.tok.Tokenize(text)...)
-	tokens = append(tokens, TokenSEP)
-	states := e.encodeTokens(tokens, 1)
-	v := append([]float32(nil), states.Row(0)...)
-
+	s := e.scratch.Get().(*encodeScratch)
+	defer e.scratch.Put(s)
+	e.tok.tokenize(&s.tb, text)
+	sep := len(s.tb.ends) + 1 // the [SEP] row
+	n := min(sep+1, e.cfg.MaxLen)
+	h := shape(&s.h, n, e.cfg.Dim)
+	for i := 0; i < n; i++ {
+		emb := e.sep
+		switch {
+		case i == 0:
+			emb = e.cls
+		case i < sep:
+			emb = e.tokenEmbedding(s.tb.token(i - 1))
+		}
+		e.embedRow(h, i, emb)
+	}
+	v := append([]float32(nil), e.encodeStates(s, 1).Row(0)...)
 	return e.textVecs.put(text, v)
 }
 

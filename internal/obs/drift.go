@@ -13,6 +13,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -141,18 +142,23 @@ func (m *DriftMonitor) TypeScore() float64 {
 		served[k] = v
 	}
 	m.mu.Unlock()
-	names := map[string]struct{}{}
+	// Sum over the names in sorted order, so one state always reads the
+	// same bits.
+	names := make([]string, 0, len(served)+len(m.baseline.TypeCounts))
 	for k := range served {
-		names[k] = struct{}{}
+		names = append(names, k)
 	}
 	for k := range m.baseline.TypeCounts {
-		names[k] = struct{}{}
+		if _, ok := served[k]; !ok {
+			names = append(names, k)
+		}
 	}
-	p := make([]float64, 0, len(names))
-	q := make([]float64, 0, len(names))
-	for k := range names {
-		p = append(p, float64(m.baseline.TypeCounts[k]))
-		q = append(q, float64(served[k]))
+	slices.Sort(names)
+	p := make([]float64, len(names))
+	q := make([]float64, len(names))
+	for i, k := range names {
+		p[i] = float64(m.baseline.TypeCounts[k])
+		q[i] = float64(served[k])
 	}
 	return chiSquareDistance(p, q)
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -130,5 +132,32 @@ func TestChiSquareDistanceBounds(t *testing.T) {
 	}
 	if d := chiSquareDistance([]float64{1}, []float64{0}); d != 0 {
 		t.Fatalf("one empty side: d = %v, want 0 (no evidence)", d)
+	}
+}
+
+// TestTypeScoreReadsSameBits: one monitor state must read the same score
+// on every read, whatever order the type maps iterate in.
+func TestTypeScoreReadsSameBits(t *testing.T) {
+	const types = 40
+	name := func(i int) string { return fmt.Sprintf("type.%02d", i) }
+	var train []pred
+	for i := range types {
+		if i%5 != 0 { // every fifth type is only ever served
+			for range 7*i + 3 {
+				train = append(train, pred{name(i), 0.5})
+			}
+		}
+	}
+	m := NewDriftMonitor(baselineFrom(train))
+	for i := range types {
+		for range (i * 13) % 17 { // some baseline types are never served
+			m.Observe(name(i), 0.5)
+		}
+	}
+	first := m.TypeScore()
+	for range 100 {
+		if got := m.TypeScore(); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("TypeScore read %v, then %v, of one state", first, got)
+		}
 	}
 }
