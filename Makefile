@@ -24,9 +24,10 @@ perfbench:
 lint-spans:
 	$(GO) run ./cmd/lintspans
 
-# Hot-path allocation hygiene: internal/autodiff, internal/gnn and
-# internal/infer must use the Into/AddInto product kernels; the allocating
-# conveniences (tensor.MatMul & friends) fail the build there.
+# Hot-path allocation hygiene: internal/autodiff, internal/core (home of
+# the scorer's forward loop), internal/gnn and internal/infer must use the
+# Into/AddInto product kernels; the allocating conveniences (tensor.MatMul &
+# friends) fail the build there.
 lint-alloc:
 	$(GO) run ./cmd/lintalloc
 

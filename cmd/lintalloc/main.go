@@ -1,7 +1,8 @@
 // Command lintalloc is the repo's hot-path allocation linter
 // (`make lint-alloc`): inside the packages that sit on the training and
-// inference hot paths — internal/autodiff, internal/gnn, internal/infer —
-// the allocating product conveniences tensor.MatMul, tensor.MatMulTransposeA
+// inference hot paths — internal/autodiff, internal/core (the scorer's
+// forward loop and the trainer), internal/gnn, internal/infer — the
+// allocating product conveniences tensor.MatMul, tensor.MatMulTransposeA
 // and tensor.MatMulTransposeB are forbidden. Those packages run per step and
 // per request; every product there must write into arena- or caller-owned
 // storage via the Into/AddInto forms, or the substrate's zero-allocation
@@ -32,6 +33,7 @@ import (
 // which allocating product calls fail the build.
 var restrictedDirs = []string{
 	filepath.Join("internal", "autodiff"),
+	filepath.Join("internal", "core"),
 	filepath.Join("internal", "gnn"),
 	filepath.Join("internal", "infer"),
 }

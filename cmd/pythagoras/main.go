@@ -294,6 +294,16 @@ func cmdServe(args []string) {
 	fs.Parse(args)
 	logger := newLogger(*logFormat)
 	logf := slog.NewLogLogger(logger.Handler(), slog.LevelInfo).Printf
+	// Burn rates divide by 1 − target, so a target of 1 makes them NaN,
+	// which /v1/metrics and /v1/slo cannot encode, and one above 1 makes
+	// them negative. A latency threshold of 0 would turn the latency
+	// objective into a second availability one.
+	if !(*sloTarget > 0 && *sloTarget < 1) {
+		fatal(logger, "parse flags", fmt.Errorf("-slo-target %v is outside (0, 1)", *sloTarget))
+	}
+	if *sloLatencyMs < 1 {
+		fatal(logger, "parse flags", fmt.Errorf("-slo-latency-ms %d is not a positive number of milliseconds", *sloLatencyMs))
+	}
 
 	// The checkpoint carries the model's drift baseline — the same load
 	// POST /v1/models runs for candidates, so boot and hot-load cannot

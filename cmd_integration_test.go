@@ -14,7 +14,8 @@ import (
 )
 
 // TestCLIPipeline exercises the real binaries end to end:
-// datagen → pythagoras train → eval → predict → serve.
+// datagen → pythagoras train → eval → predict → serve, and serve's refusal
+// of SLO flags it cannot serve with.
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary integration test")
@@ -103,7 +104,19 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("predict output: %s", out)
 	}
 
-	// 5. Serve the model with JSON logs, send one prediction, stop with
+	// 5. serve refuses an SLO target outside (0, 1) and a latency threshold
+	// below 1 ms before it loads the checkpoint: the missing model file
+	// would otherwise be the error.
+	for _, flag := range [][]string{{"-slo-target", "1"}, {"-slo-latency-ms", "0"}} {
+		cmd := exec.Command(pyth, "serve", "-model", filepath.Join(work, "missing.bin"), flag[0], flag[1])
+		cmd.Dir = work
+		raw, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(raw), flag[0]) {
+			t.Fatalf("serve %s %s: err %v, output %q; want a failure naming the flag", flag[0], flag[1], err, raw)
+		}
+	}
+
+	// 6. Serve the model with JSON logs, send one prediction, stop with
 	// SIGINT: every stderr line must be one JSON object, and the request
 	// must be logged exactly once.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -12,9 +12,9 @@ import (
 
 // CalibrateTemperature fits a softmax temperature on held-out tables by
 // minimizing the negative log-likelihood of the gold labels — standard
-// temperature scaling. The tables' logits come from the offline scorer
-// (score), on one worker per CPU. The temperature is stored in the model
-// (persisted by Save) and applied by InferProbs, so reported confidences
+// temperature scaling. The tables' logits come from the scorer (score), on
+// one worker per CPU. The temperature is stored in the model (persisted by
+// Save) and applied by PredictBatch and InferProbs, so reported confidences
 // track actual accuracy instead of the over-confident raw softmax.
 //
 // It returns the fitted temperature (1 = unchanged).
@@ -25,14 +25,15 @@ func (m *Model) CalibrateTemperature(c *data.Corpus, valIdx []int) (float64, err
 	}
 	var samples []sample
 	// score fails only when its context is cancelled, and this one never is.
-	_ = m.score(context.TODO(), runtime.NumCPU(), len(valIdx), func(i int) *Prepared {
+	_ = m.score(context.TODO(), runtime.NumCPU(), len(valIdx), StageHooks{}, func(i int) *Prepared {
 		return m.Prepare(c.Tables[valIdx[i]])
-	}, func(_ int, p *Prepared, targets []int, logits *tensor.Matrix) {
+	}, func(_ int, p *Prepared, targets []int, logits *tensor.Matrix) error {
 		for k, n := range targets {
 			if l := p.Graph.Labels[n]; l >= 0 {
 				samples = append(samples, sample{logits: logits.Row(k), label: l})
 			}
 		}
+		return nil
 	})
 	if len(samples) == 0 {
 		return 1, fmt.Errorf("core: no labeled validation columns to calibrate on")

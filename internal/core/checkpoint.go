@@ -26,7 +26,6 @@ import (
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/table"
-	"github.com/sematype/pythagoras/internal/tensor"
 )
 
 // checkpointMagic identifies a Pythagoras checkpoint; it doubles as a cheap
@@ -109,22 +108,18 @@ func readHeader(r io.Reader, maxVersion uint32) (uint32, error) {
 // the reference a serving-time obs.DriftMonitor compares live traffic
 // against. Using the model's *predictions* (not the labels) is deliberate:
 // drift is measured between two prediction distributions, so the baseline
-// must be produced by the same mechanism that produces the serving side:
-// the tables' logits (from the offline scorer, on one worker per CPU), the
-// InferProbs softmax and DecodePredictions. It has no side effect;
-// SetDriftBaseline attaches the result.
+// is produced by the call that produces the serving side, PredictBatch, on
+// one worker per CPU. It has no side effect; SetDriftBaseline attaches the
+// result.
 func (m *Model) ComputeDriftBaseline(tables []*table.Table) obs.DriftBaseline {
 	b := obs.DriftBaseline{
 		TypeCounts: map[string]uint64{},
 		ConfCounts: make([]uint64, len(obs.ConfidenceBuckets)+1),
 	}
-	temp := m.Temperature()
-	// score fails only when its context is cancelled, and this one never is.
-	_ = m.score(context.TODO(), runtime.NumCPU(), len(tables), func(i int) *Prepared {
-		return m.Prepare(tables[i])
-	}, func(i int, p *Prepared, targets []int, logits *tensor.Matrix) {
-		softmaxRows(logits, temp)
-		for _, cp := range m.DecodePredictions(p, logits, targets, 0, len(targets), tables[i]) {
+	// PredictBatch fails only on a cancelled context or an armed fault, and
+	// here there is neither.
+	_ = m.PredictBatch(context.TODO(), runtime.NumCPU(), tables, StageHooks{}, func(_ int, preds []ColumnPrediction) {
+		for _, cp := range preds {
 			b.TypeCounts[cp.Type]++
 			b.ConfCounts[obs.ConfidenceBucket(cp.Confidence)]++
 		}

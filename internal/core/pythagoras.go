@@ -405,7 +405,7 @@ func (m *Model) standardize(rows *tensor.Matrix) {
 
 // UnionPrepared merges prepared tables into one disjoint-union batch — the
 // same mechanism the training loop uses to form minibatches, reused by the
-// inference engine to amortize one forward pass over many tables. Node
+// scorer to amortize one forward pass over many tables. Node
 // indices (and NCFIdx) of table k are offset by the node counts of tables
 // 0..k-1, so per-table slices of the union output can be recovered from the
 // inputs' NumNodes.
@@ -471,11 +471,12 @@ func (m *Model) inferLogits(p *Prepared) (*tensor.Matrix, []int) {
 	return out, targets
 }
 
-// InferProbs is stage 3 of the inference pipeline: one gradient-free
-// forward pass over a prepared (possibly unioned) batch, whose logits a
-// temperature-scaled row softmax turns into calibrated probabilities. It
-// returns them (targets×classes, owned by the caller) and the target node
-// indices into p.Graph. Safe for concurrent use.
+// InferProbs runs one gradient-free forward pass over a prepared (possibly
+// unioned) batch, whose logits a temperature-scaled row softmax turns into
+// calibrated probabilities: the forward and softmax PredictBatch runs, for
+// a caller that prepares its own batch. It returns the probabilities
+// (targets×classes, owned by the caller) and the target node indices into
+// p.Graph. Safe for concurrent use.
 func (m *Model) InferProbs(p *Prepared) (*tensor.Matrix, []int) {
 	probs, targets := m.inferLogits(p)
 	softmaxRows(probs, m.Temperature())
@@ -515,9 +516,9 @@ func softmaxRows(logits *tensor.Matrix, temp float64) {
 // the first non-improving epoch.
 const defaultPatience = 30
 
-// scoreChunk caps how many tables one forward of the offline scorer
-// unions — the inference engine's default maxBatch.
-const scoreChunk = 16
+// MaxBatch caps how many tables one union forward of the scorer holds, on
+// every scoring path: served batches and offline scoring alike.
+const MaxBatch = 16
 
 // TrainCtx fits Pythagoras on the corpus using the given table index
 // splits, with the deterministic data-parallel pipeline (DESIGN.md §10):
@@ -528,13 +529,13 @@ const scoreChunk = 16
 //     GradSet and dropout RNG (seeded from (Seed, step, sub-index) only),
 //     then merges the loss-weighted gradients in fixed sub-index order and
 //     applies a single Adam update.
-//   - Validation scoring between epochs runs through the offline scorer
-//     (score): chunked union forwards in parallel.
+//   - Validation scoring between epochs runs through the scorer (score):
+//     chunked union forwards in parallel.
 //
 // Because no part of the decomposition, RNG seeding or merge order depends
 // on the worker count or on scheduling, the trained parameters are
 // bit-identical at any TrainWorkers — the training-side counterpart of the
-// inference engine's union-forward identity.
+// scorer's union-forward identity.
 //
 // Cancellation is observed before every stage and before each work item a
 // worker claims (partial-work drain, exactly as in serving): a cancelled
@@ -621,7 +622,7 @@ func TrainCtx(ctx context.Context, c *data.Corpus, trainIdx, valIdx []int, cfg C
 			if end > len(trainPrep) {
 				end = len(trainPrep)
 			}
-			if err := trainGate(ctx, cfg.Faults, faultinject.TrainStep); err != nil {
+			if err := gate(ctx, cfg.Faults, faultinject.TrainStep); err != nil {
 				return nil, err
 			}
 			stepLoss, err := m.trainStep(ctx, trainPrep[at:end], opt, cfg, workers, step, totalSteps, fbHist, mergeHist)
@@ -638,7 +639,7 @@ func TrainCtx(ctx context.Context, c *data.Corpus, trainIdx, valIdx []int, cfg C
 		epochHist.Since(epochStart)
 
 		if len(valPrep) > 0 {
-			if err := trainGate(ctx, cfg.Faults, faultinject.TrainVal); err != nil {
+			if err := gate(ctx, cfg.Faults, faultinject.TrainVal); err != nil {
 				return nil, err
 			}
 			t0 := time.Now()
@@ -684,9 +685,9 @@ func (c Config) checkTraining() error {
 	return nil
 }
 
-// trainGate is the trainer's per-stage interruption check: context first,
-// then any armed fault. Both are one branch each when unset.
-func trainGate(ctx context.Context, fs *faultinject.Set, p faultinject.Point) error {
+// gate is the per-stage interruption check of the trainer and the scorer:
+// context first, then any armed fault. Both are one branch each when unset.
+func gate(ctx context.Context, fs *faultinject.Set, p faultinject.Point) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -760,7 +761,7 @@ func (m *Model) trainStep(ctx context.Context, bp []*Prepared, opt *nn.Adam, cfg
 	if err != nil {
 		return 0, err
 	}
-	if err := trainGate(ctx, cfg.Faults, faultinject.TrainMerge); err != nil {
+	if err := gate(ctx, cfg.Faults, faultinject.TrainMerge); err != nil {
 		return 0, err
 	}
 	t0 := time.Now()
@@ -791,41 +792,71 @@ func subBatchSeed(seed int64, step, sub int) int64 {
 	return int64(h)
 }
 
-// score is the offline scorer: training validation, Evaluate,
-// ComputeDriftBaseline and CalibrateTemperature all score through it. It
-// takes n tables from prep (table i is prep(i)) in windows of at most
-// workers×scoreChunk, each prepared in parallel, so it holds one window at
-// a time. A window is scored by gradient-free union forwards of at most
-// scoreChunk tables, fanned out over the workers. Then visit receives, in
-// table order and on the calling goroutine, each table's prepared form, its
-// target nodes and their logits (row k for targets[k]), which are visit's
-// to keep or overwrite. A union forward is bit-identical to the per-table
-// forwards it replaces, so neither the windows, the chunks nor the worker
-// count change a bit of what visit sees — which matters, because the
-// validation F1 feeds the early stopper and thereby the trained parameters.
-// A cancelled ctx stops the scoring before the next table or chunk and
-// returns ctx's error.
-func (m *Model) score(ctx context.Context, workers, n int, prep func(i int) *Prepared, visit func(i int, p *Prepared, targets []int, logits *tensor.Matrix)) error {
-	window := max(workers, 1) * scoreChunk
+// StageHooks instruments the scorer's stages for the serving engine: Faults
+// fires the infer.* injection points at the stage gates, each histogram
+// times its stage, and Chunk observes each union's table count. Every field
+// is nil-safe, so the zero value, which offline callers pass, leaves the
+// context checks as the only gates.
+type StageHooks struct {
+	Faults                          *faultinject.Set
+	Prepare, Union, Forward, Decode *obs.Histogram
+	Chunk                           *obs.Histogram
+}
+
+// score is the one scoring loop: PredictBatch (behind the serving engine and
+// ComputeDriftBaseline), training validation, Evaluate and
+// CalibrateTemperature all score through it. It takes n tables from prep
+// (table i is prep(i)) in windows of at most workers×MaxBatch, each prepared
+// in parallel, so it holds one window at a time. A window is scored by
+// gradient-free union forwards of at most MaxBatch tables, fanned out over
+// the workers. Then visit receives, in table order and on the calling
+// goroutine, each table's prepared form, its target nodes and their logits
+// (row k for targets[k]), which are visit's to keep or overwrite. A union
+// forward is bit-identical to the per-table forwards it replaces, so
+// neither the windows, the chunks nor the worker count change a bit of what
+// visit sees — which matters, because the validation F1 feeds the early
+// stopper and thereby the trained parameters.
+//
+// A cancelled ctx, an armed fault or an error from visit stops the scoring
+// before the next table, union or forward and returns that error. Workers
+// finish the item they are on; nothing new starts.
+func (m *Model) score(ctx context.Context, workers, n int, hooks StageHooks, prep func(i int) *Prepared, visit func(i int, p *Prepared, targets []int, logits *tensor.Matrix) error) error {
+	window := max(workers, 1) * MaxBatch
 	ps := make([]*Prepared, min(n, window))
 	for lo := 0; lo < n; lo += window {
 		ps = ps[:min(window, n-lo)]
 		err := par.For(ctx, workers, len(ps), func(i int) error {
+			if err := hooks.Faults.Fire(ctx, faultinject.InferPrepare); err != nil {
+				return err
+			}
+			t0 := time.Now()
 			ps[i] = prep(lo + i)
+			hooks.Prepare.Since(t0)
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		bounds := par.Bounds(len(ps), workers, scoreChunk)
+		bounds := par.Bounds(len(ps), workers, MaxBatch)
 		logits := make([]*tensor.Matrix, len(bounds))
 		err = par.For(ctx, workers, len(bounds), func(c int) error {
 			clo, chi := bounds[c][0], bounds[c][1]
+			if err := gate(ctx, hooks.Faults, faultinject.InferUnion); err != nil {
+				return err
+			}
+			t0 := time.Now()
 			p := ps[clo]
 			if chi-clo > 1 {
 				p = UnionPrepared(ps[clo:chi])
 			}
+			hooks.Union.Since(t0)
+			hooks.Chunk.Observe(float64(chi - clo))
+			if err := gate(ctx, hooks.Faults, faultinject.InferForward); err != nil {
+				return err
+			}
+			t0 = time.Now()
 			logits[c], _ = m.inferLogits(p)
+			hooks.Forward.Since(t0)
 			return nil
 		})
 		if err != nil {
@@ -836,7 +867,9 @@ func (m *Model) score(ctx context.Context, workers, n int, prep func(i int) *Pre
 			for i := b[0]; i < b[1]; i++ {
 				targets := ps[i].Graph.TargetNodes()
 				next := row + len(targets)
-				visit(lo+i, ps[i], targets, &tensor.Matrix{Rows: len(targets), Cols: l.Cols, Data: l.Data[row*l.Cols : next*l.Cols]})
+				if err := visit(lo+i, ps[i], targets, &tensor.Matrix{Rows: len(targets), Cols: l.Cols, Data: l.Data[row*l.Cols : next*l.Cols]}); err != nil {
+					return err
+				}
 				row = next
 			}
 		}
@@ -844,12 +877,35 @@ func (m *Model) score(ctx context.Context, workers, n int, prep func(i int) *Pre
 	return nil
 }
 
+// PredictBatch predicts the semantic types of every column of ts through
+// the scorer on workers goroutines: each table's logits pass the
+// temperature softmax and DecodePredictions, and emit receives table i's
+// predictions in table order on the calling goroutine. The decode stage is
+// gated and timed once per table. Predictions are bit-identical at any
+// batch size and worker count. A cancelled ctx or an armed fault stops the
+// batch with that error; the tables emitted before it stay emitted.
+func (m *Model) PredictBatch(ctx context.Context, workers int, ts []*table.Table, hooks StageHooks, emit func(i int, preds []ColumnPrediction)) error {
+	temp := m.Temperature()
+	return m.score(ctx, workers, len(ts), hooks, func(i int) *Prepared {
+		return m.Prepare(ts[i])
+	}, func(i int, p *Prepared, targets []int, logits *tensor.Matrix) error {
+		if err := gate(ctx, hooks.Faults, faultinject.InferDecode); err != nil {
+			return err
+		}
+		t0 := time.Now()
+		softmaxRows(logits, temp)
+		emit(i, m.DecodePredictions(p, logits, targets, 0, len(targets), ts[i]))
+		hooks.Decode.Since(t0)
+		return nil
+	})
+}
+
 // evaluate scores n tables through score and returns the paper's per-kind
 // metrics and one eval.Prediction per labeled target, in table order and
 // ascending node order within a table.
 func (m *Model) evaluate(ctx context.Context, workers, n int, prep func(i int) *Prepared) (*eval.Split, []eval.Prediction, error) {
 	var preds []eval.Prediction
-	err := m.score(ctx, workers, n, prep, func(_ int, p *Prepared, targets []int, logits *tensor.Matrix) {
+	err := m.score(ctx, workers, n, StageHooks{}, prep, func(_ int, p *Prepared, targets []int, logits *tensor.Matrix) error {
 		for k, node := range targets {
 			if p.Graph.Labels[node] >= 0 {
 				preds = append(preds, eval.Prediction{
@@ -859,6 +915,7 @@ func (m *Model) evaluate(ctx context.Context, workers, n int, prep func(i int) *
 				})
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -868,7 +925,7 @@ func (m *Model) evaluate(ctx context.Context, workers, n int, prep func(i int) *
 
 // Evaluate scores the model on the given tables of a corpus, returning the
 // paper's per-kind metrics and the raw predictions in table order. It runs
-// the offline scorer training validation uses, on one worker per CPU;
+// the scorer training validation uses, on one worker per CPU;
 // neither its windows, its chunks nor the worker count change a bit of the
 // result.
 func (m *Model) Evaluate(c *data.Corpus, idx []int) (*eval.Split, []eval.Prediction) {
@@ -892,8 +949,8 @@ type ColumnPrediction struct {
 // predictions for one table. probs/targets are the output of InferProbs
 // over a prepared batch; [lo,hi) selects the target rows belonging to t
 // (0, len(targets) for a single-table batch), and nodeOffset-relative
-// metadata is read from p.Graph. The inference engine uses the range form
-// to split a union batch back into per-table results.
+// metadata is read from p.Graph. A caller holding a union batch uses the
+// range form to split it back into per-table results.
 func (m *Model) DecodePredictions(p *Prepared, probs *tensor.Matrix, targets []int, lo, hi int, t *table.Table) []ColumnPrediction {
 	var out []ColumnPrediction
 	for i := lo; i < hi; i++ {

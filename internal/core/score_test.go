@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/sematype/pythagoras/internal/data"
+	"github.com/sematype/pythagoras/internal/faultinject"
 	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/table"
 	"github.com/sematype/pythagoras/internal/tensor"
@@ -155,10 +156,63 @@ func TestScoreStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	visited := 0
-	err := m.score(ctx, 2, 4, func(i int) *Prepared { return m.Prepare(c.Tables[8+i]) },
-		func(int, *Prepared, []int, *tensor.Matrix) { visited++ })
+	err := m.score(ctx, 2, 4, StageHooks{}, func(i int) *Prepared { return m.Prepare(c.Tables[8+i]) },
+		func(int, *Prepared, []int, *tensor.Matrix) error { visited++; return nil })
 	if !errors.Is(err, context.Canceled) || visited != 0 {
 		t.Fatalf("score on a cancelled context: err %v, %d tables visited", err, visited)
+	}
+}
+
+// TestPredictBatchStageGates drives each of the scorer's four stage points
+// through PredictBatch on one table: cancellation or an injected error at
+// prepare, union, forward or decode ends the batch with that error, fires
+// the point once and emits nothing. The stage histograms time the stages
+// that ran.
+func TestPredictBatchStageGates(t *testing.T) {
+	m, c := scoredModel(t, 9)
+	boom := errors.New("stage exploded")
+	points := []faultinject.Point{
+		faultinject.InferPrepare, faultinject.InferUnion, faultinject.InferForward, faultinject.InferDecode,
+	}
+	for stage, point := range points {
+		for _, cancels := range []bool{true, false} {
+			ctx, cancel := context.WithCancel(context.Background())
+			act, want := faultinject.Err(boom), boom
+			if cancels {
+				act, want = faultinject.Cancel(cancel), context.Canceled
+			}
+			reg := obs.NewRegistry()
+			hooks := StageHooks{
+				Faults:  faultinject.New().On(point, act),
+				Prepare: reg.Histogram("prepare", nil),
+				Union:   reg.Histogram("union", nil),
+				Forward: reg.Histogram("forward", nil),
+				Decode:  reg.Histogram("decode", nil),
+				Chunk:   reg.Histogram("chunk", nil),
+			}
+			emitted := 0
+			err := m.PredictBatch(ctx, 1, c.Tables[8:9], hooks, func(int, []ColumnPrediction) { emitted++ })
+			cancel()
+			if !errors.Is(err, want) {
+				t.Fatalf("point %s: err = %v, want %v", point, err, want)
+			}
+			if emitted != 0 {
+				t.Fatalf("point %s: aborted batch emitted %d tables", point, emitted)
+			}
+			if n := hooks.Faults.Fired(point); n != 1 {
+				t.Fatalf("point %s fired %d times, want 1", point, n)
+			}
+			s := reg.Snapshot()
+			for i, name := range []string{"prepare", "union", "forward", "decode"} {
+				var ran uint64
+				if i < stage {
+					ran = 1
+				}
+				if got := s.Histograms[name].Count; got != ran {
+					t.Fatalf("point %s: %s observed %d times, want %d", point, name, got, ran)
+				}
+			}
+		}
 	}
 }
 

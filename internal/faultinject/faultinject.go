@@ -1,6 +1,6 @@
 // Package faultinject is the deterministic fault-injection substrate behind
 // the chaos test suite (DESIGN.md §9): named injection points inside the
-// serving path (the inference engine's stages, the server's admission path)
+// serving path (the stages of core's scorer, the server's admission path)
 // fire registered actions — artificial latency, forced errors, mid-flight
 // context cancellation — so tests can reproduce, on demand and without
 // sleeps-and-hope timing, the production failure modes the stack must
@@ -24,10 +24,12 @@ import (
 )
 
 // Point names an injection site. Sites are compiled into the serving path;
-// the constants below are the ones the engine and server fire today.
+// the constants below are the ones the scorer, the server and the trainer
+// fire today.
 type Point string
 
-// Injection points wired into internal/infer and internal/server.
+// Injection points wired into core's scorer (the infer.* points, armed by
+// the serving engine's fault set), internal/server and core's trainer.
 const (
 	// InferPrepare fires once per table at the start of the prepare stage.
 	InferPrepare Point = "infer.prepare"
@@ -35,7 +37,7 @@ const (
 	InferUnion Point = "infer.union"
 	// InferForward fires once per chunk, before the gradient-free forward.
 	InferForward Point = "infer.forward"
-	// InferDecode fires once per chunk, before predictions are decoded.
+	// InferDecode fires once per table, before its predictions are decoded.
 	InferDecode Point = "infer.decode"
 	// ServerHandle fires once per admitted HTTP request, before the mux.
 	ServerHandle Point = "server.handle"

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sematype/pythagoras/internal/core"
 	"github.com/sematype/pythagoras/internal/faultinject"
 )
 
@@ -30,22 +31,19 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestNewClampsOptions: nonsensical worker/batch settings fall back to the
-// defaults instead of wedging the pools.
+// TestNewClampsOptions: a nonsensical worker setting falls back to the
+// default instead of wedging the pools.
 func TestNewClampsOptions(t *testing.T) {
-	e := New(nil, WithWorkers(-1), WithMaxBatch(0))
+	e := New(nil, WithWorkers(-1))
 	if e.workers < 1 {
 		t.Fatalf("workers = %d", e.workers)
-	}
-	if e.maxBatch < 1 {
-		t.Fatalf("maxBatch = %d", e.maxBatch)
 	}
 }
 
 func TestConfigAccessors(t *testing.T) {
-	e := New(nil, WithWorkers(3), WithMaxBatch(7))
-	if e.Workers() != 3 || e.MaxBatch() != 7 {
-		t.Fatalf("accessors = (%d, %d), want (3, 7)", e.Workers(), e.MaxBatch())
+	e := New(nil, WithWorkers(3))
+	if e.Workers() != 3 || e.MaxBatch() != core.MaxBatch {
+		t.Fatalf("accessors = (%d, %d), want (3, %d)", e.Workers(), e.MaxBatch(), core.MaxBatch)
 	}
 }
 
@@ -103,11 +101,12 @@ func TestPredictBatchCtxPreCancelled(t *testing.T) {
 
 // TestCancelMidChunkDrainsAndReturnsFast is the core cancellation scenario:
 // the second chunk's union gate cancels the context while the batch is in
-// flight. The engine must return context.Canceled within 100ms of the
-// cancel (the acceptance bound: an injected 10s stage delay is cut short,
-// nothing waits it out) and leave no pool workers behind. The bound is
-// timed from the cancel, not from the call: prepare and the first chunk
-// run before it and say nothing about the drain.
+// flight. On one worker, 24 tables are two windows of one chunk each, so
+// that gate falls in the second window. The engine must return
+// context.Canceled within 100ms of the cancel (the acceptance bound: an
+// injected 10s stage delay is cut short, nothing waits it out) and leave no
+// pool workers behind. The bound is timed from the cancel, not from the
+// call: the first window runs before it and says nothing about the drain.
 func TestCancelMidChunkDrainsAndReturnsFast(t *testing.T) {
 	m, c := trainedModel(t)
 	base := runtime.NumGoroutine()
@@ -128,9 +127,9 @@ func TestCancelMidChunkDrainsAndReturnsFast(t *testing.T) {
 		// ...and any chunk that still reaches its forward would stall 10s,
 		// so only the context-aware drain can return quickly.
 		On(faultinject.InferForward, faultinject.After(1, faultinject.Sleep(10*time.Second)))
-	eng := New(m, WithWorkers(1), WithMaxBatch(2), WithFaults(fs))
+	eng := New(m, WithWorkers(1), WithFaults(fs))
 
-	out, err := eng.PredictBatchCtx(ctx, c.Tables[:8])
+	out, err := eng.PredictBatchCtx(ctx, c.Tables[:24])
 	returned := time.Now()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
@@ -155,7 +154,7 @@ func TestDeadlineExpiryDuringUnion(t *testing.T) {
 	m, c := trainedModel(t)
 	fs := faultinject.New().
 		On(faultinject.InferUnion, faultinject.Sleep(10*time.Second))
-	eng := New(m, WithWorkers(2), WithMaxBatch(4), WithFaults(fs))
+	eng := New(m, WithWorkers(2), WithFaults(fs))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
@@ -217,6 +216,30 @@ func TestOneTableBatchStageGates(t *testing.T) {
 	}
 }
 
+// TestPredictBatchPreparesInWindows: a batch larger than workers×MaxBatch
+// is prepared one window at a time, so on one worker the first forward runs
+// after exactly MaxBatch prepares, not after the whole batch's.
+func TestPredictBatchPreparesInWindows(t *testing.T) {
+	m, c := trainedModel(t)
+	var prepared []uint64 // the InferPrepare count at each forward
+	fs := faultinject.New()
+	fs.On(faultinject.InferPrepare, func(context.Context) error { return nil }).
+		On(faultinject.InferForward, func(context.Context) error {
+			prepared = append(prepared, fs.Fired(faultinject.InferPrepare))
+			return nil
+		})
+	predict(t, New(m, WithWorkers(1), WithFaults(fs)), c.Tables[:24])
+	if len(prepared) != 2 {
+		t.Fatalf("%d forwards, want 2", len(prepared))
+	}
+	if prepared[0] != core.MaxBatch {
+		t.Fatalf("%d tables prepared before the first forward, want %d", prepared[0], core.MaxBatch)
+	}
+	if prepared[1] != 24 {
+		t.Fatalf("%d tables prepared before the second forward, want 24", prepared[1])
+	}
+}
+
 // TestConcurrentCancelledBatches hammers the drain path under -race: many
 // goroutines run batches whose contexts are cancelled at random points.
 func TestConcurrentCancelledBatches(t *testing.T) {
@@ -231,7 +254,7 @@ func TestConcurrentCancelledBatches(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				fs := faultinject.New().
 					On(faultinject.InferUnion, faultinject.After(uint64(w%3), faultinject.Cancel(cancel)))
-				eng := New(m, WithWorkers(2), WithMaxBatch(2), WithFaults(fs))
+				eng := New(m, WithWorkers(2), WithFaults(fs))
 				out, err := eng.PredictBatchCtx(ctx, c.Tables[:6])
 				if err == nil && out == nil {
 					t.Error("nil result without error")
@@ -252,7 +275,7 @@ func TestGoldenDeterminismAcrossWorkers(t *testing.T) {
 	tables := c.Tables[:12]
 	var golden []byte
 	for _, workers := range []int{1, 4, 8} {
-		eng := New(m, WithWorkers(workers), WithMaxBatch(4))
+		eng := New(m, WithWorkers(workers))
 		out, err := eng.PredictBatchCtx(context.Background(), tables)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -101,8 +101,8 @@ func TestPredictBatchEmptyAndSingle(t *testing.T) {
 
 // TestEvaluateMatchesModelEvaluate asserts the offline evaluator scores
 // exactly what the engine serves: core.Model.Evaluate's prediction list
-// equals the engine's predictions over the same labeled tables, at batch
-// bounds that do and don't divide the table count.
+// equals the engine's predictions over the same labeled tables, at worker
+// counts whose chunks do and don't divide the table count.
 func TestEvaluateMatchesModelEvaluate(t *testing.T) {
 	m, c := trainedModel(t)
 	idx := []int{10, 11, 12, 13, 14, 15, 16}
@@ -111,9 +111,9 @@ func TestEvaluateMatchesModelEvaluate(t *testing.T) {
 	for i, ti := range idx {
 		tables[i] = c.Tables[ti]
 	}
-	for _, mb := range []int{1, 3, 16} {
+	for _, w := range []int{1, 3, 8} {
 		var got []eval.Prediction
-		for i, preds := range predict(t, New(m, WithWorkers(4), WithMaxBatch(mb)), tables) {
+		for i, preds := range predict(t, New(m, WithWorkers(w)), tables) {
 			for _, p := range preds {
 				gold, ok := c.LabelIndex[tables[i].Columns[p.ColIndex].SemanticType]
 				if !ok {
@@ -125,66 +125,36 @@ func TestEvaluateMatchesModelEvaluate(t *testing.T) {
 			}
 		}
 		if len(got) != len(want) {
-			t.Fatalf("maxBatch=%d: %d preds, want %d", mb, len(got), len(want))
+			t.Fatalf("workers=%d: %d preds, want %d", w, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("maxBatch=%d: pred %d = %+v, want %+v", mb, i, got[i], want[i])
+				t.Fatalf("workers=%d: pred %d = %+v, want %+v", w, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // TestChunkingInvariance asserts PredictBatchCtx output does not depend on
-// how the batch is split into union forward passes: any worker count and
-// maxBatch must produce the bits of the batches of one.
+// how the batch is split into windows and union forward passes: any worker
+// count must produce the bits of the batches of one. On one worker, 17
+// tables take two windows, so one worker still runs more than one chunk.
 func TestChunkingInvariance(t *testing.T) {
 	m, c := trainedModel(t)
-	tables := c.Tables[:11]
+	tables := c.Tables[:17]
 	one := New(m, WithWorkers(1))
 	want := make([][]core.ColumnPrediction, len(tables))
 	for i := range tables {
 		want[i] = predict(t, one, tables[i:i+1])[0]
 	}
 	for _, w := range []int{1, 2, 3, 5} {
-		for _, mb := range []int{2, 5, 16} {
-			got := predict(t, New(m, WithWorkers(w), WithMaxBatch(mb)), tables)
-			for ti := range want {
-				for i := range want[ti] {
-					if got[ti][i] != want[ti][i] {
-						t.Fatalf("workers=%d maxBatch=%d: table %d col %d diverged", w, mb, ti, i)
-					}
+		got := predict(t, New(m, WithWorkers(w)), tables)
+		for ti := range want {
+			for i := range want[ti] {
+				if got[ti][i] != want[ti][i] {
+					t.Fatalf("workers=%d: table %d col %d diverged", w, ti, i)
 				}
 			}
-		}
-	}
-}
-
-// TestChunkBounds checks the chunk partition: contiguous, complete, and
-// bounded by maxBatch.
-func TestChunkBounds(t *testing.T) {
-	for _, tc := range []struct{ n, workers, maxBatch, chunks int }{
-		{16, 1, 16, 1}, // one worker: a single whole-input union
-		{16, 4, 16, 4}, // spread across the pool
-		{16, 4, 3, 6},  // maxBatch caps the chunk size
-		{5, 8, 16, 5},  // more workers than tables: one table per chunk
-		{0, 4, 16, 0},  // empty input
-		{1, 4, 16, 1},
-	} {
-		e := &Engine{workers: tc.workers, maxBatch: tc.maxBatch}
-		bounds := e.chunkBounds(tc.n)
-		if len(bounds) != tc.chunks {
-			t.Fatalf("n=%d w=%d mb=%d: %d chunks, want %d", tc.n, tc.workers, tc.maxBatch, len(bounds), tc.chunks)
-		}
-		at := 0
-		for _, b := range bounds {
-			if b[0] != at || b[1] <= b[0] || b[1]-b[0] > tc.maxBatch {
-				t.Fatalf("n=%d w=%d mb=%d: bad chunk %v at %d", tc.n, tc.workers, tc.maxBatch, b, at)
-			}
-			at = b[1]
-		}
-		if at != tc.n {
-			t.Fatalf("n=%d w=%d mb=%d: chunks cover %d of %d", tc.n, tc.workers, tc.maxBatch, at, tc.n)
 		}
 	}
 }

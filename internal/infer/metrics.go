@@ -6,20 +6,26 @@ import (
 )
 
 // chunkBuckets sizes the chunk/batch histograms: power-of-two table counts
-// up to 4096 (the engine never unions more than maxBatch, but batch-size
-// distribution above it is still informative).
+// up to 4096 (a union never holds more than core.MaxBatch, but the
+// batch-size distribution above it is still informative).
 var chunkBuckets = obs.ExpBuckets(1, 2, 13)
 
 // engineMetrics holds the engine's pre-resolved metric handles (DESIGN.md
 // §8). Handles are looked up once at wiring time so the serving path pays
 // only atomic updates; a nil *engineMetrics (observability off) costs one
-// branch per stage.
+// branch per batch and per table.
+//
+// The scorer observes the stage series through the engine's
+// core.StageHooks, which newEngineMetrics fills:
 //
 //	infer.stage.prepare.seconds   histogram, one observation per table
 //	infer.stage.union.seconds     histogram, one observation per chunk
 //	infer.stage.forward.seconds   histogram, one observation per chunk
-//	infer.stage.decode.seconds    histogram, one observation per chunk
+//	infer.stage.decode.seconds    histogram, one observation per table
 //	infer.chunk.tables            histogram of union-chunk sizes
+//
+// The engine observes the batch series itself:
+//
 //	infer.batch.tables            histogram of PredictBatchCtx input sizes
 //	infer.batches / infer.tables  cumulative request counters
 //
@@ -33,11 +39,6 @@ var chunkBuckets = obs.ExpBuckets(1, 2, 13)
 //	infer.predicted{type="..."}         labeled counter per predicted type
 type engineMetrics struct {
 	reg     *obs.Registry
-	prepare *obs.Histogram
-	union   *obs.Histogram
-	forward *obs.Histogram
-	decode  *obs.Histogram
-	chunks  *obs.Histogram
 	batch   *obs.Histogram
 	batches *obs.Counter
 	tables  *obs.Counter
@@ -54,14 +55,17 @@ type engineMetrics struct {
 // mirrors the abstain band the paper's precision/coverage trade-off targets.
 const lowConfidenceThreshold = 0.3
 
-func newEngineMetrics(reg *obs.Registry, types []string) *engineMetrics {
+// newEngineMetrics resolves the engine's handles in reg: the stage
+// histograms into hooks, for the scorer, and the rest into the returned
+// engineMetrics.
+func newEngineMetrics(reg *obs.Registry, types []string, hooks *core.StageHooks) *engineMetrics {
+	hooks.Prepare = reg.Histogram("infer.stage.prepare.seconds", nil)
+	hooks.Union = reg.Histogram("infer.stage.union.seconds", nil)
+	hooks.Forward = reg.Histogram("infer.stage.forward.seconds", nil)
+	hooks.Decode = reg.Histogram("infer.stage.decode.seconds", nil)
+	hooks.Chunk = reg.Histogram("infer.chunk.tables", chunkBuckets)
 	m := &engineMetrics{
 		reg:     reg,
-		prepare: reg.Histogram("infer.stage.prepare.seconds", nil),
-		union:   reg.Histogram("infer.stage.union.seconds", nil),
-		forward: reg.Histogram("infer.stage.forward.seconds", nil),
-		decode:  reg.Histogram("infer.stage.decode.seconds", nil),
-		chunks:  reg.Histogram("infer.chunk.tables", chunkBuckets),
 		batch:   reg.Histogram("infer.batch.tables", chunkBuckets),
 		batches: reg.Counter("infer.batches"),
 		tables:  reg.Counter("infer.tables"),
@@ -84,15 +88,16 @@ func WithMetrics(reg *obs.Registry) Option {
 }
 
 // EnableMetrics attaches a metrics registry to the engine: per-stage
-// latency histograms and chunk-size distributions, plus the underlying
-// encoder's cache gauges. It must be called before the engine serves
-// traffic (it is not synchronized against concurrent PredictBatchCtx
-// calls); once a registry is attached, later calls are no-ops.
+// latency histograms and chunk-size distributions, the batch counters and
+// model-quality telemetry, plus the underlying encoder's cache gauges. It
+// must be called before the engine serves traffic (it is not synchronized
+// against concurrent PredictBatchCtx calls); once a registry is attached,
+// later calls are no-ops.
 func (e *Engine) EnableMetrics(reg *obs.Registry) {
 	if reg == nil || e.metrics != nil {
 		return
 	}
-	e.metrics = newEngineMetrics(reg, e.model.Types())
+	e.metrics = newEngineMetrics(reg, e.model.Types(), &e.hooks)
 	if enc := e.model.Encoder(); enc != nil {
 		enc.RegisterMetrics(reg)
 	}
@@ -115,8 +120,9 @@ func (e *Engine) Drift() *obs.DriftMonitor { return e.drift }
 // recordPredictions feeds one table's served predictions into the
 // model-quality telemetry: the confidence histogram, per-type labeled
 // counters, the low-confidence counter, and the drift monitor. Called once
-// per decoded table by PredictBatchCtx; offline scoring (core.Model.Evaluate)
-// never reaches it, so it cannot pollute serving telemetry.
+// per decoded table by PredictBatchCtx; offline callers of the scorer
+// (Evaluate, ComputeDriftBaseline) never reach it, so they cannot pollute
+// serving telemetry.
 func (e *Engine) recordPredictions(preds []core.ColumnPrediction) {
 	m := e.metrics
 	if m == nil && e.drift == nil {

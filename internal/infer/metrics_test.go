@@ -13,11 +13,11 @@ import (
 
 // TestMetricsPopulatedByPredictBatch: after one batched call, every stage
 // histogram has observations with the expected cardinality — one per table
-// for prepare, one per chunk for union/forward/decode.
+// for prepare and decode, one per chunk for union/forward.
 func TestMetricsPopulatedByPredictBatch(t *testing.T) {
 	m, c := trainedModel(t)
 	reg := obs.NewRegistry()
-	eng := New(m, WithWorkers(4), WithMaxBatch(4), WithMetrics(reg))
+	eng := New(m, WithWorkers(4), WithMetrics(reg))
 	if eng.Metrics() != reg {
 		t.Fatal("Metrics() should return the wired registry")
 	}
@@ -26,12 +26,12 @@ func TestMetricsPopulatedByPredictBatch(t *testing.T) {
 	predict(t, eng, tables)
 
 	s := reg.Snapshot()
-	wantChunks := uint64(len(eng.chunkBounds(len(tables))))
+	const wantChunks = 4 // 8 tables over 4 workers: four chunks of two
 	for name, want := range map[string]uint64{
 		"infer.stage.prepare.seconds": uint64(len(tables)),
 		"infer.stage.union.seconds":   wantChunks,
 		"infer.stage.forward.seconds": wantChunks,
-		"infer.stage.decode.seconds":  wantChunks,
+		"infer.stage.decode.seconds":  uint64(len(tables)),
 		"infer.chunk.tables":          wantChunks,
 		"infer.batch.tables":          1,
 	} {
@@ -83,8 +83,8 @@ func TestMetricsSingleTablePaths(t *testing.T) {
 // instrumented and uninstrumented engines produce identical predictions.
 func TestInstrumentationPreservesOutput(t *testing.T) {
 	m, c := trainedModel(t)
-	plain := New(m, WithWorkers(3), WithMaxBatch(3))
-	inst := New(m, WithWorkers(3), WithMaxBatch(3), WithMetrics(obs.NewRegistry()))
+	plain := New(m, WithWorkers(3))
+	inst := New(m, WithWorkers(3), WithMetrics(obs.NewRegistry()))
 
 	tables := c.Tables[:7]
 	if !reflect.DeepEqual(predict(t, plain, tables), predict(t, inst, tables)) {
@@ -111,7 +111,7 @@ func TestMetricsDefaultOff(t *testing.T) {
 func TestMetricsConcurrentPredictBatch(t *testing.T) {
 	m, c := trainedModel(t)
 	reg := obs.NewRegistry()
-	eng := New(m, WithWorkers(2), WithMaxBatch(3), WithMetrics(reg))
+	eng := New(m, WithWorkers(2), WithMetrics(reg))
 
 	const callers = 4
 	var wg sync.WaitGroup

@@ -41,7 +41,10 @@ func Labels(name string, kv ...string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", p.k, p.v)
+		b.WriteString(p.k)
+		b.WriteString(`="`)
+		b.WriteString(p.v)
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -89,13 +92,10 @@ func sanitizeLabelKey(key string) string {
 	return strings.ReplaceAll(s, ":", "_")
 }
 
-// escapeLabelValue escapes a label value per the exposition format.
-func escapeLabelValue(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return v
-	// double quotes are escaped by %q at render time
-}
+// escapeLabelValue escapes a label value per the exposition format, which
+// defines exactly three escapes: backslash, double quote and newline. Every
+// other rune is written as it is.
+var escapeLabelValue = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace
 
 // formatFloat renders a sample value the way Prometheus clients do.
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -198,10 +198,13 @@ func TestLabelsCanonical(t *testing.T) {
 	if got := Labels("x", "odd"); got != "x" {
 		t.Fatalf("odd-pair Labels = %q", got)
 	}
-	esc := Labels("m", "k", `a"b\c`)
+	// The exposition format defines exactly three escapes in a label value:
+	// backslash, double quote and newline. A tab, like every other rune,
+	// is written as it is.
+	esc := Labels("m", "k", "a\\b\"c\nd\te")
 	base, body := splitLabels(esc)
-	if base != "m" || !strings.Contains(body, `\"`) {
-		t.Fatalf("escaping broken: %q → base %q body %q", esc, base, body)
+	if want := `k="a\\b\"c\nd` + "\t" + `e"`; base != "m" || body != want {
+		t.Fatalf("escaping broken: %q → base %q body %q, want body %q", esc, base, body, want)
 	}
 }
 

@@ -1,14 +1,14 @@
 // Package par holds the deterministic worker-pool primitives shared by the
-// staged inference engine (internal/infer) and the data-parallel trainer
-// (internal/core): a bounded parallel loop with drain-on-cancel semantics
-// and the bounds-chunking helper that splits a batch across a pool.
+// scorer and the data-parallel trainer (internal/core): a bounded parallel
+// loop with drain-on-cancel semantics and the bounds-chunking helper that
+// splits a batch across a pool.
 //
 // Both primitives are deliberately free of any scheduling nondeterminism
 // that could leak into results: For hands out indices from an atomic
 // counter but callers write only to their own output slot, and Bounds is a
 // pure function of its arguments — so the code using them can make
-// bit-identity guarantees across worker counts (the inference engine's
-// union-forward identity, the trainer's fixed-order gradient merge).
+// bit-identity guarantees across worker counts (the scorer's union-forward
+// identity, the trainer's fixed-order gradient merge).
 package par
 
 import (

@@ -105,12 +105,27 @@ func TestForPreCancelledContext(t *testing.T) {
 	}
 }
 
+// TestBoundsProperties checks the partition: contiguous, complete, capped
+// at maxChunk, and the chunk count.
 func TestBoundsProperties(t *testing.T) {
-	for _, tc := range []struct{ n, workers, maxChunk int }{
-		{0, 4, 16}, {1, 4, 16}, {5, 4, 16}, {100, 4, 16},
-		{100, 4, 3}, {16, 16, 1}, {7, 1, 0}, {10, 0, -1},
+	for _, tc := range []struct{ n, workers, maxChunk, chunks int }{
+		{0, 4, 16, 0},   // empty input
+		{1, 4, 16, 1},   // one table
+		{5, 4, 16, 3},   // chunks of ceil(5/4) = 2
+		{100, 4, 16, 7}, // maxChunk caps the even split of 25
+		{100, 4, 3, 34}, // a small cap
+		{16, 16, 1, 16}, // one item per chunk
+		{7, 1, 0, 1},    // no cap: one whole-input chunk
+		{10, 0, -1, 1},  // workers < 1 counts as one
+		{16, 1, 16, 1},  // one worker: a single whole-input union
+		{16, 4, 16, 4},  // spread across the pool
+		{16, 4, 3, 6},   // maxChunk caps the chunk size
+		{5, 8, 16, 5},   // more workers than items: one item per chunk
 	} {
 		bounds := Bounds(tc.n, tc.workers, tc.maxChunk)
+		if len(bounds) != tc.chunks {
+			t.Fatalf("Bounds(%v): %d chunks, want %d", tc, len(bounds), tc.chunks)
+		}
 		at := 0
 		for _, b := range bounds {
 			if b[0] != at || b[1] <= b[0] {

@@ -159,16 +159,15 @@ func (m *modelSet) newSlotMetrics(id string) *slotMetrics {
 }
 
 // newEngine builds a fresh engine around model and its drift monitor (nil
-// for none) with the primary engine's worker fan-out and batch bound and the
-// server's fault set (so chaos suites reach lifecycle-created engines). Only
-// a primary-role engine records into the shared registry: candidate scoring
+// for none) with the primary engine's worker fan-out and the server's fault
+// set (so chaos suites reach lifecycle-created engines). Only a
+// primary-role engine records into the shared registry: candidate scoring
 // must not pollute the primary's infer.* series; the shadow path records its
 // own per-model labeled telemetry instead. Caller holds mu.
 func (m *modelSet) newEngine(model *core.Model, drift *obs.DriftMonitor, primary bool) *infer.Engine {
 	prim := m.primary().engine
 	eng := infer.New(model,
 		infer.WithWorkers(prim.Workers()),
-		infer.WithMaxBatch(prim.MaxBatch()),
 		infer.WithFaults(m.faults),
 	)
 	if primary {

@@ -106,25 +106,21 @@ func PaperScaleEncoderConfig() EncoderConfig { return lm.PaperScaleConfig() }
 // DefaultConfig returns the default training configuration around enc.
 func DefaultConfig(enc *Encoder) Config { return core.DefaultConfig(enc) }
 
-// Engine is the staged inference engine (Encode → BuildGraph → Forward):
-// the production serving path. Engine.PredictBatchCtx prepares tables in
-// parallel and unions their graphs into chunked forward passes; its output
-// for each table is bit-identical to predicting that table as a batch of
-// one.
+// Engine is the staged inference engine (BuildGraph → Encode → Forward):
+// the production serving path, around the model's one scoring loop.
+// Engine.PredictBatchCtx prepares tables in parallel and unions their
+// graphs into forward passes of at most 16 tables; its output for each
+// table is bit-identical to predicting that table as a batch of one.
 type Engine = infer.Engine
 
 // NewEngine builds an inference engine around a trained model.
 func NewEngine(m *Model, opts ...EngineOption) *Engine { return infer.New(m, opts...) }
 
-// EngineOption configures an Engine (worker pool size, forward-pass batch
-// bound).
+// EngineOption configures an Engine (its worker pool size).
 type EngineOption = infer.Option
 
-// WithWorkers sets the engine's prepare-stage worker count.
+// WithWorkers sets the engine's worker count.
 var WithWorkers = infer.WithWorkers
-
-// WithMaxBatch sets how many tables the engine unions per forward pass.
-var WithMaxBatch = infer.WithMaxBatch
 
 // Train fits a Pythagoras model on corpus using the given table index
 // splits (validation drives early stopping; pass nil to disable). A
